@@ -19,7 +19,7 @@ from killedwalk import (
     geodesic_step_prob,
     make_distribution,
     reduce_to_line,
-    rho_sequence,
+    rho_environment,
     sigma_finite_prob,
     simulate_excursions,
     simulate_geodesic_passage,
@@ -40,7 +40,7 @@ for depth in (1, 2, 4, 8, 16, 32, 60):
 print("\n== random potentials: brackets plus an effective line model ==")
 bern = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 cfg = TreeConfig(3, depth_cap_D=12)
-seq = rho_sequence(cfg, bern, n=6, seed=5)
+seq = rho_environment(cfg, bern, (0, 5), seed=5)[0]
 for b in seq:
     print(f"  site {b.site_index}: rho in [{b.rho_lower:.6f}, {b.rho_upper:.6f}]")
 bound = bern.mean + math.log(cfg.d / 2.0)

@@ -18,7 +18,6 @@ from .env import (
     Environment,
     EnvironmentSource,
     PotentialDistribution,
-    laplace_transform,
     make_distribution,
     sample_environment,
     shift,
@@ -32,16 +31,16 @@ from .entropy import (
     kl_divergence,
     minimize_variational,
     simplex_tilt,
-    specific_entropy_product,
 )
 from .line_solver import (
     F_limit,
+    F_limit_batch,
     F_r,
+    LimitBatch,
     SurvivalResult,
     WindowModel,
     forward_step_weights,
     green_function_window,
-    solve_survival_batch,
     solve_survival_window,
     truncation_tail_bound,
     two_point_a,
@@ -72,7 +71,6 @@ from .tree import (
     reduce_to_line,
     rho_environment,
     rho_for_site,
-    rho_sequence,
     sigma_finite_prob,
     simulate_excursions,
     simulate_geodesic_passage,

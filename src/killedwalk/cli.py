@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .env import Environment, make_distribution, sample_environment
@@ -49,14 +49,7 @@ class RunConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "threads": self.threads,
-            "format": self.format,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 class ConfigError(ValueError):
@@ -126,7 +119,6 @@ def _run_alpha(config: RunConfig) -> dict:
             n_samples=int(p.get("n_samples", 1000)),
             tol=float(p.get("tol", 1e-7)),
             seed=config.seed,
-            threads=config.threads,
         )
         row = {
             "method": est.method,
@@ -161,7 +153,6 @@ def _run_beta(config: RunConfig) -> dict:
         method=p.get("method", "auto"),
         seed=config.seed,
         n_paths=int(p.get("n_paths", 200_000)),
-        threads=config.threads,
     )
     rows = [
         {
@@ -195,7 +186,6 @@ def _run_variational(config: RunConfig) -> dict:
         n_grid=int(p.get("n_grid", 25)),
         param_tol=float(p.get("param_tol", 1e-4)),
         max_evals=int(p.get("max_evals", 200)),
-        threads=config.threads,
     )
     beta_cfg = p.get("beta", {})
     if beta_cfg is None:
@@ -208,7 +198,6 @@ def _run_variational(config: RunConfig) -> dict:
             r_ratio=float(beta_cfg.get("r_ratio", 4.0)),
             seed=config.seed,
             n_paths=int(beta_cfg.get("n_paths", 100_000)),
-            threads=config.threads,
         )
     report = minimize_variational(
         dist, family=p.get("family", "exponential-tilt"), optimizer_cfg=cfg, beta_hat=beta_hat
@@ -392,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="subcommand to run")
     parser.add_argument("--config", help="JSON config file (or a previously emitted manifest)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap; never changes results")
+    parser.add_argument("--threads", type=int, default=None, help="tree-reduce workers; never changes results")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", help="output base path")
     parser.add_argument(

@@ -50,15 +50,6 @@ def _finite_atoms(dist: PotentialDistribution) -> dict[float, float]:
     raise ValueError("relative entropy here needs a finite-support law")
 
 
-def specific_entropy_product(q_marginal, p_marginal) -> float:
-    """Per-site relative entropy of two product laws.
-
-    For products the window entropy is exactly window-size times the
-    single-site divergence, so the per-site limit equals the one-site KL.
-    """
-    return kl_divergence(q_marginal, p_marginal)
-
-
 @dataclass(frozen=True)
 class TiltedProductMeasure:
     """An i.i.d. environment law whose marginal reweights the base law.
@@ -123,7 +114,6 @@ def expected_F_under(
     n_samples: int,
     tol: float = 1e-7,
     seed: int = 0,
-    threads: int = 1,
 ) -> LyapunovEstimate:
     """Monte Carlo mean of the one-step functional under the tilted marginal.
 
@@ -133,9 +123,7 @@ def expected_F_under(
     quenched estimator bit for bit.
     """
     marginal = q_tilt.tilt if isinstance(q_tilt, TiltedProductMeasure) else make_distribution(q_tilt)
-    return _mean_F_estimate(
-        marginal, n_samples, tol, seed, threads, method="expected-F-under-tilt"
-    )
+    return _mean_F_estimate(marginal, n_samples, tol, seed, method="expected-F-under-tilt")
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,6 @@ class OptimizerConfig:
     n_grid: int = 25
     param_tol: float = 1e-4
     max_evals: int = 200
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -183,13 +170,11 @@ def minimize_variational(
     """
     cfg = optimizer_cfg or OptimizerConfig()
     if alpha_hat is None:
-        alpha_hat = _mean_F_estimate(
-            base, cfg.n_samples, cfg.tol, cfg.seed, cfg.threads, method="quenched-mc"
-        )
+        alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
     evals: list[dict] = []
 
     def objective(tpm: TiltedProductMeasure) -> dict:
-        est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed, cfg.threads)
+        est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
         kl = tpm.kl_per_site()
         row = {
             "theta": tpm.theta,

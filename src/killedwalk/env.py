@@ -79,15 +79,24 @@ class PotentialDistribution:
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)
         return values[idx]
 
-    def laplace(self, ell: float) -> float:
-        """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0."""
-        if ell < 0:
+    def laplace(self, ell):
+        """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
+
+        ell may be an array (e.g. the visit counts of local-time scores);
+        a scalar argument gives a float.
+        """
+        ell = np.asarray(ell, dtype=np.float64)
+        if np.any(ell < 0):
             raise ValueError("laplace transform argument must be >= 0")
         if self.kind == "point":
-            return float(np.exp(-ell * self.mass_value))
-        if self.kind == "exponential":
-            return self.rate / (self.rate + ell)
-        return float(sum(w * np.exp(-ell * v) for v, w in self.atoms))
+            phi = np.exp(-ell * self.mass_value)
+        elif self.kind == "exponential":
+            phi = self.rate / (self.rate + ell)
+        else:
+            vals = np.array([v for v, _ in self.atoms])
+            wts = np.array([w for _, w in self.atoms])
+            phi = np.exp(-np.multiply.outer(ell, vals)) @ wts
+        return float(phi) if phi.ndim == 0 else phi
 
     def to_spec(self) -> dict:
         if self.kind == "finite":
@@ -114,12 +123,13 @@ def make_distribution(spec) -> PotentialDistribution:
         if not atoms:
             raise ValueError("finite-support law needs a nonempty 'atoms' list")
         vals, weights = [], []
-        for entry in atoms:
-            v, w = float(entry[0]), float(entry[1])
+        for i, entry in enumerate(atoms):
+            v = _finite(entry[0], f"atoms[{i}] value")
+            w = _finite(entry[1], f"atoms[{i}] weight")
             if v < 0:
-                raise ValueError(f"atom value must be >= 0, got {v}")
+                raise ValueError(f"atom value must be >= 0, got {v} (atoms[{i}])")
             if w <= 0:
-                raise ValueError(f"atom weight must be > 0, got {w}")
+                raise ValueError(f"atom weight must be > 0, got {w} (atoms[{i}])")
             vals.append(v)
             weights.append(w)
         total = sum(weights)
@@ -132,21 +142,23 @@ def make_distribution(spec) -> PotentialDistribution:
         pairs = tuple((v, w) for v, w in merged.items())
         return PotentialDistribution(kind="finite", atoms=pairs)
     if kind in ("exponential", "exponential-rate"):
-        rate = float(spec.get("rate", 0.0))
+        rate = _finite(spec.get("rate", 0.0), "rate")
         if rate <= 0:
             raise ValueError(f"exponential rate must be > 0, got {rate}")
         return PotentialDistribution(kind="exponential", rate=rate)
     if kind in ("point", "point-mass"):
-        value = float(spec.get("value", spec.get("mass_value", 0.0)))
+        value = _finite(spec.get("value", spec.get("mass_value", 0.0)), "value")
         if value < 0:
             raise ValueError(f"point mass value must be >= 0, got {value}")
         return PotentialDistribution(kind="point", mass_value=value)
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def laplace_transform(dist: PotentialDistribution, ell: float) -> float:
-    """E[exp(-ell * omega)] under the law of one site."""
-    return dist.laplace(ell)
+def _finite(raw, name: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +191,10 @@ class Environment:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.window_hi - self.window_lo + 1,):
             raise ValueError("values length must match the window")
+        nan = np.flatnonzero(np.isnan(vals))
+        if nan.size:
+            i = int(nan[0])
+            raise ValueError(f"values[{i}] (site {self.window_lo + i}) is NaN")
         if np.any(vals < 0):
             raise ValueError("potentials must be >= 0")
         object.__setattr__(self, "values", vals)

@@ -30,10 +30,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .env import Environment, EnvironmentSource
+from .rng import keyed_uniform
 
 UNDERFLOW_FLOOR = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_R_MAX = -(2**20)
+# rows x window sites swept at once per doubling; 2**18 cells is 2 MB a float64 array
+_CELL_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,6 @@ def solve_survival_window(model: WindowModel) -> SurvivalResult:
     return SurvivalResult(e_value=e, a_value=-math.log(e), barrier_r=r, r_used=r)
 
 
-def solve_survival_batch(models, threads: int = 1) -> list:
-    """Solve many window models; results come back in input order whatever
-    the worker count (each solve is a pure function of its model)."""
-    from ._parallel import ordered_map
-
-    return ordered_map(solve_survival_window, models, threads=threads)
-
-
 def two_point_a(env: Environment, x: int, y: int, r: int, p=0.5) -> float:
     """a_r(x, y) = -ln e_r(x, y) for r < x <= y, by the forward sweep."""
     if x == y:
@@ -212,23 +207,88 @@ def F_r(env, r: int, p=0.5) -> SurvivalResult:
     return _result_from_a(a, r, r_used=r)
 
 
-def truncation_tail_bound(env, r: int, a_r: float, p=0.5) -> float:
+def truncation_tail_bound(omega, a_r, p=0.5):
     """Certified overestimate of F_r - F at barrier r.
 
-    Every path counted by F but not by F_r first travels from 0 down to r
-    without touching 1; a mirrored elimination sweep (right barrier at 1)
-    gives that passage weight exactly, and the continuation from r to 1
-    contributes at most weight 1.
+    omega holds the potentials on sites r+1 .. 0 and a_r the value of F_r;
+    a leading axis of omega (with one a_r per row) bounds many
+    environments at once.  Every path counted by F but not by F_r first
+    travels from 0 down to r without touching 1; a mirrored elimination
+    sweep (right barrier at 1) gives that passage weight exactly, and the
+    continuation from r to 1 contributes at most weight 1.
     """
-    omega = env.slice_values(r + 1, 0)[::-1]  # sites 0 down to r+1
-    p_rev = np.asarray(p, dtype=np.float64)
-    if p_rev.ndim > 0:
-        p_rev = (1.0 - p_rev)[::-1]
+    omega = np.asarray(omega, dtype=np.float64)
+    p_rev = np.flip(1.0 - np.asarray(p, dtype=np.float64))
+    _, log_v = forward_step_weights(omega[..., ::-1], p_rev)  # sites 0 down to r+1
+    return np.logaddexp(0.0, np.sum(log_v, axis=-1) + a_r)[()]  # ln(1 + passage / e_r)
+
+
+@dataclass(frozen=True)
+class LimitBatch:
+    """Barrier-free limits of many environments, one entry per row, with
+    the meanings of the SurvivalResult fields of the same names."""
+
+    a_value: np.ndarray
+    trunc_bound: np.ndarray
+    r_used: np.ndarray
+    converged: np.ndarray
+
+
+def _barrier_schedule(r_schedule, r_max: int) -> list[int]:
+    if r_schedule is None:
+        schedule, r = [], -2
+        while r >= r_max:
+            schedule.append(r)
+            r *= 2
     else:
-        p_rev = 1.0 - p_rev
-    _, log_v = forward_step_weights(omega, p_rev)
-    log_gap = float(np.sum(log_v)) + a_r
-    return math.log1p(math.exp(log_gap)) if log_gap < 700.0 else log_gap
+        schedule = [int(r) for r in r_schedule]
+        if any(r >= 0 for r in schedule):
+            raise ValueError("r_schedule entries must be negative")
+    if not schedule:
+        raise ValueError("empty barrier schedule")
+    return schedule
+
+
+def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> LimitBatch:
+    """The barrier-doubling loop behind F_limit and F_limit_batch.
+
+    potentials(rows, r) returns the potentials of the given rows on sites
+    r+1 .. 0, one row each.  At every barrier of the schedule the rows
+    still running are swept together (in chunks of at most
+    _CELL_BUDGET cells); a row stops at its first decrement below tol, or
+    unconverged at the last barrier, and takes its tail certificate from
+    the mirrored sweep of the same potentials.  Rows never interact, so
+    the chunking and the batch composition change no digit.
+    """
+    a_value = np.zeros(n_rows)
+    trunc = np.zeros(n_rows)
+    r_used = np.zeros(n_rows, dtype=np.int64)
+    converged = np.zeros(n_rows, dtype=bool)
+    prev_a = np.full(n_rows, math.inf)
+    active = np.arange(n_rows)
+    for k, r in enumerate(schedule):
+        if active.size == 0:
+            break
+        last = k == len(schedule) - 1
+        chunk = max(1, _CELL_BUDGET // -r)
+        running = []
+        for start in range(0, active.size, chunk):
+            rows = active[start : start + chunk]
+            omega = potentials(rows, r)
+            a = -forward_step_weights(omega, p)[1][:, -1]
+            decrement = prev_a[rows] - a  # +inf at the first barrier
+            prev_a[rows] = a
+            stop = decrement < tol
+            done = stop | last
+            if done.any():
+                fin = rows[done]
+                omega = omega[done]  # drops the rest of the chunk before the mirrored sweep
+                slack = np.maximum(decrement[done], 0.0) if k else 0.0
+                trunc[fin] = slack + truncation_tail_bound(omega, a[done], p)
+                a_value[fin], r_used[fin], converged[fin] = a[done], r, stop[done]
+            running.append(rows[~done])
+        active = np.concatenate(running)
+    return LimitBatch(a_value, trunc, r_used, converged)
 
 
 def F_limit(
@@ -244,7 +304,8 @@ def F_limit(
     generating) sites left of the origin.  Stops once consecutive barrier
     doublings change the value by less than tol; trunc_bound reports the
     last decrement plus the analytic tail certificate, which bounds the
-    remaining overestimate of the true limit.
+    remaining overestimate of the true limit.  It runs the loop of
+    F_limit_batch on one row, so both give the same digits.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -253,64 +314,51 @@ def F_limit(
             e_value=1.0, a_value=0.0, barrier_r=0, converged=True, r_used=None,
             note="delta-zero potential: trivial case, limit is 0 exactly",
         )
-    if r_schedule is None:
-        schedule = []
-        r = -2
-        while r >= r_max:
-            schedule.append(r)
-            r *= 2
-    else:
-        schedule = [int(r) for r in r_schedule]
-        if any(r >= 0 for r in schedule):
-            raise ValueError("r_schedule entries must be negative")
+    schedule = _barrier_schedule(r_schedule, r_max)
+    exhausted_window = False
     if isinstance(source, Environment):
         usable = [r for r in schedule if r >= source.window_lo]
         exhausted_window = len(usable) < len(schedule)
         schedule = usable
         if not schedule:
             raise ValueError("window too small for any barrier in the schedule")
-    else:
-        exhausted_window = False
-
-    prev_a = None
-    last = None
-    decrement = math.inf
-    for r in schedule:
-        last = F_r(_window_env(source, r), r, p)
-        if prev_a is not None:
-            decrement = prev_a - last.a_value
-            if decrement < tol:
-                tail = truncation_tail_bound(_window_env(source, r), r, last.a_value, p)
-                return SurvivalResult(
-                    e_value=last.e_value,
-                    a_value=last.a_value,
-                    barrier_r=r,
-                    converged=True,
-                    r_used=r,
-                    trunc_bound=max(decrement, 0.0) + tail,
-                    underflowed=last.underflowed,
-                )
-        prev_a = last.a_value
-    r = schedule[-1]
-    tail = truncation_tail_bound(_window_env(source, r), r, last.a_value, p)
+    row = _barrier_doubling(
+        lambda rows, r: source.slice_values(r + 1, 0)[None, :], 1, schedule, tol, p
+    )
+    r, ok = int(row.r_used[0]), bool(row.converged[0])
     reason = "window exhausted" if exhausted_window else "r_max reached"
-    return SurvivalResult(
-        e_value=last.e_value,
-        a_value=last.a_value,
-        barrier_r=r,
-        converged=False,
-        r_used=r,
-        trunc_bound=max(decrement, 0.0) + tail if math.isfinite(decrement) else tail,
-        underflowed=last.underflowed,
-        note=f"not converged to tol={tol:g} ({reason}); "
+    return _result_from_a(
+        float(row.a_value[0]), r, converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
+        note="" if ok else f"not converged to tol={tol:g} ({reason}); "
         "expect O(1/|r|) convergence only for laws concentrated near 0",
     )
 
 
-def _window_env(source, r: int) -> Environment:
-    if isinstance(source, Environment):
-        return source
-    return source.materialize(r, 1)
+def F_limit_batch(
+    dist,
+    seed: int,
+    n_samples: int,
+    tol: float = DEFAULT_TOL,
+    r_max: int = DEFAULT_R_MAX,
+    p=0.5,
+) -> LimitBatch:
+    """F_limit of EnvironmentSource(dist, seed, i) for every i < n_samples.
+
+    Row i draws its potentials from stream i, exactly as the one-row call
+    would, so each entry equals that call's result and runs that share a
+    seed share environments row by row.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if dist.is_delta_zero:  # the limit is 0 exactly, as in F_limit
+        zeros = np.zeros(n_samples)
+        return LimitBatch(zeros, zeros, zeros.astype(np.int64), np.ones(n_samples, dtype=bool))
+
+    def potentials(rows, r):  # a row index is its stream id
+        sites = np.arange(r + 1, 1, dtype=np.int64)
+        return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
+
+    return _barrier_doubling(potentials, n_samples, _barrier_schedule(None, r_max), tol, p)
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:

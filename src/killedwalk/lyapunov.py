@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map
-from .env import Environment, EnvironmentSource, PotentialDistribution
-from .line_solver import F_limit, forward_step_weights
+from .env import EnvironmentSource, PotentialDistribution
+from .line_solver import F_limit_batch, forward_step_weights
 from .rng import stream_generator
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -48,7 +47,6 @@ def _mean_F_estimate(
     n_samples: int,
     tol: float,
     seed: int,
-    threads: int = 1,
     method: str = "quenched-mc",
     max_drop_fraction: float = 0.01,
 ) -> LyapunovEstimate:
@@ -56,23 +54,14 @@ def _mean_F_estimate(
 
     Sample i draws its environment from stream_id = i, so two runs with
     the same seed share environments sample-by-sample (the common random
-    number contract used by the tilted-measure objective).
+    number contract used by the tilted-measure objective).  All samples
+    run through one batched barrier-doubling loop (F_limit_batch).
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    if dist.is_delta_zero:
-        return LyapunovEstimate(
-            value=0.0, ci_halfwidth=0.0, n_samples=n_samples, method=method,
-            params={"seed": seed, "tol": tol, "note": "delta-zero potential: trivial case"},
-        )
-
-    def one(i: int):
-        res = F_limit(EnvironmentSource(dist, seed, stream_id=i), tol=tol)
-        return res.a_value, res.trunc_bound, res.converged
-
-    rows = ordered_map(one, range(n_samples), threads=threads)
-    values = np.array([a for a, _, ok in rows if ok])
-    truncs = np.array([t for _, t, ok in rows if ok])
+    rows = F_limit_batch(dist, seed, n_samples, tol=tol)
+    values = rows.a_value[rows.converged]
+    truncs = rows.trunc_bound[rows.converged]
     n_dropped = n_samples - values.size
     if n_dropped > max_drop_fraction * n_samples:
         raise RuntimeError(
@@ -96,11 +85,10 @@ def estimate_alpha_mc(
     n_samples: int,
     tol: float = 1e-7,
     seed: int = 0,
-    threads: int = 1,
 ) -> LyapunovEstimate:
     """Quenched decay rate as the Monte Carlo mean of the one-step
     functional over independent environments."""
-    return _mean_F_estimate(dist, n_samples, tol, seed, threads, method="quenched-mc")
+    return _mean_F_estimate(dist, n_samples, tol, seed, method="quenched-mc")
 
 
 def estimate_alpha_ergodic(
@@ -234,7 +222,6 @@ def annealed_localtime_mc(
     seed: int = 0,
     p: float = 0.5,
     batch_size: int = 4096,
-    threads: int = 1,
     max_steps: int | None = None,
 ) -> LocaltimeMCResult:
     """Unbiased estimate of E[e_r(0, n, omega)] by local-time reweighting.
@@ -276,7 +263,7 @@ def annealed_localtime_mc(
             active[idx[arrived | killed]] = False
             steps += 1
         capped = int(active.sum())
-        table = _laplace_table(dist, int(counts.max())) if count else np.ones(1)
+        table = dist.laplace(np.arange(int(counts.max()) + 1)) if count else np.ones(1)
         barrier_hit = ~hit & ~active
         total = total_sq = gap_total = 0.0
         if hit.any():
@@ -286,11 +273,11 @@ def annealed_localtime_mc(
         if barrier_hit.any():
             # +1 visit per site: the continuation from the barrier to the
             # target pays the whole window once more
-            extended = _laplace_table(dist, int(counts[barrier_hit].max()) + 1)
+            extended = dist.laplace(np.arange(int(counts[barrier_hit].max()) + 2))
             gap_total = float(np.prod(extended[counts[barrier_hit] + 1], axis=1).sum())
         return count, total, total_sq, int(hit.sum()), capped, gap_total
 
-    rows = ordered_map(run_batch, range(n_batches), threads=threads)
+    rows = [run_batch(b) for b in range(n_batches)]
     n_tot = sum(row[0] for row in rows)
     s1 = math.fsum(row[1] for row in rows)
     s2 = math.fsum(row[2] for row in rows)
@@ -315,18 +302,6 @@ def annealed_localtime_mc(
     )
 
 
-def _laplace_table(dist: PotentialDistribution, max_count: int) -> np.ndarray:
-    """phi(c) = E[exp(-c omega)] for c = 0 .. max_count."""
-    counts = np.arange(max_count + 1, dtype=np.float64)
-    if dist.kind == "exponential":
-        return dist.rate / (dist.rate + counts)
-    if dist.kind == "point":
-        return np.exp(-counts * dist.mass_value)
-    vals = np.array([v for v, _ in dist.atoms])
-    wts = np.array([w for _, w in dist.atoms])
-    return np.exp(-np.outer(counts, vals)) @ wts
-
-
 def estimate_beta(
     dist: PotentialDistribution,
     n_grid,
@@ -335,7 +310,6 @@ def estimate_beta(
     seed: int = 0,
     n_paths: int = 200_000,
     config_cap: int = DEFAULT_CONFIG_CAP,
-    threads: int = 1,
 ) -> LyapunovEstimate:
     """Annealed decay rate from b_r(0, n) on a grid of distances.
 
@@ -369,7 +343,7 @@ def estimate_beta(
                 }
             )
         else:
-            mc = annealed_localtime_mc(dist, n, r, n_paths, seed=seed, threads=threads)
+            mc = annealed_localtime_mc(dist, n, r, n_paths, seed=seed)
             rows.append(
                 {
                     "n": n, "r": r, "b": mc.b_value, "se_b": mc.b_stderr,

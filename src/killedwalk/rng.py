@@ -3,7 +3,7 @@
 Every stochastic quantity in this package is a pure function of an integer
 key tuple.  Site potentials use ``keyed_uniform(seed, stream_id, counter)``:
 the uniform attached to a counter never depends on how many other counters
-were evaluated, in which order, or on how many threads did the evaluating.
+were evaluated, in which order, or on how many workers did the evaluating.
 Path simulations, which consume an unbounded stream of draws, use ordinary
 numpy generators seeded through ``SeedSequence`` from the same kind of key.
 """
@@ -27,6 +27,8 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _as_u64(value) -> np.ndarray:
+    if isinstance(value, int):
+        value &= 0xFFFFFFFFFFFFFFFF  # a key is a 64-bit word, as in stream_generator
     arr = np.asarray(value)
     if arr.dtype.kind in "iu":
         return arr.astype(np.uint64, copy=False)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights, two_point_a
 from .lyapunov import iterate_configs
@@ -305,31 +306,6 @@ def rho_for_site(
     )
 
 
-def rho_sequence(
-    cfg: TreeConfig,
-    dist: PotentialDistribution,
-    n: int,
-    seed: int = 0,
-    stream_id: int = 0,
-    depth_cap: int | None = None,
-    threads: int = 1,
-) -> list[RhoPotential]:
-    """Independent rho brackets for geodesic sites 0 .. n-1.
-
-    Sites own disjoint streams, so they can be computed on any number of
-    workers without changing a digit.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    from ._parallel import ordered_map
-
-    return ordered_map(
-        lambda i: rho_for_site(cfg, dist, i, seed, stream_id, depth_cap),
-        range(n),
-        threads=threads,
-    )
-
-
 def geodesic_step_prob(cfg: TreeConfig) -> float:
     """Probability that the induced geodesic walk steps uphill (toward the
     predecessor), conditional on stepping at all: p / (p + (1-p)/(d-1))."""
@@ -360,10 +336,14 @@ def rho_environment(
     threads: int = 1,
 ) -> tuple[list[RhoPotential], Environment, Environment, Environment]:
     """rho brackets on an inclusive window, packaged as three environments
-    (midpoint, lower envelope, upper envelope) sharing the window."""
-    from ._parallel import ordered_map
+    (midpoint, lower envelope, upper envelope) sharing the window.
 
+    Sites own disjoint streams, so their branch forests can be computed on
+    any number of workers without changing a digit.
+    """
     lo, hi = int(window[0]), int(window[1])
+    if lo > hi:
+        raise ValueError(f"empty window ({lo}, {hi})")
     brackets = ordered_map(
         lambda i: rho_for_site(cfg, dist, i, seed, stream_id, depth_cap),
         range(lo, hi + 1),

@@ -27,7 +27,7 @@ from killedwalk.lyapunov import (
     estimate_beta,
     iterate_configs,
 )
-from killedwalk.tree import TreeConfig, excursion_survival_h, rho_sequence, simulate_excursions
+from killedwalk.tree import TreeConfig, excursion_survival_h, rho_environment, simulate_excursions
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 CONST = make_distribution({"kind": "point", "value": -math.log(0.8)})
@@ -198,7 +198,7 @@ def test_criterion_6_tree_reduction():
 
     cfg = TreeConfig(3, depth_cap_D=10)
     site, seed, stream = 3, 5, 9
-    bracket = rho_sequence(cfg, BERN, n=site + 1, seed=seed, stream_id=stream)[site].h_bracket
+    bracket = rho_environment(cfg, BERN, (0, site), seed=seed, stream_id=stream)[0][site].h_bracket
     mean, se, _ = simulate_excursions(
         cfg, BERN, site_index=site, n_excursions=100_000, seed=seed, stream_id=stream
     )
@@ -206,7 +206,7 @@ def test_criterion_6_tree_reduction():
     details.append(f"excursion MC {mean:.5f}±{se:.5f} vs [{bracket.lower:.5f}, {bracket.upper:.5f}]")
     ok = ok and inside
 
-    seq = rho_sequence(cfg, BERN, n=300, seed=6)
+    seq = rho_environment(cfg, BERN, (0, 299), seed=6)[0]
     uppers = np.array([b.rho_upper for b in seq])
     mean_width = float(np.mean([b.rho_upper - b.rho_lower for b in seq]))
     bound = BERN.mean + math.log(3.0 / 2.0) + mean_width + 4 * uppers.std(ddof=1) / math.sqrt(uppers.size)

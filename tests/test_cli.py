@@ -5,6 +5,8 @@ import os
 import pytest
 
 from killedwalk.cli import CSV_COLUMNS, main
+from killedwalk.env import make_distribution
+from killedwalk.lyapunov import estimate_alpha_mc
 
 BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 CONST_SPEC = {"kind": "point", "value": -math.log(0.8)}
@@ -46,6 +48,24 @@ def test_malformed_atoms_fail_with_field_name(tmp_path, capsys):
     record = json.loads(err)
     assert record["field"] == "distribution"
     assert "atom value" in record["error"]
+
+
+def test_nan_rate_fails_with_field_name(tmp_path, capsys):
+    code = run_cli(tmp_path, "alpha", "-P", 'distribution={"kind":"exponential","rate":NaN}')
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "distribution"
+    assert "rate" in record["error"]
+
+
+def test_wide_seed_matches_library_and_narrow_seed(tmp_path):
+    params = ["-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "n_samples=40", "-P", "tol=1e-6"]
+    for seed, out in ((2**64 + 7, "wide"), (7, "narrow")):
+        assert run_cli(tmp_path, "alpha", "--seed", str(seed), "--format", "json", "--out", out, *params) == 0
+    wide = json.loads((tmp_path / "wide.json").read_text())["summary"]
+    narrow = json.loads((tmp_path / "narrow.json").read_text())["summary"]
+    library = estimate_alpha_mc(make_distribution(BERN_SPEC), n_samples=40, tol=1e-6, seed=2**64 + 7)
+    assert wide["value"] == narrow["value"] == library.value
 
 
 def test_missing_distribution_fails(tmp_path, capsys):

@@ -12,7 +12,6 @@ from killedwalk.entropy import (
     kl_divergence,
     minimize_variational,
     simplex_tilt,
-    specific_entropy_product,
 )
 from killedwalk.env import make_distribution
 from killedwalk.lyapunov import estimate_alpha_mc, estimate_beta
@@ -64,7 +63,7 @@ def test_window_entropy_is_window_size_times_kl():
         direct = window_entropy(q_atoms, p_atoms, size)
         assert direct == pytest.approx(size * kl, rel=1e-12)
         # per-site value is constant along the growing window (the sup form)
-        assert direct / size == pytest.approx(specific_entropy_product(BERN, SKEW), rel=1e-12)
+        assert direct / size == pytest.approx(kl_divergence(BERN, SKEW), rel=1e-12)
 
 
 def test_exponential_tilt_reweights_and_normalizes():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from killedwalk.env import (
     Environment,
     EnvironmentSource,
-    laplace_transform,
     make_distribution,
     sample_environment,
     shift,
@@ -30,6 +30,39 @@ def test_make_distribution_validates():
         make_distribution({"kind": "cauchy"})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec, entry",
+    [
+        ({"kind": "finite", "atoms": [[NAN, 0.5], [1.0, 0.5]]}, "atoms[0] value"),
+        ({"kind": "finite", "atoms": [[0.0, 0.5], [INF, 0.5]]}, "atoms[1] value"),
+        ({"kind": "finite", "atoms": [[0.0, NAN], [1.0, 0.5]]}, "atoms[0] weight"),
+        ({"kind": "exponential", "rate": NAN}, "rate"),
+        ({"kind": "exponential", "rate": INF}, "rate"),
+        ({"kind": "point", "value": NAN}, "value"),
+        ({"kind": "point", "value": INF}, "value"),
+    ],
+)
+def test_non_finite_parameters_are_rejected(spec, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        make_distribution(spec)
+
+
+def test_environment_rejects_nan_potentials():
+    with pytest.raises(ValueError, match=re.escape("values[2] (site 0) is NaN")):
+        Environment(-2, 1, np.array([0.0, 1.0, NAN, 0.0]))
+
+
+def test_laplace_accepts_an_array_of_counts():
+    for spec in (BERN, {"kind": "exponential", "rate": 0.7}, {"kind": "point", "value": 2.0}):
+        d = make_distribution(spec)
+        table = d.laplace(np.arange(6))
+        assert table.shape == (6,)
+        assert table.tolist() == [d.laplace(ell) for ell in range(6)]
+
+
 def test_delta_zero_flag():
     assert make_distribution({"kind": "point", "value": 0.0}).is_delta_zero
     assert make_distribution({"kind": "finite", "atoms": [[0.0, 1.0]]}).is_delta_zero
@@ -42,19 +75,19 @@ def test_atoms_are_sorted_and_merged():
 
 
 def test_laplace_transform_examples():
-    assert laplace_transform(make_distribution({"kind": "point", "value": 0.0}), 17) == 1.0
+    assert make_distribution({"kind": "point", "value": 0.0}).laplace(17) == 1.0
     two = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [math.log(2.0), 0.5]]})
-    assert laplace_transform(two, 1) == pytest.approx(0.75, rel=1e-15)
+    assert two.laplace(1) == pytest.approx(0.75, rel=1e-15)
     expo = make_distribution({"kind": "exponential", "rate": 1.0})
-    assert laplace_transform(expo, 1) == pytest.approx(0.5, rel=1e-15)
+    assert expo.laplace(1) == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(ValueError):
-        laplace_transform(two, -1)
+        two.laplace(-1)
 
 
 def test_laplace_is_one_at_zero_and_decreasing():
     for spec in (BERN, {"kind": "exponential", "rate": 0.7}, {"kind": "point", "value": 2.0}):
         d = make_distribution(spec)
-        phis = [laplace_transform(d, ell) for ell in range(8)]
+        phis = [d.laplace(ell) for ell in range(8)]
         assert phis[0] == 1.0
         assert all(b <= a for a, b in zip(phis, phis[1:]))
         if not d.is_delta_zero:

@@ -9,9 +9,11 @@ from _oracles import (
     enumerate_paths_survival,
     path_sum_survival,
 )
+from killedwalk import line_solver
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
 from killedwalk.line_solver import (
     F_limit,
+    F_limit_batch,
     F_r,
     WindowModel,
     green_function_window,
@@ -20,7 +22,8 @@ from killedwalk.line_solver import (
     two_point_e,
 )
 
-BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
+BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
+BERN = make_distribution(BERN_SPEC)
 
 
 def zero_env(r, hi):
@@ -74,14 +77,25 @@ def test_forward_sweep_equals_banded_solve():
             assert sweep_a == pytest.approx(banded.a_value, rel=1e-12, abs=1e-13)
 
 
-def test_batch_solver_preserves_order_across_threads():
-    from killedwalk.line_solver import solve_survival_batch
+@pytest.mark.parametrize("spec", [BERN_SPEC, {"kind": "exponential", "rate": 1.0}])
+def test_batch_composition_is_invisible(spec):
+    dist = make_distribution(spec)
+    batch = F_limit_batch(dist, seed=5, n_samples=300, tol=1e-7)
+    for i in range(300):
+        one = F_limit(EnvironmentSource(dist, seed=5, stream_id=i), tol=1e-7)
+        assert abs(batch.a_value[i] - one.a_value) <= 1e-15
+        assert abs(batch.trunc_bound[i] - one.trunc_bound) <= 1e-15
+        assert batch.r_used[i] == one.r_used
+        assert batch.converged[i] == one.converged
 
-    models = [WindowModel(bern_env(seed, -6, 6), -6, 5, 0, 0.5) for seed in range(12)]
-    one = solve_survival_batch(models, threads=1)
-    four = solve_survival_batch(models, threads=4)
-    assert [r.e_value for r in one] == [r.e_value for r in four]
-    assert len({round(r.e_value, 15) for r in one}) > 1
+
+def test_row_chunking_changes_no_digit(monkeypatch):
+    whole = F_limit_batch(BERN, seed=8, n_samples=200, tol=1e-7)
+    monkeypatch.setattr(line_solver, "_CELL_BUDGET", 64)  # 2 rows at r = -32
+    chunked = F_limit_batch(BERN, seed=8, n_samples=200, tol=1e-7)
+    for name in ("a_value", "trunc_bound", "r_used", "converged"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+    assert whole.r_used.min() <= -64  # some rows did run in chunks
 
 
 # ---------------------------------------------------------------------------

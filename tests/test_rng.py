@@ -67,3 +67,13 @@ def test_stream_generator_reproducible():
     g2 = stream_generator(1, 2, 3)
     assert np.array_equal(g1.random(100), g2.random(100))
     assert not np.array_equal(stream_generator(1, 2, 4).random(100), stream_generator(1, 2, 3).random(100))
+
+
+def test_python_int_keys_wrap_to_64_bits():
+    sites = np.arange(-4, 4)
+    mask = 0xFFFFFFFFFFFFFFFF
+    assert np.array_equal(keyed_uniform(2**64 + 7, 3, sites), keyed_uniform(7, 3, sites))
+    assert np.array_equal(keyed_uniform(7, 2**65 + 3, sites), keyed_uniform(7, 3, sites))
+    assert np.array_equal(keyed_uniform(-1, 3, sites), keyed_uniform(mask, 3, sites))
+    assert keyed_bits(2**64 + 7, 0, 5) == keyed_bits(7, 0, 5)
+    assert substream(2**64 + 3, 1) == substream(3, 1)

@@ -13,8 +13,8 @@ from killedwalk.tree import (
     first_passage_gf,
     geodesic_step_prob,
     reduce_to_line,
+    rho_environment,
     rho_for_site,
-    rho_sequence,
     sigma_finite_prob,
     simulate_excursions,
     simulate_geodesic_passage,
@@ -128,7 +128,7 @@ def test_rho_zero_potential_value_and_bound():
 
 def test_rho_sites_have_independent_streams():
     cfg = TreeConfig(3, depth_cap_D=8)
-    seq = rho_sequence(cfg, BERN, n=6, seed=4, stream_id=2)
+    seq = rho_environment(cfg, BERN, (0, 5), seed=4, stream_id=2)[0]
     again = [rho_for_site(cfg, BERN, i, seed=4, stream_id=2, depth_cap=8) for i in range(6)]
     for a, b in zip(seq, again):
         assert (a.rho_lower, a.rho_upper) == (b.rho_lower, b.rho_upper)
@@ -138,7 +138,7 @@ def test_rho_sites_have_independent_streams():
 
 def test_rho_mean_respects_one_step_bound():
     cfg = TreeConfig(3, depth_cap_D=9)
-    seq = rho_sequence(cfg, BERN, n=300, seed=6)
+    seq = rho_environment(cfg, BERN, (0, 299), seed=6)[0]
     uppers = np.array([b.rho_upper for b in seq])
     widths = np.array([b.rho_upper - b.rho_lower for b in seq])
     bound = BERN.mean + math.log(cfg.d / 2.0)
@@ -161,8 +161,8 @@ def test_drifted_config_at_symmetric_point_is_bit_identical():
 
 def test_rho_sequence_thread_count_is_invisible():
     cfg = TreeConfig(3, depth_cap_D=7)
-    one = rho_sequence(cfg, BERN, n=8, seed=2, threads=1)
-    four = rho_sequence(cfg, BERN, n=8, seed=2, threads=4)
+    one = rho_environment(cfg, BERN, (0, 7), seed=2, threads=1)[0]
+    four = rho_environment(cfg, BERN, (0, 7), seed=2, threads=4)[0]
     assert [(b.rho_lower, b.rho_upper) for b in one] == [
         (b.rho_lower, b.rho_upper) for b in four
     ]
