@@ -94,11 +94,15 @@ def forward_step_weights(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     sits at the site just left of omega[0].  Returns (w, log_w) of the same
     trailing length: w[j] is the weight of moving from site r+1+j to site
     r+2+j before touching the barrier.  A leading axis of omega vectorizes
-    the sweep over many environments at once.
+    the sweep over many environments at once; a single row runs in plain
+    floats, whose exp and log1p may differ from numpy's by one ulp.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim == 1:
         return _step_weights_scalar(omega, p)
+    if omega.shape[0] == 1:
+        w, log_w = _step_weights_scalar(omega[0], p)
+        return w[None, :], log_w[None, :]
     n_cfg, n_sites = omega.shape
     p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n_sites,))
     s = np.exp(-omega)
@@ -258,7 +262,8 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
     _CELL_BUDGET cells); a row stops at its first decrement below tol, or
     unconverged at the last barrier, and takes its tail certificate from
     the mirrored sweep of the same potentials.  Rows never interact, so
-    the chunking and the batch composition change no digit.
+    the chunking and the batch composition change no digit, except that a
+    row swept alone runs in plain floats (see forward_step_weights).
     """
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
@@ -334,31 +339,27 @@ def F_limit(
     )
 
 
-def F_limit_batch(
-    dist,
-    seed: int,
-    n_samples: int,
-    tol: float = DEFAULT_TOL,
-    r_max: int = DEFAULT_R_MAX,
-    p=0.5,
-) -> LimitBatch:
+def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> LimitBatch:
     """F_limit of EnvironmentSource(dist, seed, i) for every i < n_samples.
 
     Row i draws its potentials from stream i, exactly as the one-row call
-    would, so each entry equals that call's result and runs that share a
-    seed share environments row by row.
+    would, so each entry equals that call's result (to one ulp) and runs
+    that share a seed share environments row by row.  For a delta-zero law
+    every row is exactly 0 with r_used 0, where F_limit reports None.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if dist.is_delta_zero:  # the limit is 0 exactly, as in F_limit
-        zeros = np.zeros(n_samples)
-        return LimitBatch(zeros, zeros, zeros.astype(np.int64), np.ones(n_samples, dtype=bool))
+        return LimitBatch(
+            np.zeros(n_samples), np.zeros(n_samples),
+            np.zeros(n_samples, dtype=np.int64), np.ones(n_samples, dtype=bool),
+        )
 
     def potentials(rows, r):  # a row index is its stream id
         sites = np.arange(r + 1, 1, dtype=np.int64)
         return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
 
-    return _barrier_doubling(potentials, n_samples, _barrier_schedule(None, r_max), tol, p)
+    return _barrier_doubling(potentials, n_samples, _barrier_schedule(None, DEFAULT_R_MAX), tol, 0.5)
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:
