@@ -5,8 +5,8 @@ excursions into the d-2 branches hanging off each geodesic vertex.  The
 survival weight of those excursions defines an effective potential per
 geodesic site; with it, every line tool applies verbatim.  The branch
 recursion carries certified two-sided brackets (kill vs free frontier),
-and trajectory simulation on the very same lazily keyed potentials cross-
-checks them.
+and trajectory simulation on the very same keyed potentials cross-checks
+them.
 """
 
 import math

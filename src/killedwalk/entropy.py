@@ -169,12 +169,16 @@ def minimize_variational(
     all evaluations.
     """
     cfg = optimizer_cfg or OptimizerConfig()
-    if alpha_hat is None:
+    own_alpha = alpha_hat is None
+    if own_alpha:
         alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
     evals: list[dict] = []
 
     def objective(tpm: TiltedProductMeasure) -> dict:
-        est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
+        if own_alpha and tpm.tilt == base:
+            est = alpha_hat  # the same samples under the same law, bit for bit
+        else:
+            est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
         kl = tpm.kl_per_site()
         row = {
             "theta": tpm.theta,

@@ -237,6 +237,8 @@ def annealed_localtime_mc(
     """
     if n_paths < 1 or not (r < 0 < n):
         raise ValueError("need n_paths >= 1 and r < 0 < n")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     span = n - r
     if max_steps is None:
         max_steps = 60 * span * span

@@ -57,16 +57,17 @@ def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
     return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def substream(stream_id: int, index: int) -> int:
+def substream(stream_id: int, index):
     """Derive a child stream id, e.g. one per geodesic site.
 
     Children of distinct (stream_id, index) pairs collide only with hash
     probability; the derivation is pure so re-deriving never perturbs
-    sibling streams.
+    sibling streams.  An int index gives an int; an integer array of
+    indices gives a uint64 array of the same children.
     """
     with np.errstate(over="ignore"):
         out = _splitmix64(_as_u64(stream_id) ^ (_as_u64(index) * _U64(_MIX1)))
-    return int(out)
+    return int(out) if out.ndim == 0 else out
 
 
 def stream_generator(*key: int) -> np.random.Generator:

@@ -10,9 +10,10 @@ The excursion weight h is computed by a bottom-up recursion over branch
 subtrees, truncated at a depth cap with two-sided frontier bounds:
 killing the frontier undercounts returns, granting the frontier the
 zero-potential return weight overcounts them, so every reported h (and
-rho) is a certified bracket.  Trajectory simulation on the same lazily
-keyed potentials serves as an independent cross-check, not as the primary
-computation.
+rho) is a certified bracket.  Trajectory simulation on the same keyed
+potentials serves as an independent cross-check, not as the primary
+computation: all walkers advance together one step at a time, and the
+step uniforms are drawn step by step over the walkers still live.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -44,24 +45,14 @@ def _max_walk_level(d: int) -> int:
     Level-order counters through level L number (d-1)^L - 1, which must
     stay inside int64.  For the symmetric walk a trajectory at that depth
     returns to the geodesic with probability at most (d-1)^(-L) < 3e-19,
-    so declaring it lost is far below Monte Carlo noise; see
-    _depth_truncation_factor for general drifts.
+    so declaring it lost is far below Monte Carlo noise.  Under drift p a
+    trajectory dropped at depth L had to get down there (per-level passage
+    min(1, (1-p)/p)) and would have to come back up (per-level return
+    min(1, p/(1-p))), so it carries a factor [min(p, 1-p)/max(p, 1-p)]^L:
+    this vanishes fast except at p = 1/2 exactly, where dropped
+    trajectories are only controlled through the reported lost counters.
     """
     return int(62 / math.log2(d - 1))
-
-
-def _depth_truncation_factor(cfg: TreeConfig) -> float:
-    """Per-level factor bounding what depth truncation can discard.
-
-    A trajectory is dropped at depth L; it would still have to come back
-    up (per-level return weight min(1, p/(1-p))) and it had to get down
-    there first (per-level passage min(1, (1-p)/p)), so its contribution
-    carries a factor [min(p, 1-p)/max(p, 1-p)]^L.  This vanishes fast
-    except at p = 1/2 exactly, where dropped trajectories are only
-    controlled through the reported lost counters.
-    """
-    p = cfg.p
-    return min(p, 1.0 - p) / max(p, 1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -177,11 +168,32 @@ def zero_potential_return_weight(cfg: TreeConfig) -> float:
     return min(1.0, p / (1.0 - p))
 
 
-def _forest_level_sizes(d: int, n_roots: int, depth: int) -> list[int]:
-    sizes = [n_roots]
-    for _ in range(depth - 1):
-        sizes.append(sizes[-1] * (d - 1))
-    return sizes
+def _level_starts(d: int, n_roots: int, depth: int) -> np.ndarray:
+    """Level-order counters of a branch forest: entry l is the counter of
+    the first vertex on level l, for l = 0 .. depth + 1.
+
+    Counter 0 belongs to the geodesic site that owns the forest.  Level
+    l >= 1 holds n_roots * (d-1)^(l-1) vertices numbered left to right, so
+    vertex idx on level l has counter starts[l] + idx, and the forest down
+    to depth has starts[depth + 1] - 1 vertices.  The recursion and the
+    walkers key potentials by these counters, so they see the same values.
+    """
+    starts = [0, 1]
+    for level in range(1, depth + 1):
+        starts.append(starts[-1] + n_roots * (d - 1) ** (level - 1))
+    return np.array(starts, dtype=np.int64)
+
+
+def _sum_children(w: np.ndarray, k: int) -> np.ndarray:
+    """Sum each run of k consecutive entries (the k children of a vertex).
+
+    Adds the k strided slices left to right, which for k < 8 is the order
+    numpy's reduce along a short last axis uses, at a fraction of its cost.
+    """
+    total = w[0::k]
+    for j in range(1, k):
+        total = total + w[j::k]
+    return total
 
 
 def _forest_bracket(
@@ -192,12 +204,8 @@ def _forest_bracket(
     n_roots: int,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-up return-weight brackets for every root of a branch forest.
-
-    Vertex counters are level-ordered starting at 1 (counter 0 belongs to
-    the geodesic site that owns the forest), so trajectory simulation on
-    the same keys sees identical potentials.
-    """
+    """Bottom-up return-weight brackets for every root of a branch forest,
+    with the potentials keyed by the counters of _level_starts."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     gamma = zero_potential_return_weight(cfg)
     if dist.kind == "point":
@@ -208,25 +216,25 @@ def _forest_bracket(
             w_hi = p * s / (1.0 - s * s_child * (d - 1) * w_hi)
         return np.full(n_roots, w_lo), np.full(n_roots, w_hi)
 
-    sizes = _forest_level_sizes(d, n_roots, depth)
-    if sum(sizes) > _FOREST_VERTEX_BUDGET:
+    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
+    if n_vertices > _FOREST_VERTEX_BUDGET:
         raise ValueError(
-            f"branch forest of depth {depth} needs {sum(sizes)} vertices; "
+            f"branch forest of depth {depth} needs {n_vertices} vertices; "
             "lower the depth cap (only point-mass laws collapse to scalars)"
         )
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    starts = _level_starts(d, n_roots, depth)
     w_lo: np.ndarray | float = 0.0
     w_hi: np.ndarray | float = gamma
     for level in range(depth, 0, -1):
-        counters = 1 + offsets[level - 1] + np.arange(sizes[level - 1], dtype=np.int64)
+        counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
         omega = dist.ppf(keyed_uniform(seed, stream_id, counters))
         s = np.exp(-omega)
         if level == depth:
             child_lo = s_child * (d - 1) * w_lo
             child_hi = s_child * (d - 1) * w_hi
         else:
-            child_lo = s_child * w_lo.reshape(sizes[level - 1], d - 1).sum(axis=1)
-            child_hi = s_child * w_hi.reshape(sizes[level - 1], d - 1).sum(axis=1)
+            child_lo = s_child * _sum_children(w_lo, d - 1)
+            child_hi = s_child * _sum_children(w_hi, d - 1)
         denom_lo = 1.0 - s * child_lo
         denom_hi = 1.0 - s * child_hi
         if np.any(denom_lo <= 0.0) or np.any(denom_hi <= 0.0):
@@ -401,35 +409,98 @@ def reduce_to_line(
 # ---------------------------------------------------------------------------
 
 
-class _LazyForestPotentials:
-    """Per-vertex potentials of one geodesic site's branch forest, sampled
-    on demand with the same counters the recursion uses."""
+_ARRIVED, _CUTOFF, _HORIZON, _STEP_CAP = range(4)  # why a walker stopped
 
-    def __init__(self, cfg: TreeConfig, dist: PotentialDistribution, seed: int, stream_id: int):
-        self.cfg = cfg
-        self.dist = dist
-        self.seed = seed
-        self.stream_id = stream_id
-        self._cache: dict[int, float] = {}
-        self._offsets = [0]
 
-    def _offset(self, level: int) -> int:
-        d = self.cfg.d
-        while len(self._offsets) < level:
-            last = len(self._offsets)
-            width = (d - 2) * (d - 1) ** (last - 1)
-            self._offsets.append(self._offsets[-1] + width)
-        return self._offsets[level - 1]
+def _walk(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    seed: int,
+    stream_id: int,
+    gen: np.random.Generator,
+    n_walkers: int,
+    start: int,
+    targets: tuple[int, ...],
+    horizon: int,
+    max_steps: int,
+    arrival_ends_step: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance n_walkers tree walkers from geodesic site start together,
+    one step at a time, until each one stops.
 
-    def counter(self, level: int, idx: int) -> int:
-        return 1 + self._offset(level) + idx
+    A live walker is (geodesic site, branch level, index within the level,
+    log weight); level 0 is the geodesic itself.  Each step applies the
+    stop rules in order: the weight cutoff, arrival on a target geodesic
+    site, and the horizon (branch level plus distance to the nearer target
+    beyond horizon).  The survivors then pay their vertex's potential,
+    keyed by substream(stream_id, site) and the level-order counter, and
+    move on one uniform each from gen, handed out in walker order.
 
-    def value(self, counter: int) -> float:
-        cached = self._cache.get(counter)
-        if cached is None:
-            cached = float(self.dist.ppf(keyed_uniform(self.seed, self.stream_id, counter)))
-            self._cache[counter] = cached
-        return cached
+    With arrival_ends_step a walker that lands on a target is scored at
+    once, even below the weight cutoff and on its last allowed step (the
+    excursion rule).  Without it, the walker is scored at the start of its
+    next step, after the cutoff, so landing there on the last allowed step
+    counts as a step-cap loss (the passage rule).
+
+    Returns each walker's survival weight (zero unless it arrived) and the
+    cause that stopped it (_ARRIVED, _CUTOFF, _HORIZON or _STEP_CAP).
+    """
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    s_geo = p + s_child
+    starts = _level_starts(d, d - 2, _max_walk_level(d))
+    targets = np.asarray(targets, dtype=np.int64)
+    weight = np.zeros(n_walkers)
+    cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
+    walker = np.arange(n_walkers)
+    geo = np.full(n_walkers, start, dtype=np.int64)
+    level = np.zeros(n_walkers, dtype=np.int64)
+    idx = np.zeros(n_walkers, dtype=np.int64)
+    log_w = np.zeros(n_walkers)
+    for step in range(max_steps + arrival_ends_step):
+        gap = np.abs(geo[:, None] - targets).min(axis=1)
+        on_target = (level == 0) & (gap == 0)
+        cut = log_w < _LOG_WEIGHT_CUTOFF
+        if arrival_ends_step:
+            cut &= ~on_target
+        arrived = on_target & ~cut
+        far = ~(cut | arrived) & (level + gap > horizon)
+        stop = cut | arrived | far
+        if stop.any():
+            weight[walker[arrived]] = np.exp(log_w[arrived])
+            cause[walker[arrived]] = _ARRIVED
+            cause[walker[cut]] = _CUTOFF
+            cause[walker[far]] = _HORIZON
+            live = ~stop
+            walker, geo, level, idx, log_w = walker[live], geo[live], level[live], idx[live], log_w[live]
+        if walker.size == 0 or step == max_steps:
+            break
+        log_w -= dist.ppf(keyed_uniform(seed, substream(stream_id, geo), starts[level] + idx))
+        u = gen.random(walker.size)
+        on_geo = level == 0
+        geo += (on_geo & (u < p)).astype(np.int64) - (on_geo & (p <= u) & (u < s_geo))
+        enter = on_geo & (u >= s_geo)
+        climb = ~on_geo & (u < p)
+        descend = ~on_geo & (u >= p)
+        # a walker stepping past the level cap stops before its index is
+        # read again, so a wrapped int64 index there is never used
+        idx = np.select(
+            [enter, climb, descend],
+            [
+                np.minimum(((u - s_geo) / s_child).astype(np.int64), d - 3),
+                idx // (d - 1),
+                idx * (d - 1) + np.minimum(((u - p) / s_child).astype(np.int64), d - 2),
+            ],
+            idx,
+        )
+        level += enter.astype(np.int64) + descend - climb
+    return weight, cause
+
+
+def _mean_and_se(weight: np.ndarray) -> tuple[float, float]:
+    n = weight.size
+    mean = float(weight.sum()) / n
+    var = max(float((weight * weight).sum()) / n - mean**2, 0.0)
+    return mean, math.sqrt(var / n)
 
 
 def simulate_excursions(
@@ -443,60 +514,27 @@ def simulate_excursions(
 ) -> tuple[float, float, int]:
     """Monte Carlo estimate of the excursion survival weight h of one site.
 
-    Walks the actual tree with lazily keyed potentials (identical keys to
-    the recursion bracket for the same site) and accumulates the survival
-    weight until the walk first steps onto a geodesic neighbour.  Returns
-    (mean, standard error, number of lost excursions); an excursion is
-    lost, and scored zero, if it exceeds max_steps, wanders below the
-    escape level, or carries a dead weight.  Each truncation is one-sided;
-    depth losses are bounded per level by _depth_truncation_factor, which
-    is negligible except at drift 1/2 exactly, where the lost counter is
-    the honest measure of what was discarded.
+    Walks the actual tree on the potentials the recursion bracket keys for
+    the same site, and accumulates the survival weight until the walk
+    first steps onto a geodesic neighbour.  Returns (mean, standard error,
+    number of lost excursions), where the third value counts every
+    excursion that did not arrive: it exceeded max_steps, wandered past
+    the level cap, or carried a dead weight; each is scored zero.  Each
+    truncation is one-sided; _max_walk_level bounds what the level cap
+    discards.
     """
-    d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    level_cap = _max_walk_level(d)
-    site_stream = substream(stream_id, site_index)
-    forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
-    omega_site = float(dist.ppf(keyed_uniform(seed, site_stream, 0)))
-    gen = stream_generator(seed, _EXCURSION_TAG, site_stream)
-    total = 0.0
-    total_sq = 0.0
-    n_lost = 0
-    for _ in range(n_excursions):
-        level, idx = 0, 0  # level 0 encodes the geodesic site itself
-        log_weight = 0.0
-        weight = 0.0
-        for _ in range(max_steps):
-            if log_weight < _LOG_WEIGHT_CUTOFF:
-                n_lost += 1
-                break
-            if level == 0:
-                log_weight -= omega_site
-                u = gen.random()
-                if u < p + s_child:
-                    weight = math.exp(log_weight)  # stepped onto the geodesic
-                    break
-                branch = int((u - (p + s_child)) / s_child)
-                level, idx = 1, min(branch, d - 3)
-            else:
-                log_weight -= forest.value(forest.counter(level, idx))
-                u = gen.random()
-                if u < p:
-                    level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
-                else:
-                    child = min(int((u - p) / s_child), d - 2)
-                    level, idx = level + 1, idx * (d - 1) + child
-                    if level > level_cap:
-                        n_lost += 1
-                        break
-        else:
-            n_lost += 1
-        total += weight
-        total_sq += weight * weight
-    mean = total / n_excursions
-    var = max(total_sq / n_excursions - mean**2, 0.0)
-    se = math.sqrt(var / n_excursions)
-    return mean, se, n_lost
+    if n_excursions < 1:
+        raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
+    gen = stream_generator(seed, _EXCURSION_TAG, substream(stream_id, site_index))
+    weight, cause = _walk(
+        cfg, dist, seed, stream_id, gen, n_excursions,
+        start=site_index,
+        targets=(site_index - 1, site_index + 1),
+        horizon=_max_walk_level(cfg.d) + 1,
+        max_steps=max_steps,
+        arrival_ends_step=True,
+    )
+    return (*_mean_and_se(weight), int(np.count_nonzero(cause != _ARRIVED)))
 
 
 def simulate_geodesic_passage(
@@ -514,78 +552,30 @@ def simulate_geodesic_passage(
 
     The same per-site streams as the reduction are used, so this estimates
     the quantity the effective line model computes.  Walks farther than
-    escape_horizon from the target are declared lost: a one-sided
-    truncation whose contribution shrinks per level by
-    _depth_truncation_factor (for the symmetric walk, (d-1)^(-distance)).
-    Returns (mean, standard error, walks lost to the step cap rather than
-    the horizon).
+    escape_horizon (at most the level cap) from the target are declared
+    lost: a one-sided truncation whose contribution shrinks per level as
+    _max_walk_level explains (for the symmetric walk, (d-1)^(-distance)).
+    Returns (mean, standard error, number of walks lost to the step cap);
+    the third value leaves out walks lost to the horizon or the weight
+    cutoff.
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
-    d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    escape_horizon = min(escape_horizon, _max_walk_level(d))
-    forests: dict[int, _LazyForestPotentials] = {}
-    site_omega: dict[int, float] = {}
-
-    def forest_of(i: int) -> _LazyForestPotentials:
-        f = forests.get(i)
-        if f is None:
-            f = _LazyForestPotentials(cfg, dist, seed, substream(stream_id, i))
-            forests[i] = f
-        return f
-
-    def omega_of(i: int) -> float:
-        v = site_omega.get(i)
-        if v is None:
-            v = float(dist.ppf(keyed_uniform(seed, substream(stream_id, i), 0)))
-            site_omega[i] = v
-        return v
-
+    if n_walks < 1:
+        raise ValueError(f"n_walks must be >= 1, got {n_walks}")
+    horizon = min(escape_horizon, _max_walk_level(cfg.d))
+    if horizon < target:
+        raise ValueError(f"escape_horizon {horizon} (after the level cap) is below target {target}")
     gen = stream_generator(seed, _PASSAGE_TAG, stream_id)
-    total = 0.0
-    total_sq = 0.0
-    n_capped = 0
-    for _ in range(n_walks):
-        geo, level, idx = 0, 0, 0
-        log_weight = 0.0
-        weight = 0.0
-        for _ in range(max_steps):
-            if log_weight < _LOG_WEIGHT_CUTOFF:
-                break  # contributes below 2e-35 even if it would arrive
-            if level == 0:
-                if geo == target:
-                    weight = math.exp(log_weight)
-                    break
-                if (target - geo) > escape_horizon:
-                    break  # certified negligible hitting probability
-                log_weight -= omega_of(geo)
-                u = gen.random()
-                if u < p:
-                    geo += 1  # uphill, toward the predecessor
-                elif u < p + s_child:
-                    geo -= 1
-                else:
-                    branch = int((u - (p + s_child)) / s_child)
-                    level, idx = 1, min(branch, d - 3)
-            else:
-                if level + abs(target - geo) > escape_horizon:
-                    break
-                f = forest_of(geo)
-                log_weight -= f.value(f.counter(level, idx))
-                u = gen.random()
-                if u < p:
-                    level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
-                else:
-                    child = min(int((u - p) / s_child), d - 2)
-                    level, idx = level + 1, idx * (d - 1) + child
-        else:
-            n_capped += 1
-        total += weight
-        total_sq += weight * weight
-    mean = total / n_walks
-    var = max(total_sq / n_walks - mean**2, 0.0)
-    se = math.sqrt(var / n_walks)
-    return mean, se, n_capped
+    weight, cause = _walk(
+        cfg, dist, seed, stream_id, gen, n_walks,
+        start=0,
+        targets=(target,),
+        horizon=horizon,
+        max_steps=max_steps,
+        arrival_ends_step=False,
+    )
+    return (*_mean_and_se(weight), int(np.count_nonzero(cause == _STEP_CAP)))
 
 
 # ---------------------------------------------------------------------------

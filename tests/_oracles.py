@@ -3,8 +3,9 @@
 These deliberately avoid the library's solver routes: survival weights are
 recomputed by explicit path enumeration (tiny cases) and by time-stepped
 summation over all killed paths up to a length cap (with a certified tail
-bound), and window entropies by direct summation over product
-configurations.
+bound), window entropies by direct summation over product
+configurations, and tree walks by stepping one walker at a time with
+lazily cached potentials.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ import itertools
 import math
 
 import numpy as np
+
+from killedwalk.env import PotentialDistribution
+from killedwalk.rng import keyed_uniform, stream_generator, substream
+from killedwalk.tree import (
+    _EXCURSION_TAG,
+    _LOG_WEIGHT_CUTOFF,
+    _PASSAGE_TAG,
+    TreeConfig,
+    _max_walk_level,
+)
 
 
 def enumerate_paths_survival(omega_by_site: dict, r: int, x: int, y: int, p: float, max_len: int):
@@ -95,3 +106,190 @@ def drifted_ruin_probability(r: int, p: float) -> float:
         return -r / (1.0 - r)
     rho = (1.0 - p) / p
     return (1.0 - rho ** (-r)) / (1.0 - rho ** (1 - r))
+
+
+class _LazyForestPotentials:
+    """Per-vertex potentials of one geodesic site's branch forest, sampled
+    on demand with the same counters the recursion uses."""
+
+    def __init__(self, cfg: TreeConfig, dist: PotentialDistribution, seed: int, stream_id: int):
+        self.cfg = cfg
+        self.dist = dist
+        self.seed = seed
+        self.stream_id = stream_id
+        self._cache: dict[int, float] = {}
+        self._offsets = [0]
+
+    def _offset(self, level: int) -> int:
+        d = self.cfg.d
+        while len(self._offsets) < level:
+            last = len(self._offsets)
+            width = (d - 2) * (d - 1) ** (last - 1)
+            self._offsets.append(self._offsets[-1] + width)
+        return self._offsets[level - 1]
+
+    def counter(self, level: int, idx: int) -> int:
+        return 1 + self._offset(level) + idx
+
+    def value(self, counter: int) -> float:
+        cached = self._cache.get(counter)
+        if cached is None:
+            cached = float(self.dist.ppf(keyed_uniform(self.seed, self.stream_id, counter)))
+            self._cache[counter] = cached
+        return cached
+
+
+def simulate_excursions(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    site_index: int = 0,
+    n_excursions: int = 100_000,
+    seed: int = 0,
+    stream_id: int = 0,
+    max_steps: int = 100_000,
+) -> tuple[float, float, int]:
+    """Monte Carlo estimate of the excursion survival weight h of one site.
+
+    Walks the actual tree with lazily keyed potentials (identical keys to
+    the recursion bracket for the same site) and accumulates the survival
+    weight until the walk first steps onto a geodesic neighbour.  Returns
+    (mean, standard error, number of lost excursions); an excursion is
+    lost, and scored zero, if it exceeds max_steps, wanders below the
+    escape level, or carries a dead weight.  Each truncation is one-sided;
+    depth losses are bounded per level by _depth_truncation_factor, which
+    is negligible except at drift 1/2 exactly, where the lost counter is
+    the honest measure of what was discarded.
+    """
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    level_cap = _max_walk_level(d)
+    site_stream = substream(stream_id, site_index)
+    forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
+    omega_site = float(dist.ppf(keyed_uniform(seed, site_stream, 0)))
+    gen = stream_generator(seed, _EXCURSION_TAG, site_stream)
+    total = 0.0
+    total_sq = 0.0
+    n_lost = 0
+    for _ in range(n_excursions):
+        level, idx = 0, 0  # level 0 encodes the geodesic site itself
+        log_weight = 0.0
+        weight = 0.0
+        for _ in range(max_steps):
+            if log_weight < _LOG_WEIGHT_CUTOFF:
+                n_lost += 1
+                break
+            if level == 0:
+                log_weight -= omega_site
+                u = gen.random()
+                if u < p + s_child:
+                    weight = math.exp(log_weight)  # stepped onto the geodesic
+                    break
+                branch = int((u - (p + s_child)) / s_child)
+                level, idx = 1, min(branch, d - 3)
+            else:
+                log_weight -= forest.value(forest.counter(level, idx))
+                u = gen.random()
+                if u < p:
+                    level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
+                else:
+                    child = min(int((u - p) / s_child), d - 2)
+                    level, idx = level + 1, idx * (d - 1) + child
+                    if level > level_cap:
+                        n_lost += 1
+                        break
+        else:
+            n_lost += 1
+        total += weight
+        total_sq += weight * weight
+    mean = total / n_excursions
+    var = max(total_sq / n_excursions - mean**2, 0.0)
+    se = math.sqrt(var / n_excursions)
+    return mean, se, n_lost
+
+
+def simulate_geodesic_passage(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    target: int = 1,
+    n_walks: int = 20_000,
+    seed: int = 0,
+    stream_id: int = 0,
+    escape_horizon: int = 60,
+    max_steps: int = 1_000_000,
+) -> tuple[float, float, int]:
+    """Monte Carlo estimate of the survival weight from geodesic site 0 to
+    geodesic site target > 0 by walking the full tree.
+
+    The same per-site streams as the reduction are used, so this estimates
+    the quantity the effective line model computes.  Walks farther than
+    escape_horizon from the target are declared lost: a one-sided
+    truncation whose contribution shrinks per level by
+    _depth_truncation_factor (for the symmetric walk, (d-1)^(-distance)).
+    Returns (mean, standard error, walks lost to the step cap rather than
+    the horizon).
+    """
+    if target <= 0:
+        raise ValueError("target must be a positive geodesic index")
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    escape_horizon = min(escape_horizon, _max_walk_level(d))
+    forests: dict[int, _LazyForestPotentials] = {}
+    site_omega: dict[int, float] = {}
+
+    def forest_of(i: int) -> _LazyForestPotentials:
+        f = forests.get(i)
+        if f is None:
+            f = _LazyForestPotentials(cfg, dist, seed, substream(stream_id, i))
+            forests[i] = f
+        return f
+
+    def omega_of(i: int) -> float:
+        v = site_omega.get(i)
+        if v is None:
+            v = float(dist.ppf(keyed_uniform(seed, substream(stream_id, i), 0)))
+            site_omega[i] = v
+        return v
+
+    gen = stream_generator(seed, _PASSAGE_TAG, stream_id)
+    total = 0.0
+    total_sq = 0.0
+    n_capped = 0
+    for _ in range(n_walks):
+        geo, level, idx = 0, 0, 0
+        log_weight = 0.0
+        weight = 0.0
+        for _ in range(max_steps):
+            if log_weight < _LOG_WEIGHT_CUTOFF:
+                break  # contributes below 2e-35 even if it would arrive
+            if level == 0:
+                if geo == target:
+                    weight = math.exp(log_weight)
+                    break
+                if (target - geo) > escape_horizon:
+                    break  # certified negligible hitting probability
+                log_weight -= omega_of(geo)
+                u = gen.random()
+                if u < p:
+                    geo += 1  # uphill, toward the predecessor
+                elif u < p + s_child:
+                    geo -= 1
+                else:
+                    branch = int((u - (p + s_child)) / s_child)
+                    level, idx = 1, min(branch, d - 3)
+            else:
+                if level + abs(target - geo) > escape_horizon:
+                    break
+                f = forest_of(geo)
+                log_weight -= f.value(f.counter(level, idx))
+                u = gen.random()
+                if u < p:
+                    level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
+                else:
+                    child = min(int((u - p) / s_child), d - 2)
+                    level, idx = level + 1, idx * (d - 1) + child
+        else:
+            n_capped += 1
+        total += weight
+        total_sq += weight * weight
+    mean = total / n_walks
+    var = max(total_sq / n_walks - mean**2, 0.0)
+    se = math.sqrt(var / n_walks)
+    return mean, se, n_capped

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import constant_potential_one_step_a, window_entropy
+from killedwalk import lyapunov
 from killedwalk.entropy import (
     OptimizerConfig,
     TiltedProductMeasure,
@@ -137,6 +138,18 @@ def test_variational_collapse_for_point_mass():
     assert report.var_min_value == pytest.approx(math.log(2.0), abs=1e-8)
     assert report.alpha_hat.value == pytest.approx(math.log(2.0), abs=1e-8)
     assert report.var_min_tilt.tilt == CONST
+
+
+@pytest.mark.parametrize("base", [BERN, make_distribution({"kind": "exponential", "rate": 1.0})])
+def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
+    calls = []
+    engine = lyapunov.F_limit_batch
+    monkeypatch.setattr(lyapunov, "F_limit_batch", lambda *a, **k: calls.append(a) or engine(*a, **k))
+    cfg = OptimizerConfig(n_samples=40, seed=3, theta_lo=-0.5, theta_hi=2.0, n_grid=6, max_evals=8)
+    report = minimize_variational(base, optimizer_cfg=cfg)
+    assert len(calls) == report.n_evals == 8
+    at_zero = [row["objective"] for row in report.objective_curve if row["theta"] == 0.0]
+    assert at_zero == [report.alpha_hat.value]
 
 
 def _significant_sign_changes(objective, noise):

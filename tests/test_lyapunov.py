@@ -152,6 +152,12 @@ def test_enum_cap_enforced():
         annealed_exact_enum(BERN, n=8, r=-32)
 
 
+def test_localtime_rejects_empty_batches():
+    for size in (0, -4):
+        with pytest.raises(ValueError, match="batch_size"):
+            annealed_localtime_mc(BERN, n=2, r=-2, n_paths=10, batch_size=size)
+
+
 def test_localtime_delta0_reduces_to_ruin_probability():
     mc = annealed_localtime_mc(DELTA0, n=5, r=-7, n_paths=60_000, seed=3)
     want = 7.0 / 12.0

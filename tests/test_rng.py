@@ -60,6 +60,9 @@ def test_substream_is_pure_and_distinct():
     assert a == substream(7, 3)
     children = {substream(7, i) for i in range(1000)}
     assert len(children) == 1000
+    indices = np.arange(-500, 500)
+    assert isinstance(a, int)
+    assert substream(7, indices).tolist() == [substream(7, int(i)) for i in indices]
 
 
 def test_stream_generator_reproducible():

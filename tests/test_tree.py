@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from killedwalk.env import make_distribution
 from killedwalk.line_solver import F_limit, two_point_e
 from killedwalk.tree import (
@@ -21,9 +24,13 @@ from killedwalk.tree import (
     turning_point_decompose,
     zero_potential_return_weight,
 )
+from killedwalk.tree import _level_starts, _max_walk_level
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 DELTA0 = make_distribution({"kind": "point", "value": 0.0})
+EXP1 = make_distribution({"kind": "exponential", "rate": 1.0})
+# one visit costs more than the weight cutoff: arrival and cutoff coincide
+HEAVY = make_distribution({"kind": "point", "value": 85.0})
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +187,69 @@ def test_excursion_simulation_falls_inside_bracket():
         cfg, BERN, site_index=3, n_excursions=30_000, seed=5, stream_id=9
     )
     assert rho.h_bracket.lower - 4 * se <= mean <= rho.h_bracket.upper + 4 * se
+
+
+def test_walkers_reject_bad_counts_and_horizons():
+    cfg = TreeConfig(3)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n_excursions"):
+            simulate_excursions(cfg, BERN, n_excursions=n)
+    with pytest.raises(ValueError, match="n_walks"):
+        simulate_geodesic_passage(cfg, BERN, n_walks=-3)
+    with pytest.raises(ValueError, match="escape_horizon"):
+        simulate_geodesic_passage(cfg, BERN, target=5, n_walks=10, escape_horizon=4)
+    with pytest.raises(ValueError, match="escape_horizon"):
+        simulate_geodesic_passage(cfg, BERN, target=70, n_walks=10, escape_horizon=100)
+
+
+WALKER_CASES = dict(
+    d=st.sampled_from([3, 4, 5]),
+    drift=st.sampled_from([None, 0.45, 0.6]),
+    dist=st.sampled_from([BERN, EXP1, DELTA0, HEAVY]),
+    seed=st.integers(0, 2**32),
+    stream_id=st.integers(0, 1000),
+)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    site=st.integers(-50, 50),
+    max_steps=st.one_of(st.integers(1, 12), st.just(100_000)),
+    **WALKER_CASES,
+)
+def test_one_excursion_matches_scalar_walker(d, drift, dist, seed, stream_id, site, max_steps):
+    cfg = TreeConfig(d, drift_p=drift)
+    args = (cfg, dist, site, 1, seed, stream_id, max_steps)
+    mean, se, lost = simulate_excursions(*args)
+    want, _, want_lost = _oracles.simulate_excursions(*args)
+    assert mean == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert (se, lost) == (0.0, want_lost)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    target=st.integers(1, 3),
+    extra_horizon=st.integers(0, 40),
+    max_steps=st.one_of(st.integers(1, 12), st.just(1_000_000)),
+    **WALKER_CASES,
+)
+def test_one_passage_matches_scalar_walker(d, drift, dist, seed, stream_id, target, extra_horizon, max_steps):
+    cfg = TreeConfig(d, drift_p=drift)
+    args = (cfg, dist, target, 1, seed, stream_id, target + extra_horizon, max_steps)
+    mean, se, capped = simulate_geodesic_passage(*args)
+    want, _, want_capped = _oracles.simulate_geodesic_passage(*args)
+    assert mean == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert (se, capped) == (0.0, want_capped)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 17, 1000])
+def test_level_counters_fit_int64_at_the_level_cap(d):
+    cap = _max_walk_level(d)
+    starts = _level_starts(d, d - 2, cap)
+    first = [0] + [1 + sum((d - 2) * (d - 1) ** j for j in range(level - 1)) for level in range(1, cap + 2)]
+    assert starts.dtype == np.int64
+    assert starts.tolist() == first
+    assert first[cap + 1] - 1 < 2**63  # the last vertex on the level cap
 
 
 def test_two_model_equivalence_zero_potential():
