@@ -47,15 +47,14 @@ from .line_solver import (
     two_point_e,
 )
 from .lyapunov import (
-    AnnealedEnumResult,
+    AnnealedTransferResult,
     LocaltimeMCResult,
     LyapunovEstimate,
-    annealed_exact_enum,
     annealed_localtime_mc,
+    annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,
     estimate_beta,
-    iterate_configs,
 )
 from .tree import (
     BranchSurvival,

@@ -21,7 +21,7 @@ from . import __version__
 from .env import Environment, make_distribution, sample_environment
 from .entropy import OptimizerConfig, minimize_variational
 from .line_solver import F_limit, green_function_window, two_point_a
-from .lyapunov import estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
+from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
 from .tree import TreeConfig, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
@@ -146,13 +146,9 @@ def _run_alpha(config: RunConfig) -> dict:
 def _run_beta(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
+    # "method" and "n_paths" are accepted and ignored: every row is exact
     est = estimate_beta(
-        dist,
-        n_grid=p.get("n_grid", [2, 4, 8]),
-        r_ratio=float(p.get("r_ratio", 4.0)),
-        method=p.get("method", "auto"),
-        seed=config.seed,
-        n_paths=int(p.get("n_paths", 200_000)),
+        dist, n_grid=p.get("n_grid", [2, 4, 8]), r_ratio=float(p.get("r_ratio", 4.0))
     )
     rows = [
         {
@@ -196,8 +192,6 @@ def _run_variational(config: RunConfig) -> dict:
             dist,
             n_grid=beta_cfg.get("n_grid", [2, 4, 8]),
             r_ratio=float(beta_cfg.get("r_ratio", 4.0)),
-            seed=config.seed,
-            n_paths=int(beta_cfg.get("n_paths", 100_000)),
         )
     report = minimize_variational(
         dist, family=p.get("family", "exponential-tilt"), optimizer_cfg=cfg, beta_hat=beta_hat
@@ -331,6 +325,14 @@ def _run_selftest(config: RunConfig) -> dict:
     const = make_distribution({"kind": "point", "value": -math.log(0.8)})
     env = sample_environment(const, (-64, 1), seed=0)
     check("constant-potential-one-step", F_limit(env, tol=1e-12).a_value, math.log(2.0), tol=1e-9)
+    delta0 = make_distribution({"kind": "point", "value": 0.0})
+    for r in (-1, -4, -9):
+        check(f"annealed-gamblers-ruin-r{r}", annealed_transfer(delta0, 1, r).f_value, -r / (1.0 - r))
+    n, r = 16, -64
+    b_const = annealed_transfer(const, n, r).b_value
+    const_env = Environment(r, n, np.full(n - r + 1, const.mass_value))
+    check("annealed-constant-vs-solver-n16", b_const, two_point_a(const_env, 0, n, r))
+    check("annealed-constant-rate-n16", b_const / n, math.log(2.0), tol=1e-9)
     n_fail = sum(1 for row in checks if row["status"] == "FAIL")
     return {
         "rows": checks,

@@ -4,9 +4,12 @@ The quenched rate is the almost-sure linear decay of -ln e(0, n, omega);
 because the negative log survival weight is additive along the line it
 equals the mean of the one-step functional, which two independent routes
 estimate here (i.i.d. replicas and one long ergodic window).  The annealed
-rate comes from -ln E[e(0, n, omega)], estimated either by exact
-enumeration over potential configurations or by an exactly unbiased
-local-time reweighting of simulated paths.
+rate comes from -ln E[e(0, n, omega)].  A path on Z from 0 to n passes
+every site in between, so its crossing counts fix it and E[e] is exact in
+polynomial time: a transfer kernel over crossing counts (annealed_transfer)
+gives every row of estimate_beta.  An exactly unbiased local-time
+reweighting of simulated paths (annealed_localtime_mc) stays as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .line_solver import F_limit_batch, forward_step_weights
 from .rng import stream_generator
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-DEFAULT_CONFIG_CAP = 2**22
+_MAX_CROSSING_CAP = 2**11  # a K x K kernel of 32 MB
 _LOCALTIME_TAG = 0x6C74  # namespace for local-time path streams
 
 
@@ -116,88 +119,138 @@ def estimate_alpha_ergodic(
     return list(zip(ks.tolist(), (a_cum / ks).tolist()))
 
 
-def iterate_configs(dist: PotentialDistribution, n_sites: int, batch_size: int = 65536):
-    """Yield (values, probs) batches covering every potential configuration
-    on n_sites sites for a finite-support law.
-
-    values has shape (batch, n_sites); probs are the product weights.
-    """
-    if dist.kind == "point":
-        yield np.full((1, n_sites), dist.mass_value), np.ones(1)
-        return
-    if dist.kind != "finite":
-        raise ValueError("exact enumeration needs a finite-support law")
-    atom_vals = np.array([v for v, _ in dist.atoms])
-    atom_wts = np.array([w for _, w in dist.atoms])
-    m = atom_vals.size
-    total = m**n_sites
-    for start in range(0, total, batch_size):
-        idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
-        digits = np.empty((idx.size, n_sites), dtype=np.int64)
-        rem = idx
-        for j in range(n_sites - 1, -1, -1):
-            rem, digits[:, j] = np.divmod(rem, m)
-        yield atom_vals[digits], np.prod(atom_wts[digits], axis=1)
-
-
 @dataclass(frozen=True)
-class AnnealedEnumResult:
+class AnnealedTransferResult:
+    """E[e_r(start, n, omega)] from the crossing-count transfer kernel.
+
+    trunc_bound certifies the barrier bias b_r - b.  The kernel keeps the
+    paths that cross no edge leftward more than kernel_cap times;
+    kernel_tail (at most 2^-52 f) bounds the mass f - f_K it drops, and
+    bounds what it drops from the barrier gap as well.
+    """
+
     f_value: float
     b_value: float
-    mean_a: float
-    n_configs: int
     barrier_r: int
     trunc_bound: float
+    kernel_cap: int
+    kernel_tail: float
 
 
-def annealed_exact_enum(
-    dist: PotentialDistribution,
-    n: int,
-    r: int,
-    p: float = 0.5,
-    config_cap: int = DEFAULT_CONFIG_CAP,
-) -> AnnealedEnumResult:
-    """Exact E[e_r(0, n, omega)] by full enumeration over configurations
-    of the sites the walk can pay, r+1 .. n-1.
+def _site_kernels(p: float, phi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_s[a, b] = C(L-1, a) p^(b+s) q^a phi(L) with L = a + b + s visits,
+    for s = 0 and s = 1 (s = 1 when the walk starts at or left of the site).
 
-    Also returns the exact mean of a_r(0, n, omega) (the quenched side of
-    the Jensen gap) and a certified upper bound on the barrier bias
-    b_r - b: every path counted by f but not by f_r first travels from 0
-    to the barrier without touching n (a mirrored sweep integrates that
-    passage weight exactly) and must then still pay every window site at
-    least once more on its way to n.
+    a and b count the leftward crossings of the site's left and right edge.
+    Pascal's rule gives C(m, a) p^(m-a) q^a from positive terms only.  The
+    entry is 0 when a > 0 = b + s (the last exit goes right) and phi(0)
+    when L = 0.
     """
-    if not (r < 0 < n):
-        raise ValueError("need r < 0 < n")
-    n_sites = n - 1 - r
-    if dist.kind == "finite":
-        m = len(dist.atoms)
-        if m**n_sites > config_cap:
-            raise ValueError(
-                f"enumeration cap exceeded: {m}^{n_sites} configurations > {config_cap}"
-            )
-    f_acc = 0.0
-    a_acc = 0.0
-    gap_acc = 0.0
-    count = 0
-    for values, probs in iterate_configs(dist, n_sites):
-        _, log_w = forward_step_weights(values, p)
-        a_cfg = -np.sum(log_w[:, -n:], axis=1)
-        f_acc += float(probs @ np.exp(-a_cfg))
-        a_acc += float(probs @ a_cfg)
-        # mirrored sweep: right barrier at n, walking left from 0 to r;
-        # the return trip to n then pays every window site once more
-        _, log_v = forward_step_weights(values[:, ::-1], 1.0 - p)
-        log_gap = np.sum(log_v[:, n - 1 :], axis=1) - np.sum(values, axis=1)
-        gap_acc += float(probs @ np.exp(log_gap))
-        count += values.shape[0]
-    return AnnealedEnumResult(
-        f_value=f_acc,
-        b_value=-math.log(f_acc),
-        mean_a=a_acc,
-        n_configs=count,
+    g = np.zeros((2 * cap + 2, cap + 1))  # row m + 1 holds C(m, .) p^(m-.) q^.
+    g[1, 0] = 1.0
+    for m in range(2, 2 * cap + 2):
+        np.multiply(g[m - 1], p, out=g[m])
+        g[m, 1:] += (1.0 - p) * g[m - 1, :-1]
+    a = np.arange(cap + 1)[:, None]
+    visits = a + a.T
+    m0 = p * g[visits, a] * phi[visits]
+    m0[0, 0] = phi[0]
+    return m0, p * g[visits + 1, a] * phi[visits + 1]
+
+
+def _log_transfer(p_sites, s_sites, phi: np.ndarray, cap: int) -> float:
+    """ln e_0' M_1 ... M_m e_0 over the given sites, rescaled site by site."""
+    kernels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    v = np.zeros(cap + 1)
+    v[0] = 1.0
+    log_scale = 0.0
+    for p, s in zip(p_sites, s_sites):
+        if p not in kernels:
+            kernels[p] = _site_kernels(p, phi, cap)
+        v = v @ kernels[p][s]
+        top = v.max()
+        if top == 0.0:
+            return -math.inf
+        v /= top
+        log_scale += math.log(top)
+    return log_scale + math.log(v[0])
+
+
+def _log_kernel_tails(dist: PotentialDistribution, log_ab: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """ln of phi(K+1) sum_x (A_x B_x)^(K+1), a bound on f - f_K, per cap K.
+
+    A path that crosses edge (x, x+1) leftward more than K times visits
+    x+1 more than K times, and each crossing is a round trip x+1 -> x ->
+    x+1 that the potential-free walk survives with probability A_x B_x.
+    """
+    if log_ab.size == 0:  # a one-site window has no edge to cross back
+        return np.full(caps.shape, -np.inf)
+    terms = np.multiply.outer(caps + 1.0, log_ab)
+    top = terms.max(axis=1)
+    with np.errstate(divide="ignore"):
+        log_phi = np.log(dist.laplace(caps + 1))
+    return log_phi + top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+def annealed_transfer(
+    dist: PotentialDistribution, n: int, r: int, p=0.5, start: int = 0
+) -> AnnealedTransferResult:
+    """Exact E[e_r(start, n, omega)] by the crossing-count transfer kernel.
+
+    A path from start to its first hit of n, killed at r, is fixed up to
+    prod_y C(L_y - 1, d_{y-1}) orderings by its leftward edge crossings
+    d_y (discrete Ray-Knight).  Averaging the potential of each site over
+    its L_y visits turns E[e] into a product of site kernels on the
+    crossing counts, e_0' M_{r+1} ... M_{n-1} e_0, at cost O((n - r) K^2).
+    p is the step-right probability, a scalar or one value per site
+    r+1 .. n-1.
+
+    The crossing cap K is the smallest whose kernel tail is at most 2^-52
+    times a lower bound on f (the kernel at a small cap).  trunc_bound: every
+    path counted by f but not by f_r first travels from start to the
+    barrier without touching n (the mirrored kernel integrates that
+    passage) and must then pay every window site at least once more on its
+    way to n (phi(L + 1) at every site).
+    """
+    if not (r < start < n):
+        raise ValueError(f"need r < start < n, got r={r}, start={start}, n={n}")
+    sites = np.arange(r + 1, n)
+    p_arr = np.asarray(p, dtype=np.float64)
+    if p_arr.shape not in ((), sites.shape) or not np.all((p_arr > 0.0) & (p_arr < 1.0)):
+        raise ValueError(f"p must lie in (0, 1), as a scalar or one value per site {r + 1} .. {n - 1}")
+    p_arr = np.broadcast_to(p_arr, sites.shape)
+    p_list = p_arr.tolist()
+    s_fwd = (sites >= start).astype(int).tolist()
+    pilot = 16  # f_16 <= f is the lower bound the cap is chosen against
+    log_f_lower = _log_transfer(p_list, s_fwd, dist.laplace(np.arange(2 * pilot + 2)), pilot)
+    if log_f_lower == -math.inf:
+        raise ValueError("the annealed survival weight underflows on this window")
+    # B_x = P_x(hit x+1 before r), A_x = P_{x+1}(hit x before n) without potential
+    zero = np.zeros(sites.size)
+    _, log_b = forward_step_weights(zero, p_arr)
+    _, log_a = forward_step_weights(zero, 1.0 - p_arr[::-1])
+    log_ab = log_b[:-1] + log_a[::-1][1:]
+    tails = _log_kernel_tails(dist, log_ab, np.arange(_MAX_CROSSING_CAP + 1))
+    fits = np.flatnonzero(tails <= log_f_lower - 52.0 * math.log(2.0))
+    if fits.size == 0:
+        raise ValueError(
+            f"the transfer kernel needs more than {_MAX_CROSSING_CAP} crossings per edge "
+            f"on the window ({r}, {n}); use a smaller barrier distance"
+        )
+    cap = int(fits[0])
+    phi = dist.laplace(np.arange(2 * cap + 3))
+    log_f = _log_transfer(p_list, s_fwd, phi[:-1], cap)
+    # mirrored: from start down to r with n as the barrier, one more visit per site
+    q_rev = [1.0 - x for x in reversed(p_list)]
+    s_rev = (sites[::-1] <= start).astype(int).tolist()
+    log_gap = _log_transfer(q_rev, s_rev, phi[1:], cap)
+    return AnnealedTransferResult(
+        f_value=math.exp(log_f),
+        b_value=-log_f,
         barrier_r=r,
-        trunc_bound=math.log1p(gap_acc / f_acc),
+        trunc_bound=math.log1p(math.exp(log_gap - log_f)),
+        kernel_cap=cap,
+        kernel_tail=math.exp(tails[cap]),
     )
 
 
@@ -304,99 +357,52 @@ def annealed_localtime_mc(
     )
 
 
-def estimate_beta(
-    dist: PotentialDistribution,
-    n_grid,
-    r_ratio: float = 4.0,
-    method: str = "auto",
-    seed: int = 0,
-    n_paths: int = 200_000,
-    config_cap: int = DEFAULT_CONFIG_CAP,
-) -> LyapunovEstimate:
+def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> LyapunovEstimate:
     """Annealed decay rate from b_r(0, n) on a grid of distances.
 
-    Each grid value of b/n is an upper bound on the limit (the limit is
-    the infimum over n), so the estimate carries both an affine-fit slope
-    over the top half of the grid (the point value) and the grid minimum
-    (a certified upper bound, reported in params).
+    Every grid row is exact (annealed_transfer) with the barrier at
+    r = -ceil(r_ratio * n).  Each b/n is an upper bound on the limit (the
+    limit is the infimum over n), so the estimate carries both an affine-fit
+    slope over the top half of the grid (the point value) and the grid
+    minimum (a certified upper bound, reported in params).
     """
-    ns = sorted(int(n) for n in n_grid)
-    if not ns or ns[0] < 1:
-        raise ValueError("n_grid must hold positive distances")
+    ns = list(n_grid) if np.iterable(n_grid) else []
+    if not ns or len(set(ns)) < len(ns) or not all(map(_is_positive_integer, ns)):
+        raise ValueError(f"n_grid must hold distinct positive integers, got {n_grid!r}")
+    if not (math.isfinite(r_ratio) and r_ratio > 0):
+        raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
     rows = []
-    for n in ns:
+    for n in sorted(int(n) for n in ns):
         r = -math.ceil(r_ratio * n)
-        n_sites = n - 1 - r
-        use_enum = method == "enum" or (
-            method == "auto"
-            and (
-                dist.kind == "point"
-                or (dist.kind == "finite" and len(dist.atoms) ** n_sites <= config_cap)
-            )
+        res = annealed_transfer(dist, n, r)
+        rows.append(
+            {
+                "n": n, "r": r, "b": res.b_value, "se_b": 0.0, "trunc": res.trunc_bound,
+                "b_over_n": res.b_value / n, "se_b_over_n": 0.0, "trunc_over_n": res.trunc_bound / n,
+                "kernel_cap": res.kernel_cap, "kernel_tail": res.kernel_tail, "method": "annealed-transfer",
+            }
         )
-        if method == "enum" and dist.kind == "exponential":
-            raise ValueError("exact enumeration needs a finite-support law")
-        if use_enum:
-            enum = annealed_exact_enum(dist, n, r, config_cap=config_cap)
-            rows.append(
-                {
-                    "n": n, "r": r, "b": enum.b_value, "se_b": 0.0,
-                    "trunc": enum.trunc_bound, "method": "annealed-enum",
-                }
-            )
-        else:
-            mc = annealed_localtime_mc(dist, n, r, n_paths, seed=seed)
-            rows.append(
-                {
-                    "n": n, "r": r, "b": mc.b_value, "se_b": mc.b_stderr,
-                    "trunc": mc.trunc_bound, "method": "annealed-localtime-mc",
-                }
-            )
-    for row in rows:
-        row["b_over_n"] = row["b"] / row["n"]
-        row["se_b_over_n"] = row["se_b"] / row["n"]
-        row["trunc_over_n"] = row["trunc"] / row["n"]
-    i_min = int(np.argmin([row["b_over_n"] for row in rows]))
-    top = rows[len(rows) // 2 :] if len(rows) > 1 else rows
-    slope, slope_se, intercept = _affine_fit(top)
-    warning = ""
-    if not math.isfinite(slope) or Z95 * slope_se > 0.25 * max(abs(slope), 1e-12):
-        warning = "MC variance too large for a stable extrapolation; trust min_over_grid"
-    methods = {row["method"] for row in rows}
+    best = min(rows, key=lambda row: row["b_over_n"])
+    top = rows[len(rows) // 2 :]
+    if len(top) > 1:  # least-squares line b = slope * n + intercept
+        slope, intercept = np.polyfit([row["n"] for row in top], [row["b"] for row in top], 1)
+    else:
+        slope, intercept = top[0]["b_over_n"], 0.0
     return LyapunovEstimate(
-        value=slope,
-        ci_halfwidth=Z95 * slope_se,
-        n_samples=sum(n_paths if row["method"].endswith("mc") else 1 for row in rows),
-        method="annealed-extrapolated" if len(rows) > 1 else rows[0]["method"],
+        value=float(slope),
+        ci_halfwidth=0.0,
+        n_samples=len(rows),
+        method="annealed-extrapolated" if len(rows) > 1 else "annealed-transfer",
         params={
-            "seed": seed,
             "r_ratio": r_ratio,
             "grid": rows,
-            "fit_intercept": intercept,
-            "min_over_grid": rows[i_min]["b_over_n"],
-            "min_over_grid_se": rows[i_min]["se_b_over_n"],
-            "min_over_grid_n": rows[i_min]["n"],
-            "methods": sorted(methods),
-            "warning": warning,
+            "fit_intercept": float(intercept),
+            "min_over_grid": best["b_over_n"],
+            "min_over_grid_n": best["n"],
         },
     )
 
 
-def _affine_fit(rows) -> tuple[float, float, float]:
-    """Weighted least squares of b on n; returns (slope, slope_se, intercept)."""
-    ns = np.array([row["n"] for row in rows], dtype=np.float64)
-    bs = np.array([row["b"] for row in rows], dtype=np.float64)
-    ses = np.array([row["se_b"] for row in rows], dtype=np.float64)
-    if len(rows) == 1:
-        return bs[0] / ns[0], ses[0] / ns[0], 0.0
-    w = 1.0 / (ses**2 + 1e-24)
-    sw = w.sum()
-    nbar = (w * ns).sum() / sw
-    bbar = (w * bs).sum() / sw
-    var_n = (w * (ns - nbar) ** 2).sum()
-    slope = (w * (ns - nbar) * (bs - bbar)).sum() / var_n
-    intercept = bbar - slope * nbar
-    if np.all(ses == 0.0):
-        return float(slope), 0.0, float(intercept)
-    slope_se = math.sqrt(((w * (ns - nbar)) ** 2 @ ses**2)) / var_n
-    return float(slope), float(slope_se), float(intercept)
+def _is_positive_integer(n) -> bool:
+    numeric = isinstance(n, (int, float, np.integer, np.floating)) and not isinstance(n, bool)
+    return numeric and float(n).is_integer() and n >= 1

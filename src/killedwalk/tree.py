@@ -30,7 +30,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights, two_point_a
-from .lyapunov import iterate_configs
+from .lyapunov import annealed_transfer
 from .rng import keyed_uniform, stream_generator, substream
 
 _EXCURSION_TAG = 0x6578
@@ -387,6 +387,8 @@ def reduce_to_line(
         raise ValueError("need n >= 1")
     if orientation not in ("uphill", "downhill"):
         raise ValueError("orientation must be 'uphill' or 'downhill'")
+    if not (math.isfinite(r_ratio) and r_ratio > 0):
+        raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
     r = -math.ceil(r_ratio * n)
     brackets, mids, lows, highs = rho_environment(
         cfg, dist, (r, n), seed, stream_id, depth_cap, threads=threads
@@ -655,8 +657,8 @@ def turning_point_decompose(
     extended by predecessors into a monotone ray, and the standard
     reduction applies (the walk travels downhill).  For 0 < k < target the
     quenched cost splits exactly at the peak, and the annealed orderings
-    are verified by exact enumeration over a finite-support line law
-    (line_dist, by default a quantile summary of sampled rho midpoints).
+    are verified by the exact transfer kernel on a line law (line_dist, by
+    default a quantile summary of sampled rho midpoints).
     """
     if spec.kind != "turning-point":
         raise ValueError("spec.kind must be 'turning-point'")
@@ -701,21 +703,9 @@ def turning_point_decompose(
             ]
         )
         line_dist = _quantize_to_atoms(mids)
-    f_total = 0.0
-    f_beyond = 0.0
-    mean_c = 0.0
-    col_of = lambda site: site - (r + 1)
-    for values, probs in iterate_configs(line_dist, sites.size):
-        _, lw = forward_step_weights(values, p_sites)
-        e_total = np.exp(np.sum(lw[:, col_of(0) :], axis=1))
-        e_beyond = np.exp(np.sum(lw[:, col_of(k) :], axis=1))
-        c = np.exp(np.sum(lw[:, col_of(0) : col_of(k)], axis=1))
-        f_total += float(probs @ e_total)
-        f_beyond += float(probs @ e_beyond)
-        mean_c += float(probs @ c)
-    b_total = -math.log(f_total)
-    b_beyond = -math.log(f_beyond)
-    ln_mean_c = math.log(mean_c)
+    b_total = annealed_transfer(line_dist, n, r, p_sites).b_value
+    b_beyond = annealed_transfer(line_dist, n, r, p_sites, start=k).b_value
+    ln_mean_c = -annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)]).b_value
     return TurningPointReport(
         spec=spec,
         barrier_r=r,

@@ -3,19 +3,22 @@
 These deliberately avoid the library's solver routes: survival weights are
 recomputed by explicit path enumeration (tiny cases) and by time-stepped
 summation over all killed paths up to a length cap (with a certified tail
-bound), window entropies by direct summation over product
-configurations, and tree walks by stepping one walker at a time with
-lazily cached potentials.
+bound), annealed survival weights by summation over every potential
+configuration of a finite-support law, window entropies by direct
+summation over product configurations, and tree walks by stepping one
+walker at a time with lazily cached potentials.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from killedwalk.env import PotentialDistribution
+from killedwalk.line_solver import forward_step_weights
 from killedwalk.rng import keyed_uniform, stream_generator, substream
 from killedwalk.tree import (
     _EXCURSION_TAG,
@@ -106,6 +109,96 @@ def drifted_ruin_probability(r: int, p: float) -> float:
         return -r / (1.0 - r)
     rho = (1.0 - p) / p
     return (1.0 - rho ** (-r)) / (1.0 - rho ** (1 - r))
+
+
+DEFAULT_CONFIG_CAP = 2**22
+
+
+def iterate_configs(dist: PotentialDistribution, n_sites: int, batch_size: int = 65536):
+    """Yield (values, probs) batches covering every potential configuration
+    on n_sites sites for a finite-support law.
+
+    values has shape (batch, n_sites); probs are the product weights.
+    """
+    if dist.kind == "point":
+        yield np.full((1, n_sites), dist.mass_value), np.ones(1)
+        return
+    if dist.kind != "finite":
+        raise ValueError("exact enumeration needs a finite-support law")
+    atom_vals = np.array([v for v, _ in dist.atoms])
+    atom_wts = np.array([w for _, w in dist.atoms])
+    m = atom_vals.size
+    total = m**n_sites
+    for start in range(0, total, batch_size):
+        idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+        digits = np.empty((idx.size, n_sites), dtype=np.int64)
+        rem = idx
+        for j in range(n_sites - 1, -1, -1):
+            rem, digits[:, j] = np.divmod(rem, m)
+        yield atom_vals[digits], np.prod(atom_wts[digits], axis=1)
+
+
+@dataclass(frozen=True)
+class AnnealedEnumResult:
+    f_value: float
+    b_value: float
+    mean_a: float
+    n_configs: int
+    barrier_r: int
+    trunc_bound: float
+
+
+def annealed_exact_enum(
+    dist: PotentialDistribution,
+    n: int,
+    r: int,
+    p: float = 0.5,
+    config_cap: int = DEFAULT_CONFIG_CAP,
+) -> AnnealedEnumResult:
+    """Exact E[e_r(0, n, omega)] by full enumeration over configurations
+    of the sites the walk can pay, r+1 .. n-1.
+
+    Also returns the exact mean of a_r(0, n, omega) (the quenched side of
+    the Jensen gap) and a certified upper bound on the barrier bias
+    b_r - b: every path counted by f but not by f_r first travels from 0
+    to the barrier without touching n (a mirrored sweep integrates that
+    passage weight exactly) and must then still pay every window site at
+    least once more on its way to n.
+    """
+    if not (r < 0 < n):
+        raise ValueError("need r < 0 < n")
+    n_sites = n - 1 - r
+    if dist.kind == "finite":
+        m = len(dist.atoms)
+        if m**n_sites > config_cap:
+            raise ValueError(
+                f"enumeration cap exceeded: {m}^{n_sites} configurations > {config_cap}"
+            )
+    f_acc = 0.0
+    a_acc = 0.0
+    gap_acc = 0.0
+    count = 0
+    for values, probs in iterate_configs(dist, n_sites):
+        _, log_w = forward_step_weights(values, p)
+        a_cfg = -np.sum(log_w[:, -n:], axis=1)
+        f_acc += float(probs @ np.exp(-a_cfg))
+        a_acc += float(probs @ a_cfg)
+        # mirrored sweep: right barrier at n, walking left from 0 to r;
+        # the return trip to n then pays every window site once more
+        _, log_v = forward_step_weights(values[:, ::-1], 1.0 - p)
+        log_gap = np.sum(log_v[:, n - 1 :], axis=1) - np.sum(values, axis=1)
+        gap_acc += float(probs @ np.exp(log_gap))
+        count += values.shape[0]
+    return AnnealedEnumResult(
+        f_value=f_acc,
+        b_value=-math.log(f_acc),
+        mean_a=a_acc,
+        n_configs=count,
+        barrier_r=r,
+        trunc_bound=math.log1p(gap_acc / f_acc),
+    )
+
+
 
 
 class _LazyForestPotentials:

@@ -20,13 +20,8 @@ from killedwalk.line_solver import (
     green_function_window,
     solve_survival_window,
 )
-from killedwalk.lyapunov import (
-    annealed_exact_enum,
-    annealed_localtime_mc,
-    estimate_alpha_mc,
-    estimate_beta,
-    iterate_configs,
-)
+from _oracles import annealed_exact_enum, iterate_configs
+from killedwalk.lyapunov import annealed_localtime_mc, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import TreeConfig, excursion_survival_h, rho_environment, simulate_excursions
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
@@ -74,7 +69,7 @@ def test_criterion_2_constant_potential_oracle():
     limit_abs = 1e-6
     a_limit = F_limit(EnvironmentSource(CONST, seed=0), tol=1e-9).a_value
     a_mc = estimate_alpha_mc(CONST, n_samples=16, tol=1e-9, seed=0).value
-    b_extrap = estimate_beta(CONST, n_grid=[2, 4, 8, 16], seed=0).value
+    b_extrap = estimate_beta(CONST, n_grid=[2, 4, 8, 16]).value
     cfg = OptimizerConfig(n_samples=4, tol=1e-9, seed=0, theta_lo=-1, theta_hi=1, n_grid=5, max_evals=12)
     m = minimize_variational(CONST, optimizer_cfg=cfg).var_min_value
     errs = {
@@ -147,7 +142,7 @@ def test_criterion_5_jensen_sandwich():
     seed = 2024
     n_samples, tol = 2000, 1e-7
     alpha = estimate_alpha_mc(BERN, n_samples=n_samples, tol=tol, seed=seed)
-    beta = estimate_beta(BERN, n_grid=[2, 4, 8, 12], r_ratio=4.0, seed=seed, n_paths=200_000)
+    beta = estimate_beta(BERN, n_grid=[2, 4, 8, 12], r_ratio=4.0)
     cfg = OptimizerConfig(
         n_samples=n_samples, tol=tol, seed=seed, theta_lo=-1.0, theta_hi=4.0, n_grid=13, max_evals=45
     )

@@ -138,6 +138,31 @@ def test_beta_columns_follow_contract(tmp_path):
     assert len(lines) == 3
 
 
+def test_bad_beta_grid_and_barrier_ratio_fail_with_parameter_name(tmp_path, capsys):
+    cases = [
+        ("beta", "n_grid=[2,4,4]", "n_grid"),
+        ("beta", "r_ratio=Infinity", "r_ratio"),
+        ("beta", "r_ratio=NaN", "r_ratio"),
+        ("beta", "r_ratio=0", "r_ratio"),
+        ("tree-reduce", "r_ratio=Infinity", "r_ratio"),
+        ("tree-reduce", "r_ratio=NaN", "r_ratio"),
+        ("tree-reduce", "r_ratio=-1", "r_ratio"),
+    ]
+    for command, param, name in cases:
+        dist = f"distribution={json.dumps(BERN_SPEC)}"
+        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "-P", "n=2", "--out", "x") == 1
+        record = json.loads(capsys.readouterr().err)
+        assert name in record["error"], (command, param, record)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_beta_accepts_and_ignores_method_and_n_paths(tmp_path):
+    base = ["beta", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "n_grid=[2,3]", "-P", "r_ratio=3.0"]
+    assert run_cli(tmp_path, *base, "--out", "plain") == 0
+    assert run_cli(tmp_path, *base, "-P", 'method="enum"', "-P", "n_paths=10", "--out", "knobs") == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "knobs.csv").read_bytes()
+
+
 def test_variational_columns_follow_contract(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -161,7 +161,7 @@ def _significant_sign_changes(objective, noise):
 
 def test_variational_sandwich_bernoulli():
     alpha = estimate_alpha_mc(BERN, n_samples=800, tol=1e-6, seed=21)
-    beta = estimate_beta(BERN, n_grid=[2, 4, 6], r_ratio=2.0, seed=21, n_paths=60_000)
+    beta = estimate_beta(BERN, n_grid=[2, 4, 6], r_ratio=2.0)
     cfg = OptimizerConfig(
         n_samples=800, tol=1e-6, seed=21, theta_lo=-1.0, theta_hi=4.0, n_grid=11, max_evals=40
     )

@@ -3,16 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from killedwalk.env import make_distribution, sample_environment
-from killedwalk.line_solver import two_point_a, two_point_e
+from _oracles import annealed_exact_enum, iterate_configs
+from killedwalk.env import Environment, make_distribution, sample_environment
+from killedwalk.line_solver import forward_step_weights, two_point_a, two_point_e
 from killedwalk.lyapunov import (
-    annealed_exact_enum,
+    _log_kernel_tails,
+    _log_transfer,
     annealed_localtime_mc,
+    annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,
     estimate_beta,
-    iterate_configs,
 )
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
@@ -186,8 +190,6 @@ def test_localtime_exponential_law_matches_closed_form():
     mc = annealed_localtime_mc(expo, n=1, r=-1, n_paths=100_000, seed=5)
     want = (2.0 / 3.0) / 2.0
     assert abs(mc.f_value - want) <= 4 * mc.f_stderr
-    with pytest.raises(ValueError, match="finite-support"):
-        estimate_beta(expo, n_grid=[2], method="enum")
 
 
 def test_b_over_n_weakly_decreasing_along_doubling_grid():
@@ -198,8 +200,6 @@ def test_b_over_n_weakly_decreasing_along_doubling_grid():
 
 
 def test_fkg_supermultiplicativity_under_enumeration():
-    from killedwalk.line_solver import forward_step_weights
-
     for n, m, r in ((2, 2, -2), (3, 2, -3)):
         e_joint = e_left = e_right = 0.0
         for values, probs in iterate_configs(BERN, n + m - 1 - r):
@@ -213,36 +213,152 @@ def test_fkg_supermultiplicativity_under_enumeration():
 
 
 def test_estimate_beta_constant_potential_extrapolates_exactly():
-    est = estimate_beta(CONST, n_grid=[2, 4, 8, 16], seed=0)
+    est = estimate_beta(CONST, n_grid=[2, 4, 8, 16])
     assert est.value == pytest.approx(math.log(2.0), abs=1e-3)
     assert est.params["min_over_grid"] >= est.value - 1e-12
     assert est.method == "annealed-extrapolated"
 
 
 def test_estimate_beta_grid_rows_document_methods():
-    est = estimate_beta(BERN, n_grid=[2, 3], r_ratio=3.0, seed=1, n_paths=5_000)
+    est = estimate_beta(BERN, n_grid=[2, 3], r_ratio=3.0)
     rows = est.params["grid"]
     assert [row["n"] for row in rows] == [2, 3]
-    assert all(row["method"] == "annealed-enum" for row in rows)
+    assert all(row["method"] == "annealed-transfer" for row in rows)
     assert all(row["se_b"] == 0.0 for row in rows)
     assert all(row["trunc"] is not None and row["trunc"] >= 0.0 for row in rows)
 
 
-def test_estimate_beta_uses_mc_beyond_cap():
-    est = estimate_beta(BERN, n_grid=[2, 8], r_ratio=4.0, seed=1, n_paths=20_000)
-    methods = [row["method"] for row in est.params["grid"]]
-    assert methods == ["annealed-enum", "annealed-localtime-mc"]
-
-
-def test_estimate_beta_reports_unstable_extrapolation():
-    est = estimate_beta(BERN, n_grid=[4, 6, 8], r_ratio=4.0, seed=3, n_paths=100)
-    assert est.params["warning"]  # tiny path budget cannot pin the slope
-    stable = estimate_beta(BERN, n_grid=[2, 4], r_ratio=3.0, seed=3)
-    assert not stable.params["warning"]
-
-
 def test_jensen_ordering_alpha_vs_beta():
     alpha = estimate_alpha_mc(BERN, n_samples=2000, tol=1e-6, seed=8)
-    beta = estimate_beta(BERN, n_grid=[2, 4, 6], r_ratio=2.0, seed=8, n_paths=50_000)
+    beta = estimate_beta(BERN, n_grid=[2, 4, 6], r_ratio=2.0)
     budget = alpha.ci_halfwidth + beta.ci_halfwidth + alpha.trunc_bias + 0.02
     assert beta.value <= alpha.value + budget
+
+
+def test_estimate_beta_rejects_bad_grids_and_ratios():
+    for grid in ([2, 4, 4], [], [0, 2], [-2], [2.5], [float("nan")], ["2"], 4):
+        with pytest.raises(ValueError, match="n_grid"):
+            estimate_beta(BERN, n_grid=grid)
+    for ratio in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="r_ratio"):
+            estimate_beta(BERN, n_grid=[2, 4], r_ratio=ratio)
+
+
+# ---------------------------------------------------------------------------
+# the crossing-count transfer kernel
+# ---------------------------------------------------------------------------
+
+
+def _enum_with_drifts(dist, n, r, p_sites, start):
+    """(f, trunc_bound) by enumeration, with one step probability per site
+    and any start: the oracle's sweeps, read from the start's column."""
+    p_sites = np.asarray(p_sites, dtype=np.float64)
+    f = gap = 0.0
+    for values, probs in iterate_configs(dist, n - 1 - r):
+        _, lw = forward_step_weights(values, p_sites)
+        f += float(probs @ np.exp(np.sum(lw[:, start - (r + 1) :], axis=1)))
+        _, lv = forward_step_weights(values[:, ::-1], 1.0 - p_sites[::-1])
+        log_gap = np.sum(lv[:, n - 1 - start :], axis=1) - np.sum(values, axis=1)
+        gap += float(probs @ np.exp(log_gap))
+    return f, math.log1p(gap / f)
+
+
+@st.composite
+def finite_laws(draw):
+    n_atoms = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(0.0, 3.0), min_size=n_atoms, max_size=n_atoms, unique=True))
+    if draw(st.booleans()):
+        values[0] = 0.0
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_atoms, max_size=n_atoms))
+    total = sum(weights)
+    atoms = [[v, w / total] for v, w in zip(values, weights)]
+    return make_distribution({"kind": "finite", "atoms": atoms})
+
+
+@settings(deadline=None, derandomize=True)
+@given(dist=finite_laws(), n=st.integers(1, 4), r=st.integers(-6, -1), p=st.floats(0.2, 0.8))
+def test_transfer_matches_enumeration(dist, n, r, p):
+    kernel = annealed_transfer(dist, n, r, p)
+    enum = annealed_exact_enum(dist, n, r, p)
+    assert kernel.f_value == pytest.approx(enum.f_value, rel=1e-13)
+    assert kernel.trunc_bound == pytest.approx(enum.trunc_bound, rel=1e-13)
+    assert 0.0 <= kernel.kernel_tail <= 2.0**-52 * kernel.f_value
+
+
+@settings(deadline=None, derandomize=True)
+@given(dist=finite_laws(), n=st.integers(1, 4), r=st.integers(-6, -1), data=st.data())
+def test_transfer_matches_enumeration_with_site_drifts_and_start(dist, n, r, data):
+    p_sites = data.draw(st.lists(st.floats(0.2, 0.8), min_size=n - 1 - r, max_size=n - 1 - r))
+    start = data.draw(st.integers(r + 1, n - 1))
+    kernel = annealed_transfer(dist, n, r, p_sites, start=start)
+    f, trunc = _enum_with_drifts(dist, n, r, p_sites, start)
+    assert kernel.f_value == pytest.approx(f, rel=1e-13)
+    assert kernel.trunc_bound == pytest.approx(trunc, rel=1e-13)
+
+
+def test_transfer_closed_forms():
+    for n, r in ((1, -1), (1, -9), (3, -5), (5, -7)):
+        ruin = annealed_transfer(DELTA0, n, r)  # gambler's ruin
+        assert ruin.f_value == pytest.approx(-r / (n - r), rel=1e-12)
+    expo = make_distribution({"kind": "exponential", "rate": 2.0})
+    assert annealed_transfer(expo, 1, -1).f_value == pytest.approx(expo.laplace(1) / 2.0, rel=1e-14)
+    for n, r in ((4, -6), (16, -64)):
+        env = Environment(r, n, np.full(n - r + 1, CONST.mass_value))
+        assert annealed_transfer(CONST, n, r).f_value == pytest.approx(two_point_e(env, 0, n, r), rel=1e-12)
+
+
+def _hit_prob(p_of: dict, x: int, target: int, barrier: int) -> float:
+    """P_x(hit target before barrier) for the potential-free walk, by a
+    linear solve of the harmonic equations between the two."""
+    inner = list(range(min(target, barrier) + 1, max(target, barrier)))
+    idx = {y: i for i, y in enumerate(inner)}
+    mat = np.eye(len(inner))
+    rhs = np.zeros(len(inner))
+    for y in inner:
+        for nb, w in ((y + 1, p_of[y]), (y - 1, 1.0 - p_of[y])):
+            if nb == target:
+                rhs[idx[y]] += w
+            elif nb != barrier:
+                mat[idx[y], idx[nb]] -= w
+    return float(np.linalg.solve(mat, rhs)[idx[x]])
+
+
+@pytest.mark.parametrize(
+    "dist,n,r,p,start",
+    [
+        (BERN, 4, -8, 0.5, 0),
+        (DELTA0, 3, -6, 0.5, 0),
+        (make_distribution({"kind": "exponential", "rate": 1.0}), 4, -8, 0.5, 0),
+        (BERN, 5, -4, [0.6] * 5 + [0.5] + [0.4] * 2, 2),
+    ],
+)
+def test_kernel_tail_bounds_the_crossings_it_drops(dist, n, r, p, start):
+    sites = np.arange(r + 1, n)
+    p_sites = np.broadcast_to(np.asarray(p, dtype=np.float64), sites.shape)
+    starts = (sites >= start).astype(int).tolist()
+    p_of = dict(zip(sites.tolist(), p_sites.tolist()))
+    log_ab = np.log(
+        [_hit_prob(p_of, x, x + 1, r) * _hit_prob(p_of, x + 1, x, n) for x in range(r + 1, n - 1)]
+    )
+    caps = np.array([1, 2, 4, 8])
+    tails = np.exp(_log_kernel_tails(dist, log_ab, caps))
+
+    def f_at(cap):
+        phi = dist.laplace(np.arange(2 * cap + 2))
+        return math.exp(_log_transfer(p_sites.tolist(), starts, phi, cap))
+
+    for cap, tail in zip(caps, tails):
+        dropped = f_at(2 * cap) - f_at(cap)
+        assert 0.0 < dropped <= tail
+    res = annealed_transfer(dist, n, r, p, start=start)
+    assert f_at(2 * res.kernel_cap) - res.f_value <= res.kernel_tail + 1e-15 * res.f_value
+    assert res.kernel_tail <= 2.0**-52 * res.f_value
+
+
+def test_transfer_rejects_bad_windows_and_drifts():
+    for n, r, start in ((2, 0, 0), (2, -2, 2), (2, -2, -2), (0, -2, 0)):
+        with pytest.raises(ValueError, match="r < start < n"):
+            annealed_transfer(BERN, n, r, start=start)
+    for p in (0.0, 1.0, math.nan, [0.5, 1.2, 0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="p must"):
+            annealed_transfer(BERN, 2, -2, p)
