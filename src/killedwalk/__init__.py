@@ -38,11 +38,8 @@ from .line_solver import (
     F_r,
     LimitBatch,
     SurvivalResult,
-    WindowModel,
     forward_step_weights,
     green_function_window,
-    solve_survival_window,
-    truncation_tail_bound,
     two_point_a,
     two_point_e,
 )

@@ -27,7 +27,7 @@ from .tree import TreeConfig, first_passage_gf, reduce_to_line, sigma_finite_pro
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
 
 CSV_COLUMNS = {
-    "alpha": ["method", "value", "ci_halfwidth", "n_samples", "trunc_bias", "n_dropped"],
+    "alpha": ["method", "value", "ci_halfwidth", "n_samples", "trunc_bias", "n_unconverged"],
     "alpha-ergodic": ["k", "a_over_k"],
     "beta": ["n", "b_over_n", "method", "stat_err", "trunc_err"],
     "variational": ["theta", "E_Q_F", "kl_per_site", "objective"],
@@ -126,7 +126,7 @@ def _run_alpha(config: RunConfig) -> dict:
             "ci_halfwidth": est.ci_halfwidth,
             "n_samples": est.n_samples,
             "trunc_bias": est.trunc_bias,
-            "n_dropped": est.params.get("n_dropped", 0),
+            "n_unconverged": est.params["n_unconverged"],
         }
         return {"rows": [row], "columns": CSV_COLUMNS["alpha"], "summary": row}
     if method == "ergodic":

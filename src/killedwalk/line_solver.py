@@ -6,16 +6,16 @@ two-point weight
 
     e_r(x, y, omega) = E_x[ exp(-sum_{k < tau_y} omega(S_k)) ; tau_y < tau_r ]
 
-for an absorbing barrier at r < x <= y.  Its negative logarithm is additive
-along the line, which makes one forward elimination pass over the window
-sufficient: with w_j the weight of travelling j -> j+1 before hitting r,
+for an absorbing barrier at r < x <= y.  A walk from x to y passes every
+site in between, so its negative logarithm is additive along the line and
+one forward elimination pass over the window is enough: with w_j the
+weight of travelling j -> j+1 before hitting r,
 
     w_j = p_j e^{-omega_j} / (1 - (1 - p_j) e^{-omega_j} w_{j-1}),   w_r = 0,
 
-and e_r(x, y) = prod_{j=x}^{y-1} w_j.  This is the forward sweep of the
-tridiagonal boundary-value system u(r) = 0, u(y) = 1,
-u(j) = e^{-omega_j} (p u(j+1) + (1-p) u(j-1)); `solve_survival_window`
-keeps the full banded solve as an independent route to the same numbers.
+and e_r(x, y) = prod_{j=x}^{y-1} w_j.  The same path property lets adjacent
+runs of sites compose exactly (Redheffer's star product, _star), so the
+barrier-free limit reduces a window pairwise in log2(length) array steps.
 
 Log-space is the primary representation: a-values stay finite even when
 the linear weight underflows (which is flagged, never silently NaN).
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .env import Environment, EnvironmentSource
 from .rng import keyed_uniform
@@ -35,37 +34,9 @@ from .rng import keyed_uniform
 UNDERFLOW_FLOOR = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_R_MAX = -(2**20)
-# rows x window sites swept at once per doubling; 2**18 cells is 2 MB a float64 array
+# rows x window sites per chunk of a doubling, which reduces the window's newer
+# half; 2**18 cells is 2 MB a float64 array
 _CELL_BUDGET = 2**18
-
-
-@dataclass(frozen=True)
-class WindowModel:
-    """A killed-walk boundary-value problem on a finite window.
-
-    The barrier at barrier_r kills; reaching target_y scores.  The step
-    probability to the right may be a scalar or one value per site of the
-    environment window (site-dependent drifts appear in tree reductions).
-    """
-
-    env: Environment
-    barrier_r: int
-    target_y: int
-    start_x: int
-    step_right_prob: float | np.ndarray = 0.5
-
-    def __post_init__(self):
-        if self.barrier_r >= self.start_x:
-            raise ValueError("barrier must lie strictly left of the start")
-        if self.target_y <= self.barrier_r:
-            raise ValueError("target must lie strictly right of the barrier")
-        if self.target_y < self.start_x:
-            raise ValueError("ill-posed window: start right of target has no right barrier")
-        if not self.env.covers(self.barrier_r, self.target_y):
-            raise ValueError("environment window must cover [barrier, target]")
-        p = np.asarray(self.step_right_prob, dtype=np.float64)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise ValueError("step probability must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -92,44 +63,19 @@ def forward_step_weights(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
 
     omega holds potentials for consecutive sites r+1, r+2, ...; the barrier
     sits at the site just left of omega[0].  Returns (w, log_w) of the same
-    trailing length: w[j] is the weight of moving from site r+1+j to site
-    r+2+j before touching the barrier.  A leading axis of omega vectorizes
-    the sweep over many environments at once; a single row runs in plain
-    floats, whose exp and log1p may differ from numpy's by one ulp.
+    length: w[j] is the weight of moving from site r+1+j to site r+2+j
+    before touching the barrier.  p is a scalar or one value per site.  The
+    sweep runs in plain floats, where numpy's per-element overhead would
+    dominate.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim == 1:
-        return _step_weights_scalar(omega, p)
-    if omega.shape[0] == 1:
-        w, log_w = _step_weights_scalar(omega[0], p)
-        return w[None, :], log_w[None, :]
-    n_cfg, n_sites = omega.shape
-    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n_sites,))
-    s = np.exp(-omega)
-    w = np.empty_like(omega)
-    log_w = np.empty_like(omega)
-    w_prev = np.zeros(n_cfg)
-    for j in range(n_sites):
-        damp = -np.log1p(-(1.0 - p_arr[j]) * s[:, j] * w_prev)
-        log_w[:, j] = math.log(p_arr[j]) - omega[:, j] + damp
-        w_prev = p_arr[j] * s[:, j] * np.exp(damp)
-        w[:, j] = w_prev
-    return w, log_w
-
-
-def _step_weights_scalar(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
-    """One-environment sweep in plain floats (the hot path of the limit
-    solver; numpy per-element overhead would dominate it)."""
-    n_sites = omega.shape[0]
+    om_list = np.asarray(omega, dtype=np.float64).tolist()
+    n_sites = len(om_list)
     p_list = np.broadcast_to(np.asarray(p, dtype=np.float64), (n_sites,)).tolist()
-    om_list = omega.tolist()
     w = np.empty(n_sites)
     log_w = np.empty(n_sites)
     w_prev = 0.0
     exp, log, log1p = math.exp, math.log, math.log1p
-    for j in range(n_sites):
-        pj = p_list[j]
-        om = om_list[j]
+    for j, (pj, om) in enumerate(zip(p_list, om_list)):
         s = exp(-om)
         damp = -log1p(-(1.0 - pj) * s * w_prev)
         log_w[j] = log(pj) - om + damp
@@ -138,11 +84,39 @@ def _step_weights_scalar(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return w, log_w
 
 
-def _window_step_logs(env, r: int, y: int, p) -> np.ndarray:
-    """log step weights for sites r+1 .. y-1 under barrier r."""
-    omega = env.slice_values(r + 1, y - 1)
-    _, log_w = forward_step_weights(omega, p)
-    return log_w
+def _star(left, right):
+    """Compose the log weights of two adjacent runs, left run first.
+
+    A run of sites [i..j] has weights a (from j to j+1 before i-1), rho
+    (from i to i-1 before j+1), c (from j to i-1 before j+1) and t (from i
+    to j+1 before i-1).  A path that crosses the junction returns to it a
+    geometric number of times, which d = 1 - a_left rho_right sums."""
+    a_l, rho_l, c_l, t_l = left
+    a_r, rho_r, c_r, t_r = right
+    log_d = np.log(-np.expm1(a_l + rho_r))
+    return (
+        np.logaddexp(a_r, c_r + t_r + a_l - log_d),
+        np.logaddexp(rho_l, t_l + c_l + rho_r - log_d),
+        c_l + c_r - log_d,
+        t_l + t_r - log_d,
+    )
+
+
+def _reduce(omega, p) -> np.ndarray:
+    """Log weights (a, rho, c, t), stacked on a new leading axis, of the
+    run of all sites along omega's last axis; any leading axes are
+    independent rows.  p is a scalar or one value per site.  All four stay
+    logs: c and t decay along a run, and a and rho stay finite where the
+    linear weight underflows."""
+    p = np.asarray(p, dtype=np.float64)
+    run = np.empty((4,) + np.shape(omega))  # one site: (p s, q s, q s, p s)
+    run[0] = run[3] = np.log(p) - omega
+    run[1] = run[2] = np.log(1.0 - p) - omega
+    while run.shape[-1] > 1:
+        even = run.shape[-1] // 2 * 2
+        pairs = np.stack(_star(run[..., 0:even:2], run[..., 1:even:2]))
+        run = np.concatenate([pairs, run[..., even:]], axis=-1) if even < run.shape[-1] else pairs
+    return run[..., 0]
 
 
 def _result_from_a(a: float, barrier_r: int, **kw) -> SurvivalResult:
@@ -153,44 +127,13 @@ def _result_from_a(a: float, barrier_r: int, **kw) -> SurvivalResult:
     )
 
 
-def solve_survival_window(model: WindowModel) -> SurvivalResult:
-    """Survival weight e_r(x, y) by a direct banded solve of the
-    boundary-value system (independent of the forward-sweep route)."""
-    r, x, y = model.barrier_r, model.start_x, model.target_y
-    if x == y:
-        return SurvivalResult(e_value=1.0, a_value=0.0, barrier_r=r, r_used=r)
-    n = y - r + 1
-    omega = model.env.slice_values(r, y)
-    p = np.broadcast_to(np.asarray(model.step_right_prob, dtype=np.float64), (n,))
-    s = np.exp(-omega)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    interior = np.arange(1, n - 1)
-    # row j couples u_j to its neighbours: u_j - s_j(p_j u_{j+1} + q_j u_{j-1}) = 0
-    ab[0, interior + 1] = -s[interior] * p[interior]
-    ab[2, interior - 1] = -s[interior] * (1.0 - p[interior])
-    try:
-        u = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise ValueError(f"singular survival system: {exc}") from exc
-    e = float(u[x - r])
-    if e <= UNDERFLOW_FLOOR:
-        # recover the exponent in log space rather than reporting -ln 0
-        log_w = _window_step_logs(model.env, r, y, model.step_right_prob)
-        a = float(-np.sum(log_w[x - (r + 1) :]))
-        return _result_from_a(a, r, r_used=r)
-    return SurvivalResult(e_value=e, a_value=-math.log(e), barrier_r=r, r_used=r)
-
-
 def two_point_a(env: Environment, x: int, y: int, r: int, p=0.5) -> float:
     """a_r(x, y) = -ln e_r(x, y) for r < x <= y, by the forward sweep."""
     if x == y:
         return 0.0
     if not (r < x < y):
         raise ValueError("need barrier < start < target (or start == target)")
-    log_w = _window_step_logs(env, r, y, p)
+    _, log_w = forward_step_weights(env.slice_values(r + 1, y - 1), p)
     return float(-np.sum(log_w[x - (r + 1) :]))
 
 
@@ -201,30 +144,11 @@ def two_point_e(env: Environment, x: int, y: int, r: int, p=0.5) -> float:
 
 def F_r(env, r: int, p=0.5) -> SurvivalResult:
     """Negative log survival weight of reaching site 1 before barrier r,
-    started from 0 (the truncated one-step functional)."""
+    started from 0 (the truncated one-step functional).  The forward sweep
+    keeps it exactly nonincreasing in the barrier distance."""
     if r >= 0:
         raise ValueError("barrier must be a negative site")
-    if not env.covers(r, 1):
-        raise ValueError(f"window too small: need [{r}, 1]")
-    log_w = _window_step_logs(env, r, 1, p)
-    a = float(-log_w[-1])
-    return _result_from_a(a, r, r_used=r)
-
-
-def truncation_tail_bound(omega, a_r, p=0.5):
-    """Certified overestimate of F_r - F at barrier r.
-
-    omega holds the potentials on sites r+1 .. 0 and a_r the value of F_r;
-    a leading axis of omega (with one a_r per row) bounds many
-    environments at once.  Every path counted by F but not by F_r first
-    travels from 0 down to r without touching 1; a mirrored elimination
-    sweep (right barrier at 1) gives that passage weight exactly, and the
-    continuation from r to 1 contributes at most weight 1.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    p_rev = np.flip(1.0 - np.asarray(p, dtype=np.float64))
-    _, log_v = forward_step_weights(omega[..., ::-1], p_rev)  # sites 0 down to r+1
-    return np.logaddexp(0.0, np.sum(log_v, axis=-1) + a_r)[()]  # ln(1 + passage / e_r)
+    return _result_from_a(two_point_a(env, 0, 1, r, p), r, r_used=r)
 
 
 @dataclass(frozen=True)
@@ -256,21 +180,25 @@ def _barrier_schedule(r_schedule, r_max: int) -> list[int]:
 def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> LimitBatch:
     """The barrier-doubling loop behind F_limit and F_limit_batch.
 
-    potentials(rows, r) returns the potentials of the given rows on sites
-    r+1 .. 0, one row each.  At every barrier of the schedule the rows
-    still running are swept together (in chunks of at most
-    _CELL_BUDGET cells); a row stops at its first decrement below tol, or
-    unconverged at the last barrier, and takes its tail certificate from
-    the mirrored sweep of the same potentials.  Rows never interact, so
-    the chunking and the batch composition change no digit, except that a
-    row swept alone runs in plain floats (see forward_step_weights).
+    potentials(rows, lo, hi) returns the potentials of the given rows on
+    sites lo .. hi.  Each row keeps the run of sites r+1 .. 0 reduced so
+    far; at barrier r the rows still running reduce only their new sites
+    (in chunks of at most _CELL_BUDGET cells of the window) and compose
+    them with that run, which gives F_r = -ln a.  A row stops at its first
+    decrement below tol, or unconverged at the last barrier.  Its tail
+    certificate is ln(1 + c/a): a path counted by F but not by F_r first
+    travels from 0 down to r without touching 1 (weight c), then on to 1
+    with weight at most 1.  One row runs the same array operations as a
+    batch, so neither chunking nor batch composition changes a digit.
     """
+    run = np.zeros((4, n_rows))  # the empty run: a = rho = 0, c = t = 1
+    run[:2] = -math.inf
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
     r_used = np.zeros(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
-    prev_a = np.full(n_rows, math.inf)
     active = np.arange(n_rows)
+    r_prev = 0
     for k, r in enumerate(schedule):
         if active.size == 0:
             break
@@ -279,20 +207,19 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
         running = []
         for start in range(0, active.size, chunk):
             rows = active[start : start + chunk]
-            omega = potentials(rows, r)
-            a = -forward_step_weights(omega, p)[1][:, -1]
-            decrement = prev_a[rows] - a  # +inf at the first barrier
-            prev_a[rows] = a
+            log_a, _, log_c, _ = joined = _star(_reduce(potentials(rows, r + 1, r_prev), p), run[:, rows])
+            decrement = log_a - run[0, rows]  # F_{r_prev} - F_r; +inf at the first barrier
+            run[:, rows] = joined
             stop = decrement < tol
             done = stop | last
             if done.any():
                 fin = rows[done]
-                omega = omega[done]  # drops the rest of the chunk before the mirrored sweep
-                slack = np.maximum(decrement[done], 0.0) if k else 0.0
-                trunc[fin] = slack + truncation_tail_bound(omega, a[done], p)
-                a_value[fin], r_used[fin], converged[fin] = a[done], r, stop[done]
+                slack = decrement[done] if k else 0.0
+                trunc[fin] = slack + np.logaddexp(0.0, log_c[done] - log_a[done])
+                a_value[fin], r_used[fin], converged[fin] = -log_a[done], r, stop[done]
             running.append(rows[~done])
         active = np.concatenate(running)
+        r_prev = r
     return LimitBatch(a_value, trunc, r_used, converged)
 
 
@@ -328,7 +255,7 @@ def F_limit(
         if not schedule:
             raise ValueError("window too small for any barrier in the schedule")
     row = _barrier_doubling(
-        lambda rows, r: source.slice_values(r + 1, 0)[None, :], 1, schedule, tol, p
+        lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, schedule, tol, p
     )
     r, ok = int(row.r_used[0]), bool(row.converged[0])
     reason = "window exhausted" if exhausted_window else "r_max reached"
@@ -343,7 +270,7 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     """F_limit of EnvironmentSource(dist, seed, i) for every i < n_samples.
 
     Row i draws its potentials from stream i, exactly as the one-row call
-    would, so each entry equals that call's result (to one ulp) and runs
+    would, so each entry equals that call's result digit for digit and runs
     that share a seed share environments row by row.  For a delta-zero law
     every row is exactly 0 with r_used 0, where F_limit reports None.
     """
@@ -355,8 +282,8 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
             np.zeros(n_samples, dtype=np.int64), np.ones(n_samples, dtype=bool),
         )
 
-    def potentials(rows, r):  # a row index is its stream id
-        sites = np.arange(r + 1, 1, dtype=np.int64)
+    def potentials(rows, lo, hi):  # a row index is its stream id
+        sites = np.arange(lo, hi + 1, dtype=np.int64)
         return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
 
     return _barrier_doubling(potentials, n_samples, _barrier_schedule(None, DEFAULT_R_MAX), tol, 0.5)
@@ -368,28 +295,20 @@ def green_function_window(env: Environment, x: int, y: int, window: tuple[int, i
 
     With the killed kernel K(u, v) = exp(-omega(u)) p(u, v) on the interior
     sites, this is exp(-omega(y)) [(I - K)^{-1} - I](x, y); each visit pays
-    the potential of the visited site, including the terminal one.
+    the potential of the visited site, including the terminal one.  A path
+    first reaches y (the forward sweep under barrier r from the left, the
+    mirrored sweep under barrier R from the right), then returns to y a
+    geometric number of times through y-1 or y+1.
     """
     r, cap = int(window[0]), int(window[1])
     if not (r < x < cap and r < y < cap):
         raise ValueError("x and y must lie strictly inside the window")
-    sites_lo, sites_hi = r + 1, cap - 1
-    n = sites_hi - sites_lo + 1
-    omega = env.slice_values(sites_lo, sites_hi)
-    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
-    s = np.exp(-omega)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0
-    rows = np.arange(n)
-    ab[0, rows[:-1] + 1] = -s[:-1] * p_arr[:-1]       # A[j, j+1]
-    ab[2, rows[1:] - 1] = -s[1:] * (1.0 - p_arr[1:])  # A[j, j-1]
-    rhs = np.zeros(n)
-    rhs[y - sites_lo] = 1.0
-    try:
-        v = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular resolvent system: {exc}") from exc
-    resolvent = float(v[x - sites_lo])
-    if x == y:
-        resolvent -= 1.0
-    return max(resolvent, 0.0) * math.exp(-env.value_at(y))
+    omega = env.slice_values(r + 1, cap - 1)
+    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), omega.shape)
+    k = y - (r + 1)  # y's index among the interior sites
+    w, log_w = forward_step_weights(omega[:k], p_arr[:k])  # sites r+1 .. y-1, toward y
+    v, log_v = forward_step_weights(omega[:k:-1], 1.0 - p_arr[:k:-1])  # sites R-1 .. y+1, toward y
+    s_y = math.exp(-omega[k])
+    ret = s_y * (p_arr[k] * (v[-1] if v.size else 0.0) + (1.0 - p_arr[k]) * (w[-1] if k else 0.0))
+    first = ret if x == y else math.exp(np.sum(log_w[x - (r + 1) :] if x < y else log_v[cap - 1 - x :]))
+    return s_y * first / (1.0 - ret)

@@ -609,7 +609,9 @@ class TurningPointReport:
     a_total = a_uphill + a_beyond holds exactly (additivity along the
     geodesic); on the annealed side the longer journey is never less
     costly than its tail, and never costlier than the tail plus the
-    negative log mean uphill weight.
+    negative log mean uphill weight.  annealed_trunc_bounds bounds how far
+    the barrier lifts each of b_total, b_beyond and -ln_mean_uphill_weight
+    above its barrier-free value.  The annealed fields are None when k <= 0.
     """
 
     spec: GeodesicSpec
@@ -621,6 +623,7 @@ class TurningPointReport:
     b_total: float | None
     b_beyond: float | None
     ln_mean_uphill_weight: float | None
+    annealed_trunc_bounds: tuple[float, float, float] | None
     slack_longer_journey: float | None
     slack_mean_weight: float | None
     line_model: EffectiveLineModel | None
@@ -676,7 +679,7 @@ def turning_point_decompose(
         return TurningPointReport(
             spec=spec, barrier_r=barrier_r, a_total=a_total, a_uphill=0.0,
             a_beyond=a_total, additivity_residual=0.0, b_total=None, b_beyond=None,
-            ln_mean_uphill_weight=None, slack_longer_journey=None,
+            ln_mean_uphill_weight=None, annealed_trunc_bounds=None, slack_longer_journey=None,
             slack_mean_weight=None, line_model=line, line_dist=None,
         )
 
@@ -703,9 +706,10 @@ def turning_point_decompose(
             ]
         )
         line_dist = _quantize_to_atoms(mids)
-    b_total = annealed_transfer(line_dist, n, r, p_sites).b_value
-    b_beyond = annealed_transfer(line_dist, n, r, p_sites, start=k).b_value
-    ln_mean_c = -annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)]).b_value
+    total = annealed_transfer(line_dist, n, r, p_sites)
+    beyond = annealed_transfer(line_dist, n, r, p_sites, start=k)
+    uphill = annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)])
+    b_total, b_beyond, ln_mean_c = total.b_value, beyond.b_value, -uphill.b_value
     return TurningPointReport(
         spec=spec,
         barrier_r=r,
@@ -716,6 +720,7 @@ def turning_point_decompose(
         b_total=b_total,
         b_beyond=b_beyond,
         ln_mean_uphill_weight=ln_mean_c,
+        annealed_trunc_bounds=(total.trunc_bound, beyond.trunc_bound, uphill.trunc_bound),
         slack_longer_journey=b_total - b_beyond,
         slack_mean_weight=(-ln_mean_c + b_beyond) - b_total,
         line_model=None,

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's solver routes: survival weights are
-recomputed by explicit path enumeration (tiny cases) and by time-stepped
+recomputed by explicit path enumeration (tiny cases), by time-stepped
 summation over all killed paths up to a length cap (with a certified tail
-bound), annealed survival weights by summation over every potential
+bound), by a banded solve of the boundary-value system and by a per-site
+sweep over a batch of environments, annealed survival weights by summation over every potential
 configuration of a finite-support law, window entropies by direct
 summation over product configurations, and tree walks by stepping one
 walker at a time with lazily cached potentials.
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from killedwalk.env import PotentialDistribution
-from killedwalk.line_solver import forward_step_weights
+from scipy.linalg import solve_banded
+
+from killedwalk.env import Environment, PotentialDistribution
+from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from_a, forward_step_weights
 from killedwalk.rng import keyed_uniform, stream_generator, substream
 from killedwalk.tree import (
     _EXCURSION_TAG,
@@ -77,6 +80,105 @@ def path_sum_survival(omega: np.ndarray, r: int, x: int, y: int, p: float, max_l
         nxt[:-1] += (1.0 - p) * pay[1:]
         v = nxt
     return acc, float(v.sum())
+
+
+@dataclass(frozen=True)
+class WindowModel:
+    """A killed-walk boundary-value problem on a finite window.
+
+    The barrier at barrier_r kills; reaching target_y scores.  The step
+    probability to the right may be a scalar or one value per site of the
+    environment window (site-dependent drifts appear in tree reductions).
+    """
+
+    env: Environment
+    barrier_r: int
+    target_y: int
+    start_x: int
+    step_right_prob: float | np.ndarray = 0.5
+
+    def __post_init__(self):
+        if self.barrier_r >= self.start_x:
+            raise ValueError("barrier must lie strictly left of the start")
+        if self.target_y <= self.barrier_r:
+            raise ValueError("target must lie strictly right of the barrier")
+        if self.target_y < self.start_x:
+            raise ValueError("ill-posed window: start right of target has no right barrier")
+        if not self.env.covers(self.barrier_r, self.target_y):
+            raise ValueError("environment window must cover [barrier, target]")
+        p = np.asarray(self.step_right_prob, dtype=np.float64)
+        if np.any(p <= 0) or np.any(p >= 1):
+            raise ValueError("step probability must lie in (0, 1)")
+
+
+def solve_survival_window(model: WindowModel) -> SurvivalResult:
+    """Survival weight e_r(x, y) by a direct banded solve of the
+    boundary-value system (independent of the forward-sweep route)."""
+    r, x, y = model.barrier_r, model.start_x, model.target_y
+    if x == y:
+        return SurvivalResult(e_value=1.0, a_value=0.0, barrier_r=r, r_used=r)
+    n = y - r + 1
+    omega = model.env.slice_values(r, y)
+    p = np.broadcast_to(np.asarray(model.step_right_prob, dtype=np.float64), (n,))
+    s = np.exp(-omega)
+    ab = np.zeros((3, n))
+    ab[1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    interior = np.arange(1, n - 1)
+    # row j couples u_j to its neighbours: u_j - s_j(p_j u_{j+1} + q_j u_{j-1}) = 0
+    ab[0, interior + 1] = -s[interior] * p[interior]
+    ab[2, interior - 1] = -s[interior] * (1.0 - p[interior])
+    try:
+        u = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise ValueError(f"singular survival system: {exc}") from exc
+    e = float(u[x - r])
+    if e <= UNDERFLOW_FLOOR:
+        # recover the exponent in log space rather than reporting -ln 0
+        _, log_w = forward_step_weights(model.env.slice_values(r + 1, y - 1), p[1:-1])
+        a = float(-np.sum(log_w[x - (r + 1) :]))
+        return _result_from_a(a, r, r_used=r)
+    return SurvivalResult(e_value=e, a_value=-math.log(e), barrier_r=r, r_used=r)
+
+
+def banded_green_function(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:
+    """green_function_window by a banded solve of (I - K) v = 1_y on the
+    interior sites of the window."""
+    r, cap = window
+    sites_lo = r + 1
+    n = cap - 1 - sites_lo + 1
+    omega = env.slice_values(sites_lo, cap - 1)
+    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
+    s = np.exp(-omega)
+    ab = np.zeros((3, n))
+    ab[1, :] = 1.0
+    rows = np.arange(n)
+    ab[0, rows[:-1] + 1] = -s[:-1] * p_arr[:-1]       # A[j, j+1]
+    ab[2, rows[1:] - 1] = -s[1:] * (1.0 - p_arr[1:])  # A[j, j-1]
+    rhs = np.zeros(n)
+    rhs[y - sites_lo] = 1.0
+    resolvent = float(solve_banded((1, 1), ab, rhs)[x - sites_lo])
+    if x == y:
+        resolvent -= 1.0
+    return max(resolvent, 0.0) * math.exp(-env.value_at(y))
+
+
+def batched_step_weights(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """forward_step_weights over a leading axis of environments: one numpy
+    step per site, all rows together."""
+    n_cfg, n_sites = omega.shape
+    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n_sites,))
+    s = np.exp(-omega)
+    w = np.empty_like(omega)
+    log_w = np.empty_like(omega)
+    w_prev = np.zeros(n_cfg)
+    for j in range(n_sites):
+        damp = -np.log1p(-(1.0 - p_arr[j]) * s[:, j] * w_prev)
+        log_w[:, j] = math.log(p_arr[j]) - omega[:, j] + damp
+        w_prev = p_arr[j] * s[:, j] * np.exp(damp)
+        w[:, j] = w_prev
+    return w, log_w
 
 
 def window_entropy(q_atoms: dict, p_atoms: dict, n_sites: int) -> float:
@@ -179,13 +281,13 @@ def annealed_exact_enum(
     gap_acc = 0.0
     count = 0
     for values, probs in iterate_configs(dist, n_sites):
-        _, log_w = forward_step_weights(values, p)
+        _, log_w = batched_step_weights(values, p)
         a_cfg = -np.sum(log_w[:, -n:], axis=1)
         f_acc += float(probs @ np.exp(-a_cfg))
         a_acc += float(probs @ a_cfg)
         # mirrored sweep: right barrier at n, walking left from 0 to r;
         # the return trip to n then pays every window site once more
-        _, log_v = forward_step_weights(values[:, ::-1], 1.0 - p)
+        _, log_v = batched_step_weights(values[:, ::-1], 1.0 - p)
         log_gap = np.sum(log_v[:, n - 1 :], axis=1) - np.sum(values, axis=1)
         gap_acc += float(probs @ np.exp(log_gap))
         count += values.shape[0]

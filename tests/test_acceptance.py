@@ -13,14 +13,14 @@ import pytest
 from killedwalk.cli import main as cli_main
 from killedwalk.entropy import OptimizerConfig, minimize_variational
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
-from killedwalk.line_solver import (
-    F_limit,
+from killedwalk.line_solver import F_limit, green_function_window
+from _oracles import (
     WindowModel,
-    forward_step_weights,
-    green_function_window,
+    annealed_exact_enum,
+    batched_step_weights,
+    iterate_configs,
     solve_survival_window,
 )
-from _oracles import annealed_exact_enum, iterate_configs
 from killedwalk.lyapunov import annealed_localtime_mc, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import TreeConfig, excursion_survival_h, rho_environment, simulate_excursions
 
@@ -124,7 +124,7 @@ def test_criterion_4_oracle_equivalence_and_fkg():
     for n, m, r in ((2, 2, -2), (3, 2, -3)):
         e_joint = e_left = e_right = 0.0
         for values, probs in iterate_configs(BERN, n + m - 1 - r):
-            _, lw = forward_step_weights(values, 0.5)
+            _, lw = batched_step_weights(values, 0.5)
             left = np.sum(lw[:, -(n + m) : -m], axis=1)
             right = np.sum(lw[:, -m:], axis=1)
             e_joint += probs @ np.exp(left + right)

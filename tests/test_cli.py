@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +269,16 @@ def test_manifest_rerun_is_bit_identical_and_thread_independent(tmp_path):
     assert run_cli(tmp_path, "--config", cfg, "--out", "one", "--threads", "1") == 0
     assert run_cli(tmp_path, "--config", str(tmp_path / "one.manifest.json"), "--out", "two", "--threads", "4") == 0
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_package_import_leaves_scipy_out():
+    # setup time and resident memory of every CLI run depend on this
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, killedwalk, killedwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
+    WindowModel,
+    banded_green_function,
     constant_potential_one_step_a,
     drifted_ruin_probability,
     enumerate_paths_survival,
     path_sum_survival,
+    solve_survival_window,
 )
 from killedwalk import line_solver
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
@@ -15,9 +20,9 @@ from killedwalk.line_solver import (
     F_limit,
     F_limit_batch,
     F_r,
-    WindowModel,
+    _reduce,
+    forward_step_weights,
     green_function_window,
-    solve_survival_window,
     two_point_a,
     two_point_e,
 )
@@ -77,14 +82,49 @@ def test_forward_sweep_equals_banded_solve():
             assert sweep_a == pytest.approx(banded.a_value, rel=1e-12, abs=1e-13)
 
 
+@st.composite
+def site_runs(draw):
+    """Potentials of 1 or 3 rows on 1..64 sites, and a scalar or per-site p."""
+    n_sites = draw(st.integers(1, 64))
+    n_rows = draw(st.sampled_from([1, 3]))
+    potential = st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 700.0))
+    cells = draw(st.lists(potential, min_size=n_rows * n_sites, max_size=n_rows * n_sites))
+    prob = st.floats(0.05, 0.95)
+    p = draw(st.one_of(prob, st.lists(prob, min_size=n_sites, max_size=n_sites).map(np.array)))
+    return np.array(cells).reshape(n_rows, n_sites), p
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(site_runs())
+def test_reduction_matches_sweep_and_banded_solve(case):
+    # F = a(0, 1) under the barrier left of the run, and the tail
+    # certificate ln(1 + c/a), with c the weight of 0 -> r before 1
+    omega, p = case
+    r = -omega.shape[1]
+    p_sites = np.broadcast_to(p, omega.shape[1:])
+    p_window = np.concatenate([[0.5], p_sites, [0.5]])  # sites r .. 1
+    log_a, _, log_c, _ = _reduce(omega, p)
+    for row, la, lc in zip(omega, log_a, log_c):
+        sweep_f = -forward_step_weights(row, p_sites)[1][-1]
+        sweep_log_c = np.sum(forward_step_weights(row[::-1], 1.0 - p_sites[::-1])[1])
+        window = np.concatenate([[0.0], row, [0.0]])
+        banded_f = solve_survival_window(WindowModel(Environment(r, 1, window), r, 1, 0, p_window)).a_value
+        mirrored = WindowModel(Environment(-1, -r, window[::-1]), -1, -r, 0, 1.0 - p_window[::-1])
+        banded_log_c = -solve_survival_window(mirrored).a_value
+        for f, log_c in ((sweep_f, sweep_log_c), (banded_f, banded_log_c)):
+            cert = np.logaddexp(0.0, log_c + f)
+            assert abs(-la - f) <= 1e-12 * max(1.0, abs(f))
+            assert abs(np.logaddexp(0.0, lc - la) - cert) <= 1e-12 * max(1.0, cert)
+
+
 @pytest.mark.parametrize("spec", [BERN_SPEC, {"kind": "exponential", "rate": 1.0}])
 def test_batch_composition_is_invisible(spec):
     dist = make_distribution(spec)
     batch = F_limit_batch(dist, seed=5, n_samples=300, tol=1e-7)
     for i in range(300):
         one = F_limit(EnvironmentSource(dist, seed=5, stream_id=i), tol=1e-7)
-        assert abs(batch.a_value[i] - one.a_value) <= 1e-15
-        assert abs(batch.trunc_bound[i] - one.trunc_bound) <= 1e-15
+        assert batch.a_value[i] == one.a_value
+        assert batch.trunc_bound[i] == one.trunc_bound
         assert batch.r_used[i] == one.r_used
         assert batch.converged[i] == one.converged
 
@@ -93,10 +133,7 @@ def test_row_chunking_is_invisible(monkeypatch):
     whole = F_limit_batch(BERN, seed=8, n_samples=200, tol=1e-7)
     monkeypatch.setattr(line_solver, "_CELL_BUDGET", 64)  # 2 rows at r = -32, 1 from r = -64
     chunked = F_limit_batch(BERN, seed=8, n_samples=200, tol=1e-7)
-    # a one-row chunk runs in plain floats, which may move a value by one ulp
-    for name in ("a_value", "trunc_bound"):
-        assert np.allclose(getattr(whole, name), getattr(chunked, name), rtol=0, atol=1e-15)
-    for name in ("r_used", "converged"):
+    for name in ("a_value", "trunc_bound", "r_used", "converged"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name))
     assert whole.r_used.min() <= -64  # some rows did run in chunks
 
@@ -171,6 +208,10 @@ def test_huge_potential_underflows_gracefully():
     assert res.underflowed
     assert math.isfinite(res.a_value)
     assert res.a_value == pytest.approx(big + math.log(2.0), rel=1e-12)
+    point = EnvironmentSource(make_distribution({"kind": "point", "value": 800.0}), seed=0)
+    res = F_limit(point, tol=1e-9)
+    assert res.underflowed and res.converged
+    assert res.a_value == pytest.approx(800.0 + math.log(2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +308,17 @@ def test_green_constant_potential_closed_form():
             want -= s  # the resolvent's identity term is excluded
         got = green_function_window(env, 0, n, (-200, 200))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, "per-site"])
+def test_green_matches_banded_solve(p):
+    if p == "per-site":
+        p = np.random.default_rng(11).uniform(0.1, 0.9, size=23)
+    for seed in range(5):
+        env = bern_env(seed, -12, 12)
+        for x, y in ((0, 4), (4, 0), (2, 2), (-11, 11), (11, -11), (-11, -11), (0, 11)):
+            want = banded_green_function(env, x, y, (-12, 12), p)
+            assert green_function_window(env, x, y, (-12, 12), p) == pytest.approx(want, rel=1e-12)
 
 
 def test_green_requires_interior_points():

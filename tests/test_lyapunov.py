@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import annealed_exact_enum, iterate_configs
+from _oracles import annealed_exact_enum, batched_step_weights, iterate_configs
+from killedwalk import line_solver
 from killedwalk.env import Environment, make_distribution, sample_environment
-from killedwalk.line_solver import forward_step_weights, two_point_a, two_point_e
+from killedwalk.line_solver import two_point_a, two_point_e
 from killedwalk.lyapunov import (
     _log_kernel_tails,
     _log_transfer,
@@ -56,6 +57,18 @@ def test_alpha_mc_memory_does_not_grow_with_samples():
             tracemalloc.stop()
 
     assert peak(800) <= 1.2 * peak(200)
+
+
+def test_alpha_mc_budgets_unconverged_rows(monkeypatch):
+    # rows stopped at a shallow barrier stay in the mean; their certificates
+    # bound how far each sits above its barrier-free value
+    sparse = make_distribution({"kind": "finite", "atoms": [[0.0, 0.999], [1.0, 0.001]]})
+    deep = estimate_alpha_mc(sparse, n_samples=200, seed=3)
+    monkeypatch.setattr(line_solver, "DEFAULT_R_MAX", -64)
+    shallow = estimate_alpha_mc(sparse, n_samples=200, seed=3)
+    assert shallow.params["n_unconverged"] == shallow.n_samples == 200
+    assert shallow.value >= deep.value - 1e-12
+    assert shallow.value - shallow.trunc_bias <= deep.value + 1e-12
 
 
 def test_ergodic_constant_potential_ratio_is_flat():
@@ -203,7 +216,7 @@ def test_fkg_supermultiplicativity_under_enumeration():
     for n, m, r in ((2, 2, -2), (3, 2, -3)):
         e_joint = e_left = e_right = 0.0
         for values, probs in iterate_configs(BERN, n + m - 1 - r):
-            _, lw = forward_step_weights(values, 0.5)
+            _, lw = batched_step_weights(values, 0.5)
             a_left = np.sum(lw[:, -(n + m) : -(m)], axis=1)
             a_right = np.sum(lw[:, -(m):], axis=1)
             e_joint += probs @ np.exp(a_left + a_right)
@@ -255,9 +268,9 @@ def _enum_with_drifts(dist, n, r, p_sites, start):
     p_sites = np.asarray(p_sites, dtype=np.float64)
     f = gap = 0.0
     for values, probs in iterate_configs(dist, n - 1 - r):
-        _, lw = forward_step_weights(values, p_sites)
+        _, lw = batched_step_weights(values, p_sites)
         f += float(probs @ np.exp(np.sum(lw[:, start - (r + 1) :], axis=1)))
-        _, lv = forward_step_weights(values[:, ::-1], 1.0 - p_sites[::-1])
+        _, lv = batched_step_weights(values[:, ::-1], 1.0 - p_sites[::-1])
         log_gap = np.sum(lv[:, n - 1 - start :], axis=1) - np.sum(values, axis=1)
         gap += float(probs @ np.exp(log_gap))
     return f, math.log1p(gap / f)

@@ -336,6 +336,20 @@ def test_turning_point_annealed_orderings():
     assert report.b_total <= -report.ln_mean_uphill_weight + report.b_beyond + 1e-12
 
 
+def test_turning_point_reports_annealed_barrier_budgets():
+    line_dist = make_distribution({"kind": "finite", "atoms": [[0.2, 0.5], [0.9, 0.5]]})
+    spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=5)
+    cfg = TreeConfig(3, drift_p=0.45, depth_cap_D=6)
+    near, far = (
+        turning_point_decompose(spec, cfg, BERN, seed=1, barrier_r=r, line_dist=line_dist) for r in (-3, -6)
+    )
+    terms = lambda rep: (rep.b_total, rep.b_beyond, -rep.ln_mean_uphill_weight)
+    for b_r, b_far, trunc in zip(terms(near), terms(far), near.annealed_trunc_bounds):
+        assert b_r - trunc - 1e-12 <= b_far <= b_r + 1e-12
+    behind = GeodesicSpec(kind="turning-point", turning_index_k=0, target_index=3)
+    assert turning_point_decompose(behind, cfg, BERN, seed=2).annealed_trunc_bounds is None
+
+
 def test_turning_point_invalid_k():
     spec = GeodesicSpec(kind="turning-point", turning_index_k=5, target_index=5)
     with pytest.raises(ValueError, match="invalid turning index"):
