@@ -1,5 +1,6 @@
-"""Order-preserving work mapping for tree.rho_environment's per-site
-branch forests, the one workload where a second thread measured faster.
+"""Order-preserving work mapping for the chunks of sites whose branch
+forests tree.rho_environment builds, the one workload where a second
+thread measured faster.
 
 Thread count never changes numbers: every work item is a pure function of
 its index key, and results are merged in input order.

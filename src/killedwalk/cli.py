@@ -269,6 +269,11 @@ def _run_tree_reduce(config: RunConfig) -> dict:
 
 def _run_green(config: RunConfig) -> dict:
     p = config.params
+    n_values = p.get("n_values", [5, 10, 20])
+    if not isinstance(n_values, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
+    ):
+        raise ConfigError(f"n_values must be a list of integers >= 1, got {n_values!r}", "n_values")
     window = tuple(p.get("window", (-100, 100)))
     env_file = p.get("environment_file")
     if env_file:
@@ -282,8 +287,7 @@ def _run_green(config: RunConfig) -> dict:
     if alpha_ref is None:
         alpha_ref = F_limit(env, tol=float(p.get("tol", 1e-9)), p=step).a_value
     rows = []
-    for n in p.get("n_values", [5, 10, 20]):
-        n = int(n)
+    for n in n_values:
         g = green_function_window(env, 0, n, window, step)
         neg_log_g = -math.log(g) if g > 0 else math.inf
         rows.append(
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="subcommand to run")
     parser.add_argument("--config", help="JSON config file (or a previously emitted manifest)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="tree-reduce workers; never changes results")
+    parser.add_argument("--threads", type=int, default=None, help="tree-reduce workers, one site chunk at a time; never changes results")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", help="output base path")
     parser.add_argument(

@@ -7,13 +7,14 @@ effective potential rho = -ln h per geodesic site, after which the tree
 problem is exactly a line problem for the induced walk on the geodesic.
 
 The excursion weight h is computed by a bottom-up recursion over branch
-subtrees, truncated at a depth cap with two-sided frontier bounds:
-killing the frontier undercounts returns, granting the frontier the
-zero-potential return weight overcounts them, so every reported h (and
-rho) is a certified bracket.  Trajectory simulation on the same keyed
-potentials serves as an independent cross-check, not as the primary
-computation: all walkers advance together one step at a time, and the
-step uniforms are drawn step by step over the walkers still live.
+subtrees, one level at a time for a whole chunk of sites, truncated at a
+depth cap with two-sided frontier bounds: killing the frontier
+undercounts returns, granting the frontier the zero-potential return
+weight overcounts them, so every reported h (and rho) is a certified
+bracket.  Trajectory simulation on the same keyed potentials serves as an
+independent cross-check, not as the primary computation: all walkers
+advance together one step at a time, and the step uniforms are drawn step
+by step over the walkers still live.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -31,11 +32,14 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights, two_point_a
 from .lyapunov import annealed_transfer
-from .rng import keyed_uniform, stream_generator, substream
+from .rng import _as_u64, keyed_uniform, stream_generator, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
+# vertices on the deepest level of one chunk of sites: one site at d = 3,
+# depth 16, where batching deeper forests measured no faster
+_FOREST_CELL_BUDGET = 2**15
 _LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
 
 
@@ -200,12 +204,20 @@ def _forest_bracket(
     cfg: TreeConfig,
     dist: PotentialDistribution,
     seed: int,
-    stream_id: int,
+    streams: np.ndarray,
     n_roots: int,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-up return-weight brackets for every root of a branch forest,
-    with the potentials keyed by the counters of _level_starts."""
+    """Bottom-up return-weight brackets for every root of a batch of branch
+    forests, one forest per uint64 stream id in streams, with each forest's
+    potentials keyed by its stream and the counters of _level_starts.
+
+    Returns two (len(streams), n_roots) arrays.  A level of the batch is
+    its forests' levels laid end to end in stream order; a vertex's
+    children stay consecutive there, and every operation is elementwise,
+    so a forest's numbers do not depend on which other forests share its
+    batch.
+    """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     gamma = zero_potential_return_weight(cfg)
     if dist.kind == "point":
@@ -214,7 +226,8 @@ def _forest_bracket(
         for _ in range(depth):
             w_lo = p * s / (1.0 - s * s_child * (d - 1) * w_lo)
             w_hi = p * s / (1.0 - s * s_child * (d - 1) * w_hi)
-        return np.full(n_roots, w_lo), np.full(n_roots, w_hi)
+        shape = (streams.size, n_roots)
+        return np.full(shape, w_lo), np.full(shape, w_hi)
 
     n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
     if n_vertices > _FOREST_VERTEX_BUDGET:
@@ -223,11 +236,14 @@ def _forest_bracket(
             "lower the depth cap (only point-mass laws collapse to scalars)"
         )
     starts = _level_starts(d, n_roots, depth)
+    # a lone forest keys by a scalar stream, whose hash numpy then runs in
+    # scalar math rather than as ufunc calls on (1, 1) arrays
+    column = streams[:, None] if streams.size > 1 else streams[0]
     w_lo: np.ndarray | float = 0.0
     w_hi: np.ndarray | float = gamma
     for level in range(depth, 0, -1):
         counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
-        omega = dist.ppf(keyed_uniform(seed, stream_id, counters))
+        omega = dist.ppf(keyed_uniform(seed, column, counters).reshape(-1))
         s = np.exp(-omega)
         if level == depth:
             child_lo = s_child * (d - 1) * w_lo
@@ -241,7 +257,53 @@ def _forest_bracket(
             raise AssertionError("return-weight denominator not positive; bracket logic violated")
         w_lo = p * s / denom_lo
         w_hi = p * s / denom_hi
-    return np.atleast_1d(w_lo), np.atleast_1d(w_hi)
+    return w_lo.reshape(-1, n_roots), w_hi.reshape(-1, n_roots)
+
+
+def _site_brackets(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    seed: int,
+    streams: int | np.ndarray,
+    depth: int,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bracketed excursion survival weights h of geodesic sites, one per
+    stream id in streams (an int or an integer array): the lower and the
+    upper bound of every site, in stream order.
+
+    Sites run in chunks whose deepest forest level holds at most
+    _FOREST_CELL_BUDGET vertices (at least one site a chunk; a point law
+    runs all sites in one), mapped over threads workers; chunking and
+    threads never change a digit.
+    """
+    if depth < 1:
+        raise ValueError("need depth >= 1")
+    streams = np.atleast_1d(_as_u64(streams))
+    n_roots = cfg.d - 2
+    chunk = streams.size
+    if dist.kind != "point":  # a point law's forests collapse to scalars
+        chunk = max(1, _FOREST_CELL_BUDGET // (n_roots * (cfg.d - 1) ** (depth - 1)))
+    s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
+
+    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
+        part = streams[first : first + chunk]
+        omega_site = dist.ppf(keyed_uniform(seed, part, 0))
+        lo, hi = _forest_bracket(cfg, dist, seed, part, n_roots, depth)
+        # math.exp: numpy's vectorized exp may round differently, which
+        # would move h by an ulp against data files already written
+        s = np.array([math.exp(-w) for w in omega_site.tolist()])
+
+        def fold(weights: np.ndarray) -> np.ndarray:
+            denom = 1.0 - s * s_child * weights.sum(axis=-1)
+            if np.any(denom <= 0.0):
+                raise AssertionError("excursion denominator not positive; bracket logic violated")
+            return s_geo * s / denom
+
+        return fold(lo), fold(hi)
+
+    parts = ordered_map(run, range(0, streams.size, chunk), threads=threads)
+    return np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts])
 
 
 def branch_return_weight(
@@ -260,8 +322,9 @@ def branch_return_weight(
     """
     if not 1 <= depth <= cfg.depth_cap_D:
         raise ValueError("depth must lie in [1, depth_cap_D]")
-    lo, hi = _forest_bracket(cfg, dist, seed, stream_id, n_roots=1, depth=depth)
-    return BranchSurvival(float(lo[0]), float(hi[0]), depth)
+    streams = np.atleast_1d(_as_u64(stream_id))
+    lo, hi = _forest_bracket(cfg, dist, seed, streams, n_roots=1, depth=depth)
+    return BranchSurvival(float(lo[0, 0]), float(hi[0, 0]), depth)
 
 
 def excursion_survival_h(
@@ -275,20 +338,33 @@ def excursion_survival_h(
     the site and its branch excursions until first stepping onto one of
     the two geodesic neighbours."""
     depth = cfg.depth_cap_D if depth_cap is None else depth_cap
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    omega_site = float(dist.ppf(keyed_uniform(seed, stream_id, 0)))
-    lo, hi = _forest_bracket(cfg, dist, seed, stream_id, n_roots=cfg.d - 2, depth=depth)
-    s = math.exp(-omega_site)
-    s_geo = cfg.p + cfg.s_child
+    lo, hi = _site_brackets(cfg, dist, seed, stream_id, depth)
+    return BranchSurvival(float(lo[0]), float(hi[0]), depth)
 
-    def fold(weights: np.ndarray) -> float:
-        denom = 1.0 - s * cfg.s_child * float(weights.sum())
-        if denom <= 0.0:
-            raise AssertionError("excursion denominator not positive; bracket logic violated")
-        return s_geo * s / denom
 
-    return BranchSurvival(fold(lo), fold(hi), depth)
+def _site_rhos(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    sites: np.ndarray,
+    seed: int,
+    stream_id: int,
+    depth_cap: int | None,
+    threads: int = 1,
+) -> list[RhoPotential]:
+    """rho brackets of the geodesic sites with the given indices, each on
+    its own stream substream(stream_id, site)."""
+    depth = cfg.depth_cap_D if depth_cap is None else depth_cap
+    sites = np.asarray(sites, dtype=np.int64)
+    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites), depth, threads)
+    return [
+        RhoPotential(
+            site_index=i,
+            rho_lower=-math.log(upper),
+            rho_upper=-math.log(lower),
+            h_bracket=BranchSurvival(lower, upper, depth),
+        )
+        for i, lower, upper in zip(sites.tolist(), h_lo.tolist(), h_hi.tolist())
+    ]
 
 
 def rho_for_site(
@@ -305,13 +381,7 @@ def rho_for_site(
     are independent across sites and resampling one site never perturbs
     another.
     """
-    h = excursion_survival_h(cfg, dist, seed, substream(stream_id, site_index), depth_cap)
-    return RhoPotential(
-        site_index=site_index,
-        rho_lower=-math.log(h.upper),
-        rho_upper=-math.log(h.lower),
-        h_bracket=h,
-    )
+    return _site_rhos(cfg, dist, [site_index], seed, stream_id, depth_cap)[0]
 
 
 def geodesic_step_prob(cfg: TreeConfig) -> float:
@@ -346,17 +416,14 @@ def rho_environment(
     """rho brackets on an inclusive window, packaged as three environments
     (midpoint, lower envelope, upper envelope) sharing the window.
 
-    Sites own disjoint streams, so their branch forests can be computed on
-    any number of workers without changing a digit.
+    Sites own disjoint streams, so their branch forests are computed in
+    batched chunks of sites, and the chunks on threads workers, without
+    changing a digit.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"empty window ({lo}, {hi})")
-    brackets = ordered_map(
-        lambda i: rho_for_site(cfg, dist, i, seed, stream_id, depth_cap),
-        range(lo, hi + 1),
-        threads=threads,
-    )
+    brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id, depth_cap, threads)
     def pack(vals):
         return Environment(lo, hi, np.asarray(vals), seed=seed, stream_id=stream_id)
     mids = pack([b.midpoint for b in brackets])
@@ -665,6 +732,8 @@ def turning_point_decompose(
     """
     if spec.kind != "turning-point":
         raise ValueError("spec.kind must be 'turning-point'")
+    if surrogate_samples < 1:
+        raise ValueError(f"surrogate_samples must be >= 1, got {surrogate_samples}")
     if spec.start_index != 0:
         raise ValueError("decomposition is set up for start_index = 0")
     n = spec.target_index
@@ -699,13 +768,10 @@ def turning_point_decompose(
     a_beyond = a_of(k, n)
 
     if line_dist is None:
-        mids = np.array(
-            [
-                rho_for_site(cfg, dist, 100_000 + i, seed, stream_id, depth_cap).midpoint
-                for i in range(surrogate_samples)
-            ]
+        surrogates = _site_rhos(
+            cfg, dist, np.arange(100_000, 100_000 + surrogate_samples), seed, stream_id, depth_cap
         )
-        line_dist = _quantize_to_atoms(mids)
+        line_dist = _quantize_to_atoms(np.array([b.midpoint for b in surrogates]))
     total = annealed_transfer(line_dist, n, r, p_sites)
     beyond = annealed_transfer(line_dist, n, r, p_sites, start=k)
     uphill = annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)])

@@ -6,8 +6,9 @@ summation over all killed paths up to a length cap (with a certified tail
 bound), by a banded solve of the boundary-value system and by a per-site
 sweep over a batch of environments, annealed survival weights by summation over every potential
 configuration of a finite-support law, window entropies by direct
-summation over product configurations, and tree walks by stepping one
-walker at a time with lazily cached potentials.
+summation over product configurations, branch-forest brackets one
+forest at a time, and tree walks by stepping one walker at a time with
+lazily cached potentials.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from
 from killedwalk.rng import keyed_uniform, stream_generator, substream
 from killedwalk.tree import (
     _EXCURSION_TAG,
+    _FOREST_VERTEX_BUDGET,
     _LOG_WEIGHT_CUTOFF,
     _PASSAGE_TAG,
     TreeConfig,
+    _level_starts,
     _max_walk_level,
+    _sum_children,
+    zero_potential_return_weight,
 )
 
 
@@ -301,6 +306,80 @@ def annealed_exact_enum(
     )
 
 
+def forest_bracket(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    seed: int,
+    stream_id: int,
+    n_roots: int,
+    depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom-up return-weight brackets for every root of one branch forest,
+    with the potentials keyed by the counters of _level_starts: the
+    one-forest-at-a-time reference for the library's batched kernel."""
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    gamma = zero_potential_return_weight(cfg)
+    if dist.kind == "point":
+        s = math.exp(-dist.mass_value)
+        w_lo, w_hi = 0.0, gamma
+        for _ in range(depth):
+            w_lo = p * s / (1.0 - s * s_child * (d - 1) * w_lo)
+            w_hi = p * s / (1.0 - s * s_child * (d - 1) * w_hi)
+        return np.full(n_roots, w_lo), np.full(n_roots, w_hi)
+
+    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
+    if n_vertices > _FOREST_VERTEX_BUDGET:
+        raise ValueError(
+            f"branch forest of depth {depth} needs {n_vertices} vertices; "
+            "lower the depth cap (only point-mass laws collapse to scalars)"
+        )
+    starts = _level_starts(d, n_roots, depth)
+    w_lo: np.ndarray | float = 0.0
+    w_hi: np.ndarray | float = gamma
+    for level in range(depth, 0, -1):
+        counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
+        omega = dist.ppf(keyed_uniform(seed, stream_id, counters))
+        s = np.exp(-omega)
+        if level == depth:
+            child_lo = s_child * (d - 1) * w_lo
+            child_hi = s_child * (d - 1) * w_hi
+        else:
+            child_lo = s_child * _sum_children(w_lo, d - 1)
+            child_hi = s_child * _sum_children(w_hi, d - 1)
+        denom_lo = 1.0 - s * child_lo
+        denom_hi = 1.0 - s * child_hi
+        if np.any(denom_lo <= 0.0) or np.any(denom_hi <= 0.0):
+            raise AssertionError("return-weight denominator not positive; bracket logic violated")
+        w_lo = p * s / denom_lo
+        w_hi = p * s / denom_hi
+    return np.atleast_1d(w_lo), np.atleast_1d(w_hi)
+
+
+def excursion_h(
+    cfg: TreeConfig, dist: PotentialDistribution, seed: int, stream_id: int, depth: int
+) -> tuple[float, float]:
+    """(lower, upper) excursion survival weight h of one geodesic site,
+    folded from its own forest_bracket."""
+    omega_site = float(dist.ppf(keyed_uniform(seed, stream_id, 0)))
+    lo, hi = forest_bracket(cfg, dist, seed, stream_id, n_roots=cfg.d - 2, depth=depth)
+    s = math.exp(-omega_site)
+    s_geo = cfg.p + cfg.s_child
+
+    def fold(weights: np.ndarray) -> float:
+        denom = 1.0 - s * cfg.s_child * float(weights.sum())
+        if denom <= 0.0:
+            raise AssertionError("excursion denominator not positive; bracket logic violated")
+        return s_geo * s / denom
+
+    return fold(lo), fold(hi)
+
+
+def rho_midpoint(
+    cfg: TreeConfig, dist: PotentialDistribution, site: int, seed: int, stream_id: int, depth: int
+) -> float:
+    """Midpoint of the rho = -ln h bracket of geodesic site site."""
+    lower, upper = excursion_h(cfg, dist, seed, substream(stream_id, site), depth)
+    return 0.5 * (-math.log(upper) + -math.log(lower))
 
 
 class _LazyForestPotentials:

@@ -240,6 +240,16 @@ def test_green_ratio_close_to_one_for_constant_potential(tmp_path):
     assert abs(ratios[0] - 1.0) >= abs(ratios[1] - 1.0) >= abs(ratios[2] - 1.0)
 
 
+def test_bad_green_n_values_fail_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    for values in ("[0,3]", "[3,-2]", "[2.5]", "[true]", "4", '["3"]'):
+        assert run_cli(tmp_path, "green", "-P", dist, "-P", f"n_values={values}", "--out", "g") == 2, values
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "n_values", (values, record)
+        assert "n_values" in record["error"]
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_flag_overrides_beat_config(tmp_path):
     cfg = write_config(
         tmp_path,

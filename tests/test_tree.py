@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from killedwalk import tree
 from killedwalk.env import make_distribution
 from killedwalk.line_solver import F_limit, two_point_e
 from killedwalk.tree import (
@@ -24,11 +26,14 @@ from killedwalk.tree import (
     turning_point_decompose,
     zero_potential_return_weight,
 )
-from killedwalk.tree import _level_starts, _max_walk_level
+from killedwalk.rng import substream
+from killedwalk.tree import _forest_bracket, _level_starts, _max_walk_level, _quantize_to_atoms, _site_brackets
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 DELTA0 = make_distribution({"kind": "point", "value": 0.0})
 EXP1 = make_distribution({"kind": "exponential", "rate": 1.0})
+THREE_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [0.3, 0.5], [2.0, 0.3]]})
+POINT = make_distribution({"kind": "point", "value": 0.4})
 # one visit costs more than the weight cutoff: arrival and cutoff coincide
 HEAVY = make_distribution({"kind": "point", "value": 85.0})
 
@@ -120,6 +125,54 @@ def test_forest_budget_guard():
         excursion_survival_h(cfg, BERN, depth_cap=0)
 
 
+# deepest depth per degree that keeps one forest near 10^3 .. 10^4 vertices
+ORACLE_DEPTH = {3: 10, 4: 8, 5: 6, 10: 4}
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from(sorted(ORACLE_DEPTH)),
+    drift=st.sampled_from([None, 0.45, 0.6]),
+    dist=st.sampled_from([BERN, EXP1, THREE_ATOMS, POINT]),
+    depth=st.integers(1, 10),
+    n_sites=st.integers(1, 24),
+    chunk_frac=st.floats(0.0, 1.0),
+    first_site=st.integers(-50, 50),
+    seed=st.integers(0, 2**32),
+    stream_id=st.integers(0, 1000),
+)
+def test_batched_brackets_match_one_forest_oracle(
+    d, drift, dist, depth, n_sites, chunk_frac, first_site, seed, stream_id
+):
+    # d = 10 folds d - 2 = 8 roots, where numpy's sum goes pairwise
+    cfg = TreeConfig(d, drift_p=drift)
+    depth = min(depth, ORACLE_DEPTH[d])
+    deepest = (d - 2) * (d - 1) ** (depth - 1)
+    chunk = 1 + int(chunk_frac * (n_sites - 1))  # chunks of 1 .. n_sites sites
+    streams = substream(stream_id, np.arange(first_site, first_site + n_sites))
+    with mock.patch.object(tree, "_FOREST_CELL_BUDGET", chunk * deepest + deepest // 2):
+        h_lo, h_hi = _site_brackets(cfg, dist, seed, streams, depth)
+    w_lo, w_hi = _forest_bracket(cfg, dist, seed, streams, d - 2, depth)
+    for k, stream in enumerate(streams.tolist()):
+        assert (h_lo[k], h_hi[k]) == _oracles.excursion_h(cfg, dist, seed, stream, depth)
+        want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream, d - 2, depth)
+        assert np.array_equal(w_lo[k], want_lo) and np.array_equal(w_hi[k], want_hi)
+    one = branch_return_weight(TreeConfig(d, drift_p=drift, depth_cap_D=depth), dist, depth, seed, stream_id)
+    want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream_id, 1, depth)
+    assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
+
+
+@pytest.mark.parametrize("budget", [1, 64])
+def test_site_chunking_is_invisible(monkeypatch, budget):
+    cfg = TreeConfig(3, drift_p=0.45, depth_cap_D=6)  # 32 vertices on the deepest level
+    whole = rho_environment(cfg, BERN, (-20, 20), seed=4, stream_id=6)
+    monkeypatch.setattr(tree, "_FOREST_CELL_BUDGET", budget)  # 1 or 2 sites a chunk
+    chunked = rho_environment(cfg, BERN, (-20, 20), seed=4, stream_id=6)
+    assert whole[0] == chunked[0]
+    for a, b in zip(whole[1:], chunked[1:]):
+        assert np.array_equal(a.values, b.values)
+
+
 # ---------------------------------------------------------------------------
 # rho sequences
 # ---------------------------------------------------------------------------
@@ -167,12 +220,13 @@ def test_drifted_config_at_symmetric_point_is_bit_identical():
 
 
 def test_rho_sequence_thread_count_is_invisible():
-    cfg = TreeConfig(3, depth_cap_D=7)
-    one = rho_environment(cfg, BERN, (0, 7), seed=2, threads=1)[0]
-    four = rho_environment(cfg, BERN, (0, 7), seed=2, threads=4)[0]
-    assert [(b.rho_lower, b.rho_upper) for b in one] == [
-        (b.rho_lower, b.rho_upper) for b in four
-    ]
+    # at depth 12 the 41 sites run in three chunks, handed to the workers
+    assert tree._FOREST_CELL_BUDGET // 2**11 == 16
+    for depth, window in ((7, (0, 7)), (12, (0, 40))):
+        cfg = TreeConfig(3, depth_cap_D=depth)
+        one = rho_environment(cfg, BERN, window, seed=2, threads=1)[0]
+        four = rho_environment(cfg, BERN, window, seed=2, threads=4)[0]
+        assert [(b.rho_lower, b.rho_upper) for b in one] == [(b.rho_lower, b.rho_upper) for b in four]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +402,29 @@ def test_turning_point_reports_annealed_barrier_budgets():
         assert b_r - trunc - 1e-12 <= b_far <= b_r + 1e-12
     behind = GeodesicSpec(kind="turning-point", turning_index_k=0, target_index=3)
     assert turning_point_decompose(behind, cfg, BERN, seed=2).annealed_trunc_bounds is None
+
+
+@pytest.mark.parametrize("cfg", [TreeConfig(3, drift_p=0.45), TreeConfig(10, drift_p=0.3, depth_cap_D=3)])
+def test_turning_point_surrogates_match_one_forest_oracle(cfg):
+    spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=4)
+    report = turning_point_decompose(spec, cfg, BERN, seed=13, stream_id=5, barrier_r=-3)
+    mids = [_oracles.rho_midpoint(cfg, BERN, 100_000 + i, 13, 5, cfg.depth_cap_D) for i in range(240)]
+    want = turning_point_decompose(
+        spec, cfg, BERN, seed=13, stream_id=5, barrier_r=-3, line_dist=_quantize_to_atoms(np.array(mids))
+    )
+    for name in ("line_dist", "b_total", "b_beyond", "ln_mean_uphill_weight", "annealed_trunc_bounds"):
+        assert getattr(report, name) == getattr(want, name), name
+
+
+def test_turning_point_rejects_bad_surrogate_samples(monkeypatch):
+    def no_forests(*args, **kwargs):
+        raise AssertionError("forest work ran before the argument check")
+
+    monkeypatch.setattr(tree, "_site_brackets", no_forests)
+    spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="surrogate_samples"):
+            turning_point_decompose(spec, TreeConfig(3, drift_p=0.45), BERN, surrogate_samples=bad)
 
 
 def test_turning_point_invalid_k():
