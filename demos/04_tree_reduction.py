@@ -10,6 +10,7 @@ them.
 """
 
 import math
+from dataclasses import replace
 
 from killedwalk import (
     F_limit,
@@ -34,7 +35,7 @@ delta0 = make_distribution({"kind": "point", "value": 0.0})
 cfg0 = TreeConfig(3, depth_cap_D=64)
 print("\n  excursion-survival brackets close on 0.8 as the recursion deepens:")
 for depth in (1, 2, 4, 8, 16, 32, 60):
-    h = excursion_survival_h(cfg0, delta0, depth_cap=depth)
+    h = excursion_survival_h(replace(cfg0, depth_cap_D=depth), delta0)
     print(f"    depth {depth:2d}: [{h.lower:.12f}, {h.upper:.12f}]  width {h.width:.1e}")
 
 print("\n== random potentials: brackets plus an effective line model ==")

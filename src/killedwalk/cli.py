@@ -274,7 +274,15 @@ def _run_green(config: RunConfig) -> dict:
         isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
     ):
         raise ConfigError(f"n_values must be a list of integers >= 1, got {n_values!r}", "n_values")
-    window = tuple(p.get("window", (-100, 100)))
+    window = p.get("window", [-100, 100])
+    if not (
+        isinstance(window, (list, tuple))
+        and len(window) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in window)
+        and window[0] < 0 < window[1]
+    ):
+        raise ConfigError(f"window must be two integers lo < 0 < hi, got {window!r}", "window")
+    window = tuple(window)
     env_file = p.get("environment_file")
     if env_file:
         env = Environment.load(env_file)
@@ -282,7 +290,10 @@ def _run_green(config: RunConfig) -> dict:
     else:
         dist = _dist_from(p)
         env = sample_environment(dist, window, config.seed, int(p.get("stream_id", 0)))
-    step = float(p.get("step_right_prob", 0.5))
+    step = p.get("step_right_prob", 0.5)
+    if isinstance(step, bool) or not isinstance(step, (int, float)) or not 0.0 < step < 1.0:
+        raise ConfigError(f"step_right_prob must be a number in (0, 1), got {step!r}", "step_right_prob")
+    step = float(step)
     alpha_ref = p.get("alpha_ref")
     if alpha_ref is None:
         alpha_ref = F_limit(env, tol=float(p.get("tol", 1e-9)), p=step).a_value

@@ -33,6 +33,17 @@ class PotentialDistribution:
     atoms: tuple[tuple[float, float], ...] = ()
     rate: float = 0.0
     mass_value: float = 0.0
+    # atom values, weights and cumulative weights, built once per law
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = np.array([v for v, _ in self.atoms])
+        weights = np.array([w for _, w in self.atoms])
+        for name, table in (("_values", values), ("_weights", weights), ("_cum", np.cumsum(weights))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def is_delta_zero(self) -> bool:
@@ -74,10 +85,8 @@ class PotentialDistribution:
             return np.full_like(u, self.mass_value)
         if self.kind == "exponential":
             return -np.log1p(-u) / self.rate
-        values = np.array([v for v, _ in self.atoms])
-        cum = np.cumsum([w for _, w in self.atoms])
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)
-        return values[idx]
+        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._values) - 1)
+        return self._values[idx]
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
@@ -93,9 +102,7 @@ class PotentialDistribution:
         elif self.kind == "exponential":
             phi = self.rate / (self.rate + ell)
         else:
-            vals = np.array([v for v, _ in self.atoms])
-            wts = np.array([w for _, w in self.atoms])
-            phi = np.exp(-np.multiply.outer(ell, vals)) @ wts
+            phi = np.exp(-np.multiply.outer(ell, self._values)) @ self._weights
         return float(phi) if phi.ndim == 0 else phi
 
     def to_spec(self) -> dict:

@@ -7,18 +7,21 @@ effective potential rho = -ln h per geodesic site, after which the tree
 problem is exactly a line problem for the induced walk on the geodesic.
 
 The excursion weight h is computed by a bottom-up recursion over branch
-subtrees, one level at a time for a whole chunk of sites, truncated at a
-depth cap with two-sided frontier bounds: killing the frontier
-undercounts returns, granting the frontier the zero-potential return
-weight overcounts them, so every reported h (and rho) is a certified
-bracket.  Trajectory simulation on the same keyed potentials serves as an
-independent cross-check, not as the primary computation: all walkers
-advance together one step at a time, and the step uniforms are drawn step
-by step over the walkers still live.
+subtrees, one level at a time for a whole chunk of sites, truncated at
+the depth TreeConfig.depth_cap_D with two-sided frontier bounds: killing
+the frontier undercounts returns, granting the frontier the
+zero-potential return weight overcounts them, so every reported h (and
+rho) is a certified bracket; both bounds travel as one stacked axis
+through the same arithmetic.  Trajectory simulation on the same keyed
+potentials serves as an independent cross-check, not as the primary
+computation: all walkers advance together one step at a time, and the
+step uniforms are drawn step by step over the walkers still live.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
-drift p favours.
+drift p favours.  The effective line model is always oriented that way;
+a turning point behind the start makes the journey a downhill ray, which
+turning_point_decompose sweeps with the complementary step probability.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
-from .line_solver import forward_step_weights, two_point_a
+from .line_solver import forward_step_weights
 from .lyapunov import annealed_transfer
 from .rng import _as_u64, keyed_uniform, stream_generator, substream
 
@@ -189,14 +192,15 @@ def _level_starts(d: int, n_roots: int, depth: int) -> np.ndarray:
 
 
 def _sum_children(w: np.ndarray, k: int) -> np.ndarray:
-    """Sum each run of k consecutive entries (the k children of a vertex).
+    """Sum each run of k consecutive entries along the last axis (the k
+    children of a vertex).
 
     Adds the k strided slices left to right, which for k < 8 is the order
     numpy's reduce along a short last axis uses, at a fraction of its cost.
     """
-    total = w[0::k]
+    total = w[..., 0::k]
     for j in range(1, k):
-        total = total + w[j::k]
+        total = total + w[..., j::k]
     return total
 
 
@@ -207,27 +211,25 @@ def _forest_bracket(
     streams: np.ndarray,
     n_roots: int,
     depth: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Bottom-up return-weight brackets for every root of a batch of branch
     forests, one forest per uint64 stream id in streams, with each forest's
     potentials keyed by its stream and the counters of _level_starts.
 
-    Returns two (len(streams), n_roots) arrays.  A level of the batch is
-    its forests' levels laid end to end in stream order; a vertex's
-    children stay consecutive there, and every operation is elementwise,
-    so a forest's numbers do not depend on which other forests share its
-    batch.
+    Returns a (2, len(streams), n_roots) array: the lower bracket (frontier
+    killed, w = 0 there) stacked on the upper one (frontier granted the
+    zero-potential return weight).  A level of the batch is its forests'
+    levels laid end to end in stream order; a vertex's children stay
+    consecutive there, and every operation is elementwise, so a forest's
+    numbers do not depend on which other forests share its batch.
     """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    gamma = zero_potential_return_weight(cfg)
+    w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
     if dist.kind == "point":
         s = math.exp(-dist.mass_value)
-        w_lo, w_hi = 0.0, gamma
         for _ in range(depth):
-            w_lo = p * s / (1.0 - s * s_child * (d - 1) * w_lo)
-            w_hi = p * s / (1.0 - s * s_child * (d - 1) * w_hi)
-        shape = (streams.size, n_roots)
-        return np.full(shape, w_lo), np.full(shape, w_hi)
+            w = p * s / (1.0 - s * s_child * (d - 1) * w)
+        return np.full((2, streams.size, n_roots), w[..., None])
 
     n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
     if n_vertices > _FOREST_VERTEX_BUDGET:
@@ -239,25 +241,19 @@ def _forest_bracket(
     # a lone forest keys by a scalar stream, whose hash numpy then runs in
     # scalar math rather than as ufunc calls on (1, 1) arrays
     column = streams[:, None] if streams.size > 1 else streams[0]
-    w_lo: np.ndarray | float = 0.0
-    w_hi: np.ndarray | float = gamma
     for level in range(depth, 0, -1):
         counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
         omega = dist.ppf(keyed_uniform(seed, column, counters).reshape(-1))
         s = np.exp(-omega)
         if level == depth:
-            child_lo = s_child * (d - 1) * w_lo
-            child_hi = s_child * (d - 1) * w_hi
+            child = s_child * (d - 1) * w
         else:
-            child_lo = s_child * _sum_children(w_lo, d - 1)
-            child_hi = s_child * _sum_children(w_hi, d - 1)
-        denom_lo = 1.0 - s * child_lo
-        denom_hi = 1.0 - s * child_hi
-        if np.any(denom_lo <= 0.0) or np.any(denom_hi <= 0.0):
+            child = s_child * _sum_children(w, d - 1)
+        denom = 1.0 - s * child
+        if np.any(denom <= 0.0):
             raise AssertionError("return-weight denominator not positive; bracket logic violated")
-        w_lo = p * s / denom_lo
-        w_hi = p * s / denom_hi
-    return w_lo.reshape(-1, n_roots), w_hi.reshape(-1, n_roots)
+        w = p * s / denom
+    return w.reshape(2, -1, n_roots)
 
 
 def _site_brackets(
@@ -265,20 +261,19 @@ def _site_brackets(
     dist: PotentialDistribution,
     seed: int,
     streams: int | np.ndarray,
-    depth: int,
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Bracketed excursion survival weights h of geodesic sites, one per
-    stream id in streams (an int or an integer array): the lower and the
-    upper bound of every site, in stream order.
+    stream id in streams (an int or an integer array), with branch forests
+    cfg.depth_cap_D deep: a (2, len(streams)) array holding the lower and
+    the upper bound of every site, in stream order.
 
     Sites run in chunks whose deepest forest level holds at most
     _FOREST_CELL_BUDGET vertices (at least one site a chunk; a point law
     runs all sites in one), mapped over threads workers; chunking and
     threads never change a digit.
     """
-    if depth < 1:
-        raise ValueError("need depth >= 1")
+    depth = cfg.depth_cap_D
     streams = np.atleast_1d(_as_u64(streams))
     n_roots = cfg.d - 2
     chunk = streams.size
@@ -286,45 +281,38 @@ def _site_brackets(
         chunk = max(1, _FOREST_CELL_BUDGET // (n_roots * (cfg.d - 1) ** (depth - 1)))
     s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
 
-    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(first: int) -> np.ndarray:
         part = streams[first : first + chunk]
         omega_site = dist.ppf(keyed_uniform(seed, part, 0))
-        lo, hi = _forest_bracket(cfg, dist, seed, part, n_roots, depth)
+        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth)
         # math.exp: numpy's vectorized exp may round differently, which
         # would move h by an ulp against data files already written
-        s = np.array([math.exp(-w) for w in omega_site.tolist()])
+        s = np.array([math.exp(-x) for x in omega_site.tolist()])
+        denom = 1.0 - s * s_child * w.sum(axis=-1)
+        if np.any(denom <= 0.0):
+            raise AssertionError("excursion denominator not positive; bracket logic violated")
+        return s_geo * s / denom
 
-        def fold(weights: np.ndarray) -> np.ndarray:
-            denom = 1.0 - s * s_child * weights.sum(axis=-1)
-            if np.any(denom <= 0.0):
-                raise AssertionError("excursion denominator not positive; bracket logic violated")
-            return s_geo * s / denom
-
-        return fold(lo), fold(hi)
-
-    parts = ordered_map(run, range(0, streams.size, chunk), threads=threads)
-    return np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts])
+    return np.concatenate(ordered_map(run, range(0, streams.size, chunk), threads=threads), axis=1)
 
 
 def branch_return_weight(
     cfg: TreeConfig,
     dist: PotentialDistribution,
-    depth: int,
     seed: int = 0,
     stream_id: int = 0,
 ) -> BranchSurvival:
-    """Bracketed return weight of one branch: the survival weight of
-    starting at the branch root and coming back to its parent.
+    """Bracketed return weight of one branch cfg.depth_cap_D deep: the
+    survival weight of starting at the branch root and coming back to its
+    parent.
 
     The lower bound kills the walk at the depth frontier; the upper bound
     grants frontier subtrees the zero-potential return weight, the largest
     value compatible with nonnegative potentials.
     """
-    if not 1 <= depth <= cfg.depth_cap_D:
-        raise ValueError("depth must lie in [1, depth_cap_D]")
     streams = np.atleast_1d(_as_u64(stream_id))
-    lo, hi = _forest_bracket(cfg, dist, seed, streams, n_roots=1, depth=depth)
-    return BranchSurvival(float(lo[0, 0]), float(hi[0, 0]), depth)
+    lo, hi = _forest_bracket(cfg, dist, seed, streams, 1, cfg.depth_cap_D)[:, 0, 0]
+    return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 
 def excursion_survival_h(
@@ -332,14 +320,12 @@ def excursion_survival_h(
     dist: PotentialDistribution,
     seed: int = 0,
     stream_id: int = 0,
-    depth_cap: int | None = None,
 ) -> BranchSurvival:
     """Bracketed excursion survival weight h of one geodesic site: survive
     the site and its branch excursions until first stepping onto one of
     the two geodesic neighbours."""
-    depth = cfg.depth_cap_D if depth_cap is None else depth_cap
-    lo, hi = _site_brackets(cfg, dist, seed, stream_id, depth)
-    return BranchSurvival(float(lo[0]), float(hi[0]), depth)
+    lo, hi = _site_brackets(cfg, dist, seed, stream_id)[:, 0]
+    return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 
 def _site_rhos(
@@ -348,20 +334,18 @@ def _site_rhos(
     sites: np.ndarray,
     seed: int,
     stream_id: int,
-    depth_cap: int | None,
     threads: int = 1,
 ) -> list[RhoPotential]:
     """rho brackets of the geodesic sites with the given indices, each on
     its own stream substream(stream_id, site)."""
-    depth = cfg.depth_cap_D if depth_cap is None else depth_cap
     sites = np.asarray(sites, dtype=np.int64)
-    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites), depth, threads)
+    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites), threads)
     return [
         RhoPotential(
             site_index=i,
             rho_lower=-math.log(upper),
             rho_upper=-math.log(lower),
-            h_bracket=BranchSurvival(lower, upper, depth),
+            h_bracket=BranchSurvival(lower, upper, cfg.depth_cap_D),
         )
         for i, lower, upper in zip(sites.tolist(), h_lo.tolist(), h_hi.tolist())
     ]
@@ -373,7 +357,6 @@ def rho_for_site(
     site_index: int,
     seed: int = 0,
     stream_id: int = 0,
-    depth_cap: int | None = None,
 ) -> RhoPotential:
     """Effective potential bracket of one geodesic site.
 
@@ -381,7 +364,7 @@ def rho_for_site(
     are independent across sites and resampling one site never perturbs
     another.
     """
-    return _site_rhos(cfg, dist, [site_index], seed, stream_id, depth_cap)[0]
+    return _site_rhos(cfg, dist, [site_index], seed, stream_id)[0]
 
 
 def geodesic_step_prob(cfg: TreeConfig) -> float:
@@ -410,7 +393,6 @@ def rho_environment(
     window: tuple[int, int],
     seed: int = 0,
     stream_id: int = 0,
-    depth_cap: int | None = None,
     threads: int = 1,
 ) -> tuple[list[RhoPotential], Environment, Environment, Environment]:
     """rho brackets on an inclusive window, packaged as three environments
@@ -423,7 +405,7 @@ def rho_environment(
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"empty window ({lo}, {hi})")
-    brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id, depth_cap, threads)
+    brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id, threads)
     def pack(vals):
         return Environment(lo, hi, np.asarray(vals), seed=seed, stream_id=stream_id)
     mids = pack([b.midpoint for b in brackets])
@@ -439,34 +421,26 @@ def reduce_to_line(
     seed: int = 0,
     stream_id: int = 0,
     r_ratio: float = 4.0,
-    orientation: str = "uphill",
-    depth_cap: int | None = None,
     threads: int = 1,
 ) -> EffectiveLineModel:
-    """Build the effective line model for journeys to geodesic site n.
+    """Build the effective line model for journeys uphill to geodesic site n.
 
     The window spans [-ceil(r_ratio * n), n] so downstream line solves can
-    place their barrier inside it.  orientation "uphill" points the
-    positive direction toward predecessors (step probability
-    geodesic_step_prob); "downhill" is the complementary ray.
+    place their barrier inside it.  The positive direction points toward
+    predecessors, so the line walk steps right with probability
+    geodesic_step_prob.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if orientation not in ("uphill", "downhill"):
-        raise ValueError("orientation must be 'uphill' or 'downhill'")
     if not (math.isfinite(r_ratio) and r_ratio > 0):
         raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
     r = -math.ceil(r_ratio * n)
-    brackets, mids, lows, highs = rho_environment(
-        cfg, dist, (r, n), seed, stream_id, depth_cap, threads=threads
-    )
-    q_up = geodesic_step_prob(cfg)
-    step = q_up if orientation == "uphill" else 1.0 - q_up
+    brackets, mids, lows, highs = rho_environment(cfg, dist, (r, n), seed, stream_id, threads)
     return EffectiveLineModel(
         env_mid=mids,
         env_lower=lows,
         env_upper=highs,
-        step_right_prob=step,
+        step_right_prob=geodesic_step_prob(cfg),
         brackets=brackets,
         max_halfwidth=max(b.halfwidth for b in brackets),
         cfg=cfg,
@@ -693,7 +667,6 @@ class TurningPointReport:
     annealed_trunc_bounds: tuple[float, float, float] | None
     slack_longer_journey: float | None
     slack_mean_weight: float | None
-    line_model: EffectiveLineModel | None
     line_dist: PotentialDistribution | None
 
 
@@ -717,18 +690,20 @@ def turning_point_decompose(
     seed: int = 0,
     stream_id: int = 0,
     barrier_r: int = -3,
-    depth_cap: int | None = None,
     line_dist: PotentialDistribution | None = None,
     surrogate_samples: int = 240,
 ) -> TurningPointReport:
     """Decompose the journey 0 -> target across the geodesic peak at k.
 
-    For k <= 0 the peak is behind the start: the geodesic is cut there,
-    extended by predecessors into a monotone ray, and the standard
-    reduction applies (the walk travels downhill).  For 0 < k < target the
-    quenched cost splits exactly at the peak, and the annealed orderings
-    are verified by the exact transfer kernel on a line law (line_dist, by
-    default a quantile summary of sampled rho midpoints).
+    For k <= 0 the peak is behind the start: the geodesic is cut there and
+    extended by predecessors into a monotone ray, which the walk travels
+    downhill, so every site steps right with probability
+    1 - geodesic_step_prob and only the quenched cost is reported.  For
+    0 < k < target the quenched cost splits exactly at the peak, and the
+    annealed orderings are verified by the exact transfer kernel on a line
+    law (line_dist, by default a quantile summary of sampled rho
+    midpoints).  Both cases run one forward sweep over the rho midpoints
+    of the window [barrier_r, target].
     """
     if spec.kind != "turning-point":
         raise ValueError("spec.kind must be 'turning-point'")
@@ -740,36 +715,34 @@ def turning_point_decompose(
     k = spec.turning_index_k
     if k >= n:
         raise ValueError(f"invalid turning index k={k}: must be < target")
-    if k <= 0:
-        line = reduce_to_line(
-            cfg, dist, n, seed, stream_id, orientation="downhill", depth_cap=depth_cap
-        )
-        a_total = two_point_a(line.env_mid, 0, n, barrier_r, line.step_right_prob)
-        return TurningPointReport(
-            spec=spec, barrier_r=barrier_r, a_total=a_total, a_uphill=0.0,
-            a_beyond=a_total, additivity_residual=0.0, b_total=None, b_beyond=None,
-            ln_mean_uphill_weight=None, annealed_trunc_bounds=None, slack_longer_journey=None,
-            slack_mean_weight=None, line_model=line, line_dist=None,
-        )
-
     r = int(barrier_r)
     if r >= 0:
         raise ValueError("barrier must be negative")
     q_up = geodesic_step_prob(cfg)
     sites = np.arange(r + 1, n)  # the sites a path from 0 to n can pay
-    p_sites = np.where(sites < k, q_up, np.where(sites == k, 0.5, 1.0 - q_up))
+    if k > 0:
+        p_sites = np.where(sites < k, q_up, np.where(sites == k, 0.5, 1.0 - q_up))
+    else:  # the ray behind the peak runs downhill throughout
+        p_sites = np.full(sites.size, 1.0 - q_up)
 
-    brackets, env_mid, _, _ = rho_environment(cfg, dist, (r, n), seed, stream_id, depth_cap)
+    env_mid = rho_environment(cfg, dist, (r, n), seed, stream_id)[1]
     omega_mid = env_mid.slice_values(r + 1, n - 1)
     _, log_w = forward_step_weights(omega_mid, p_sites)
     a_of = lambda x, y: float(-np.sum(log_w[x - (r + 1) : y - (r + 1)]))
     a_total = a_of(0, n)
+    if k <= 0:
+        return TurningPointReport(
+            spec=spec, barrier_r=r, a_total=a_total, a_uphill=0.0,
+            a_beyond=a_total, additivity_residual=0.0, b_total=None, b_beyond=None,
+            ln_mean_uphill_weight=None, annealed_trunc_bounds=None, slack_longer_journey=None,
+            slack_mean_weight=None, line_dist=None,
+        )
     a_uphill = a_of(0, k)
     a_beyond = a_of(k, n)
 
     if line_dist is None:
         surrogates = _site_rhos(
-            cfg, dist, np.arange(100_000, 100_000 + surrogate_samples), seed, stream_id, depth_cap
+            cfg, dist, np.arange(100_000, 100_000 + surrogate_samples), seed, stream_id
         )
         line_dist = _quantize_to_atoms(np.array([b.midpoint for b in surrogates]))
     total = annealed_transfer(line_dist, n, r, p_sites)
@@ -789,6 +762,5 @@ def turning_point_decompose(
         annealed_trunc_bounds=(total.trunc_bound, beyond.trunc_bound, uphill.trunc_bound),
         slack_longer_journey=b_total - b_beyond,
         slack_mean_weight=(-ln_mean_c + b_beyond) - b_total,
-        line_model=None,
         line_dist=line_dist,
     )

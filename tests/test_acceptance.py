@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_criterion_6_tree_reduction():
     delta0 = make_distribution({"kind": "point", "value": 0.0})
     widths = {}
     for depth in range(1, 61):
-        h = excursion_survival_h(cfg60, delta0, depth_cap=depth)
+        h = excursion_survival_h(replace(cfg60, depth_cap_D=depth), delta0)
         widths[depth] = h.upper - h.lower
         if not (h.lower <= 0.8 <= h.upper):
             ok = False

@@ -250,6 +250,26 @@ def test_bad_green_n_values_fail_with_field_name(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_bad_green_window_fails_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    for window in ("[5]", "[-5,5,9]", "[3,10]", "[-10,-3]", "[-5,0]", "[-5.5,5]", "[false,5]", "7"):
+        assert run_cli(tmp_path, "green", "-P", dist, "-P", f"window={window}", "--out", "g") == 2, window
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "window", (window, record)
+        assert "window" in record["error"]
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_bad_green_step_prob_fails_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    for step in ("1.5", "0", "1", "-0.2", "NaN", "Infinity", '"half"', "[0.5]"):
+        assert run_cli(tmp_path, "green", "-P", dist, "-P", f"step_right_prob={step}", "--out", "g") == 2, step
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "step_right_prob", (step, record)
+        assert "step_right_prob" in record["error"]
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_flag_overrides_beat_config(tmp_path):
     cfg = write_config(
         tmp_path,

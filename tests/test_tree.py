@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import _oracles
 from killedwalk import tree
 from killedwalk.env import make_distribution
-from killedwalk.line_solver import F_limit, two_point_e
+from killedwalk.line_solver import F_limit, two_point_a, two_point_e
 from killedwalk.tree import (
     GeodesicSpec,
     TreeConfig,
@@ -79,17 +80,17 @@ def test_zero_potential_return_weight_matches_gf():
 
 def test_branch_weight_zero_potential_converges_to_gf():
     cfg = TreeConfig(3, depth_cap_D=80)
-    w = branch_return_weight(cfg, DELTA0, depth=70)
+    w = branch_return_weight(replace(cfg, depth_cap_D=70), DELTA0)
     assert w.lower == pytest.approx(0.5, abs=1e-12)
     assert w.upper == pytest.approx(0.5, abs=1e-12)
-    shallow = branch_return_weight(cfg, DELTA0, depth=3)
+    shallow = branch_return_weight(replace(cfg, depth_cap_D=3), DELTA0)
     assert shallow.lower < 0.5 <= shallow.upper + 1e-15
 
 
 def test_branch_weight_huge_potential_vanishes():
     cfg = TreeConfig(3)
     dead = make_distribution({"kind": "point", "value": 50.0})
-    w = branch_return_weight(cfg, dead, depth=5)
+    w = branch_return_weight(replace(cfg, depth_cap_D=5), dead)
     assert w.upper <= math.exp(-50.0) * 1.01
 
 
@@ -97,7 +98,7 @@ def test_bracket_nesting_with_sampled_potentials():
     cfg = TreeConfig(3, depth_cap_D=14)
     prev = None
     for depth in range(2, 13):
-        h = excursion_survival_h(cfg, BERN, seed=5, stream_id=77, depth_cap=depth)
+        h = excursion_survival_h(replace(cfg, depth_cap_D=depth), BERN, seed=5, stream_id=77)
         assert h.lower <= h.upper
         if prev is not None:
             assert prev.lower <= h.lower + 1e-15
@@ -108,21 +109,21 @@ def test_bracket_nesting_with_sampled_potentials():
 def test_h_zero_potential_equals_sigma_prob():
     for d, want in ((3, 0.8), (4, 0.6)):
         cfg = TreeConfig(d, depth_cap_D=70)
-        h = excursion_survival_h(cfg, DELTA0, depth_cap=64)
+        h = excursion_survival_h(replace(cfg, depth_cap_D=64), DELTA0)
         assert h.lower == pytest.approx(want, abs=1e-12)
         assert h.upper == pytest.approx(want, abs=1e-12)
         # the upper frontier is exact for zero potential, at every depth
         for depth in (1, 2, 7):
-            hshallow = excursion_survival_h(cfg, DELTA0, depth_cap=depth)
+            hshallow = excursion_survival_h(replace(cfg, depth_cap_D=depth), DELTA0)
             assert hshallow.lower <= want <= hshallow.upper + 1e-15
 
 
 def test_forest_budget_guard():
     cfg = TreeConfig(6, depth_cap_D=12)
     with pytest.raises(ValueError, match="vertices"):
-        excursion_survival_h(cfg, BERN, depth_cap=12)
+        excursion_survival_h(cfg, BERN)
     with pytest.raises(ValueError, match="depth"):
-        excursion_survival_h(cfg, BERN, depth_cap=0)
+        excursion_survival_h(TreeConfig(6, depth_cap_D=0), BERN)
 
 
 # deepest depth per degree that keeps one forest near 10^3 .. 10^4 vertices
@@ -151,13 +152,13 @@ def test_batched_brackets_match_one_forest_oracle(
     chunk = 1 + int(chunk_frac * (n_sites - 1))  # chunks of 1 .. n_sites sites
     streams = substream(stream_id, np.arange(first_site, first_site + n_sites))
     with mock.patch.object(tree, "_FOREST_CELL_BUDGET", chunk * deepest + deepest // 2):
-        h_lo, h_hi = _site_brackets(cfg, dist, seed, streams, depth)
+        h_lo, h_hi = _site_brackets(replace(cfg, depth_cap_D=depth), dist, seed, streams)
     w_lo, w_hi = _forest_bracket(cfg, dist, seed, streams, d - 2, depth)
     for k, stream in enumerate(streams.tolist()):
         assert (h_lo[k], h_hi[k]) == _oracles.excursion_h(cfg, dist, seed, stream, depth)
         want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream, d - 2, depth)
         assert np.array_equal(w_lo[k], want_lo) and np.array_equal(w_hi[k], want_hi)
-    one = branch_return_weight(TreeConfig(d, drift_p=drift, depth_cap_D=depth), dist, depth, seed, stream_id)
+    one = branch_return_weight(TreeConfig(d, drift_p=drift, depth_cap_D=depth), dist, seed, stream_id)
     want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream_id, 1, depth)
     assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
 
@@ -180,7 +181,7 @@ def test_site_chunking_is_invisible(monkeypatch, budget):
 
 def test_rho_zero_potential_value_and_bound():
     cfg = TreeConfig(3, depth_cap_D=64)
-    rho = rho_for_site(cfg, DELTA0, site_index=0, depth_cap=60)
+    rho = rho_for_site(replace(cfg, depth_cap_D=60), DELTA0, site_index=0)
     assert rho.midpoint == pytest.approx(-math.log(0.8), abs=1e-9)
     assert rho.midpoint <= 0.0 + math.log(3.0 / 2.0)
     assert rho.rho_lower >= 0.0
@@ -189,7 +190,7 @@ def test_rho_zero_potential_value_and_bound():
 def test_rho_sites_have_independent_streams():
     cfg = TreeConfig(3, depth_cap_D=8)
     seq = rho_environment(cfg, BERN, (0, 5), seed=4, stream_id=2)[0]
-    again = [rho_for_site(cfg, BERN, i, seed=4, stream_id=2, depth_cap=8) for i in range(6)]
+    again = [rho_for_site(cfg, BERN, i, seed=4, stream_id=2) for i in range(6)]
     for a, b in zip(seq, again):
         assert (a.rho_lower, a.rho_upper) == (b.rho_lower, b.rho_upper)
     values = {round(b.midpoint, 12) for b in seq}
@@ -236,7 +237,7 @@ def test_rho_sequence_thread_count_is_invisible():
 
 def test_excursion_simulation_falls_inside_bracket():
     cfg = TreeConfig(3, depth_cap_D=12)
-    rho = rho_for_site(cfg, BERN, site_index=3, seed=5, stream_id=9, depth_cap=12)
+    rho = rho_for_site(cfg, BERN, site_index=3, seed=5, stream_id=9)
     mean, se, _ = simulate_excursions(
         cfg, BERN, site_index=3, n_excursions=30_000, seed=5, stream_id=9
     )
@@ -330,20 +331,15 @@ def test_two_model_equivalence_bernoulli():
 
 def test_bracket_width_shrinks_with_depth_downstream():
     cfg = TreeConfig(3, depth_cap_D=16)
-    narrow = reduce_to_line(cfg, BERN, n=2, seed=3, depth_cap=6)
-    tight = reduce_to_line(cfg, BERN, n=2, seed=3, depth_cap=12)
+    narrow = reduce_to_line(replace(cfg, depth_cap_D=6), BERN, n=2, seed=3)
+    tight = reduce_to_line(replace(cfg, depth_cap_D=12), BERN, n=2, seed=3)
     assert tight.max_halfwidth < narrow.max_halfwidth
 
 
 def test_reduce_to_line_orientations():
     cfg = TreeConfig(3, drift_p=0.5, depth_cap_D=6)
-    up = reduce_to_line(cfg, BERN, n=2, seed=1, orientation="uphill")
-    down = reduce_to_line(cfg, BERN, n=2, seed=1, orientation="downhill")
+    up = reduce_to_line(cfg, BERN, n=2, seed=1)
     assert up.step_right_prob == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert down.step_right_prob == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert np.array_equal(up.env_mid.values, down.env_mid.values)
-    with pytest.raises(ValueError, match="orientation"):
-        reduce_to_line(cfg, BERN, n=2, seed=1, orientation="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +355,19 @@ def test_geodesic_spec_validation():
 
 
 def test_turning_point_behind_start_reduces_to_monotone_ray():
-    spec = GeodesicSpec(kind="turning-point", turning_index_k=0, target_index=3)
-    cfg = TreeConfig(3, drift_p=0.5, depth_cap_D=6)
-    report = turning_point_decompose(spec, cfg, BERN, seed=2)
-    assert report.a_uphill == 0.0  # no uphill segment: C = 1
-    assert report.line_model is not None
-    assert report.line_model.step_right_prob == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert report.a_total == report.a_beyond
+    n = 3
+    for drift in (None, 0.45):
+        cfg = TreeConfig(3, drift_p=drift, depth_cap_D=6)
+        ray = reduce_to_line(cfg, BERN, n, seed=2, r_ratio=8.0)
+        # r = -20 lies below -ceil(4 n), outside the default line window
+        for r in (-3, -20):
+            # the downhill ray swept on the line model's window, bit for bit
+            want = two_point_a(ray.env_mid, 0, n, r, 1 - geodesic_step_prob(cfg))
+            for k in (0, -1, -2):
+                spec = GeodesicSpec(kind="turning-point", turning_index_k=k, target_index=n)
+                report = turning_point_decompose(spec, cfg, BERN, seed=2, barrier_r=r)
+                assert report.a_uphill == 0.0  # no uphill segment: C = 1
+                assert report.a_total == report.a_beyond == want
 
 
 def test_turning_point_decomposition_is_exactly_additive():
