@@ -53,9 +53,17 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, config_field: str = ""):
+    """A bad configuration entry, named by config_field.
+
+    exit_code 2 marks an entry no run can be set up from; 1 marks a value
+    a library routine refuses (out of its range), which exits 1 whether
+    the routine or the CLI catches it.
+    """
+
+    def __init__(self, message: str, config_field: str = "", exit_code: int = 2):
         super().__init__(message)
         self.config_field = config_field
+        self.exit_code = exit_code
 
 
 def _fmt(value) -> str:
@@ -92,6 +100,13 @@ def _dist_from(params: dict):
         return make_distribution(spec)
     except ValueError as exc:
         raise ConfigError(f"bad distribution: {exc}", config_field="distribution") from exc
+
+
+def _r_ratio(p: dict) -> float:
+    r_ratio = float(p.get("r_ratio", 4.0))
+    if not (math.isfinite(r_ratio) and r_ratio > 0):
+        raise ConfigError(f"r_ratio must be finite and > 0, got {r_ratio!r}", "r_ratio", exit_code=1)
+    return r_ratio
 
 
 def run(config: RunConfig) -> dict:
@@ -148,7 +163,7 @@ def _run_beta(config: RunConfig) -> dict:
     dist = _dist_from(p)
     # "method" and "n_paths" are accepted and ignored: every row is exact
     est = estimate_beta(
-        dist, n_grid=p.get("n_grid", [2, 4, 8]), r_ratio=float(p.get("r_ratio", 4.0))
+        dist, n_grid=p.get("n_grid", [2, 4, 8]), r_ratio=_r_ratio(p)
     )
     rows = [
         {
@@ -227,11 +242,13 @@ def _run_tree_reduce(config: RunConfig) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc), config_field="tree") from exc
     n = int(p.get("n", 8))
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}", "n", exit_code=1)
     model = reduce_to_line(
         tree_cfg, dist, n,
         seed=config.seed,
         stream_id=int(p.get("stream_id", 0)),
-        r_ratio=float(p.get("r_ratio", 4.0)),
+        r_ratio=_r_ratio(p),
         threads=config.threads,
     )
     rows = [
@@ -290,6 +307,9 @@ def _run_green(config: RunConfig) -> dict:
     else:
         dist = _dist_from(p)
         env = sample_environment(dist, window, config.seed, int(p.get("stream_id", 0)))
+    past_end = [n for n in n_values if n >= window[1]]
+    if past_end:
+        raise ConfigError(f"n_values must lie below the window's right end {window[1]}, got {past_end}", "n_values")
     step = p.get("step_right_prob", 0.5)
     if isinstance(step, bool) or not isinstance(step, (int, float)) or not 0.0 < step < 1.0:
         raise ConfigError(f"step_right_prob must be a number in (0, 1), got {step!r}", "step_right_prob")
@@ -419,9 +439,9 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         result = run(config)
     except ConfigError as exc:
-        record = {"error": str(exc), "field": exc.config_field, "command": args.command, "exit_code": 2}
+        record = {"error": str(exc), "field": exc.config_field, "command": args.command, "exit_code": exc.exit_code}
         print(json.dumps(record), file=sys.stderr)
-        return 2
+        return exc.exit_code
     except (ValueError, RuntimeError, OSError) as exc:
         command = config.command if config else args.command
         record = {"error": str(exc), "field": "", "command": command, "exit_code": 1}

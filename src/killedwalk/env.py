@@ -78,15 +78,35 @@ class PotentialDistribution:
             return np.array([self.mass_value])
         raise ValueError("exponential law has continuous support")
 
-    def ppf(self, u) -> np.ndarray:
-        """Inverse CDF, the common-random-number transform of uniforms."""
+    def ppf(self, u, out=None) -> np.ndarray:
+        """Inverse CDF, the common-random-number transform of uniforms.
+
+        With out, a contiguous float64 array of u's shape that shares no
+        memory with u, the values are written there; a law of at most two
+        atoms then allocates nothing of u's size.  A finite law looks atoms
+        up by comparison: u takes atom idx = (K-1) - sum_{j<K-1} [u < cum_j],
+        the first atom whose cumulative weight exceeds u, or the last atom
+        when none does (u = NaN included).
+        """
         u = np.asarray(u, dtype=np.float64)
+        out = np.empty_like(u) if out is None else out
         if self.kind == "point":
-            return np.full_like(u, self.mass_value)
+            out.fill(self.mass_value)
+            return out
         if self.kind == "exponential":
-            return -np.log1p(-u) / self.rate
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._values) - 1)
-        return self._values[idx]
+            np.log1p(np.negative(u, out=out), out=out)
+            return np.divide(np.negative(out, out=out), self.rate, out=out)
+        cuts = self._cum[:-1]
+        if cuts.size == 0:
+            out.fill(self._values[0])
+            return out
+        # the count lives in out's memory: take reads each index before it
+        # writes that slot, and mode="clip" skips the "raise" mode's copy
+        idx = np.less(u, cuts[0], out=out.view(np.int64))
+        for c in cuts[1:]:
+            idx += u < c
+        np.subtract(cuts.size, idx, out=idx)
+        return np.take(self._values, idx, mode="clip", out=out)
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.

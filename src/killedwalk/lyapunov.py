@@ -248,6 +248,13 @@ def annealed_transfer(
 
 @dataclass(frozen=True)
 class LocaltimeMCResult:
+    """Local-time Monte Carlo estimate of E[e_r(0, n, omega)].
+
+    trunc_bound estimates the barrier bias b_r - b.  cap_bound certifies
+    what scoring the n_capped paths still running at max_steps as zero
+    adds to b_value: log1p of their partial scores over the scored total.
+    """
+
     f_value: float
     f_stderr: float
     b_value: float
@@ -257,6 +264,7 @@ class LocaltimeMCResult:
     n_capped: int
     barrier_r: int
     trunc_bound: float
+    cap_bound: float
 
 
 def annealed_localtime_mc(
@@ -278,7 +286,12 @@ def annealed_localtime_mc(
     exactly, with no environment sampling at all.  Paths that hit the
     barrier first score the same product toward trunc_bound, an estimate
     of the certified upper bound on the barrier bias b_r - b (their
-    reweighted mass is exactly what deeper barriers would admit).
+    reweighted mass is exactly what deeper barriers would admit).  Paths
+    still running after max_steps score zero; their partial scores go to
+    cap_bound instead.  The Laplace transform is nonincreasing in the
+    visit count, so a partial score bounds the score of every
+    continuation, and log1p(sum of partial scores / scored total) bounds
+    how far the zeros lift b_value.
     """
     if n_paths < 1 or not (r < 0 < n):
         raise ValueError("need n_paths >= 1 and r < 0 < n")
@@ -312,7 +325,9 @@ def annealed_localtime_mc(
         capped = int(active.sum())
         table = dist.laplace(np.arange(int(counts.max()) + 1)) if count else np.ones(1)
         barrier_hit = ~hit & ~active
-        total = total_sq = gap_total = 0.0
+        total = total_sq = gap_total = cap_total = 0.0
+        if capped:
+            cap_total = float(np.prod(table[counts[active]], axis=1).sum())
         if hit.any():
             scores = np.prod(table[counts[hit]], axis=1)
             total = float(scores.sum())
@@ -322,7 +337,7 @@ def annealed_localtime_mc(
             # target pays the whole window once more
             extended = dist.laplace(np.arange(int(counts[barrier_hit].max()) + 2))
             gap_total = float(np.prod(extended[counts[barrier_hit] + 1], axis=1).sum())
-        return count, total, total_sq, int(hit.sum()), capped, gap_total
+        return count, total, total_sq, int(hit.sum()), capped, gap_total, cap_total
 
     rows = [run_batch(b) for b in range(n_batches)]
     n_tot = sum(row[0] for row in rows)
@@ -331,6 +346,7 @@ def annealed_localtime_mc(
     n_hit = sum(row[3] for row in rows)
     n_capped = sum(row[4] for row in rows)
     gap = math.fsum(row[5] for row in rows) / n_tot
+    cap = math.fsum(row[6] for row in rows) / n_tot
     mean = s1 / n_tot
     var = max(s2 / n_tot - mean**2, 0.0) * n_tot / max(n_tot - 1, 1)
     se = math.sqrt(var / n_tot)
@@ -346,6 +362,7 @@ def annealed_localtime_mc(
         n_capped=n_capped,
         barrier_r=r,
         trunc_bound=math.log1p(gap / mean),
+        cap_bound=math.log1p(cap / mean),
     )
 
 

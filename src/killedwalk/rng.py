@@ -18,12 +18,23 @@ _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: bijective avalanche on uint64 arrays."""
-    z = x + _U64(_GAMMA)
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-    return z ^ (z >> _U64(31))
+def _splitmix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer: bijective avalanche on uint64 arrays.
+
+    With scratch, a uint64 array of x's shape, x is mixed in place and
+    returned, and scratch is overwritten by the shifted words.
+    """
+    if scratch is None:
+        z = x + _U64(_GAMMA)
+        z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
+        z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
+        return z ^ (z >> _U64(31))
+    x += _U64(_GAMMA)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, _U64(shift), out=scratch)
+        x *= _U64(mix)
+    x ^= np.right_shift(x, _U64(31), out=scratch)
+    return x
 
 
 def _as_u64(value) -> np.ndarray:
@@ -35,26 +46,42 @@ def _as_u64(value) -> np.ndarray:
     raise TypeError(f"key component must be integer, got dtype {arr.dtype}")
 
 
-def keyed_bits(seed, stream_id, counter) -> np.ndarray:
+def keyed_bits(seed, stream_id, counter, out=None, scratch=None) -> np.ndarray:
     """64 hashed bits for each (seed, stream_id, counter) triple.
 
     All three arguments broadcast; negative counters (site indices) wrap to
     uint64 two's complement, which keeps them distinct and deterministic.
+    With out, a uint64 array of the broadcast shape, the hash runs in place
+    there; scratch, a second such array, then holds its shifted words
+    (one is allocated if it is not given).
     """
     with np.errstate(over="ignore"):
         k = _splitmix64(_as_u64(seed))
         k = _splitmix64(k ^ (_as_u64(stream_id) + _U64(_GAMMA)))
-        return _splitmix64(k ^ (_as_u64(counter) * _U64(_GAMMA)))
+        if out is None:
+            return _splitmix64(k ^ (_as_u64(counter) * _U64(_GAMMA)))
+        np.multiply(_as_u64(counter), _U64(_GAMMA), out=out)
+        out ^= k
+        return _splitmix64(out, np.empty_like(out) if scratch is None else scratch)
 
 
-def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
+def keyed_uniform(seed, stream_id, counter, out=None, scratch=None) -> np.ndarray:
     """Uniform draws in [0, 1), pure in the key triple.
 
     Uses the top 53 bits so the result is an exactly representable
-    float64 on a 2**-53 lattice.
+    float64 on a 2**-53 lattice.  With out, a float64 array of the
+    broadcast shape, the draws are written there and the hash runs in
+    out's memory and in scratch, a uint64 array of the same shape (one is
+    allocated if it is not given): a caller drawing level after level
+    into the same buffers allocates nothing the size of a draw.
     """
-    bits = keyed_bits(seed, stream_id, counter)
-    return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    if out is None:
+        bits = keyed_bits(seed, stream_id, counter)
+        return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    if scratch is None:
+        scratch = np.empty(out.shape, dtype=np.uint64)
+    bits = keyed_bits(seed, stream_id, counter, out=out.view(np.uint64), scratch=scratch)
+    return np.multiply(np.right_shift(bits, _U64(11), out=scratch), 2.0 ** -53, out=out)
 
 
 def substream(stream_id: int, index):

@@ -27,6 +27,7 @@ turning_point_decompose sweeps with the complementary step probability.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,9 @@ _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
 # vertices on the deepest level of one chunk of sites: one site at d = 3,
-# depth 16, where batching deeper forests measured no faster
+# depth 16.  Two sites a chunk ran reduce_to_line there 19% faster, but
+# doubled each worker's workspace (to 3.7 MB) and lifted the tree
+# benchmark's peak RSS by 4.4%
 _FOREST_CELL_BUDGET = 2**15
 _LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
 
@@ -191,17 +194,34 @@ def _level_starts(d: int, n_roots: int, depth: int) -> np.ndarray:
     return np.array(starts, dtype=np.int64)
 
 
-def _sum_children(w: np.ndarray, k: int) -> np.ndarray:
-    """Sum each run of k consecutive entries along the last axis (the k
-    children of a vertex).
+def _sum_children(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum each run of k >= 2 consecutive entries along the last axis (the
+    k children of a vertex), into out if it is given.
 
     Adds the k strided slices left to right, which for k < 8 is the order
     numpy's reduce along a short last axis uses, at a fraction of its cost.
     """
-    total = w[..., 0::k]
-    for j in range(1, k):
-        total = total + w[..., j::k]
+    total = np.add(w[..., 0::k], w[..., 1::k], out=out)
+    for j in range(2, k):
+        total += w[..., j::k]
     return total
+
+
+class _Workspace:
+    """The buffers of _forest_bracket's level loop, sized for a deepest
+    level of cells vertices: the uint64 level counters of one forest, the
+    hash scratch, the uniforms, the visit survivals s, the "not positive"
+    flags and two buffers that take turns holding a level's denominators
+    and then, in place, its bracket of return weights."""
+
+    def __init__(self, cells: int, n_counters: int):
+        self.cells = cells
+        self.counters = np.arange(n_counters, dtype=np.uint64)
+        self.scratch = np.empty(cells, dtype=np.uint64)
+        self.u = np.empty(cells)
+        self.s = np.empty(cells)
+        self.flags = np.empty(2 * cells, dtype=bool)
+        self.w = (np.empty(2 * cells), np.empty(2 * cells))
 
 
 def _forest_bracket(
@@ -211,6 +231,7 @@ def _forest_bracket(
     streams: np.ndarray,
     n_roots: int,
     depth: int,
+    scope=None,
 ) -> np.ndarray:
     """Bottom-up return-weight brackets for every root of a batch of branch
     forests, one forest per uint64 stream id in streams, with each forest's
@@ -222,6 +243,13 @@ def _forest_bracket(
     levels laid end to end in stream order; a vertex's children stay
     consecutive there, and every operation is elementwise, so a forest's
     numbers do not depend on which other forests share its batch.
+
+    The levels run on slices of one _Workspace through out= ufuncs, so the
+    loop allocates no array the size of a level (but for the one-byte masks
+    of ppf's third and later atoms).  The workspace is kept on
+    scope (an attribute holder, such as a worker's threading.local) for
+    later calls, which replace it when they need a larger one; without
+    scope it lives for this call.
     """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
@@ -237,23 +265,36 @@ def _forest_bracket(
             f"branch forest of depth {depth} needs {n_vertices} vertices; "
             "lower the depth cap (only point-mass laws collapse to scalars)"
         )
-    starts = _level_starts(d, n_roots, depth)
+    starts = _level_starts(d, n_roots, depth).tolist()
+    n_forests = streams.size
+    cells = n_forests * (starts[-1] - starts[-2])
+    ws = getattr(scope, "workspace", None)
+    if ws is None or ws.cells < cells or ws.counters.size < starts[-1]:
+        ws = _Workspace(cells, starts[-1])
+        if scope is not None:
+            scope.workspace = ws
     # a lone forest keys by a scalar stream, whose hash numpy then runs in
     # scalar math rather than as ufunc calls on (1, 1) arrays
-    column = streams[:, None] if streams.size > 1 else streams[0]
+    column = streams[:, None] if n_forests > 1 else streams[0]
     for level in range(depth, 0, -1):
-        counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
-        omega = dist.ppf(keyed_uniform(seed, column, counters).reshape(-1))
-        s = np.exp(-omega)
+        counters = ws.counters[starts[level] : starts[level + 1]]
+        n = n_forests * counters.size
+        shape = (n_forests, counters.size) if n_forests > 1 else (n,)
+        u = ws.u[:n]
+        keyed_uniform(seed, column, counters, out=u.reshape(shape), scratch=ws.scratch[:n].reshape(shape))
+        s = dist.ppf(u, out=ws.s[:n])
+        np.exp(np.negative(s, out=s), out=s)
+        denom = ws.w[level % 2][: 2 * n].reshape(2, n)
         if level == depth:
-            child = s_child * (d - 1) * w
+            np.multiply(s, s_child * (d - 1) * w, out=denom)
         else:
-            child = s_child * _sum_children(w, d - 1)
-        denom = 1.0 - s * child
-        if np.any(denom <= 0.0):
+            np.multiply(s_child, _sum_children(w, d - 1, out=denom), out=denom)
+            np.multiply(s, denom, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        if np.less_equal(denom, 0.0, out=ws.flags[: 2 * n].reshape(2, n)).any():
             raise AssertionError("return-weight denominator not positive; bracket logic violated")
-        w = p * s / denom
-    return w.reshape(2, -1, n_roots)
+        w = np.divide(np.multiply(p, s, out=s), denom, out=denom)
+    return w.reshape(2, -1, n_roots).copy()
 
 
 def _site_brackets(
@@ -280,11 +321,12 @@ def _site_brackets(
     if dist.kind != "point":  # a point law's forests collapse to scalars
         chunk = max(1, _FOREST_CELL_BUDGET // (n_roots * (cfg.d - 1) ** (depth - 1)))
     s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
+    worker = threading.local()  # each worker's forest workspace, freed on return
 
     def run(first: int) -> np.ndarray:
         part = streams[first : first + chunk]
         omega_site = dist.ppf(keyed_uniform(seed, part, 0))
-        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth)
+        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth, worker)
         # math.exp: numpy's vectorized exp may round differently, which
         # would move h by an ulp against data files already written
         s = np.array([math.exp(-x) for x in omega_site.tolist()])

@@ -7,8 +7,9 @@ bound), by a banded solve of the boundary-value system and by a per-site
 sweep over a batch of environments, annealed survival weights by summation over every potential
 configuration of a finite-support law, window entropies by direct
 summation over product configurations, branch-forest brackets one
-forest at a time, and tree walks by stepping one walker at a time with
-lazily cached potentials.
+forest at a time, tree walks by stepping one walker at a time with
+lazily cached potentials, and site potentials by a binary-search inverse
+CDF.
 """
 
 from __future__ import annotations
@@ -35,6 +36,20 @@ from killedwalk.tree import (
     _sum_children,
     zero_potential_return_weight,
 )
+
+
+def ppf(dist: PotentialDistribution, u) -> np.ndarray:
+    """Inverse CDF by the textbook formulas and, for a finite law, a binary
+    search of the cumulative weights: the reference for the library's
+    in-place, comparison-counting PotentialDistribution.ppf."""
+    u = np.asarray(u, dtype=np.float64)
+    if dist.kind == "point":
+        return np.full_like(u, dist.mass_value)
+    if dist.kind == "exponential":
+        return -np.log1p(-u) / dist.rate
+    values = np.array([v for v, _ in dist.atoms])
+    cum = np.cumsum([w for _, w in dist.atoms])
+    return values[np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)]
 
 
 def enumerate_paths_survival(omega_by_site: dict, r: int, x: int, y: int, p: float, max_len: int):
@@ -338,7 +353,7 @@ def forest_bracket(
     w_hi: np.ndarray | float = gamma
     for level in range(depth, 0, -1):
         counters = np.arange(starts[level], starts[level + 1], dtype=np.int64)
-        omega = dist.ppf(keyed_uniform(seed, stream_id, counters))
+        omega = ppf(dist, keyed_uniform(seed, stream_id, counters))
         s = np.exp(-omega)
         if level == depth:
             child_lo = s_child * (d - 1) * w_lo
@@ -360,7 +375,7 @@ def excursion_h(
 ) -> tuple[float, float]:
     """(lower, upper) excursion survival weight h of one geodesic site,
     folded from its own forest_bracket."""
-    omega_site = float(dist.ppf(keyed_uniform(seed, stream_id, 0)))
+    omega_site = float(ppf(dist, keyed_uniform(seed, stream_id, 0)))
     lo, hi = forest_bracket(cfg, dist, seed, stream_id, n_roots=cfg.d - 2, depth=depth)
     s = math.exp(-omega_site)
     s_geo = cfg.p + cfg.s_child
@@ -408,7 +423,7 @@ class _LazyForestPotentials:
     def value(self, counter: int) -> float:
         cached = self._cache.get(counter)
         if cached is None:
-            cached = float(self.dist.ppf(keyed_uniform(self.seed, self.stream_id, counter)))
+            cached = float(ppf(self.dist, keyed_uniform(self.seed, self.stream_id, counter)))
             self._cache[counter] = cached
         return cached
 
@@ -438,7 +453,7 @@ def simulate_excursions(
     level_cap = _max_walk_level(d)
     site_stream = substream(stream_id, site_index)
     forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
-    omega_site = float(dist.ppf(keyed_uniform(seed, site_stream, 0)))
+    omega_site = float(ppf(dist, keyed_uniform(seed, site_stream, 0)))
     gen = stream_generator(seed, _EXCURSION_TAG, site_stream)
     total = 0.0
     total_sq = 0.0
@@ -518,7 +533,7 @@ def simulate_geodesic_passage(
     def omega_of(i: int) -> float:
         v = site_omega.get(i)
         if v is None:
-            v = float(dist.ppf(keyed_uniform(seed, substream(stream_id, i), 0)))
+            v = float(ppf(dist, keyed_uniform(seed, substream(stream_id, i), 0)))
             site_omega[i] = v
         return v
 

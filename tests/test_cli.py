@@ -250,6 +250,33 @@ def test_bad_green_n_values_fail_with_field_name(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_green_n_at_or_past_the_window_end_fails_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    for values, window in (("[200]", "[-100,100]"), ("[3,10]", "[-20,10]"), ("[5]", "[-5,5]")):
+        argv = ["green", "-P", dist, "-P", f"n_values={values}", "-P", f"window={window}", "--out", "g"]
+        assert run_cli(tmp_path, *argv) == 2, values
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "n_values", (values, record)
+        assert "n_values" in record["error"]
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_tree_reduce_range_errors_name_their_field(tmp_path, capsys):
+    dist = f"distribution={json.dumps(BERN_SPEC)}"
+    cases = [
+        ("tree-reduce", "n=0", "n"),
+        ("tree-reduce", "n=-3", "n"),
+        ("tree-reduce", "r_ratio=0", "r_ratio"),
+        ("tree-reduce", "r_ratio=NaN", "r_ratio"),
+        ("beta", "r_ratio=0", "r_ratio"),
+    ]
+    for command, param, name in cases:
+        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "--out", "x") == 1, param
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == name and record["exit_code"] == 1, (command, param, record)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_green_window_fails_with_field_name(tmp_path, capsys):
     dist = f"distribution={json.dumps(CONST_SPEC)}"
     for window in ("[5]", "[-5,5,9]", "[3,10]", "[-10,-3]", "[-5,0]", "[-5.5,5]", "[false,5]", "7"):

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from killedwalk.env import (
     Environment,
     EnvironmentSource,
@@ -171,3 +174,34 @@ def test_environment_json_roundtrip(tmp_path):
     env.save(path)
     loaded = Environment.load(path)
     assert loaded == env
+
+
+@st.composite
+def finite_laws(draw):
+    values = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(values), max_size=len(values)))
+    total = math.fsum(weights)
+    return make_distribution({"kind": "finite", "atoms": [[v, w / total] for v, w in zip(values, weights)]})
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dist=st.one_of(
+        finite_laws(),
+        st.builds(lambda r: make_distribution({"kind": "exponential", "rate": r}), st.floats(0.1, 10.0)),
+        st.builds(lambda v: make_distribution({"kind": "point", "value": v}), st.floats(0.0, 10.0)),
+    ),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+)
+def test_ppf_matches_binary_search_oracle_bit_for_bit(dist, u):
+    # every cumulative weight and one ulp either side, plus 1.0 and NaN
+    cum = np.cumsum([w for _, w in dist.atoms]) if dist.kind == "finite" else np.array([0.5])
+    edges = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    u = np.concatenate([np.asarray(u, dtype=np.float64), edges[edges < 1.0], [1.0, np.nan]])
+    out = np.full_like(u, -7.0)
+    with np.errstate(divide="ignore"):  # an exponential law maps u = 1 to inf
+        want = _oracles.ppf(dist, u)
+        assert np.array_equal(dist.ppf(u), want, equal_nan=True)
+        assert dist.ppf(u, out=out) is out
+        assert np.array_equal(dist.ppf(u.reshape(1, -1)), want.reshape(1, -1), equal_nan=True)
+    assert np.array_equal(out, want, equal_nan=True)

@@ -183,6 +183,18 @@ def test_localtime_delta0_reduces_to_ruin_probability():
     assert mc.n_hit == pytest.approx(want * mc.n_paths, abs=4 * math.sqrt(mc.n_paths))
 
 
+def test_localtime_capped_paths_enter_a_certified_budget():
+    n, r = 3, -4
+    exact = annealed_transfer(BERN, n, r).b_value
+    free = annealed_localtime_mc(BERN, n=n, r=r, n_paths=20_000, seed=23)
+    assert free.n_capped == 0 and free.cap_bound == 0.0
+    for max_steps in (6, 12):
+        mc = annealed_localtime_mc(BERN, n=n, r=r, n_paths=20_000, seed=23, max_steps=max_steps)
+        assert mc.n_capped > 0 and mc.cap_bound > 0.0
+        # zero-scored capped paths only lift b; the bound covers the lift
+        assert mc.b_value - 4 * mc.b_stderr - mc.cap_bound <= exact <= mc.b_value + 4 * mc.b_stderr
+
+
 def test_localtime_matches_enum_within_4_se():
     for n, r in ((2, -6), (4, -8)):
         enum = annealed_exact_enum(BERN, n=n, r=r)

@@ -80,3 +80,19 @@ def test_python_int_keys_wrap_to_64_bits():
     assert np.array_equal(keyed_uniform(-1, 3, sites), keyed_uniform(mask, 3, sites))
     assert keyed_bits(2**64 + 7, 0, 5) == keyed_bits(7, 0, 5)
     assert substream(2**64 + 3, 1) == substream(3, 1)
+
+
+def test_in_place_draws_match_allocating_draws():
+    counters = np.arange(-300, 700)
+    streams = np.array([0, 5, 2**40], dtype=np.uint64)[:, None]
+    for seed, stream in ((9, 4), (2**63 + 1, streams)):
+        want = keyed_uniform(seed, stream, counters)
+        out = np.full(want.shape, 0.25)
+        scratch = np.full(want.shape, 77, dtype=np.uint64)
+        assert keyed_uniform(seed, stream, counters, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        # without scratch, one is allocated; out's old contents never leak in
+        assert np.array_equal(keyed_uniform(seed, stream, counters, out=np.full(want.shape, np.nan)), want)
+        bits = np.zeros(want.shape, dtype=np.uint64)
+        assert keyed_bits(seed, stream, counters, out=bits) is bits
+        assert np.array_equal(bits, keyed_bits(seed, stream, counters))

@@ -1,4 +1,5 @@
 import math
+import types
 from dataclasses import replace
 from unittest import mock
 
@@ -161,6 +162,33 @@ def test_batched_brackets_match_one_forest_oracle(
     one = branch_return_weight(TreeConfig(d, drift_p=drift, depth_cap_D=depth), dist, seed, stream_id)
     want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream_id, 1, depth)
     assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
+
+
+@pytest.mark.parametrize("d, depth", [(3, 7), (4, 5), (10, 3)])
+def test_worker_workspaces_are_invisible(d, depth):
+    # 7 sites in chunks of 1, of 3 + 3 + 1 (a short last chunk) and of 7,
+    # on 1 to 3 workers, so workers reuse workspaces across chunks
+    cfg = TreeConfig(d, drift_p=0.45, depth_cap_D=depth)
+    streams = substream(3, np.arange(-3, 4))
+    deepest = (d - 2) * (d - 1) ** (depth - 1)
+    want = np.array([_oracles.excursion_h(cfg, THREE_ATOMS, 5, s, depth) for s in streams.tolist()]).T
+    for per_chunk in (1, 3, 7):
+        for threads in (1, 2, 3):
+            with mock.patch.object(tree, "_FOREST_CELL_BUDGET", per_chunk * deepest):
+                got = _site_brackets(cfg, THREE_ATOMS, 5, streams, threads)
+            assert np.array_equal(got, want), (per_chunk, threads)
+
+
+def test_forest_workspace_reuse_by_smaller_and_deeper_calls():
+    scope = types.SimpleNamespace()
+    cfg = TreeConfig(4)
+    # the third call fits the cells of the first but needs more counters
+    for n_sites, depth, n_roots in ((6, 5, 2), (2, 3, 2), (1, 6, 1), (3, 5, 2)):
+        streams = substream(8, np.arange(n_sites))
+        got = _forest_bracket(cfg, EXP1, 2, streams, n_roots, depth, scope)
+        for k, stream in enumerate(streams.tolist()):
+            want_lo, want_hi = _oracles.forest_bracket(cfg, EXP1, 2, stream, n_roots, depth)
+            assert np.array_equal(got[0, k], want_lo) and np.array_equal(got[1, k], want_hi)
 
 
 @pytest.mark.parametrize("budget", [1, 64])
