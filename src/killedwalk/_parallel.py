@@ -1,19 +1,14 @@
-"""Order-preserving work mapping for the chunks of sites whose branch
-forests tree.rho_environment builds, the one workload where a second
-thread measured faster.
+"""In-order map over the chunks of sites whose branch forests
+tree._site_brackets builds.
 
-Thread count never changes numbers: every work item is a pure function of
-its index key, and results are merged in input order.
+The chunks run one after another: a second worker measured no faster on
+the tree reduction.  The module stays only because the benchmark tracer
+loads it by name and gives each chunk a span through ordered_map; it can
+go, with its call, once the tracer drops its `parallel` layer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 
-
-def ordered_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    return [fn(item) for item in items]

@@ -4,8 +4,9 @@ Every run resolves its configuration (file plus flag overrides, flags
 winning), executes one subcommand, and writes the data file together with
 a manifest that echoes the fully resolved configuration, the library
 version and the master seed.  Feeding the manifest back through --config
-reproduces the data files byte for byte, whatever --threads says: all
-randomness is keyed per work item, never per worker.
+reproduces the data files byte for byte: all randomness is keyed per
+work item.  --threads is accepted, for old manifests and scripts, and
+ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .env import Environment, make_distribution, sample_environment
 from .entropy import OptimizerConfig, minimize_variational
 from .line_solver import F_limit, green_function_window, two_point_a
-from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
+from .lyapunov import _is_positive_integer, annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
 from .tree import TreeConfig, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
@@ -44,7 +45,6 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    threads: int = 1
     format: str = "csv"
     out: str | None = None
 
@@ -102,11 +102,25 @@ def _dist_from(params: dict):
         raise ConfigError(f"bad distribution: {exc}", config_field="distribution") from exc
 
 
-def _r_ratio(p: dict) -> float:
+def _r_ratio(p: dict, prefix: str = "") -> float:
     r_ratio = float(p.get("r_ratio", 4.0))
     if not (math.isfinite(r_ratio) and r_ratio > 0):
-        raise ConfigError(f"r_ratio must be finite and > 0, got {r_ratio!r}", "r_ratio", exit_code=1)
+        raise ConfigError(f"{prefix}r_ratio must be finite and > 0, got {r_ratio!r}", f"{prefix}r_ratio", exit_code=1)
     return r_ratio
+
+
+def _n_grid(p: dict, prefix: str = "") -> list:
+    ns = p.get("n_grid", [2, 4, 8])
+    if not (isinstance(ns, list) and ns and all(map(_is_positive_integer, ns)) and len(set(ns)) == len(ns)):
+        raise ConfigError(f"{prefix}n_grid must hold distinct positive integers, got {ns!r}", f"{prefix}n_grid", exit_code=1)
+    return ns
+
+
+def _at_least(p: dict, key: str, default: int, least: int) -> int:
+    value = int(p.get(key, default))
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}", key, exit_code=1)
+    return value
 
 
 def run(config: RunConfig) -> dict:
@@ -131,7 +145,7 @@ def _run_alpha(config: RunConfig) -> dict:
     if method == "mc":
         est = estimate_alpha_mc(
             dist,
-            n_samples=int(p.get("n_samples", 1000)),
+            n_samples=_at_least(p, "n_samples", 1000, 2),
             tol=float(p.get("tol", 1e-7)),
             seed=config.seed,
         )
@@ -162,9 +176,7 @@ def _run_beta(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
     # "method" and "n_paths" are accepted and ignored: every row is exact
-    est = estimate_beta(
-        dist, n_grid=p.get("n_grid", [2, 4, 8]), r_ratio=_r_ratio(p)
-    )
+    est = estimate_beta(dist, n_grid=_n_grid(p), r_ratio=_r_ratio(p))
     rows = [
         {
             "n": row["n"],
@@ -189,25 +201,22 @@ def _run_variational(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
     cfg = OptimizerConfig(
-        n_samples=int(p.get("n_samples", 1000)),
+        n_samples=_at_least(p, "n_samples", 1000, 2),
         tol=float(p.get("tol", 1e-7)),
         seed=config.seed,
         theta_lo=float(p.get("theta_lo", -1.0)),
         theta_hi=float(p.get("theta_hi", 6.0)),
-        n_grid=int(p.get("n_grid", 25)),
+        n_grid=_at_least(p, "n_grid", 25, 2),
         param_tol=float(p.get("param_tol", 1e-4)),
         max_evals=int(p.get("max_evals", 200)),
     )
     beta_cfg = p.get("beta", {})
-    if beta_cfg is None:
-        beta_cfg = {}
+    if beta_cfg is not None and beta_cfg is not False and not isinstance(beta_cfg, dict):
+        raise ConfigError(f"beta must be an object, null or false, got {beta_cfg!r}", "beta")
     beta_hat = None
     if beta_cfg is not False:
-        beta_hat = estimate_beta(
-            dist,
-            n_grid=beta_cfg.get("n_grid", [2, 4, 8]),
-            r_ratio=float(beta_cfg.get("r_ratio", 4.0)),
-        )
+        beta_cfg = beta_cfg or {}
+        beta_hat = estimate_beta(dist, n_grid=_n_grid(beta_cfg, "beta."), r_ratio=_r_ratio(beta_cfg, "beta."))
     report = minimize_variational(
         dist, family=p.get("family", "exponential-tilt"), optimizer_cfg=cfg, beta_hat=beta_hat
     )
@@ -241,15 +250,12 @@ def _run_tree_reduce(config: RunConfig) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), config_field="tree") from exc
-    n = int(p.get("n", 8))
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}", "n", exit_code=1)
+    n = _at_least(p, "n", 8, 1)
     model = reduce_to_line(
         tree_cfg, dist, n,
         seed=config.seed,
         stream_id=int(p.get("stream_id", 0)),
         r_ratio=_r_ratio(p),
-        threads=config.threads,
     )
     rows = [
         {
@@ -392,12 +398,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         params[key] = value
     seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
     seed &= 0xFFFFFFFFFFFFFFFF  # master seed is a 64-bit word
-    threads = args.threads if args.threads is not None else int(file_cfg.get("threads", 1))
     fmt = args.format or file_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}", config_field="format")
     out = args.out or file_cfg.get("out")
-    return RunConfig(command=command, params=params, seed=seed, threads=threads, format=fmt, out=out)
+    return RunConfig(command=command, params=params, seed=seed, format=fmt, out=out)
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="subcommand to run")
     parser.add_argument("--config", help="JSON config file (or a previously emitted manifest)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="tree-reduce workers, one site chunk at a time; never changes results")
+    parser.add_argument("--threads", type=int, default=None, help="ignored; accepted so old manifests and scripts still run")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", help="output base path")
     parser.add_argument(

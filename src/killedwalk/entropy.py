@@ -169,6 +169,8 @@ def minimize_variational(
     all evaluations.
     """
     cfg = optimizer_cfg or OptimizerConfig()
+    if cfg.n_grid < 2:
+        raise ValueError(f"need n_grid >= 2, got {cfg.n_grid}")
     own_alpha = alpha_hat is None
     if own_alpha:
         alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")

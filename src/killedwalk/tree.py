@@ -27,7 +27,6 @@ turning_point_decompose sweeps with the complementary step probability.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
 # vertices on the deepest level of one chunk of sites: one site at d = 3,
 # depth 16.  Two sites a chunk ran reduce_to_line there 19% faster, but
-# doubled each worker's workspace (to 3.7 MB) and lifted the tree
+# doubled the forest workspace (to 3.7 MB) and lifted the tree
 # benchmark's peak RSS by 4.4%
 _FOREST_CELL_BUDGET = 2**15
 _LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
@@ -207,16 +206,28 @@ def _sum_children(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.nd
     return total
 
 
-class _Workspace:
-    """The buffers of _forest_bracket's level loop, sized for a deepest
-    level of cells vertices: the uint64 level counters of one forest, the
-    hash scratch, the uniforms, the visit survivals s, the "not positive"
-    flags and two buffers that take turns holding a level's denominators
-    and then, in place, its bracket of return weights."""
+def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
+    """_level_starts of one branch forest, refused past
+    _FOREST_VERTEX_BUDGET vertices before anything that size exists."""
+    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
+    if n_vertices > _FOREST_VERTEX_BUDGET:
+        raise ValueError(
+            f"branch forest of depth {depth} needs {n_vertices} vertices; "
+            "lower the depth cap (only point-mass laws collapse to scalars)"
+        )
+    return _level_starts(d, n_roots, depth).tolist()
 
-    def __init__(self, cells: int, n_counters: int):
-        self.cells = cells
-        self.counters = np.arange(n_counters, dtype=np.uint64)
+
+class _Workspace:
+    """The buffers of _forest_bracket's level loop for up to n_forests
+    forests with the level starts given: the uint64 level counters of one
+    forest, the hash scratch, the uniforms, the visit survivals s, the "not
+    positive" flags and two buffers that take turns holding a level's
+    denominators and then, in place, its bracket of return weights."""
+
+    def __init__(self, n_forests: int, starts: list[int]):
+        cells = n_forests * (starts[-1] - starts[-2])
+        self.counters = np.arange(starts[-1], dtype=np.uint64)
         self.scratch = np.empty(cells, dtype=np.uint64)
         self.u = np.empty(cells)
         self.s = np.empty(cells)
@@ -231,7 +242,7 @@ def _forest_bracket(
     streams: np.ndarray,
     n_roots: int,
     depth: int,
-    scope=None,
+    ws: _Workspace | None = None,
 ) -> np.ndarray:
     """Bottom-up return-weight brackets for every root of a batch of branch
     forests, one forest per uint64 stream id in streams, with each forest's
@@ -244,12 +255,10 @@ def _forest_bracket(
     consecutive there, and every operation is elementwise, so a forest's
     numbers do not depend on which other forests share its batch.
 
-    The levels run on slices of one _Workspace through out= ufuncs, so the
-    loop allocates no array the size of a level (but for the one-byte masks
-    of ppf's third and later atoms).  The workspace is kept on
-    scope (an attribute holder, such as a worker's threading.local) for
-    later calls, which replace it when they need a larger one; without
-    scope it lives for this call.
+    The levels run on slices of the _Workspace ws through out= ufuncs, so
+    the loop allocates no array the size of a level (but for the one-byte
+    masks of ppf's third and later atoms).  ws must be built for at least
+    this many forests of this shape; without ws the call makes its own.
     """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
@@ -259,20 +268,10 @@ def _forest_bracket(
             w = p * s / (1.0 - s * s_child * (d - 1) * w)
         return np.full((2, streams.size, n_roots), w[..., None])
 
-    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
-    if n_vertices > _FOREST_VERTEX_BUDGET:
-        raise ValueError(
-            f"branch forest of depth {depth} needs {n_vertices} vertices; "
-            "lower the depth cap (only point-mass laws collapse to scalars)"
-        )
-    starts = _level_starts(d, n_roots, depth).tolist()
+    starts = _forest_starts(d, n_roots, depth)
     n_forests = streams.size
-    cells = n_forests * (starts[-1] - starts[-2])
-    ws = getattr(scope, "workspace", None)
-    if ws is None or ws.cells < cells or ws.counters.size < starts[-1]:
-        ws = _Workspace(cells, starts[-1])
-        if scope is not None:
-            scope.workspace = ws
+    if ws is None:
+        ws = _Workspace(n_forests, starts)
     # a lone forest keys by a scalar stream, whose hash numpy then runs in
     # scalar math rather than as ufunc calls on (1, 1) arrays
     column = streams[:, None] if n_forests > 1 else streams[0]
@@ -302,7 +301,6 @@ def _site_brackets(
     dist: PotentialDistribution,
     seed: int,
     streams: int | np.ndarray,
-    threads: int = 1,
 ) -> np.ndarray:
     """Bracketed excursion survival weights h of geodesic sites, one per
     stream id in streams (an int or an integer array), with branch forests
@@ -311,22 +309,23 @@ def _site_brackets(
 
     Sites run in chunks whose deepest forest level holds at most
     _FOREST_CELL_BUDGET vertices (at least one site a chunk; a point law
-    runs all sites in one), mapped over threads workers; chunking and
-    threads never change a digit.
+    runs all sites in one), one after another on one forest workspace
+    sized for the first, largest chunk; chunking never changes a digit.
     """
     depth = cfg.depth_cap_D
     streams = np.atleast_1d(_as_u64(streams))
     n_roots = cfg.d - 2
-    chunk = streams.size
+    chunk, ws = streams.size, None
     if dist.kind != "point":  # a point law's forests collapse to scalars
-        chunk = max(1, _FOREST_CELL_BUDGET // (n_roots * (cfg.d - 1) ** (depth - 1)))
+        starts = _forest_starts(cfg.d, n_roots, depth)
+        chunk = max(1, _FOREST_CELL_BUDGET // (starts[-1] - starts[-2]))
+        ws = _Workspace(min(chunk, streams.size), starts)
     s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
-    worker = threading.local()  # each worker's forest workspace, freed on return
 
     def run(first: int) -> np.ndarray:
         part = streams[first : first + chunk]
         omega_site = dist.ppf(keyed_uniform(seed, part, 0))
-        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth, worker)
+        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth, ws)
         # math.exp: numpy's vectorized exp may round differently, which
         # would move h by an ulp against data files already written
         s = np.array([math.exp(-x) for x in omega_site.tolist()])
@@ -335,7 +334,7 @@ def _site_brackets(
             raise AssertionError("excursion denominator not positive; bracket logic violated")
         return s_geo * s / denom
 
-    return np.concatenate(ordered_map(run, range(0, streams.size, chunk), threads=threads), axis=1)
+    return np.concatenate(ordered_map(run, range(0, streams.size, chunk)), axis=1)
 
 
 def branch_return_weight(
@@ -376,12 +375,11 @@ def _site_rhos(
     sites: np.ndarray,
     seed: int,
     stream_id: int,
-    threads: int = 1,
 ) -> list[RhoPotential]:
     """rho brackets of the geodesic sites with the given indices, each on
     its own stream substream(stream_id, site)."""
     sites = np.asarray(sites, dtype=np.int64)
-    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites), threads)
+    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites))
     return [
         RhoPotential(
             site_index=i,
@@ -435,19 +433,17 @@ def rho_environment(
     window: tuple[int, int],
     seed: int = 0,
     stream_id: int = 0,
-    threads: int = 1,
 ) -> tuple[list[RhoPotential], Environment, Environment, Environment]:
     """rho brackets on an inclusive window, packaged as three environments
     (midpoint, lower envelope, upper envelope) sharing the window.
 
     Sites own disjoint streams, so their branch forests are computed in
-    batched chunks of sites, and the chunks on threads workers, without
-    changing a digit.
+    batched chunks of sites without changing a digit.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"empty window ({lo}, {hi})")
-    brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id, threads)
+    brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id)
     def pack(vals):
         return Environment(lo, hi, np.asarray(vals), seed=seed, stream_id=stream_id)
     mids = pack([b.midpoint for b in brackets])
@@ -463,7 +459,6 @@ def reduce_to_line(
     seed: int = 0,
     stream_id: int = 0,
     r_ratio: float = 4.0,
-    threads: int = 1,
 ) -> EffectiveLineModel:
     """Build the effective line model for journeys uphill to geodesic site n.
 
@@ -477,7 +472,7 @@ def reduce_to_line(
     if not (math.isfinite(r_ratio) and r_ratio > 0):
         raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
     r = -math.ceil(r_ratio * n)
-    brackets, mids, lows, highs = rho_environment(cfg, dist, (r, n), seed, stream_id, threads)
+    brackets, mids, lows, highs = rho_environment(cfg, dist, (r, n), seed, stream_id)
     return EffectiveLineModel(
         env_mid=mids,
         env_lower=lows,

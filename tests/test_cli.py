@@ -277,6 +277,63 @@ def test_tree_reduce_range_errors_name_their_field(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(BERN_SPEC)}"
+    cases = [
+        ("beta", "n_grid=[2,4,4]", "n_grid"),
+        ("beta", "n_grid=[]", "n_grid"),
+        ("beta", "n_grid=[0,2]", "n_grid"),
+        ("beta", "n_grid=[[2],4]", "n_grid"),
+        ("beta", "n_grid=8", "n_grid"),
+        ("variational", 'beta={"n_grid":[2,2]}', "beta.n_grid"),
+        ("variational", 'beta={"n_grid":[1.5]}', "beta.n_grid"),
+        ("variational", 'beta={"r_ratio":0}', "beta.r_ratio"),
+        ("variational", 'beta={"r_ratio":-2}', "beta.r_ratio"),
+    ]
+    for command, param, name in cases:
+        argv = [command, "-P", dist, "-P", "n_samples=4", "-P", param, "--out", "x"]
+        assert run_cli(tmp_path, *argv) == 1, param
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == name and name in record["error"], (command, param, record)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_variational_beta_block_must_be_an_object_null_or_false(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    small = ["-P", "n_samples=4", "-P", "n_grid=3", "-P", "max_evals=4", "-P", 'beta={"n_grid":[2]}']
+    for value in ("true", "1", "[2,4]", '"yes"'):
+        argv = ["variational", "-P", dist, *small, "-P", f"beta={value}", "--out", "v"]
+        assert run_cli(tmp_path, *argv) == 2, value
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "beta" and "beta" in record["error"], (value, record)
+    assert not (tmp_path / "v.csv").exists()
+    for value, has_beta in (("null", True), ("false", False), ('{"n_grid":[2]}', True)):
+        argv = ["variational", "-P", dist, *small, "-P", f"beta={value}", "--format", "json", "--out", "v"]
+        assert run_cli(tmp_path, *argv) == 0, value
+        summary = json.loads((tmp_path / "v.json").read_text())["summary"]
+        assert (summary["beta_hat"] is not None) == has_beta, value
+
+
+def test_sample_and_grid_sizes_fail_with_field_name(tmp_path, capsys):
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    cases = [
+        ("alpha", ["n_samples=1"], "n_samples"),
+        ("alpha", ["n_samples=0"], "n_samples"),
+        ("variational", ["n_samples=1"], "n_samples"),
+        ("variational", ["n_grid=0"], "n_grid"),
+        ("variational", ["n_grid=1"], "n_grid"),
+        ("variational", ["n_grid=0", "theta_lo=0.5"], "n_grid"),
+    ]
+    for command, params, name in cases:
+        argv = [command, "-P", dist, "-P", "beta=false"] if command == "variational" else [command, "-P", dist]
+        for param in params:
+            argv += ["-P", param]
+        assert run_cli(tmp_path, *argv, "--out", "x") == 1, params
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == name and record["exit_code"] == 1, (command, params, record)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_green_window_fails_with_field_name(tmp_path, capsys):
     dist = f"distribution={json.dumps(CONST_SPEC)}"
     for window in ("[5]", "[-5,5,9]", "[3,10]", "[-10,-3]", "[-5,0]", "[-5.5,5]", "[false,5]", "7"):
@@ -328,11 +385,34 @@ def test_manifest_rerun_is_bit_identical_and_thread_independent(tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def test_tree_reduce_ignores_threads(tmp_path):
+    # --threads is accepted and ignored: data, rho-env and manifest files
+    # are the same bytes at any value, and a manifest that still carries a
+    # "threads" entry replays to the same data
+    base = ["tree-reduce", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "n=4", "-P", "depth_cap=6", "--seed", "3"]
+    assert run_cli(tmp_path, *base, "--threads", "1", "--out", "t") == 0
+    (tmp_path / "one").mkdir()
+    assert run_cli(tmp_path / "one", *base, "--threads", "4", "--out", "t") == 0
+    for suffix in (".csv", ".rho-env.json", ".manifest.json"):
+        assert (tmp_path / f"t{suffix}").read_bytes() == (tmp_path / "one" / f"t{suffix}").read_bytes(), suffix
+    manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+    assert "threads" not in manifest["run_config"]
+    manifest["run_config"]["threads"] = 2
+    old = write_config(tmp_path, "old.manifest.json", manifest)
+    assert run_cli(tmp_path, "--config", old, "--out", "replay") == 0
+    for suffix in (".csv", ".rho-env.json"):
+        assert (tmp_path / f"t{suffix}").read_bytes() == (tmp_path / f"replay{suffix}").read_bytes(), suffix
+
+
 def test_package_import_leaves_scipy_out():
-    # setup time and resident memory of every CLI run depend on this
+    # setup time and resident memory of every CLI run depend on this; the
+    # thread pool's concurrent.futures stays out too
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, killedwalk, killedwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, killedwalk, killedwalk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True, text=True, timeout=120,

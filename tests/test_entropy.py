@@ -140,6 +140,17 @@ def test_variational_collapse_for_point_mass():
     assert report.var_min_tilt.tilt == CONST
 
 
+@pytest.mark.parametrize("n_grid", [-1, 0, 1])
+def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
+    # n_grid = 0 once returned the lone theta = 0 row, or died in min() when
+    # theta_lo > 0; the refusal comes before any sample is drawn
+    monkeypatch.setattr(lyapunov, "F_limit_batch", None)
+    for theta_lo in (-1.0, 0.5):
+        cfg = OptimizerConfig(n_samples=4, seed=0, theta_lo=theta_lo, theta_hi=1.0, n_grid=n_grid)
+        with pytest.raises(ValueError, match="n_grid"):
+            minimize_variational(BERN, optimizer_cfg=cfg)
+
+
 @pytest.mark.parametrize("base", [BERN, make_distribution({"kind": "exponential", "rate": 1.0})])
 def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
     calls = []

@@ -1,5 +1,4 @@
 import math
-import types
 from dataclasses import replace
 from unittest import mock
 
@@ -167,25 +166,26 @@ def test_batched_brackets_match_one_forest_oracle(
 @pytest.mark.parametrize("d, depth", [(3, 7), (4, 5), (10, 3)])
 def test_worker_workspaces_are_invisible(d, depth):
     # 7 sites in chunks of 1, of 3 + 3 + 1 (a short last chunk) and of 7,
-    # on 1 to 3 workers, so workers reuse workspaces across chunks
+    # so every chunk after the first reuses the first one's workspace
     cfg = TreeConfig(d, drift_p=0.45, depth_cap_D=depth)
     streams = substream(3, np.arange(-3, 4))
     deepest = (d - 2) * (d - 1) ** (depth - 1)
     want = np.array([_oracles.excursion_h(cfg, THREE_ATOMS, 5, s, depth) for s in streams.tolist()]).T
     for per_chunk in (1, 3, 7):
-        for threads in (1, 2, 3):
-            with mock.patch.object(tree, "_FOREST_CELL_BUDGET", per_chunk * deepest):
-                got = _site_brackets(cfg, THREE_ATOMS, 5, streams, threads)
-            assert np.array_equal(got, want), (per_chunk, threads)
+        with mock.patch.object(tree, "_FOREST_CELL_BUDGET", per_chunk * deepest):
+            got = _site_brackets(cfg, THREE_ATOMS, 5, streams)
+        assert np.array_equal(got, want), per_chunk
 
 
 def test_forest_workspace_reuse_by_smaller_and_deeper_calls():
-    scope = types.SimpleNamespace()
     cfg = TreeConfig(4)
-    # the third call fits the cells of the first but needs more counters
+    # one workspace holds the cells of the first call and the counters of
+    # the third, deeper one; every call after the first finds the cells a
+    # larger call left behind
+    ws = tree._Workspace(6, _level_starts(4, 1, 6).tolist())
     for n_sites, depth, n_roots in ((6, 5, 2), (2, 3, 2), (1, 6, 1), (3, 5, 2)):
         streams = substream(8, np.arange(n_sites))
-        got = _forest_bracket(cfg, EXP1, 2, streams, n_roots, depth, scope)
+        got = _forest_bracket(cfg, EXP1, 2, streams, n_roots, depth, ws)
         for k, stream in enumerate(streams.tolist()):
             want_lo, want_hi = _oracles.forest_bracket(cfg, EXP1, 2, stream, n_roots, depth)
             assert np.array_equal(got[0, k], want_lo) and np.array_equal(got[1, k], want_hi)
@@ -248,14 +248,15 @@ def test_drifted_config_at_symmetric_point_is_bit_identical():
     assert (sym.rho_lower, sym.rho_upper) == (drift.rho_lower, drift.rho_upper)
 
 
-def test_rho_sequence_thread_count_is_invisible():
-    # at depth 12 the 41 sites run in three chunks, handed to the workers
+def test_rho_sequence_default_chunks_are_invisible():
+    # at depth 12 the 41 sites run in chunks of 16, 16 and 9 on one
+    # workspace; every site computed alone must give the same digits
     assert tree._FOREST_CELL_BUDGET // 2**11 == 16
     for depth, window in ((7, (0, 7)), (12, (0, 40))):
         cfg = TreeConfig(3, depth_cap_D=depth)
-        one = rho_environment(cfg, BERN, window, seed=2, threads=1)[0]
-        four = rho_environment(cfg, BERN, window, seed=2, threads=4)[0]
-        assert [(b.rho_lower, b.rho_upper) for b in one] == [(b.rho_lower, b.rho_upper) for b in four]
+        seq = rho_environment(cfg, BERN, window, seed=2)[0]
+        alone = [rho_for_site(cfg, BERN, i, seed=2) for i in range(window[0], window[1] + 1)]
+        assert [(b.rho_lower, b.rho_upper) for b in seq] == [(b.rho_lower, b.rho_upper) for b in alone]
 
 
 # ---------------------------------------------------------------------------
