@@ -1,12 +1,13 @@
 """Reproducible batch front-end.
 
 Every run resolves its configuration (file plus flag overrides, flags
-winning), executes one subcommand, and writes the data file together with
-a manifest that echoes the fully resolved configuration, the library
-version and the master seed.  Feeding the manifest back through --config
-reproduces the data files byte for byte: all randomness is keyed per
-work item.  --threads is accepted, for old manifests and scripts, and
-ignored.
+winning), reads each value it uses through one typed reader, executes one
+subcommand, and writes the data file together with a manifest that echoes
+the params as given, the library version and the master seed.  A param
+left out takes the default of the recorded killedwalk_version.  Feeding
+the manifest back through --config reproduces the data files byte for
+byte: all randomness is keyed per work item.  --threads is accepted, for
+old manifests and scripts, and ignored.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from . import __version__
 from .env import Environment, make_distribution, sample_environment
 from .entropy import OptimizerConfig, minimize_variational
 from .line_solver import F_limit, green_function_window, two_point_a
-from .lyapunov import _is_positive_integer, annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
+from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
 from .tree import TreeConfig, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
+FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")  # as minimize_variational names them
 
 CSV_COLUMNS = {
     "alpha": ["method", "value", "ci_halfwidth", "n_samples", "trunc_bias", "n_unconverged"],
@@ -40,7 +42,7 @@ CSV_COLUMNS = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved description of one batch run."""
+    """One batch run: its command, params as given, seed, format and output base."""
 
     command: str
     params: dict = field(default_factory=dict)
@@ -53,17 +55,11 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
-    """A bad configuration entry, named by config_field.
+    """A bad configuration entry, named by config_field; the run exits 2."""
 
-    exit_code 2 marks an entry no run can be set up from; 1 marks a value
-    a library routine refuses (out of its range), which exits 1 whether
-    the routine or the CLI catches it.
-    """
-
-    def __init__(self, message: str, config_field: str = "", exit_code: int = 2):
+    def __init__(self, message: str, config_field: str = ""):
         super().__init__(message)
         self.config_field = config_field
-        self.exit_code = exit_code
 
 
 def _fmt(value) -> str:
@@ -102,25 +98,47 @@ def _dist_from(params: dict):
         raise ConfigError(f"bad distribution: {exc}", config_field="distribution") from exc
 
 
-def _r_ratio(p: dict, prefix: str = "") -> float:
-    r_ratio = float(p.get("r_ratio", 4.0))
-    if not (math.isfinite(r_ratio) and r_ratio > 0):
-        raise ConfigError(f"{prefix}r_ratio must be finite and > 0, got {r_ratio!r}", f"{prefix}r_ratio", exit_code=1)
-    return r_ratio
+def _typed(value, kind):
+    """value as kind (int, float, str, dict or list of ints), or None if it
+    is not one.  A bool is no number and a float must be finite; an int may
+    be written as an integral float, and comes back as given if it is one."""
+    if kind in (str, dict):
+        return value if isinstance(value, kind) else None
+    if kind is list:
+        items = [_typed(item, int) for item in value] if isinstance(value, list) else [None]
+        return None if None in items else items
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value  # no float round trip: a 64-bit seed keeps every bit
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        return None  # NaN, infinities and ints no float holds fail the bound
+    number = float(value)
+    return number if kind is float else int(number) if number.is_integer() else None
 
 
-def _n_grid(p: dict, prefix: str = "") -> list:
-    ns = p.get("n_grid", [2, 4, 8])
-    if not (isinstance(ns, list) and ns and all(map(_is_positive_integer, ns)) and len(set(ns)) == len(ns)):
-        raise ConfigError(f"{prefix}n_grid must hold distinct positive integers, got {ns!r}", f"{prefix}n_grid", exit_code=1)
-    return ns
+def _param(p: dict, key: str, default, kind, ok, need: str, prefix: str = ""):
+    """p[key], or default when the key is absent, as kind once it passes
+    ok (None passes any value of the kind); any other value is a
+    ConfigError naming the field.  A None default lets the key be null."""
+    value = p.get(key, default)
+    if value is None and default is None:
+        return None
+    typed = _typed(value, kind)
+    if typed is None or (ok and not ok(typed)):
+        raise ConfigError(f"{prefix}{key} must be {need}, got {value!r}", prefix + key)
+    return typed
+
+
+def _positive(value) -> bool:
+    return value > 0
 
 
 def _at_least(p: dict, key: str, default: int, least: int) -> int:
-    value = int(p.get(key, default))
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}", key, exit_code=1)
-    return value
+    return _param(p, key, default, int, lambda v: v >= least, f"an integer >= {least}")
+
+
+def _n_grid(p: dict, prefix: str = "") -> list:
+    return _param(p, "n_grid", [2, 4, 8], list, lambda ns: ns and min(ns) >= 1 and len(set(ns)) == len(ns),
+                  "a list of distinct integers >= 1", prefix)
 
 
 def run(config: RunConfig) -> dict:
@@ -141,12 +159,12 @@ def run(config: RunConfig) -> dict:
 def _run_alpha(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
-    method = p.get("method", "mc")
+    method = _param(p, "method", "mc", str, ("mc", "ergodic").__contains__, "'mc' or 'ergodic'")
     if method == "mc":
         est = estimate_alpha_mc(
             dist,
             n_samples=_at_least(p, "n_samples", 1000, 2),
-            tol=float(p.get("tol", 1e-7)),
+            tol=_param(p, "tol", 1e-7, float, _positive, "a number > 0"),
             seed=config.seed,
         )
         row = {
@@ -158,25 +176,23 @@ def _run_alpha(config: RunConfig) -> dict:
             "n_unconverged": est.params["n_unconverged"],
         }
         return {"rows": [row], "columns": CSV_COLUMNS["alpha"], "summary": row}
-    if method == "ergodic":
-        ratios = estimate_alpha_ergodic(
-            dist,
-            n=int(p.get("n", 2000)),
-            r_offset=int(p.get("r_offset", 64)),
-            seed=config.seed,
-            stream_id=int(p.get("stream_id", 0)),
-        )
-        rows = [{"k": k, "a_over_k": v} for k, v in ratios]
-        summary = {"method": "quenched-ergodic", "value": rows[-1]["a_over_k"], "n": len(rows)}
-        return {"rows": rows, "columns": CSV_COLUMNS["alpha-ergodic"], "summary": summary}
-    raise ConfigError(f"alpha method must be 'mc' or 'ergodic', got {method!r}", "method")
+    ratios = estimate_alpha_ergodic(
+        dist,
+        n=_at_least(p, "n", 2000, 1),
+        r_offset=_param(p, "r_offset", 64, int, bool, "a nonzero integer"),
+        seed=config.seed,
+        stream_id=_param(p, "stream_id", 0, int, None, "an integer"),
+    )
+    rows = [{"k": k, "a_over_k": v} for k, v in ratios]
+    summary = {"method": "quenched-ergodic", "value": rows[-1]["a_over_k"], "n": len(rows)}
+    return {"rows": rows, "columns": CSV_COLUMNS["alpha-ergodic"], "summary": summary}
 
 
 def _run_beta(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
     # "method" and "n_paths" are accepted and ignored: every row is exact
-    est = estimate_beta(dist, n_grid=_n_grid(p), r_ratio=_r_ratio(p))
+    est = estimate_beta(dist, n_grid=_n_grid(p), r_ratio=_param(p, "r_ratio", 4.0, float, _positive, "a number > 0"))
     rows = [
         {
             "n": row["n"],
@@ -200,26 +216,24 @@ def _run_beta(config: RunConfig) -> dict:
 def _run_variational(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
+    theta_lo = _param(p, "theta_lo", -1.0, float, None, "a finite number")
     cfg = OptimizerConfig(
         n_samples=_at_least(p, "n_samples", 1000, 2),
-        tol=float(p.get("tol", 1e-7)),
+        tol=_param(p, "tol", 1e-7, float, _positive, "a number > 0"),
         seed=config.seed,
-        theta_lo=float(p.get("theta_lo", -1.0)),
-        theta_hi=float(p.get("theta_hi", 6.0)),
+        theta_lo=theta_lo,
+        theta_hi=_param(p, "theta_hi", 6.0, float, lambda v: v > theta_lo, f"a finite number > theta_lo = {theta_lo!r}"),
         n_grid=_at_least(p, "n_grid", 25, 2),
-        param_tol=float(p.get("param_tol", 1e-4)),
-        max_evals=int(p.get("max_evals", 200)),
+        param_tol=_param(p, "param_tol", 1e-4, float, lambda v: v >= 0, "a finite number >= 0"),
+        max_evals=_at_least(p, "max_evals", 200, 0),
     )
-    beta_cfg = p.get("beta", {})
-    if beta_cfg is not None and beta_cfg is not False and not isinstance(beta_cfg, dict):
-        raise ConfigError(f"beta must be an object, null or false, got {beta_cfg!r}", "beta")
+    family = _param(p, "family", "exponential-tilt", str, FAMILIES.__contains__, f"one of {FAMILIES}")
     beta_hat = None
-    if beta_cfg is not False:
-        beta_cfg = beta_cfg or {}
-        beta_hat = estimate_beta(dist, n_grid=_n_grid(beta_cfg, "beta."), r_ratio=_r_ratio(beta_cfg, "beta."))
-    report = minimize_variational(
-        dist, family=p.get("family", "exponential-tilt"), optimizer_cfg=cfg, beta_hat=beta_hat
-    )
+    if p.get("beta") is not False:
+        beta_cfg = _param(p, "beta", None, dict, None, "an object, null or false") or {}
+        r_ratio = _param(beta_cfg, "r_ratio", 4.0, float, _positive, "a number > 0", "beta.")
+        beta_hat = estimate_beta(dist, n_grid=_n_grid(beta_cfg, "beta."), r_ratio=r_ratio)
+    report = minimize_variational(dist, family=family, optimizer_cfg=cfg, beta_hat=beta_hat)
     rows = [
         {k: row[k] for k in ("theta", "E_Q_F", "kl_per_site", "objective")}
         for row in report.objective_curve
@@ -242,20 +256,14 @@ def _run_variational(config: RunConfig) -> dict:
 def _run_tree_reduce(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
-    try:
-        tree_cfg = TreeConfig(
-            d=int(p.get("d", 3)),
-            drift_p=p.get("drift_p"),
-            depth_cap_D=int(p.get("depth_cap", 10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), config_field="tree") from exc
+    drift_p = _param(p, "drift_p", None, float, lambda v: 0 < v < 1, "null or a number in (0, 1)")
+    tree_cfg = TreeConfig(d=_at_least(p, "d", 3, 3), drift_p=drift_p, depth_cap_D=_at_least(p, "depth_cap", 10, 1))
     n = _at_least(p, "n", 8, 1)
     model = reduce_to_line(
         tree_cfg, dist, n,
         seed=config.seed,
-        stream_id=int(p.get("stream_id", 0)),
-        r_ratio=_r_ratio(p),
+        stream_id=_param(p, "stream_id", 0, int, None, "an integer"),
+        r_ratio=_param(p, "r_ratio", 4.0, float, _positive, "a number > 0"),
     )
     rows = [
         {
@@ -292,37 +300,23 @@ def _run_tree_reduce(config: RunConfig) -> dict:
 
 def _run_green(config: RunConfig) -> dict:
     p = config.params
-    n_values = p.get("n_values", [5, 10, 20])
-    if not isinstance(n_values, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
-    ):
-        raise ConfigError(f"n_values must be a list of integers >= 1, got {n_values!r}", "n_values")
-    window = p.get("window", [-100, 100])
-    if not (
-        isinstance(window, (list, tuple))
-        and len(window) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in window)
-        and window[0] < 0 < window[1]
-    ):
-        raise ConfigError(f"window must be two integers lo < 0 < hi, got {window!r}", "window")
-    window = tuple(window)
-    env_file = p.get("environment_file")
+    n_values = _param(p, "n_values", [5, 10, 20], list, lambda ns: all(n >= 1 for n in ns), "a list of integers >= 1")
+    window = _param(p, "window", [-100, 100], list, lambda w: len(w) == 2 and w[0] < 0 < w[1], "two integers lo < 0 < hi")
+    step = _param(p, "step_right_prob", 0.5, float, lambda s: 0 < s < 1, "a number in (0, 1)")
+    alpha_ref = _param(p, "alpha_ref", None, float, _positive, "null or a number > 0")
+    tol = _param(p, "tol", 1e-9, float, _positive, "a number > 0")
+    stream_id = _param(p, "stream_id", 0, int, None, "an integer")
+    env_file = _param(p, "environment_file", None, str, None, "null or a file path")
     if env_file:
         env = Environment.load(env_file)
         window = (env.window_lo, env.window_hi)
     else:
-        dist = _dist_from(p)
-        env = sample_environment(dist, window, config.seed, int(p.get("stream_id", 0)))
+        env = sample_environment(_dist_from(p), window, config.seed, stream_id)
     past_end = [n for n in n_values if n >= window[1]]
     if past_end:
         raise ConfigError(f"n_values must lie below the window's right end {window[1]}, got {past_end}", "n_values")
-    step = p.get("step_right_prob", 0.5)
-    if isinstance(step, bool) or not isinstance(step, (int, float)) or not 0.0 < step < 1.0:
-        raise ConfigError(f"step_right_prob must be a number in (0, 1), got {step!r}", "step_right_prob")
-    step = float(step)
-    alpha_ref = p.get("alpha_ref")
     if alpha_ref is None:
-        alpha_ref = F_limit(env, tol=float(p.get("tol", 1e-9)), p=step).a_value
+        alpha_ref = F_limit(env, tol=tol, p=step).a_value
     rows = []
     for n in n_values:
         g = green_function_window(env, 0, n, window, step)
@@ -387,21 +381,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not JSON: {exc}", "config") from None
         # a manifest is itself a valid config: unwrap its echoed run block
-        file_cfg = loaded.get("run_config", loaded)
-    command = args.command or file_cfg.get("command")
-    if not command:
-        raise ConfigError("no command given (flag or config file)", config_field="command")
+        file_cfg = loaded.get("run_config", loaded) if isinstance(loaded, dict) else loaded
+        if not (isinstance(file_cfg, dict) and isinstance(file_cfg.get("params", {}), dict)):
+            raise ConfigError(f"config must be an object whose params is an object, got {file_cfg!r}", "config")
+    command = args.command or _param(file_cfg, "command", "", str, COMMANDS.__contains__, f"given, one of {COMMANDS}")
     params = dict(file_cfg.get("params", {}))
     for key, value in (args.param or []):
         params[key] = value
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _param(file_cfg, "seed", 0, int, None, "an integer")
     seed &= 0xFFFFFFFFFFFFFFFF  # master seed is a 64-bit word
-    fmt = args.format or file_cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}", config_field="format")
-    out = args.out or file_cfg.get("out")
+    fmt = args.format or _param(file_cfg, "format", "csv", str, ("csv", "json").__contains__, "csv or json")
+    out = args.out or _param(file_cfg, "out", None, str, None, "null or a path")
     return RunConfig(command=command, params=params, seed=seed, format=fmt, out=out)
 
 
@@ -443,15 +438,12 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         result = run(config)
-    except ConfigError as exc:
-        record = {"error": str(exc), "field": exc.config_field, "command": args.command, "exit_code": exc.exit_code}
-        print(json.dumps(record), file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # a ConfigError exits 2, any other failure 1
+        code = 2 if isinstance(exc, ConfigError) else 1
         command = config.command if config else args.command
-        record = {"error": str(exc), "field": "", "command": command, "exit_code": 1}
+        record = {"error": str(exc), "field": getattr(exc, "config_field", ""), "command": command, "exit_code": code}
         print(json.dumps(record), file=sys.stderr)
-        return 1
+        return code
 
     base = config.out or f"killedwalk-{config.command}"
     data_path = f"{base}.{config.format}"

@@ -147,10 +147,12 @@ def make_distribution(spec) -> PotentialDistribution:
     kind = spec.get("kind")
     if kind in ("finite", "finite-support"):
         atoms = spec.get("atoms")
-        if not atoms:
-            raise ValueError("finite-support law needs a nonempty 'atoms' list")
+        if not (isinstance(atoms, (list, tuple)) and atoms):
+            raise ValueError(f"finite-support law needs a nonempty 'atoms' list, got {atoms!r}")
         vals, weights = [], []
         for i, entry in enumerate(atoms):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ValueError(f"atoms[{i}] must be a [value, weight] pair, got {entry!r}")
             v = _finite(entry[0], f"atoms[{i}] value")
             w = _finite(entry[1], f"atoms[{i}] weight")
             if v < 0:
@@ -182,7 +184,10 @@ def make_distribution(spec) -> PotentialDistribution:
 
 
 def _finite(raw, name: str) -> float:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value

@@ -239,7 +239,7 @@ def F_limit(
     remaining overestimate of the true limit.  It runs the loop of
     F_limit_batch on one row, so both give the same digits.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
     if isinstance(source, EnvironmentSource) and source.dist.is_delta_zero:
         return SurvivalResult(
@@ -274,7 +274,7 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     that share a seed share environments row by row.  For a delta-zero law
     every row is exactly 0 with r_used 0, where F_limit reports None.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
     if dist.is_delta_zero:  # the limit is 0 exactly, as in F_limit
         return LimitBatch(

@@ -376,7 +376,7 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
     minimum (a certified upper bound, reported in params).
     """
     ns = list(n_grid) if np.iterable(n_grid) else []
-    if not ns or len(set(ns)) < len(ns) or not all(map(_is_positive_integer, ns)):
+    if not ns or not all(map(_is_positive_integer, ns)) or len(set(ns)) < len(ns):
         raise ValueError(f"n_grid must hold distinct positive integers, got {n_grid!r}")
     if not (math.isfinite(r_ratio) and r_ratio > 0):
         raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")

@@ -9,7 +9,7 @@ import pytest
 
 from killedwalk.cli import CSV_COLUMNS, main
 from killedwalk.env import make_distribution
-from killedwalk.lyapunov import estimate_alpha_mc
+from killedwalk.lyapunov import estimate_alpha_ergodic, estimate_alpha_mc
 
 BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 CONST_SPEC = {"kind": "point", "value": -math.log(0.8)}
@@ -153,7 +153,7 @@ def test_bad_beta_grid_and_barrier_ratio_fail_with_parameter_name(tmp_path, caps
     ]
     for command, param, name in cases:
         dist = f"distribution={json.dumps(BERN_SPEC)}"
-        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "-P", "n=2", "--out", "x") == 1
+        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "-P", "n=2", "--out", "x") == 2
         record = json.loads(capsys.readouterr().err)
         assert name in record["error"], (command, param, record)
     assert not (tmp_path / "x.csv").exists()
@@ -271,9 +271,9 @@ def test_tree_reduce_range_errors_name_their_field(tmp_path, capsys):
         ("beta", "r_ratio=0", "r_ratio"),
     ]
     for command, param, name in cases:
-        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "--out", "x") == 1, param
+        assert run_cli(tmp_path, command, "-P", dist, "-P", param, "--out", "x") == 2, param
         record = json.loads(capsys.readouterr().err)
-        assert record["field"] == name and record["exit_code"] == 1, (command, param, record)
+        assert record["field"] == name and record["exit_code"] == 2, (command, param, record)
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -292,7 +292,7 @@ def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):
     ]
     for command, param, name in cases:
         argv = [command, "-P", dist, "-P", "n_samples=4", "-P", param, "--out", "x"]
-        assert run_cli(tmp_path, *argv) == 1, param
+        assert run_cli(tmp_path, *argv) == 2, param
         record = json.loads(capsys.readouterr().err)
         assert record["field"] == name and name in record["error"], (command, param, record)
     assert not (tmp_path / "x.csv").exists()
@@ -328,10 +328,87 @@ def test_sample_and_grid_sizes_fail_with_field_name(tmp_path, capsys):
         argv = [command, "-P", dist, "-P", "beta=false"] if command == "variational" else [command, "-P", dist]
         for param in params:
             argv += ["-P", param]
-        assert run_cli(tmp_path, *argv, "--out", "x") == 1, params
+        assert run_cli(tmp_path, *argv, "--out", "x") == 2, params
         record = json.loads(capsys.readouterr().err)
-        assert record["field"] == name and record["exit_code"] == 1, (command, params, record)
+        assert record["field"] == name and record["exit_code"] == 2, (command, params, record)
     assert not (tmp_path / "x.csv").exists()
+
+
+BAD_VALUES = [
+    # (command, -P overrides, config-file entries or text, field): each
+    # value was once silently truncated or misread, failed without a field
+    # name, or raised a traceback
+    ("alpha", ["n_samples=2.9"], {}, "n_samples"),
+    ("alpha", ["n_samples=abc"], {}, "n_samples"),
+    ("alpha", ["n_samples=2", "tol=NaN"], {}, "tol"),
+    ("alpha", ["tol=abc"], {}, "tol"),
+    ("alpha", ["tol=-1"], {}, "tol"),
+    ("alpha", ['method="ergodic"', "r_offset=0"], {}, "r_offset"),
+    ("alpha", ["n_samples=2"], {"seed": 1.5}, "seed"),
+    ("alpha", ["n_samples=2"], {"seed": "abc"}, "seed"),
+    ("alpha", ['distribution={"kind":"finite","atoms":[[0]]}'], {}, "distribution"),
+    ("alpha", ['distribution={"kind":"finite","atoms":[5]}'], {}, "distribution"),
+    ("alpha", ['distribution={"kind":"exponential","rate":[1]}'], {}, "distribution"),
+    ("alpha", ['distribution={"kind":"point","value":null}'], {}, "distribution"),
+    ("variational", ["max_evals=1.5"], {}, "max_evals"),
+    ("variational", ["theta_lo=NaN"], {}, "theta_lo"),
+    ("variational", ['family="bogus"'], {}, "family"),
+    ("tree-reduce", ["n=2.5"], {}, "n"),
+    ("tree-reduce", ["d=3.7"], {}, "d"),
+    ("tree-reduce", ["d=2"], {}, "d"),
+    ("tree-reduce", ["depth_cap=2.5"], {}, "depth_cap"),
+    ("tree-reduce", ["drift_p=abc"], {}, "drift_p"),
+    ("green", ["stream_id=1.5"], {}, "stream_id"),
+    ("green", ["alpha_ref=-1"], {}, "alpha_ref"),
+    ("green", ["alpha_ref=0"], {}, "alpha_ref"),
+    ("green", ["alpha_ref=abc"], {}, "alpha_ref"),
+    ("alpha", [], {"params": [1, 2]}, "config"),
+    ("alpha", [], "[]", "config"),
+    ("alpha", [], "not json", "config"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, entries, name", BAD_VALUES, ids=[f"{c} {' '.join(o)} {json.dumps(e)}" for c, o, e, _ in BAD_VALUES]
+)
+def test_every_rejected_value_exits_2_and_names_its_field(tmp_path, capsys, command, overrides, entries, name):
+    small = {
+        "alpha": ["n_samples=4"],
+        "variational": ["n_samples=4", "n_grid=3", "max_evals=4", "beta=false"],
+        "tree-reduce": ["n=2", "depth_cap=4"],
+        "green": ["n_values=[2]", "window=[-20,20]"],
+    }[command]
+    if isinstance(entries, dict):
+        entries = json.dumps({"command": command, "params": {"distribution": CONST_SPEC}, **entries})
+    (tmp_path / "cfg.json").write_text(entries)
+    argv = ["--config", str(tmp_path / "cfg.json"), "--out", "x"]
+    for text in small + overrides:
+        argv += ["-P", text]
+    assert run_cli(tmp_path, *argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == name and record["exit_code"] == 2, record
+    assert name in record["error"], record
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_integers_keep_every_bit_and_no_float_overflows(tmp_path, capsys):
+    stream = 2**64 - 1  # a float round trip would give 2**64
+    argv = ["alpha", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", 'method="ergodic"', "-P", "n=20"]
+    assert run_cli(tmp_path, *argv, "-P", f"stream_id={stream}", "--format", "json", "--out", "e") == 0
+    rows = json.loads((tmp_path / "e.json").read_text())["rows"]
+    library = estimate_alpha_ergodic(make_distribution(BERN_SPEC), n=20, seed=0, stream_id=stream)
+    assert [row["a_over_k"] for row in rows] == [v for _, v in library]
+    assert run_cli(tmp_path, "beta", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", f"r_ratio={10**400}") == 2
+    assert json.loads(capsys.readouterr().err)["field"] == "r_ratio"
+
+
+def test_a_refusal_that_depends_on_the_data_exits_1(tmp_path, capsys):
+    # the window is a valid value; no barrier fits left of the origin in it
+    argv = ["green", "-P", f"distribution={json.dumps(CONST_SPEC)}", "-P", "window=[-1,5]", "-P", "n_values=[2]"]
+    assert run_cli(tmp_path, *argv, "--out", "g") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "" and record["exit_code"] == 1, record
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_bad_green_window_fails_with_field_name(tmp_path, capsys):
@@ -383,6 +460,9 @@ def test_manifest_rerun_is_bit_identical_and_thread_independent(tmp_path):
     assert run_cli(tmp_path, "--config", cfg, "--out", "one", "--threads", "1") == 0
     assert run_cli(tmp_path, "--config", str(tmp_path / "one.manifest.json"), "--out", "two", "--threads", "4") == 0
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    # an integral float is the same count
+    assert run_cli(tmp_path, "--config", cfg, "--out", "three", "-P", "n_samples=60.0") == 0
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
 
 
 def test_tree_reduce_ignores_threads(tmp_path):

@@ -46,6 +46,13 @@ NAN, INF = float("nan"), float("inf")
         ({"kind": "exponential", "rate": INF}, "rate"),
         ({"kind": "point", "value": NAN}, "value"),
         ({"kind": "point", "value": INF}, "value"),
+        # malformed entries are named the same way
+        ({"kind": "finite", "atoms": [[0]]}, "atoms[0]"),
+        ({"kind": "finite", "atoms": [5]}, "atoms[0]"),
+        ({"kind": "finite", "atoms": [[0.0, 0.5], [1.0]]}, "atoms[1]"),
+        ({"kind": "finite", "atoms": 5}, "atoms"),
+        ({"kind": "exponential", "rate": [1]}, "rate"),
+        ({"kind": "point", "value": None}, "value"),
     ],
 )
 def test_non_finite_parameters_are_rejected(spec, entry):

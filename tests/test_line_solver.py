@@ -263,6 +263,14 @@ def test_limit_accepts_custom_schedules():
         F_limit(env, tol=0.0)
 
 
+def test_nan_tolerance_is_refused():
+    # NaN < tol is never true, so a NaN tol would run every row to the last barrier
+    with pytest.raises(ValueError, match="tol"):
+        F_limit(bern_env(2, -64, 1), tol=math.nan)
+    with pytest.raises(ValueError, match="tol"):
+        F_limit_batch(BERN, seed=2, n_samples=2, tol=math.nan)
+
+
 def test_window_model_validation():
     env = zero_env(-3, 3)
     with pytest.raises(ValueError, match="barrier"):

@@ -261,7 +261,7 @@ def test_jensen_ordering_alpha_vs_beta():
 
 
 def test_estimate_beta_rejects_bad_grids_and_ratios():
-    for grid in ([2, 4, 4], [], [0, 2], [-2], [2.5], [float("nan")], ["2"], 4):
+    for grid in ([2, 4, 4], [], [0, 2], [-2], [2.5], [float("nan")], ["2"], 4, [[2], 4]):
         with pytest.raises(ValueError, match="n_grid"):
             estimate_beta(BERN, n_grid=grid)
     for ratio in (math.inf, -math.inf, math.nan, 0.0, -1.0):
