@@ -4,14 +4,15 @@ Two routes estimate the quenched rate (i.i.d. environment replicas, and
 one long window read ergodically).  The annealed rate is exact: a walk
 from 0 to n on Z passes every site in between, so its edge crossing
 counts fix it, and a transfer kernel over those counts gives E[e] on any
-window.  The local-time path estimator, which samples walks instead,
-cross-checks it.  Averaging survival weights before taking logs always
-helps the walk: the annealed rate sits below the quenched one (Jensen),
-and the gap is the subject of the entropy demo.
+window.  The point law whose rate is ln 2 cross-checks it.  Averaging
+survival weights before taking logs always helps the walk: the annealed
+rate sits below the quenched one (Jensen), and the gap is the subject of
+the entropy demo.
 """
 
+import math
+
 from killedwalk import (
-    annealed_localtime_mc,
     annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,
@@ -31,13 +32,11 @@ ratios = estimate_alpha_ergodic(bern, n=20000, r_offset=64, seed=2)
 for k in (10, 100, 1000, 20000):
     print(f"  a(0,{k:>6d})/{k:<6d} = {dict(ratios)[k]:.4f}")
 
-print("\n== annealed rate: transfer kernel, cross-checked by local-time paths ==")
-for n, r in ((2, -8), (4, -9)):
-    exact = annealed_transfer(bern, n=n, r=r)
-    mc = annealed_localtime_mc(bern, n=n, r=r, n_paths=200_000, seed=3)
-    z = (mc.f_value - exact.f_value) / mc.f_stderr
-    print(f"  n={n}: kernel b/n = {exact.b_value/n:.5f} (crossing cap {exact.kernel_cap}); "
-          f"local-time MC {mc.b_value/n:.5f} +- {mc.b_stderr/n:.5f}, z = {z:+.2f}")
+print("\n== annealed rate: transfer kernel, cross-checked by the point law at ln 2 ==")
+const = make_distribution({"kind": "point", "value": -math.log(0.8)})
+exact = annealed_transfer(const, n=16, r=-64)
+print(f"  point law -ln 0.8: kernel b/16 = {exact.b_value/16:.12f} at barrier -64, "
+      f"ln 2 = {math.log(2.0):.12f}, gap {abs(exact.b_value/16 - math.log(2.0)):.1e}")
 
 beta = estimate_beta(bern, n_grid=[2, 4, 8, 12])
 print("\n== annealed rate along the grid (every row exact) ==")

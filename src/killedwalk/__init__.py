@@ -45,9 +45,7 @@ from .line_solver import (
 )
 from .lyapunov import (
     AnnealedTransferResult,
-    LocaltimeMCResult,
     LyapunovEstimate,
-    annealed_localtime_mc,
     annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,

@@ -137,8 +137,9 @@ def _at_least(p: dict, key: str, default: int, least: int) -> int:
 
 
 def _n_grid(p: dict, prefix: str = "") -> list:
-    return _param(p, "n_grid", [2, 4, 8], list, lambda ns: ns and min(ns) >= 1 and len(set(ns)) == len(ns),
-                  "a list of distinct integers >= 1", prefix)
+    return _param(p, "n_grid", [2, 4, 8], list,
+                  lambda ns: ns and 1 <= min(ns) and max(ns) <= sys.float_info.max and len(set(ns)) == len(ns),
+                  "a list of distinct integers from 1 to the largest float", prefix)
 
 
 def run(config: RunConfig) -> dict:

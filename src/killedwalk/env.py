@@ -71,13 +71,6 @@ class PotentialDistribution:
             return 1.0 / self.rate**2
         return 0.0
 
-    def support_values(self) -> np.ndarray:
-        if self.kind == "finite":
-            return np.array([v for v, _ in self.atoms])
-        if self.kind == "point":
-            return np.array([self.mass_value])
-        raise ValueError("exponential law has continuous support")
-
     def ppf(self, u, out=None) -> np.ndarray:
         """Inverse CDF, the common-random-number transform of uniforms.
 
@@ -111,7 +104,7 @@ class PotentialDistribution:
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
 
-        ell may be an array (e.g. the visit counts of local-time scores);
+        ell may be an array (e.g. the visit counts of a transfer kernel's sites);
         a scalar argument gives a float.
         """
         ell = np.asarray(ell, dtype=np.float64)

@@ -7,25 +7,22 @@ estimate here (i.i.d. replicas and one long ergodic window).  The annealed
 rate comes from -ln E[e(0, n, omega)].  A path on Z from 0 to n passes
 every site in between, so its crossing counts fix it and E[e] is exact in
 polynomial time: a transfer kernel over crossing counts (annealed_transfer)
-gives every row of estimate_beta.  An exactly unbiased local-time
-reweighting of simulated paths (annealed_localtime_mc) stays as the
-independent cross-check.
+gives every row of estimate_beta.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .env import EnvironmentSource, PotentialDistribution
 from .line_solver import F_limit_batch, forward_step_weights
-from .rng import stream_generator
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_CROSSING_CAP = 2**11  # a K x K kernel of 32 MB
-_LOCALTIME_TAG = 0x6C74  # namespace for local-time path streams
 
 
 @dataclass(frozen=True)
@@ -246,126 +243,6 @@ def annealed_transfer(
     )
 
 
-@dataclass(frozen=True)
-class LocaltimeMCResult:
-    """Local-time Monte Carlo estimate of E[e_r(0, n, omega)].
-
-    trunc_bound estimates the barrier bias b_r - b.  cap_bound certifies
-    what scoring the n_capped paths still running at max_steps as zero
-    adds to b_value: log1p of their partial scores over the scored total.
-    """
-
-    f_value: float
-    f_stderr: float
-    b_value: float
-    b_stderr: float
-    n_paths: int
-    n_hit: int
-    n_capped: int
-    barrier_r: int
-    trunc_bound: float
-    cap_bound: float
-
-
-def annealed_localtime_mc(
-    dist: PotentialDistribution,
-    n: int,
-    r: int,
-    n_paths: int,
-    seed: int = 0,
-    p: float = 0.5,
-    batch_size: int = 4096,
-    max_steps: int | None = None,
-) -> LocaltimeMCResult:
-    """Unbiased estimate of E[e_r(0, n, omega)] by local-time reweighting.
-
-    Paths are simulated under the potential-free walk from 0 until they
-    hit n or the barrier; a path that reaches n first scores the product
-    over sites of the single-site Laplace transform at its visit count.
-    Averaging that score over paths recovers the annealed survival weight
-    exactly, with no environment sampling at all.  Paths that hit the
-    barrier first score the same product toward trunc_bound, an estimate
-    of the certified upper bound on the barrier bias b_r - b (their
-    reweighted mass is exactly what deeper barriers would admit).  Paths
-    still running after max_steps score zero; their partial scores go to
-    cap_bound instead.  The Laplace transform is nonincreasing in the
-    visit count, so a partial score bounds the score of every
-    continuation, and log1p(sum of partial scores / scored total) bounds
-    how far the zeros lift b_value.
-    """
-    if n_paths < 1 or not (r < 0 < n):
-        raise ValueError("need n_paths >= 1 and r < 0 < n")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    span = n - r
-    if max_steps is None:
-        max_steps = 60 * span * span
-    lo = r + 1
-    n_sites = n - 1 - lo + 1
-    n_batches = (n_paths + batch_size - 1) // batch_size
-
-    def run_batch(b: int):
-        count = min(batch_size, n_paths - b * batch_size)
-        gen = stream_generator(seed, _LOCALTIME_TAG, b)
-        pos = np.zeros(count, dtype=np.int64)
-        counts = np.zeros((count, n_sites), dtype=np.int64)
-        active = np.ones(count, dtype=bool)
-        hit = np.zeros(count, dtype=bool)
-        steps = 0
-        while active.any() and steps < max_steps:
-            idx = np.nonzero(active)[0]
-            np.add.at(counts, (idx, pos[idx] - lo), 1)
-            moves = np.where(gen.random(idx.size) < p, 1, -1)
-            pos[idx] += moves
-            arrived = pos[idx] == n
-            killed = pos[idx] == r
-            hit[idx[arrived]] = True
-            active[idx[arrived | killed]] = False
-            steps += 1
-        capped = int(active.sum())
-        table = dist.laplace(np.arange(int(counts.max()) + 1)) if count else np.ones(1)
-        barrier_hit = ~hit & ~active
-        total = total_sq = gap_total = cap_total = 0.0
-        if capped:
-            cap_total = float(np.prod(table[counts[active]], axis=1).sum())
-        if hit.any():
-            scores = np.prod(table[counts[hit]], axis=1)
-            total = float(scores.sum())
-            total_sq = float((scores**2).sum())
-        if barrier_hit.any():
-            # +1 visit per site: the continuation from the barrier to the
-            # target pays the whole window once more
-            extended = dist.laplace(np.arange(int(counts[barrier_hit].max()) + 2))
-            gap_total = float(np.prod(extended[counts[barrier_hit] + 1], axis=1).sum())
-        return count, total, total_sq, int(hit.sum()), capped, gap_total, cap_total
-
-    rows = [run_batch(b) for b in range(n_batches)]
-    n_tot = sum(row[0] for row in rows)
-    s1 = math.fsum(row[1] for row in rows)
-    s2 = math.fsum(row[2] for row in rows)
-    n_hit = sum(row[3] for row in rows)
-    n_capped = sum(row[4] for row in rows)
-    gap = math.fsum(row[5] for row in rows) / n_tot
-    cap = math.fsum(row[6] for row in rows) / n_tot
-    mean = s1 / n_tot
-    var = max(s2 / n_tot - mean**2, 0.0) * n_tot / max(n_tot - 1, 1)
-    se = math.sqrt(var / n_tot)
-    if mean <= 0.0:
-        raise RuntimeError("no path reached the target; increase n_paths or move the barrier")
-    return LocaltimeMCResult(
-        f_value=mean,
-        f_stderr=se,
-        b_value=-math.log(mean),
-        b_stderr=se / mean,
-        n_paths=n_tot,
-        n_hit=n_hit,
-        n_capped=n_capped,
-        barrier_r=r,
-        trunc_bound=math.log1p(gap / mean),
-        cap_bound=math.log1p(cap / mean),
-    )
-
-
 def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> LyapunovEstimate:
     """Annealed decay rate from b_r(0, n) on a grid of distances.
 
@@ -414,4 +291,4 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
 
 def _is_positive_integer(n) -> bool:
     numeric = isinstance(n, (int, float, np.integer, np.floating)) and not isinstance(n, bool)
-    return numeric and float(n).is_integer() and n >= 1
+    return numeric and 1 <= n <= sys.float_info.max and float(n).is_integer()

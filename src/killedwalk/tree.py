@@ -94,10 +94,6 @@ class TreeConfig:
     def s_child(self) -> float:
         return (1.0 - self.p) / (self.d - 1)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.p == 1.0 / self.d
-
 
 @dataclass(frozen=True)
 class BranchSurvival:

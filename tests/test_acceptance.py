@@ -22,7 +22,7 @@ from _oracles import (
     iterate_configs,
     solve_survival_window,
 )
-from killedwalk.lyapunov import annealed_localtime_mc, estimate_alpha_mc, estimate_beta
+from killedwalk.lyapunov import annealed_transfer, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import TreeConfig, excursion_survival_h, rho_environment, simulate_excursions
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
@@ -117,10 +117,11 @@ def test_criterion_4_oracle_equivalence_and_fkg():
     for n in (2, 4, 8):
         r = -(13 - n)  # 12 enumerated sites: inside the 14-site budget
         enum = annealed_exact_enum(BERN, n=n, r=r)
-        mc = annealed_localtime_mc(BERN, n=n, r=r, n_paths=200_000, seed=404 + n)
-        z = abs(mc.f_value - enum.f_value) / mc.f_stderr
-        details.append(f"n={n}: z={z:.2f}")
-        if z > 4.0 or mc.n_capped:
+        kernel = annealed_transfer(BERN, n, r)
+        rel_f = abs(kernel.f_value - enum.f_value) / enum.f_value
+        rel_trunc = abs(kernel.trunc_bound - enum.trunc_bound) / enum.trunc_bound
+        details.append(f"n={n}: rel f {rel_f:.1e}, rel trunc {rel_trunc:.1e}")
+        if max(rel_f, rel_trunc) > 1e-13:
             ok = False
     for n, m, r in ((2, 2, -2), (3, 2, -3)):
         e_joint = e_left = e_right = 0.0

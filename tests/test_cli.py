@@ -285,8 +285,10 @@ def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):
         ("beta", "n_grid=[0,2]", "n_grid"),
         ("beta", "n_grid=[[2],4]", "n_grid"),
         ("beta", "n_grid=8", "n_grid"),
+        ("beta", f"n_grid=[{10**400}]", "n_grid"),
         ("variational", 'beta={"n_grid":[2,2]}', "beta.n_grid"),
         ("variational", 'beta={"n_grid":[1.5]}', "beta.n_grid"),
+        ("variational", f'beta={{"n_grid":[2,{10**400}]}}', "beta.n_grid"),
         ("variational", 'beta={"r_ratio":0}', "beta.r_ratio"),
         ("variational", 'beta={"r_ratio":-2}', "beta.r_ratio"),
     ]

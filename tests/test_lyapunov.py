@@ -13,7 +13,6 @@ from killedwalk.line_solver import two_point_a, two_point_e
 from killedwalk.lyapunov import (
     _log_kernel_tails,
     _log_transfer,
-    annealed_localtime_mc,
     annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,
@@ -158,63 +157,9 @@ def test_enum_truncation_certificate_brackets_deep_barrier():
     assert bounds[0] > bounds[1] > bounds[2]
 
 
-def test_localtime_truncation_estimate_matches_enum_certificate():
-    enum = annealed_exact_enum(BERN, n=3, r=-4)
-    mc = annealed_localtime_mc(BERN, n=3, r=-4, n_paths=150_000, seed=17)
-    assert mc.trunc_bound == pytest.approx(enum.trunc_bound, rel=0.15)
-
-
 def test_enum_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         annealed_exact_enum(BERN, n=8, r=-32)
-
-
-def test_localtime_rejects_empty_batches():
-    for size in (0, -4):
-        with pytest.raises(ValueError, match="batch_size"):
-            annealed_localtime_mc(BERN, n=2, r=-2, n_paths=10, batch_size=size)
-
-
-def test_localtime_delta0_reduces_to_ruin_probability():
-    mc = annealed_localtime_mc(DELTA0, n=5, r=-7, n_paths=60_000, seed=3)
-    want = 7.0 / 12.0
-    assert abs(mc.f_value - want) <= 4 * mc.f_stderr
-    assert mc.n_capped == 0
-    assert mc.n_hit == pytest.approx(want * mc.n_paths, abs=4 * math.sqrt(mc.n_paths))
-
-
-def test_localtime_capped_paths_enter_a_certified_budget():
-    n, r = 3, -4
-    exact = annealed_transfer(BERN, n, r).b_value
-    free = annealed_localtime_mc(BERN, n=n, r=r, n_paths=20_000, seed=23)
-    assert free.n_capped == 0 and free.cap_bound == 0.0
-    for max_steps in (6, 12):
-        mc = annealed_localtime_mc(BERN, n=n, r=r, n_paths=20_000, seed=23, max_steps=max_steps)
-        assert mc.n_capped > 0 and mc.cap_bound > 0.0
-        # zero-scored capped paths only lift b; the bound covers the lift
-        assert mc.b_value - 4 * mc.b_stderr - mc.cap_bound <= exact <= mc.b_value + 4 * mc.b_stderr
-
-
-def test_localtime_matches_enum_within_4_se():
-    for n, r in ((2, -6), (4, -8)):
-        enum = annealed_exact_enum(BERN, n=n, r=r)
-        mc = annealed_localtime_mc(BERN, n=n, r=r, n_paths=120_000, seed=11)
-        assert abs(mc.f_value - enum.f_value) <= 4 * mc.f_stderr
-
-
-def test_localtime_constant_potential_matches_solver():
-    env = sample_environment(CONST, (-6, 3), seed=0)
-    exact = two_point_e(env, 0, 3, -6)
-    mc = annealed_localtime_mc(CONST, n=3, r=-6, n_paths=120_000, seed=13)
-    assert abs(mc.f_value - exact) <= 4 * mc.f_stderr
-
-
-def test_localtime_exponential_law_matches_closed_form():
-    # n = 1, r = -1: only site 0 is payable, so f = E[exp(-omega)] / 2
-    expo = make_distribution({"kind": "exponential", "rate": 2.0})
-    mc = annealed_localtime_mc(expo, n=1, r=-1, n_paths=100_000, seed=5)
-    want = (2.0 / 3.0) / 2.0
-    assert abs(mc.f_value - want) <= 4 * mc.f_stderr
 
 
 def test_b_over_n_weakly_decreasing_along_doubling_grid():
@@ -261,7 +206,7 @@ def test_jensen_ordering_alpha_vs_beta():
 
 
 def test_estimate_beta_rejects_bad_grids_and_ratios():
-    for grid in ([2, 4, 4], [], [0, 2], [-2], [2.5], [float("nan")], ["2"], 4, [[2], 4]):
+    for grid in ([2, 4, 4], [], [0, 2], [-2], [2.5], [float("nan")], ["2"], 4, [[2], 4], [10**400], [2, -(10**400)]):
         with pytest.raises(ValueError, match="n_grid"):
             estimate_beta(BERN, n_grid=grid)
     for ratio in (math.inf, -math.inf, math.nan, 0.0, -1.0):
@@ -319,6 +264,18 @@ def test_transfer_matches_enumeration_with_site_drifts_and_start(dist, n, r, dat
     f, trunc = _enum_with_drifts(dist, n, r, p_sites, start)
     assert kernel.f_value == pytest.approx(f, rel=1e-13)
     assert kernel.trunc_bound == pytest.approx(trunc, rel=1e-13)
+
+
+def test_transfer_reads_a_law_only_through_its_laplace_transform():
+    expo = make_distribution({"kind": "exponential", "rate": 1.0})
+
+    class LaplaceOnly:
+        def laplace(self, ell):
+            return expo.laplace(ell)
+
+    want = annealed_transfer(expo, 4, -8)
+    got = annealed_transfer(LaplaceOnly(), 4, -8)
+    assert (got.f_value, got.trunc_bound, got.kernel_cap) == (want.f_value, want.trunc_bound, want.kernel_cap)
 
 
 def test_transfer_closed_forms():
