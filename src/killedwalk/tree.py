@@ -7,15 +7,16 @@ effective potential rho = -ln h per geodesic site, after which the tree
 problem is exactly a line problem for the induced walk on the geodesic.
 
 The excursion weight h is computed by a bottom-up recursion over branch
-subtrees, one level at a time for a whole chunk of sites, truncated at
-the depth TreeConfig.depth_cap_D with two-sided frontier bounds: killing
-the frontier undercounts returns, granting the frontier the
-zero-potential return weight overcounts them, so every reported h (and
-rho) is a certified bracket; both bounds travel as one stacked axis
-through the same arithmetic.  Trajectory simulation on the same keyed
-potentials serves as an independent cross-check, not as the primary
-computation: all walkers advance together one step at a time, and the
-step uniforms are drawn step by step over the walkers still live.
+subtrees, one level at a time over a sites axis (the deep levels chunk by
+chunk of sites into a group buffer, the shallow ones once over the
+group), truncated at the depth TreeConfig.depth_cap_D with two-sided
+frontier bounds: killing the frontier undercounts returns, granting the
+frontier the zero-potential return weight overcounts them, so every
+reported h (and rho) is a certified bracket; both bounds travel as one
+stacked axis through the same arithmetic.  Trajectory simulation on the
+same keyed potentials serves as an independent cross-check, not as the
+primary computation: all walkers advance together one step at a time,
+and the step uniforms are drawn step by step over the walkers still live.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -41,9 +42,10 @@ _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
 # vertices on the deepest level of one chunk of sites: one site at d = 3,
-# depth 16.  Two sites a chunk ran reduce_to_line there 19% faster, but
-# doubled the forest workspace (to 3.7 MB) and lifted the tree
-# benchmark's peak RSS by 4.4%
+# depth 16.  Two sites a chunk doubled the forest workspace (to 3.7 MB)
+# and lifted the tree benchmark's peak RSS by 4.4%; the shallow levels
+# get their batching from the groups of _level_split instead, through a
+# group buffer of a quarter of this many cells a bound
 _FOREST_CELL_BUDGET = 2**15
 _LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
 
@@ -203,26 +205,29 @@ def _sum_children(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.nd
 
 
 def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
-    """_level_starts of one branch forest, refused past
-    _FOREST_VERTEX_BUDGET vertices before anything that size exists."""
-    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
-    if n_vertices > _FOREST_VERTEX_BUDGET:
+    """_level_starts of one branch forest, refused before anything that
+    size exists if depth passes the deepest forest that fits in
+    _FOREST_VERTEX_BUDGET vertices."""
+    deepest, n_vertices = 0, n_roots  # n_vertices: the forest one level deeper
+    while n_vertices <= _FOREST_VERTEX_BUDGET:
+        deepest += 1
+        n_vertices += n_roots * (d - 1) ** deepest
+    if depth > deepest:
         raise ValueError(
-            f"branch forest of depth {depth} needs {n_vertices} vertices; "
-            "lower the depth cap (only point-mass laws collapse to scalars)"
+            f"branch forest of depth {depth} needs more than {_FOREST_VERTEX_BUDGET} vertices (depth {deepest} "
+            f"is the deepest that fits at d = {d}); lower the depth cap (only point-mass laws collapse to scalars)"
         )
     return _level_starts(d, n_roots, depth).tolist()
 
 
 class _Workspace:
-    """The buffers of _forest_bracket's level loop for up to n_forests
-    forests with the level starts given: the uint64 level counters of one
-    forest, the hash scratch, the uniforms, the visit survivals s, the "not
-    positive" flags and two buffers that take turns holding a level's
-    denominators and then, in place, its bracket of return weights."""
+    """The buffers of _run_levels for levels of up to cells vertices: the
+    uint64 level counters of one forest with the level starts given, the
+    hash scratch, the uniforms, the visit survivals s, the "not positive"
+    flags and two buffers that take turns holding a level's denominators
+    and then, in place, its bracket of return weights."""
 
-    def __init__(self, n_forests: int, starts: list[int]):
-        cells = n_forests * (starts[-1] - starts[-2])
+    def __init__(self, starts: list[int], cells: int):
         self.counters = np.arange(starts[-1], dtype=np.uint64)
         self.scratch = np.empty(cells, dtype=np.uint64)
         self.u = np.empty(cells)
@@ -231,47 +236,24 @@ class _Workspace:
         self.w = (np.empty(2 * cells), np.empty(2 * cells))
 
 
-def _forest_bracket(
-    cfg: TreeConfig,
-    dist: PotentialDistribution,
-    seed: int,
-    streams: np.ndarray,
-    n_roots: int,
-    depth: int,
-    ws: _Workspace | None = None,
+def _run_levels(
+    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, starts: list[int], levels: range, w, ws
 ) -> np.ndarray:
-    """Bottom-up return-weight brackets for every root of a batch of branch
-    forests, one forest per uint64 stream id in streams, with each forest's
-    potentials keyed by its stream and the counters of _level_starts.
-
-    Returns a (2, len(streams), n_roots) array: the lower bracket (frontier
-    killed, w = 0 there) stacked on the upper one (frontier granted the
-    zero-potential return weight).  A level of the batch is its forests'
-    levels laid end to end in stream order; a vertex's children stay
-    consecutive there, and every operation is elementwise, so a forest's
-    numbers do not depend on which other forests share its batch.
-
-    The levels run on slices of the _Workspace ws through out= ufuncs, so
-    the loop allocates no array the size of a level (but for the one-byte
-    masks of ppf's third and later atoms).  ws must be built for at least
-    this many forests of this shape; without ws the call makes its own.
-    """
+    """Run levels (deepest first) of the return-weight recursion on a batch
+    of branch forests, one per uint64 stream id in streams, keyed by the
+    counters of starts, from w, the bracket of the level below the first
+    (ignored below the deepest level: the frontier).  Returns the last
+    level's bracket, a view into ws (w if levels is empty).  A level of the
+    batch lays its forests' levels end to end in stream order and every
+    operation is elementwise, so a forest's numbers do not depend on its
+    batch; ws and out= ufuncs leave no level-sized array to allocate (but
+    for the one-byte masks of ppf's third and later atoms)."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
-    if dist.kind == "point":
-        s = math.exp(-dist.mass_value)
-        for _ in range(depth):
-            w = p * s / (1.0 - s * s_child * (d - 1) * w)
-        return np.full((2, streams.size, n_roots), w[..., None])
-
-    starts = _forest_starts(d, n_roots, depth)
     n_forests = streams.size
-    if ws is None:
-        ws = _Workspace(n_forests, starts)
     # a lone forest keys by a scalar stream, whose hash numpy then runs in
     # scalar math rather than as ufunc calls on (1, 1) arrays
     column = streams[:, None] if n_forests > 1 else streams[0]
-    for level in range(depth, 0, -1):
+    for level in levels:
         counters = ws.counters[starts[level] : starts[level + 1]]
         n = n_forests * counters.size
         shape = (n_forests, counters.size) if n_forests > 1 else (n,)
@@ -280,7 +262,8 @@ def _forest_bracket(
         s = dist.ppf(u, out=ws.s[:n])
         np.exp(np.negative(s, out=s), out=s)
         denom = ws.w[level % 2][: 2 * n].reshape(2, n)
-        if level == depth:
+        if level == len(starts) - 2:
+            w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
             np.multiply(s, s_child * (d - 1) * w, out=denom)
         else:
             np.multiply(s_child, _sum_children(w, d - 1, out=denom), out=denom)
@@ -289,7 +272,39 @@ def _forest_bracket(
         if np.less_equal(denom, 0.0, out=ws.flags[: 2 * n].reshape(2, n)).any():
             raise AssertionError("return-weight denominator not positive; bracket logic violated")
         w = np.divide(np.multiply(p, s, out=s), denom, out=denom)
-    return w.reshape(2, -1, n_roots).copy()
+    return w
+
+
+def _forest_bracket(
+    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, n_roots: int, depth: int, ws=None
+) -> np.ndarray:
+    """Return-weight brackets of every root of a batch of branch forests
+    depth deep, one per stream id in streams, from one _run_levels pass on
+    ws (made here if not given): a (2, len(streams), n_roots) array, the
+    lower bracket (frontier killed, w = 0) stacked on the upper one
+    (frontier granted the zero-potential return weight)."""
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    if dist.kind == "point":
+        s = math.exp(-dist.mass_value)
+        w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
+        for _ in range(depth):
+            w = p * s / (1.0 - s * s_child * (d - 1) * w)
+        return np.full((2, streams.size, n_roots), w[..., None])
+
+    starts = _forest_starts(d, n_roots, depth)
+    if ws is None:
+        ws = _Workspace(starts, streams.size * (starts[-1] - starts[-2]))
+    return _run_levels(cfg, dist, seed, streams, starts, range(depth, 0, -1), None, ws).reshape(2, -1, n_roots).copy()
+
+
+def _level_split(cells: list[int], chunk: int) -> tuple[int, int]:
+    """Split level m < D and group size G of _site_brackets, for cells[l]
+    vertices a site on level l = 0 .. D: m is the deepest level of at most
+    _FOREST_CELL_BUDGET // 256 (mostly numpy call overhead), G the most
+    whole chunks whose level-(m + 1) brackets fit a quarter of the budget.
+    At d = 3: m = 8, G = 32, a 128 KB group buffer."""
+    split = max((l for l in range(len(cells) - 1) if cells[l] <= _FOREST_CELL_BUDGET // 256), default=0)
+    return split, _FOREST_CELL_BUDGET // 4 // cells[split + 1] // chunk * chunk
 
 
 def _site_brackets(
@@ -300,37 +315,52 @@ def _site_brackets(
 ) -> np.ndarray:
     """Bracketed excursion survival weights h of geodesic sites, one per
     stream id in streams (an int or an integer array), with branch forests
-    cfg.depth_cap_D deep: a (2, len(streams)) array holding the lower and
-    the upper bound of every site, in stream order.
+    D = cfg.depth_cap_D deep: a (2, len(streams)) array holding the lower
+    and the upper bound of every site, in stream order.
 
-    Sites run in chunks whose deepest forest level holds at most
-    _FOREST_CELL_BUDGET vertices (at least one site a chunk; a point law
-    runs all sites in one), one after another on one forest workspace
-    sized for the first, largest chunk; chunking never changes a digit.
+    Sites run in groups of G, split at the level m of _level_split: the
+    deep phase runs levels D .. m + 1 in chunks whose deepest level holds
+    at most _FOREST_CELL_BUDGET vertices (at least one site), each writing
+    its level-(m + 1) bracket into the group buffer; the shallow phase runs
+    levels m .. 1 once over the group.  If one chunk holds a group, m = 0.
+    All on one workspace; neither chunks nor groups change a digit.
     """
     depth = cfg.depth_cap_D
     streams = np.atleast_1d(_as_u64(streams))
     n_roots = cfg.d - 2
-    chunk, ws = streams.size, None
-    if dist.kind != "point":  # a point law's forests collapse to scalars
-        starts = _forest_starts(cfg.d, n_roots, depth)
-        chunk = max(1, _FOREST_CELL_BUDGET // (starts[-1] - starts[-2]))
-        ws = _Workspace(min(chunk, streams.size), starts)
     s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
 
-    def run(first: int) -> np.ndarray:
-        part = streams[first : first + chunk]
+    def fold(part: np.ndarray, w: np.ndarray) -> np.ndarray:
         omega_site = dist.ppf(keyed_uniform(seed, part, 0))
-        w = _forest_bracket(cfg, dist, seed, part, n_roots, depth, ws)
         # math.exp: numpy's vectorized exp may round differently, which
         # would move h by an ulp against data files already written
         s = np.array([math.exp(-x) for x in omega_site.tolist()])
-        denom = 1.0 - s * s_child * w.sum(axis=-1)
+        denom = 1.0 - s * s_child * w.reshape(2, part.size, n_roots).sum(axis=-1)
         if np.any(denom <= 0.0):
             raise AssertionError("excursion denominator not positive; bracket logic violated")
         return s_geo * s / denom
 
-    return np.concatenate(ordered_map(run, range(0, streams.size, chunk)), axis=1)
+    if dist.kind == "point":
+        return fold(streams, _forest_bracket(cfg, dist, seed, streams, n_roots, depth))
+    starts = _forest_starts(cfg.d, n_roots, depth)
+    cells = [b - a for a, b in zip(starts, starts[1:])]
+    chunk = max(1, _FOREST_CELL_BUDGET // cells[depth])
+    split, group = _level_split(cells, chunk)
+    if split >= depth or group <= chunk:  # one chunk holds a whole group
+        split, group = 0, chunk
+    deep, shallow = range(depth, split, -1), range(split, 0, -1)
+    n_group, width = min(group, streams.size), cells[split + 1]
+    ws = _Workspace(starts, max(min(chunk, streams.size) * cells[depth], n_group * cells[split]))
+    buf = np.empty((2, n_group * width))
+
+    def run(first: int) -> np.ndarray:
+        part = streams[first : first + group]
+        w = buf[:, : part.size * width]
+        for j in range(0, part.size, chunk):
+            w[:, j * width : (j + chunk) * width] = _run_levels(cfg, dist, seed, part[j : j + chunk], starts, deep, None, ws)
+        return fold(part, _run_levels(cfg, dist, seed, part, starts, shallow, w, ws))
+
+    return np.concatenate(ordered_map(run, range(0, streams.size, group)), axis=1)
 
 
 def branch_return_weight(

@@ -342,12 +342,13 @@ def forest_bracket(
             w_hi = p * s / (1.0 - s * s_child * (d - 1) * w_hi)
         return np.full(n_roots, w_lo), np.full(n_roots, w_hi)
 
-    n_vertices = sum(n_roots * (d - 1) ** level for level in range(depth))
-    if n_vertices > _FOREST_VERTEX_BUDGET:
-        raise ValueError(
-            f"branch forest of depth {depth} needs {n_vertices} vertices; "
-            "lower the depth cap (only point-mass laws collapse to scalars)"
-        )
+    # n_roots (d-1)^(depth-1) vertices on the deepest level alone: compared
+    # in logs first, so a huge depth never builds a huge integer
+    deepest_log = math.log(n_roots) + (depth - 1) * math.log(d - 1)
+    if deepest_log > math.log(_FOREST_VERTEX_BUDGET) or sum(
+        n_roots * (d - 1) ** level for level in range(depth)
+    ) > _FOREST_VERTEX_BUDGET:
+        raise ValueError(f"branch forest of depth {depth} needs more than {_FOREST_VERTEX_BUDGET} vertices")
     starts = _level_starts(d, n_roots, depth)
     w_lo: np.ndarray | float = 0.0
     w_hi: np.ndarray | float = gamma

@@ -277,6 +277,15 @@ def test_tree_reduce_range_errors_name_their_field(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_huge_depth_cap_fails_at_once_naming_the_depth(tmp_path, capsys):
+    # the forest-budget refusal, not a failure to print the vertex count
+    dist = f"distribution={json.dumps(BERN_SPEC)}"
+    assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", "depth_cap=20000", "--out", "x") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert "depth 20000" in record["error"] and "vertices" in record["error"], record
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):
     dist = f"distribution={json.dumps(BERN_SPEC)}"
     cases = [

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -126,6 +128,23 @@ def test_forest_budget_guard():
         excursion_survival_h(TreeConfig(6, depth_cap_D=0), BERN)
 
 
+def test_huge_depth_cap_refuses_at_once_by_depth():
+    # counting the vertices of a 10^6-level forest level by level takes
+    # quadratic time, and the count has more digits than str() may print
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="depth 1000000 needs more than"):
+        excursion_survival_h(TreeConfig(3, depth_cap_D=10**6), BERN)
+    with pytest.raises(ValueError, match="depth 1000000 needs more than"):
+        branch_return_weight(TreeConfig(4, depth_cap_D=10**6), EXP1)
+    with pytest.raises(ValueError, match="depth 1000000 needs more than"):
+        _oracles.forest_bracket(TreeConfig(3), BERN, 0, 0, 1, 10**6)
+    assert time.perf_counter() - t0 < 1.0
+    # the deepest forest inside the budget passes, one level deeper does not
+    assert len(tree._forest_starts(3, 1, 25)) == 27
+    with pytest.raises(ValueError, match="depth 25 is the deepest"):
+        tree._forest_starts(3, 1, 26)
+
+
 # deepest depth per degree that keeps one forest near 10^3 .. 10^4 vertices
 ORACLE_DEPTH = {3: 10, 4: 8, 5: 6, 10: 4}
 
@@ -138,20 +157,25 @@ ORACLE_DEPTH = {3: 10, 4: 8, 5: 6, 10: 4}
     depth=st.integers(1, 10),
     n_sites=st.integers(1, 24),
     chunk_frac=st.floats(0.0, 1.0),
+    split=st.integers(0, 11),
+    group_frac=st.floats(0.0, 1.0),
     first_site=st.integers(-50, 50),
     seed=st.integers(0, 2**32),
     stream_id=st.integers(0, 1000),
 )
 def test_batched_brackets_match_one_forest_oracle(
-    d, drift, dist, depth, n_sites, chunk_frac, first_site, seed, stream_id
+    d, drift, dist, depth, n_sites, chunk_frac, split, group_frac, first_site, seed, stream_id
 ):
     # d = 10 folds d - 2 = 8 roots, where numpy's sum goes pairwise
     cfg = TreeConfig(d, drift_p=drift)
     depth = min(depth, ORACLE_DEPTH[d])
     deepest = (d - 2) * (d - 1) ** (depth - 1)
     chunk = 1 + int(chunk_frac * (n_sites - 1))  # chunks of 1 .. n_sites sites
+    group = 1 + int(group_frac * (n_sites - 1))  # groups of 1 .. n_sites sites, split anywhere
     streams = substream(stream_id, np.arange(first_site, first_site + n_sites))
-    with mock.patch.object(tree, "_FOREST_CELL_BUDGET", chunk * deepest + deepest // 2):
+    with mock.patch.object(tree, "_FOREST_CELL_BUDGET", chunk * deepest + deepest // 2), mock.patch.object(
+        tree, "_level_split", lambda cells, chunk: (split, group)
+    ):
         h_lo, h_hi = _site_brackets(replace(cfg, depth_cap_D=depth), dist, seed, streams)
     w_lo, w_hi = _forest_bracket(cfg, dist, seed, streams, d - 2, depth)
     for k, stream in enumerate(streams.tolist()):
@@ -177,12 +201,83 @@ def test_worker_workspaces_are_invisible(d, depth):
         assert np.array_equal(got, want), per_chunk
 
 
+@pytest.mark.parametrize("d, depth", [(3, 7), (4, 5)])
+@pytest.mark.parametrize("split", [0, 1, "D-1", "D", "D+2"])
+def test_level_split_matches_one_forest_oracle(d, depth, split):
+    # 11 sites in chunks of 2: groups of 4 (a short last group of 3, with
+    # a short chunk), of 5 (a short chunk in every group) and of 11 (one
+    # group); groups of 1 and 2 fit one chunk and fall back to one pass a
+    # chunk, as does a split at the deepest level D or past it
+    cfg = TreeConfig(d, drift_p=0.45, depth_cap_D=depth)
+    m = {"D-1": depth - 1, "D": depth, "D+2": depth + 2}.get(split, split)
+    streams = substream(3, np.arange(-5, 6))
+    deepest = (d - 2) * (d - 1) ** (depth - 1)
+    want = np.array([_oracles.excursion_h(cfg, THREE_ATOMS, 5, s, depth) for s in streams.tolist()]).T
+    for group in (1, 2, 4, 5, 11):
+        with mock.patch.object(tree, "_FOREST_CELL_BUDGET", 2 * deepest), mock.patch.object(
+            tree, "_level_split", lambda cells, chunk: (m, group)
+        ):
+            got = _site_brackets(cfg, THREE_ATOMS, 5, streams)
+        assert np.array_equal(got, want), group
+
+
+def _groups(sizes, chunk, split, depth):
+    """_run_levels passes of groups of the given sizes: each chunk's deep
+    pass over levels depth .. split + 1, then one shallow pass over levels
+    split .. 1 for the group."""
+    passes = []
+    for size in sizes:
+        passes += [range(depth, split, -1)] * -(-size // chunk) + [range(split, 0, -1)]
+    return passes
+
+
+@pytest.mark.parametrize(
+    "depth, n_sites, passes",
+    [
+        # one site a chunk, 32 a group, the last group 1 site
+        (16, 161, _groups([32] * 5 + [1], 1, 8, 16)),
+        # 16 sites a chunk, 2 chunks a group, the last group 1 short chunk
+        (12, 40, _groups([32, 8], 16, 8, 12)),
+        # 64 sites a chunk hold a whole group: one deep pass a chunk
+        (10, 248, _groups([64] * 3 + [56], 64, 0, 10)),
+    ],
+)
+def test_default_level_split(depth, n_sites, passes):
+    cfg = TreeConfig(3, depth_cap_D=depth)
+    calls = []
+    run_levels = tree._run_levels
+
+    def spy(cfg, dist, seed, streams, starts, levels, w, ws):
+        calls.append(levels)
+        return run_levels(cfg, dist, seed, streams, starts, levels, w, ws)
+
+    with mock.patch.object(tree, "_run_levels", spy):
+        _site_brackets(cfg, BERN, 2, substream(1, np.arange(n_sites)))
+    assert calls == passes
+
+
+def test_site_brackets_memory_stays_at_one_workspace():
+    # d = 3, depth 16, 161 sites: the one-pass kernel peaked at 2.52 MB
+    # (its workspace for one site's 2^15-vertex deepest level); the group
+    # buffer may add at most 256 KB, never a buffer for the whole window
+    cfg = TreeConfig(3, depth_cap_D=16)
+    streams = substream(0, np.arange(-128, 33))
+    tracemalloc.start()
+    try:
+        _site_brackets(cfg, BERN, 1, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_521_018 + 256 * 1024
+
+
 def test_forest_workspace_reuse_by_smaller_and_deeper_calls():
     cfg = TreeConfig(4)
     # one workspace holds the cells of the first call and the counters of
     # the third, deeper one; every call after the first finds the cells a
     # larger call left behind
-    ws = tree._Workspace(6, _level_starts(4, 1, 6).tolist())
+    starts = _level_starts(4, 1, 6).tolist()
+    ws = tree._Workspace(starts, 6 * (starts[-1] - starts[-2]))
     for n_sites, depth, n_roots in ((6, 5, 2), (2, 3, 2), (1, 6, 1), (3, 5, 2)):
         streams = substream(8, np.arange(n_sites))
         got = _forest_bracket(cfg, EXP1, 2, streams, n_roots, depth, ws)
