@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .env import Environment, make_distribution, sample_environment
 from .entropy import OptimizerConfig, minimize_variational
-from .line_solver import F_limit, green_function_window, two_point_a
+from .line_solver import F_limit, F_r, green_function_window, two_point_a
 from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
-from .tree import TreeConfig, first_passage_gf, reduce_to_line, sigma_finite_prob
+from .tree import _FOREST_VERTEX_BUDGET, TreeConfig, _deepest_forest, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
 FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")  # as minimize_variational names them
@@ -258,7 +258,15 @@ def _run_tree_reduce(config: RunConfig) -> dict:
     p = config.params
     dist = _dist_from(p)
     drift_p = _param(p, "drift_p", None, float, lambda v: 0 < v < 1, "null or a number in (0, 1)")
-    tree_cfg = TreeConfig(d=_at_least(p, "d", 3, 3), drift_p=drift_p, depth_cap_D=_at_least(p, "depth_cap", 10, 1))
+    d = _at_least(p, "d", 3, 3)
+    if dist.kind == "point":  # no forest to build: a scalar recursion of any depth
+        depth_cap = _at_least(p, "depth_cap", 10, 1)
+    else:
+        deepest = _deepest_forest(d, d - 2)
+        depth_cap = _param(p, "depth_cap", 10, int, lambda v: 1 <= v <= deepest,
+                           f"an integer >= 1 and at most {deepest}, the depth of the deepest branch forest "
+                           f"within {_FOREST_VERTEX_BUDGET} vertices at d = {d} (a point law takes any depth)")
+    tree_cfg = TreeConfig(d=d, drift_p=drift_p, depth_cap_D=depth_cap)
     n = _at_least(p, "n", 8, 1)
     model = reduce_to_line(
         tree_cfg, dist, n,
@@ -357,7 +365,7 @@ def _run_selftest(config: RunConfig) -> dict:
         check(f"sigma-recursion-residual-d{d}", lhs - rhs, 0.0)
     for r in (-1, -4, -9):
         env = Environment(r, 1, np.zeros(1 - r + 1))
-        check(f"gamblers-ruin-r{r}", F_limit(env, r_schedule=[r]).e_value, -r / (1.0 - r))
+        check(f"gamblers-ruin-r{r}", F_r(env, r).e_value, -r / (1.0 - r))
     const = make_distribution({"kind": "point", "value": -math.log(0.8)})
     env = sample_environment(const, (-64, 1), seed=0)
     check("constant-potential-one-step", F_limit(env, tol=1e-12).a_value, math.log(2.0), tol=1e-9)

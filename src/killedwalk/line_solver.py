@@ -162,18 +162,12 @@ class LimitBatch:
     converged: np.ndarray
 
 
-def _barrier_schedule(r_schedule, r_max: int) -> list[int]:
-    if r_schedule is None:
-        schedule, r = [], -2
-        while r >= r_max:
-            schedule.append(r)
-            r *= 2
-    else:
-        schedule = [int(r) for r in r_schedule]
-        if any(r >= 0 for r in schedule):
-            raise ValueError("r_schedule entries must be negative")
-    if not schedule:
-        raise ValueError("empty barrier schedule")
+def _barrier_schedule() -> list[int]:
+    """Barriers -2, -4, -8, ... down to DEFAULT_R_MAX, read at call time."""
+    schedule, r = [], -2
+    while r >= DEFAULT_R_MAX:
+        schedule.append(r)
+        r *= 2
     return schedule
 
 
@@ -226,8 +220,6 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
 def F_limit(
     source,
     tol: float = DEFAULT_TOL,
-    r_schedule=None,
-    r_max: int = DEFAULT_R_MAX,
     p=0.5,
 ) -> SurvivalResult:
     """Barrier-free limit F = a(0, 1) by doubling the barrier distance.
@@ -246,7 +238,7 @@ def F_limit(
             e_value=1.0, a_value=0.0, barrier_r=0, converged=True, r_used=None,
             note="delta-zero potential: trivial case, limit is 0 exactly",
         )
-    schedule = _barrier_schedule(r_schedule, r_max)
+    schedule = _barrier_schedule()
     exhausted_window = False
     if isinstance(source, Environment):
         usable = [r for r in schedule if r >= source.window_lo]
@@ -258,7 +250,7 @@ def F_limit(
         lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, schedule, tol, p
     )
     r, ok = int(row.r_used[0]), bool(row.converged[0])
-    reason = "window exhausted" if exhausted_window else "r_max reached"
+    reason = "window exhausted" if exhausted_window else "deepest barrier reached"
     return _result_from_a(
         float(row.a_value[0]), r, converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
         note="" if ok else f"not converged to tol={tol:g} ({reason}); "
@@ -286,7 +278,7 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
         sites = np.arange(lo, hi + 1, dtype=np.int64)
         return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
 
-    return _barrier_doubling(potentials, n_samples, _barrier_schedule(None, DEFAULT_R_MAX), tol, 0.5)
+    return _barrier_doubling(potentials, n_samples, _barrier_schedule(), tol, 0.5)
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:

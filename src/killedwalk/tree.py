@@ -6,14 +6,15 @@ the survival weight of those excursions into the vertex produces an
 effective potential rho = -ln h per geodesic site, after which the tree
 problem is exactly a line problem for the induced walk on the geodesic.
 
-The excursion weight h is computed by a bottom-up recursion over branch
-subtrees, one level at a time over a sites axis (the deep levels chunk by
-chunk of sites into a group buffer, the shallow ones once over the
-group), truncated at the depth TreeConfig.depth_cap_D with two-sided
-frontier bounds: killing the frontier undercounts returns, granting the
-frontier the zero-potential return weight overcounts them, so every
-reported h (and rho) is a certified bracket; both bounds travel as one
-stacked axis through the same arithmetic.  Trajectory simulation on the
+The excursion weight h folds the return weights of the site's branch
+forests.  One routine, _branch_brackets, computes every forest bracket:
+a bottom-up recursion one level at a time over a forests axis (the deep
+levels chunk by chunk of forests into a group buffer, the shallow ones
+once over the group), truncated at the depth TreeConfig.depth_cap_D with
+two-sided frontier bounds: killing the frontier undercounts returns,
+granting the frontier the zero-potential return weight overcounts them,
+so every reported h (and rho) is a certified bracket; both bounds travel
+as one stacked axis through the same arithmetic.  Trajectory simulation on the
 same keyed potentials serves as an independent cross-check, not as the
 primary computation: all walkers advance together one step at a time,
 and the step uniforms are drawn step by step over the walkers still live.
@@ -41,11 +42,11 @@ from .rng import _as_u64, keyed_uniform, stream_generator, substream
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
-# vertices on the deepest level of one chunk of sites: one site at d = 3,
-# depth 16.  Two sites a chunk doubled the forest workspace (to 3.7 MB)
-# and lifted the tree benchmark's peak RSS by 4.4%; the shallow levels
-# get their batching from the groups of _level_split instead, through a
-# group buffer of a quarter of this many cells a bound
+# vertices on the deepest level of one chunk of forests: one forest at
+# d = 3, depth 16.  Two forests a chunk doubled the forest workspace (to
+# 3.7 MB) and lifted the tree benchmark's peak RSS by 4.4%; the shallow
+# levels get their batching from the groups of _level_split instead,
+# through a group buffer of a quarter of this many cells a bound
 _FOREST_CELL_BUDGET = 2**15
 _LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
 
@@ -204,15 +205,20 @@ def _sum_children(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.nd
     return total
 
 
-def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
-    """_level_starts of one branch forest, refused before anything that
-    size exists if depth passes the deepest forest that fits in
+def _deepest_forest(d: int, n_roots: int) -> int:
+    """Depth of the deepest branch forest of n_roots roots that fits in
     _FOREST_VERTEX_BUDGET vertices."""
     deepest, n_vertices = 0, n_roots  # n_vertices: the forest one level deeper
     while n_vertices <= _FOREST_VERTEX_BUDGET:
         deepest += 1
         n_vertices += n_roots * (d - 1) ** deepest
-    if depth > deepest:
+    return deepest
+
+
+def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
+    """_level_starts of one branch forest, refused before anything that
+    size exists if depth passes _deepest_forest."""
+    if depth > (deepest := _deepest_forest(d, n_roots)):
         raise ValueError(
             f"branch forest of depth {depth} needs more than {_FOREST_VERTEX_BUDGET} vertices (depth {deepest} "
             f"is the deepest that fits at d = {d}); lower the depth cap (only point-mass laws collapse to scalars)"
@@ -275,74 +281,40 @@ def _run_levels(
     return w
 
 
-def _forest_bracket(
-    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, n_roots: int, depth: int, ws=None
+def _level_split(cells: list[int], chunk: int) -> tuple[int, int]:
+    """Split level m < D and group size G of _branch_brackets, for cells[l]
+    vertices a forest on level l = 0 .. D: m is the deepest level of at
+    most _FOREST_CELL_BUDGET // 256 (mostly numpy call overhead), G the
+    most whole chunks whose level-(m + 1) brackets fit a quarter of the
+    budget.  At d = 3: m = 8, G = 32, a 128 KB group buffer."""
+    split = max((l for l in range(len(cells) - 1) if cells[l] <= _FOREST_CELL_BUDGET // 256), default=0)
+    return split, _FOREST_CELL_BUDGET // 4 // cells[split + 1] // chunk * chunk
+
+
+def _branch_brackets(
+    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, n_roots: int
 ) -> np.ndarray:
     """Return-weight brackets of every root of a batch of branch forests
-    depth deep, one per stream id in streams, from one _run_levels pass on
-    ws (made here if not given): a (2, len(streams), n_roots) array, the
-    lower bracket (frontier killed, w = 0) stacked on the upper one
-    (frontier granted the zero-potential return weight)."""
-    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    D = cfg.depth_cap_D deep, one per uint64 stream id in streams: a
+    (2, len(streams), n_roots) array, the lower bracket (frontier killed,
+    w = 0) stacked on the upper one (frontier granted the zero-potential
+    return weight).  A point law runs one scalar recursion instead.
+
+    Forests run in groups of G, split at the level m of _level_split: the
+    deep phase runs levels D .. m + 1 in chunks whose deepest level holds
+    at most _FOREST_CELL_BUDGET vertices (at least one forest), each
+    writing its level-(m + 1) bracket into the group buffer; the shallow
+    phase runs levels m .. 1 once over the group.  If one chunk holds a
+    group, m = 0.  All on one workspace; neither changes a digit.
+    """
+    d, p, s_child, depth = cfg.d, cfg.p, cfg.s_child, cfg.depth_cap_D
     if dist.kind == "point":
         s = math.exp(-dist.mass_value)
         w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
         for _ in range(depth):
             w = p * s / (1.0 - s * s_child * (d - 1) * w)
         return np.full((2, streams.size, n_roots), w[..., None])
-
     starts = _forest_starts(d, n_roots, depth)
-    if ws is None:
-        ws = _Workspace(starts, streams.size * (starts[-1] - starts[-2]))
-    return _run_levels(cfg, dist, seed, streams, starts, range(depth, 0, -1), None, ws).reshape(2, -1, n_roots).copy()
-
-
-def _level_split(cells: list[int], chunk: int) -> tuple[int, int]:
-    """Split level m < D and group size G of _site_brackets, for cells[l]
-    vertices a site on level l = 0 .. D: m is the deepest level of at most
-    _FOREST_CELL_BUDGET // 256 (mostly numpy call overhead), G the most
-    whole chunks whose level-(m + 1) brackets fit a quarter of the budget.
-    At d = 3: m = 8, G = 32, a 128 KB group buffer."""
-    split = max((l for l in range(len(cells) - 1) if cells[l] <= _FOREST_CELL_BUDGET // 256), default=0)
-    return split, _FOREST_CELL_BUDGET // 4 // cells[split + 1] // chunk * chunk
-
-
-def _site_brackets(
-    cfg: TreeConfig,
-    dist: PotentialDistribution,
-    seed: int,
-    streams: int | np.ndarray,
-) -> np.ndarray:
-    """Bracketed excursion survival weights h of geodesic sites, one per
-    stream id in streams (an int or an integer array), with branch forests
-    D = cfg.depth_cap_D deep: a (2, len(streams)) array holding the lower
-    and the upper bound of every site, in stream order.
-
-    Sites run in groups of G, split at the level m of _level_split: the
-    deep phase runs levels D .. m + 1 in chunks whose deepest level holds
-    at most _FOREST_CELL_BUDGET vertices (at least one site), each writing
-    its level-(m + 1) bracket into the group buffer; the shallow phase runs
-    levels m .. 1 once over the group.  If one chunk holds a group, m = 0.
-    All on one workspace; neither chunks nor groups change a digit.
-    """
-    depth = cfg.depth_cap_D
-    streams = np.atleast_1d(_as_u64(streams))
-    n_roots = cfg.d - 2
-    s_child, s_geo = cfg.s_child, cfg.p + cfg.s_child
-
-    def fold(part: np.ndarray, w: np.ndarray) -> np.ndarray:
-        omega_site = dist.ppf(keyed_uniform(seed, part, 0))
-        # math.exp: numpy's vectorized exp may round differently, which
-        # would move h by an ulp against data files already written
-        s = np.array([math.exp(-x) for x in omega_site.tolist()])
-        denom = 1.0 - s * s_child * w.reshape(2, part.size, n_roots).sum(axis=-1)
-        if np.any(denom <= 0.0):
-            raise AssertionError("excursion denominator not positive; bracket logic violated")
-        return s_geo * s / denom
-
-    if dist.kind == "point":
-        return fold(streams, _forest_bracket(cfg, dist, seed, streams, n_roots, depth))
-    starts = _forest_starts(cfg.d, n_roots, depth)
     cells = [b - a for a, b in zip(starts, starts[1:])]
     chunk = max(1, _FOREST_CELL_BUDGET // cells[depth])
     split, group = _level_split(cells, chunk)
@@ -358,9 +330,27 @@ def _site_brackets(
         w = buf[:, : part.size * width]
         for j in range(0, part.size, chunk):
             w[:, j * width : (j + chunk) * width] = _run_levels(cfg, dist, seed, part[j : j + chunk], starts, deep, None, ws)
-        return fold(part, _run_levels(cfg, dist, seed, part, starts, shallow, w, ws))
+        # a view into ws or buf, which the next group overwrites
+        return _run_levels(cfg, dist, seed, part, starts, shallow, w, ws).reshape(2, -1, n_roots).copy()
 
     return np.concatenate(ordered_map(run, range(0, streams.size, group)), axis=1)
+
+
+def _site_brackets(cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: int | np.ndarray) -> np.ndarray:
+    """Bracketed excursion survival weights h of geodesic sites, one per
+    stream id in streams (an int or an integer array), each folded from
+    its site's d - 2 branch forests: a (2, len(streams)) array holding the
+    lower and the upper bound of every site, in stream order."""
+    streams = np.atleast_1d(_as_u64(streams))
+    w = _branch_brackets(cfg, dist, seed, streams, cfg.d - 2)
+    omega_site = dist.ppf(keyed_uniform(seed, streams, 0))
+    # math.exp: numpy's vectorized exp may round differently, which
+    # would move h by an ulp against data files already written
+    s = np.array([math.exp(-x) for x in omega_site.tolist()])
+    denom = 1.0 - s * cfg.s_child * w.sum(axis=-1)
+    if np.any(denom <= 0.0):
+        raise AssertionError("excursion denominator not positive; bracket logic violated")
+    return (cfg.p + cfg.s_child) * s / denom
 
 
 def branch_return_weight(
@@ -378,7 +368,7 @@ def branch_return_weight(
     value compatible with nonnegative potentials.
     """
     streams = np.atleast_1d(_as_u64(stream_id))
-    lo, hi = _forest_bracket(cfg, dist, seed, streams, 1, cfg.depth_cap_D)[:, 0, 0]
+    lo, hi = _branch_brackets(cfg, dist, seed, streams, 1)[:, 0, 0]
     return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from killedwalk import tree
 from killedwalk.cli import CSV_COLUMNS, main
 from killedwalk.env import make_distribution
 from killedwalk.lyapunov import estimate_alpha_ergodic, estimate_alpha_mc
@@ -277,13 +278,21 @@ def test_tree_reduce_range_errors_name_their_field(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_huge_depth_cap_fails_at_once_naming_the_depth(tmp_path, capsys):
-    # the forest-budget refusal, not a failure to print the vertex count
+def test_huge_depth_cap_fails_at_once_naming_the_depth(tmp_path, capsys, monkeypatch):
+    # a depth past the forest budget is a bad value, refused before any
+    # forest is built and naming the deepest depth that fits
+    monkeypatch.setattr(tree, "_run_levels", None)
     dist = f"distribution={json.dumps(BERN_SPEC)}"
-    assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", "depth_cap=20000", "--out", "x") == 1
-    record = json.loads(capsys.readouterr().err)
-    assert "depth 20000" in record["error"] and "vertices" in record["error"], record
+    for d, depth, deepest in ((3, 26, 25), (3, 30, 25), (3, 20000, 25), (4, 16, 15)):
+        argv = ["tree-reduce", "-P", dist, "-P", f"d={d}", "-P", f"depth_cap={depth}", "--out", "x"]
+        assert run_cli(tmp_path, *argv) == 2, depth
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "depth_cap" and f"at most {deepest}," in record["error"], record
+        assert f"got {depth}" in record["error"] and "vertices" in record["error"], record
     assert not (tmp_path / "x.csv").exists()
+    # a point law collapses to a scalar recursion, so it takes any depth
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", "depth_cap=20000", "-P", "n=2", "--out", "x") == 0
 
 
 def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):

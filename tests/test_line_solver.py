@@ -253,20 +253,12 @@ def test_limit_certificate_brackets_deeper_barrier():
         assert res.a_value - deep.a_value <= res.trunc_bound
 
 
-def test_limit_accepts_custom_schedules():
-    env = bern_env(2, -64, 1)
-    res = F_limit(env, tol=1e-6, r_schedule=[-4, -16, -64])
-    assert res.r_used in (-16, -64)
-    with pytest.raises(ValueError, match="negative"):
-        F_limit(env, tol=1e-6, r_schedule=[-4, 2])
-    with pytest.raises(ValueError, match="tol"):
-        F_limit(env, tol=0.0)
-
-
 def test_nan_tolerance_is_refused():
     # NaN < tol is never true, so a NaN tol would run every row to the last barrier
     with pytest.raises(ValueError, match="tol"):
         F_limit(bern_env(2, -64, 1), tol=math.nan)
+    with pytest.raises(ValueError, match="tol"):
+        F_limit(bern_env(2, -64, 1), tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         F_limit_batch(BERN, seed=2, n_samples=2, tol=math.nan)
 

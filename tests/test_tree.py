@@ -30,7 +30,7 @@ from killedwalk.tree import (
     zero_potential_return_weight,
 )
 from killedwalk.rng import substream
-from killedwalk.tree import _forest_bracket, _level_starts, _max_walk_level, _quantize_to_atoms, _site_brackets
+from killedwalk.tree import _branch_brackets, _level_starts, _max_walk_level, _quantize_to_atoms, _site_brackets
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 DELTA0 = make_distribution({"kind": "point", "value": 0.0})
@@ -173,16 +173,17 @@ def test_batched_brackets_match_one_forest_oracle(
     chunk = 1 + int(chunk_frac * (n_sites - 1))  # chunks of 1 .. n_sites sites
     group = 1 + int(group_frac * (n_sites - 1))  # groups of 1 .. n_sites sites, split anywhere
     streams = substream(stream_id, np.arange(first_site, first_site + n_sites))
+    deep_cfg = replace(cfg, depth_cap_D=depth)
     with mock.patch.object(tree, "_FOREST_CELL_BUDGET", chunk * deepest + deepest // 2), mock.patch.object(
         tree, "_level_split", lambda cells, chunk: (split, group)
     ):
-        h_lo, h_hi = _site_brackets(replace(cfg, depth_cap_D=depth), dist, seed, streams)
-    w_lo, w_hi = _forest_bracket(cfg, dist, seed, streams, d - 2, depth)
+        h_lo, h_hi = _site_brackets(deep_cfg, dist, seed, streams)
+        w_lo, w_hi = _branch_brackets(deep_cfg, dist, seed, streams, d - 2)
+        one = branch_return_weight(deep_cfg, dist, seed, stream_id)
     for k, stream in enumerate(streams.tolist()):
         assert (h_lo[k], h_hi[k]) == _oracles.excursion_h(cfg, dist, seed, stream, depth)
         want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream, d - 2, depth)
         assert np.array_equal(w_lo[k], want_lo) and np.array_equal(w_hi[k], want_hi)
-    one = branch_return_weight(TreeConfig(d, drift_p=drift, depth_cap_D=depth), dist, seed, stream_id)
     want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream_id, 1, depth)
     assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
 
@@ -231,6 +232,20 @@ def _groups(sizes, chunk, split, depth):
     return passes
 
 
+def _passes(fn, *args):
+    """The levels of every _run_levels call that fn(*args) makes."""
+    calls = []
+    run_levels = tree._run_levels
+
+    def spy(cfg, dist, seed, streams, starts, levels, w, ws):
+        calls.append(levels)
+        return run_levels(cfg, dist, seed, streams, starts, levels, w, ws)
+
+    with mock.patch.object(tree, "_run_levels", spy):
+        fn(*args)
+    return calls
+
+
 @pytest.mark.parametrize(
     "depth, n_sites, passes",
     [
@@ -244,16 +259,18 @@ def _groups(sizes, chunk, split, depth):
 )
 def test_default_level_split(depth, n_sites, passes):
     cfg = TreeConfig(3, depth_cap_D=depth)
-    calls = []
-    run_levels = tree._run_levels
+    assert _passes(_site_brackets, cfg, BERN, 2, substream(1, np.arange(n_sites))) == passes
 
-    def spy(cfg, dist, seed, streams, starts, levels, w, ws):
-        calls.append(levels)
-        return run_levels(cfg, dist, seed, streams, starts, levels, w, ws)
 
-    with mock.patch.object(tree, "_run_levels", spy):
-        _site_brackets(cfg, BERN, 2, substream(1, np.arange(n_sites)))
-    assert calls == passes
+@pytest.mark.parametrize("depth, chunk", [(12, 16), (16, 1)])
+def test_one_branch_runs_the_level_split(depth, chunk):
+    # one branch at d = 3 is one site's forest: a deep pass down to m = 8,
+    # then a shallow one, exactly as the one-forest oracle
+    cfg = TreeConfig(3, depth_cap_D=depth)
+    assert _passes(branch_return_weight, cfg, BERN, 4, 9) == _groups([1], chunk, 8, depth)
+    one = branch_return_weight(cfg, BERN, 4, 9)
+    want_lo, want_hi = _oracles.forest_bracket(cfg, BERN, 4, 9, 1, depth)
+    assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
 
 
 def test_site_brackets_memory_stays_at_one_workspace():
@@ -269,21 +286,6 @@ def test_site_brackets_memory_stays_at_one_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 2_521_018 + 256 * 1024
-
-
-def test_forest_workspace_reuse_by_smaller_and_deeper_calls():
-    cfg = TreeConfig(4)
-    # one workspace holds the cells of the first call and the counters of
-    # the third, deeper one; every call after the first finds the cells a
-    # larger call left behind
-    starts = _level_starts(4, 1, 6).tolist()
-    ws = tree._Workspace(starts, 6 * (starts[-1] - starts[-2]))
-    for n_sites, depth, n_roots in ((6, 5, 2), (2, 3, 2), (1, 6, 1), (3, 5, 2)):
-        streams = substream(8, np.arange(n_sites))
-        got = _forest_bracket(cfg, EXP1, 2, streams, n_roots, depth, ws)
-        for k, stream in enumerate(streams.tolist()):
-            want_lo, want_hi = _oracles.forest_bracket(cfg, EXP1, 2, stream, n_roots, depth)
-            assert np.array_equal(got[0, k], want_lo) and np.array_equal(got[1, k], want_hi)
 
 
 @pytest.mark.parametrize("budget", [1, 64])
