@@ -259,13 +259,12 @@ def _run_tree_reduce(config: RunConfig) -> dict:
     dist = _dist_from(p)
     drift_p = _param(p, "drift_p", None, float, lambda v: 0 < v < 1, "null or a number in (0, 1)")
     d = _at_least(p, "d", 3, 3)
-    if dist.kind == "point":  # no forest to build: a scalar recursion of any depth
-        depth_cap = _at_least(p, "depth_cap", 10, 1)
+    if dist.kind == "point":  # no forest to build: one scalar recursion step a level
+        deepest, why = _FOREST_VERTEX_BUDGET, " for a point law"
     else:
         deepest = _deepest_forest(d, d - 2)
-        depth_cap = _param(p, "depth_cap", 10, int, lambda v: 1 <= v <= deepest,
-                           f"an integer >= 1 and at most {deepest}, the depth of the deepest branch forest "
-                           f"within {_FOREST_VERTEX_BUDGET} vertices at d = {d} (a point law takes any depth)")
+        why = f", the depth of the deepest branch forest within {_FOREST_VERTEX_BUDGET} vertices at d = {d}"
+    depth_cap = _param(p, "depth_cap", 10, int, lambda v: 1 <= v <= deepest, f"an integer >= 1 and at most {deepest}{why}")
     tree_cfg = TreeConfig(d=d, drift_p=drift_p, depth_cap_D=depth_cap)
     n = _at_least(p, "n", 8, 1)
     model = reduce_to_line(

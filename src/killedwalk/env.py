@@ -11,11 +11,12 @@ that was already drawn.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import keyed_uniform
+from .rng import _U64, keyed_uniform
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -33,15 +34,23 @@ class PotentialDistribution:
     atoms: tuple[tuple[float, float], ...] = ()
     rate: float = 0.0
     mass_value: float = 0.0
-    # atom values, weights and cumulative weights, built once per law
+    # atom values (a point law's value), weights, cumulative weights, and
+    # survival_from_bits' cuts and survival factors, built once per law
     _values: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _cuts: np.ndarray = field(init=False, repr=False, compare=False)
+    _survival: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.array([v for v, _ in self.atoms])
+        values = np.array([self.mass_value] if self.kind == "point" else [v for v, _ in self.atoms])
         weights = np.array([w for _, w in self.atoms])
-        for name, table in (("_values", values), ("_weights", weights), ("_cum", np.cumsum(weights))):
+        cum = np.cumsum(weights)
+        # u = m 2**-53 reaches cum_j iff m >= ceil(cum_j 2**53), iff its word
+        # reaches that << 11; no word reaches a cumulative weight >= 1
+        cuts = np.array([math.ceil(c * 2**53) << 11 for c in cum[:-1].tolist() if c < 1.0], dtype=np.uint64)
+        tables = {"_values": values, "_weights": weights, "_cum": cum, "_cuts": cuts, "_survival": np.exp(-values)}
+        for name, table in tables.items():
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -75,31 +84,33 @@ class PotentialDistribution:
         """Inverse CDF, the common-random-number transform of uniforms.
 
         With out, a contiguous float64 array of u's shape that shares no
-        memory with u, the values are written there; a law of at most two
-        atoms then allocates nothing of u's size.  A finite law looks atoms
-        up by comparison: u takes atom idx = (K-1) - sum_{j<K-1} [u < cum_j],
-        the first atom whose cumulative weight exceeds u, or the last atom
-        when none does (u = NaN included).
+        memory with u (or is u, for a law not finite), the values are
+        written there; a law of at most two atoms then allocates nothing of
+        u's size.  A finite law looks atoms up by comparison: u takes atom
+        idx = (K-1) - sum_{j<K-1} [u < cum_j], the first atom whose
+        cumulative weight exceeds u, or the last atom when none does (u =
+        NaN included).
         """
         u = np.asarray(u, dtype=np.float64)
         out = np.empty_like(u) if out is None else out
-        if self.kind == "point":
-            out.fill(self.mass_value)
-            return out
         if self.kind == "exponential":
             np.log1p(np.negative(u, out=out), out=out)
             return np.divide(np.negative(out, out=out), self.rate, out=out)
-        cuts = self._cum[:-1]
-        if cuts.size == 0:
-            out.fill(self._values[0])
-            return out
-        # the count lives in out's memory: take reads each index before it
-        # writes that slot, and mode="clip" skips the "raise" mode's copy
-        idx = np.less(u, cuts[0], out=out.view(np.int64))
-        for c in cuts[1:]:
-            idx += u < c
-        np.subtract(cuts.size, idx, out=idx)
-        return np.take(self._values, idx, mode="clip", out=out)
+        return _atom_lookup(self._values, u, self._cum[:-1], out)
+
+    def survival_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-ppf(u)) bit for bit, for u = (bits >> 11) 2**-53 the
+        uniforms keyed_uniform makes of keyed_bits words, into out (a
+        contiguous float64 array of bits' shape) if it is given.  A finite
+        or point law counts the cuts each word reaches (ppf's atom index)
+        and looks its survival factor up; an exponential law runs u, ppf and
+        exp in out, allocating only the shifted words.
+        """
+        out = np.empty(bits.shape) if out is None else out
+        if self.kind == "exponential":
+            u = np.multiply(bits >> _U64(11), 2.0**-53, out=out)
+            return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
+        return _atom_lookup(self._survival, bits, self._cuts, out)
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
@@ -124,6 +135,21 @@ class PotentialDistribution:
         if self.kind == "exponential":
             return {"kind": "exponential", "rate": self.rate}
         return {"kind": "point", "value": self.mass_value}
+
+
+def _atom_lookup(table: np.ndarray, x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """table[idx] into out for idx = len(cuts) - #{j : x < cuts[j]}, the
+    number of the ascending cuts that x reaches (all of them for a NaN)."""
+    if cuts.size == 0:
+        out.fill(table[0])
+        return out
+    # the count lives in out's memory: take reads each index before it
+    # writes that slot, and mode="clip" skips the "raise" mode's copy
+    idx = np.less(x, cuts[0], out=out.view(np.int64))
+    for c in cuts[1:]:
+        idx += x < c
+    np.subtract(cuts.size, idx, out=idx)
+    return np.take(table, idx, mode="clip", out=out)
 
 
 def make_distribution(spec) -> PotentialDistribution:

@@ -4,6 +4,11 @@ Every stochastic quantity in this package is a pure function of an integer
 key tuple.  Site potentials use ``keyed_uniform(seed, stream_id, counter)``:
 the uniform attached to a counter never depends on how many other counters
 were evaluated, in which order, or on how many workers did the evaluating.
+The hash has two stages: ``stream_key`` folds seed and stream into one
+64-bit key, and ``mix_counters`` XORs it into each counter times the
+SplitMix64 increment and runs the SplitMix64 finalizer.  ``keyed_bits`` is
+their composition; a branch forest derives its key and premultiplies its
+counters once, then hashes level after level in place.
 Path simulations, which consume an unbounded stream of draws, use ordinary
 numpy generators seeded through ``SeedSequence`` from the same kind of key.
 """
@@ -46,42 +51,44 @@ def _as_u64(value) -> np.ndarray:
     raise TypeError(f"key component must be integer, got dtype {arr.dtype}")
 
 
-def keyed_bits(seed, stream_id, counter, out=None, scratch=None) -> np.ndarray:
-    """64 hashed bits for each (seed, stream_id, counter) triple.
+def stream_key(seed, stream_id) -> np.ndarray:
+    """The hash key of each (seed, stream_id) pair (both broadcast)."""
+    with np.errstate(over="ignore"):
+        k = _splitmix64(_as_u64(seed))
+        return _splitmix64(k ^ (_as_u64(stream_id) + _U64(_GAMMA)))
+
+
+def mix_counters(key, counters_gamma, out=None, scratch=None) -> np.ndarray:
+    """64 hashed bits for each stream key and counter, the counter given
+    as the uint64 word counter * _GAMMA (both broadcast).  With out, a
+    uint64 array of the broadcast shape (counters_gamma itself, say), the
+    hash runs in place there; scratch, a second such array, then holds
+    its shifted words (one is allocated if it is not given).  The hash
+    runs on arrays, 0-d for scalar arguments, whose arithmetic wraps
+    without overflow warnings.
+    """
+    out = np.asarray(np.bitwise_xor(counters_gamma, key, out=out))
+    return _splitmix64(out, np.empty_like(out) if scratch is None else scratch)
+
+
+def keyed_bits(seed, stream_id, counter) -> np.ndarray:
+    """64 hashed bits for each (seed, stream_id, counter) triple:
+    mix_counters(stream_key(seed, stream_id), counter * _GAMMA).
 
     All three arguments broadcast; negative counters (site indices) wrap to
     uint64 two's complement, which keeps them distinct and deterministic.
-    With out, a uint64 array of the broadcast shape, the hash runs in place
-    there; scratch, a second such array, then holds its shifted words
-    (one is allocated if it is not given).
     """
-    with np.errstate(over="ignore"):
-        k = _splitmix64(_as_u64(seed))
-        k = _splitmix64(k ^ (_as_u64(stream_id) + _U64(_GAMMA)))
-        if out is None:
-            return _splitmix64(k ^ (_as_u64(counter) * _U64(_GAMMA)))
-        np.multiply(_as_u64(counter), _U64(_GAMMA), out=out)
-        out ^= k
-        return _splitmix64(out, np.empty_like(out) if scratch is None else scratch)
+    # an array product: numpy checks overflow only in scalar arithmetic
+    return mix_counters(stream_key(seed, stream_id), _as_u64(counter) * _U64(_GAMMA))
 
 
-def keyed_uniform(seed, stream_id, counter, out=None, scratch=None) -> np.ndarray:
+def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
     """Uniform draws in [0, 1), pure in the key triple.
 
     Uses the top 53 bits so the result is an exactly representable
-    float64 on a 2**-53 lattice.  With out, a float64 array of the
-    broadcast shape, the draws are written there and the hash runs in
-    out's memory and in scratch, a uint64 array of the same shape (one is
-    allocated if it is not given): a caller drawing level after level
-    into the same buffers allocates nothing the size of a draw.
+    float64 on a 2**-53 lattice.
     """
-    if out is None:
-        bits = keyed_bits(seed, stream_id, counter)
-        return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-    if scratch is None:
-        scratch = np.empty(out.shape, dtype=np.uint64)
-    bits = keyed_bits(seed, stream_id, counter, out=out.view(np.uint64), scratch=scratch)
-    return np.multiply(np.right_shift(bits, _U64(11), out=scratch), 2.0 ** -53, out=out)
+    return (keyed_bits(seed, stream_id, counter) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 def substream(stream_id: int, index):

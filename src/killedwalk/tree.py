@@ -37,7 +37,7 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights
 from .lyapunov import annealed_transfer
-from .rng import _as_u64, keyed_uniform, stream_generator, substream
+from .rng import _GAMMA, _U64, _as_u64, keyed_uniform, mix_counters, stream_generator, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
@@ -228,17 +228,17 @@ def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
 
 class _Workspace:
     """The buffers of _run_levels for levels of up to cells vertices: the
-    uint64 level counters of one forest with the level starts given, the
-    hash scratch, the uniforms, the visit survivals s, the "not positive"
-    flags and two buffers that take turns holding a level's denominators
-    and then, in place, its bracket of return weights."""
+    level counters of one forest with the level starts given, times the
+    hash increment (mix_counters' words), the hashed words, the hash
+    scratch, the visit survivals s and two buffers that take turns holding
+    a level's denominators and then, in place, its bracket of return weights."""
 
     def __init__(self, starts: list[int], cells: int):
         self.counters = np.arange(starts[-1], dtype=np.uint64)
+        self.counters *= _U64(_GAMMA)
+        self.bits = np.empty(cells, dtype=np.uint64)
         self.scratch = np.empty(cells, dtype=np.uint64)
-        self.u = np.empty(cells)
         self.s = np.empty(cells)
-        self.flags = np.empty(2 * cells, dtype=bool)
         self.w = (np.empty(2 * cells), np.empty(2 * cells))
 
 
@@ -249,24 +249,21 @@ def _run_levels(
     of branch forests, one per uint64 stream id in streams, keyed by the
     counters of starts, from w, the bracket of the level below the first
     (ignored below the deepest level: the frontier).  Returns the last
-    level's bracket, a view into ws (w if levels is empty).  A level of the
-    batch lays its forests' levels end to end in stream order and every
-    operation is elementwise, so a forest's numbers do not depend on its
-    batch; ws and out= ufuncs leave no level-sized array to allocate (but
-    for the one-byte masks of ppf's third and later atoms)."""
+    level's bracket, a view into ws (w if levels is empty).  Each level
+    mixes the batch's stream keys, derived once, into its counters and
+    reads the survivals straight from the words (survival_from_bits).  A
+    level of the batch lays its forests' levels end to end in stream order
+    and every operation is elementwise, so a forest's numbers do not
+    depend on its batch; ws and out= ufuncs leave no level-sized array to
+    allocate but a finite law's masks of its third and later atoms and an
+    exponential law's shifted words."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    n_forests = streams.size
-    # a lone forest keys by a scalar stream, whose hash numpy then runs in
-    # scalar math rather than as ufunc calls on (1, 1) arrays
-    column = streams[:, None] if n_forests > 1 else streams[0]
+    keys = stream_key(seed, streams[:, None])
     for level in levels:
         counters = ws.counters[starts[level] : starts[level + 1]]
-        n = n_forests * counters.size
-        shape = (n_forests, counters.size) if n_forests > 1 else (n,)
-        u = ws.u[:n]
-        keyed_uniform(seed, column, counters, out=u.reshape(shape), scratch=ws.scratch[:n].reshape(shape))
-        s = dist.ppf(u, out=ws.s[:n])
-        np.exp(np.negative(s, out=s), out=s)
+        n, shape = streams.size * counters.size, (streams.size, counters.size)
+        mix_counters(keys, counters, out=ws.bits[:n].reshape(shape), scratch=ws.scratch[:n].reshape(shape))
+        s = dist.survival_from_bits(ws.bits[:n], out=ws.s[:n])
         denom = ws.w[level % 2][: 2 * n].reshape(2, n)
         if level == len(starts) - 2:
             w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
@@ -275,7 +272,7 @@ def _run_levels(
             np.multiply(s_child, _sum_children(w, d - 1, out=denom), out=denom)
             np.multiply(s, denom, out=denom)
         np.subtract(1.0, denom, out=denom)
-        if np.less_equal(denom, 0.0, out=ws.flags[: 2 * n].reshape(2, n)).any():
+        if not denom.min() > 0.0:  # NaN included
             raise AssertionError("return-weight denominator not positive; bracket logic violated")
         w = np.divide(np.multiply(p, s, out=s), denom, out=denom)
     return w
@@ -298,7 +295,8 @@ def _branch_brackets(
     D = cfg.depth_cap_D deep, one per uint64 stream id in streams: a
     (2, len(streams), n_roots) array, the lower bracket (frontier killed,
     w = 0) stacked on the upper one (frontier granted the zero-potential
-    return weight).  A point law runs one scalar recursion instead.
+    return weight).  A point law runs one scalar recursion on Python floats
+    instead (the same IEEE arithmetic), which stops once both bounds repeat.
 
     Forests run in groups of G, split at the level m of _level_split: the
     deep phase runs levels D .. m + 1 in chunks whose deepest level holds
@@ -310,10 +308,14 @@ def _branch_brackets(
     d, p, s_child, depth = cfg.d, cfg.p, cfg.s_child, cfg.depth_cap_D
     if dist.kind == "point":
         s = math.exp(-dist.mass_value)
-        w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
+        num, child = p * s, s * s_child * (d - 1)
+        w = (0.0, zero_potential_return_weight(cfg))
         for _ in range(depth):
-            w = p * s / (1.0 - s * s_child * (d - 1) * w)
-        return np.full((2, streams.size, n_roots), w[..., None])
+            nxt = (num / (1.0 - child * w[0]), num / (1.0 - child * w[1]))
+            if nxt == w:  # a fixed point: every deeper level repeats it
+                break
+            w = nxt
+        return np.full((2, streams.size, n_roots), np.array(w)[:, None, None])
     starts = _forest_starts(d, n_roots, depth)
     cells = [b - a for a, b in zip(starts, starts[1:])]
     chunk = max(1, _FOREST_CELL_BUDGET // cells[depth])

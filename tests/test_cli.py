@@ -290,8 +290,13 @@ def test_huge_depth_cap_fails_at_once_naming_the_depth(tmp_path, capsys, monkeyp
         assert record["field"] == "depth_cap" and f"at most {deepest}," in record["error"], record
         assert f"got {depth}" in record["error"] and "vertices" in record["error"], record
     assert not (tmp_path / "x.csv").exists()
-    # a point law collapses to a scalar recursion, so it takes any depth
+    # a point law collapses to a scalar recursion, one step a level, which
+    # takes any depth up to the vertex budget
     dist = f"distribution={json.dumps(CONST_SPEC)}"
+    budget = tree._FOREST_VERTEX_BUDGET
+    assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", f"depth_cap={budget + 1}", "--out", "x") == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "depth_cap" and f"at most {budget} for a point law" in record["error"], record
     assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", "depth_cap=20000", "-P", "n=2", "--out", "x") == 0
 
 

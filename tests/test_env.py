@@ -14,6 +14,7 @@ from killedwalk.env import (
     sample_environment,
     shift,
 )
+from killedwalk.rng import keyed_bits
 
 BERN = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 
@@ -212,3 +213,34 @@ def test_ppf_matches_binary_search_oracle_bit_for_bit(dist, u):
         assert dist.ppf(u, out=out) is out
         assert np.array_equal(dist.ppf(u.reshape(1, -1)), want.reshape(1, -1), equal_nan=True)
     assert np.array_equal(out, want, equal_nan=True)
+
+
+SURVIVAL_LAWS = [
+    {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]},  # cumulative weight on the 2^-53 lattice
+    {"kind": "finite", "atoms": [[0.0, 0.1], [1.0, 0.9]]},  # and off it
+    {"kind": "finite", "atoms": [[0.0, 1.0], [1.0, 1e-20]]},  # a partial cumulative weight of 1.0
+    {"kind": "finite", "atoms": [[0.7, 1.0]]},
+    {"kind": "finite", "atoms": [[0.0, 0.1], [0.3, 0.2], [1.0, 0.3], [2.0, 0.25], [5.0, 0.15]]},
+    {"kind": "exponential", "rate": 1.0},
+    {"kind": "exponential", "rate": 2.5},
+    {"kind": "point", "value": 0.3},
+]
+
+
+@pytest.mark.parametrize("spec", SURVIVAL_LAWS)
+def test_survival_from_bits_matches_the_float_route_bit_for_bit(spec):
+    dist = make_distribution(spec)
+    # the words just below and at each cut, ceil(cum 2^53) << 11, with the
+    # 11 bits keyed_uniform drops all clear and all set
+    cum = np.cumsum([w for _, w in dist.atoms] or [0.5])
+    mantissas = [m for c in cum.tolist() for m in (math.ceil(c * 2**53) - 1, math.ceil(c * 2**53)) if m < 2**53]
+    edges = [m << 11 | low for m in mantissas + [0, 2**53 - 1] for low in (0, 2047)]
+    bits = np.concatenate([np.array(edges, dtype=np.uint64), keyed_bits(5, 3, np.arange(4000))])
+    kept = bits.copy()
+    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    want = np.exp(-_oracles.ppf(dist, u))
+    out = np.full(bits.shape, -7.0)
+    assert dist.survival_from_bits(bits, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(dist.survival_from_bits(bits.reshape(2, -1)), want.reshape(2, -1))
+    assert np.array_equal(bits, kept)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from killedwalk.rng import keyed_bits, keyed_uniform, stream_generator, substream
+from killedwalk.rng import keyed_bits, keyed_uniform, mix_counters, stream_generator, stream_key, substream
 
 
 def _splitmix64_reference(x: int) -> int:
@@ -83,16 +83,32 @@ def test_python_int_keys_wrap_to_64_bits():
 
 
 def test_in_place_draws_match_allocating_draws():
+    mask = 0xFFFFFFFFFFFFFFFF
     counters = np.arange(-300, 700)
+    counters_gamma = np.array([c * 0x9E3779B97F4A7C15 & mask for c in counters.tolist()], dtype=np.uint64)
     streams = np.array([0, 5, 2**40], dtype=np.uint64)[:, None]
     for seed, stream in ((9, 4), (2**63 + 1, streams)):
-        want = keyed_uniform(seed, stream, counters)
-        out = np.full(want.shape, 0.25)
+        want = keyed_bits(seed, stream, counters)
+        key = stream_key(seed, stream)
+        # in place in the premultiplied counters' own memory, as a forest hashes
+        words = np.broadcast_to(counters_gamma, want.shape).copy()
         scratch = np.full(want.shape, 77, dtype=np.uint64)
-        assert keyed_uniform(seed, stream, counters, out=out, scratch=scratch) is out
-        assert np.array_equal(out, want)
+        assert mix_counters(key, words, out=words, scratch=scratch) is words
+        assert np.array_equal(words, want)
         # without scratch, one is allocated; out's old contents never leak in
-        assert np.array_equal(keyed_uniform(seed, stream, counters, out=np.full(want.shape, np.nan)), want)
-        bits = np.zeros(want.shape, dtype=np.uint64)
-        assert keyed_bits(seed, stream, counters, out=bits) is bits
-        assert np.array_equal(bits, keyed_bits(seed, stream, counters))
+        out = np.full(want.shape, 5, dtype=np.uint64)
+        assert mix_counters(key, counters_gamma, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(keyed_uniform(seed, stream, counters), (want >> np.uint64(11)) * 2.0**-53)
+
+
+def test_keyed_bits_is_the_stream_key_mixed_into_the_counters():
+    mask = 0xFFFFFFFFFFFFFFFF
+    counters = np.arange(-300, 700)
+    counters_gamma = np.array([c * 0x9E3779B97F4A7C15 & mask for c in counters.tolist()], dtype=np.uint64)
+    streams = np.array([0, 5, 2**40, mask], dtype=np.uint64)[:, None]
+    for seed, stream in ((9, 4), (-3, 2**64 + 5), (2**63 + 1, streams)):
+        assert np.array_equal(mix_counters(stream_key(seed, stream), counters_gamma), keyed_bits(seed, stream, counters))
+    for seed, stream, counter in [(0, 0, 0), (1, 2, 3), (2**63, 5, -7)]:
+        word = np.uint64(counter * 0x9E3779B97F4A7C15 & mask)
+        assert int(mix_counters(stream_key(seed, stream), word)) == _keyed_bits_reference(seed, stream, counter & mask)

@@ -120,6 +120,36 @@ def test_h_zero_potential_equals_sigma_prob():
             assert hshallow.lower <= want <= hshallow.upper + 1e-15
 
 
+def test_point_law_recursion_stops_at_its_fixed_point():
+    # at d = 3 and value 0.3 both bounds repeat by level 22, so ten million
+    # levels cost no more than a thousand and give the same words
+    point = make_distribution({"kind": "point", "value": 0.3})
+    streams = np.arange(3, dtype=np.uint64)
+    t0 = time.perf_counter()
+    deep = _branch_brackets(TreeConfig(3, depth_cap_D=10**7), point, 0, streams, 2)
+    h_deep = excursion_survival_h(TreeConfig(3, depth_cap_D=10**7), point)
+    assert time.perf_counter() - t0 < 1.0
+    shallow = _branch_brackets(TreeConfig(3, depth_cap_D=10**3), point, 0, streams, 2)
+    assert deep.shape == (2, 3, 2) and deep.tobytes() == shallow.tobytes()
+    assert h_deep == replace(excursion_survival_h(TreeConfig(3, depth_cap_D=10**3), point), depth_used=10**7)
+    # each level until then runs: the bounds match the oracle's full recursion
+    for depth in (1, 5, 21, 40):
+        cfg = TreeConfig(3, depth_cap_D=depth)
+        want = _oracles.forest_bracket(cfg, point, 0, 0, 2, depth)
+        got = _branch_brackets(cfg, point, 0, streams, 2)
+        assert np.array_equal(got, np.broadcast_to(np.array(want)[:, None, :], got.shape))
+
+
+@pytest.mark.parametrize("frontier", [2.0, math.nan])
+def test_non_positive_denominator_is_refused(monkeypatch, frontier):
+    # d = 3: s_child (d - 1) = 2/3, so a frontier weight above 3/2 drives
+    # the denominator of a zero-potential vertex below zero; NaN is refused too
+    monkeypatch.setattr(tree, "zero_potential_return_weight", lambda cfg: frontier)
+    for dist in (BERN, EXP1, THREE_ATOMS):
+        with pytest.raises(AssertionError, match="bracket logic violated"):
+            _branch_brackets(TreeConfig(3, depth_cap_D=4), dist, 0, np.arange(2, dtype=np.uint64), 1)
+
+
 def test_forest_budget_guard():
     cfg = TreeConfig(6, depth_cap_D=12)
     with pytest.raises(ValueError, match="vertices"):
