@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         result = run(config)
-    except (ValueError, RuntimeError, OSError) as exc:  # a ConfigError exits 2, any other failure 1
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:  # a ConfigError exits 2, any other failure 1
         code = 2 if isinstance(exc, ConfigError) else 1
         command = config.command if config else args.command
         record = {"error": str(exc), "field": getattr(exc, "config_field", ""), "command": command, "exit_code": code}

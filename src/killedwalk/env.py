@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import _U64, keyed_uniform
+from .rng import _uniform, keyed_uniform
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -108,7 +108,7 @@ class PotentialDistribution:
         """
         out = np.empty(bits.shape) if out is None else out
         if self.kind == "exponential":
-            u = np.multiply(bits >> _U64(11), 2.0**-53, out=out)
+            u = _uniform(bits, out=out)
             return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
         return _atom_lookup(self._survival, bits, self._cuts, out)
 
@@ -128,13 +128,6 @@ class PotentialDistribution:
         else:
             phi = np.exp(-np.multiply.outer(ell, self._values)) @ self._weights
         return float(phi) if phi.ndim == 0 else phi
-
-    def to_spec(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite", "atoms": [[v, w] for v, w in self.atoms]}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "rate": self.rate}
-        return {"kind": "point", "value": self.mass_value}
 
 
 def _atom_lookup(table: np.ndarray, x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:

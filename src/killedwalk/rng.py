@@ -8,9 +8,10 @@ The hash has two stages: ``stream_key`` folds seed and stream into one
 64-bit key, and ``mix_counters`` XORs it into each counter times the
 SplitMix64 increment and runs the SplitMix64 finalizer.  ``keyed_bits`` is
 their composition; a branch forest derives its key and premultiplies its
-counters once, then hashes level after level in place.
-Path simulations, which consume an unbounded stream of draws, use ordinary
-numpy generators seeded through ``SeedSequence`` from the same kind of key.
+counters once, then hashes level after level in place.  A tree walker's
+step uniforms follow the same contract: walker w's t-th step draws
+``keyed_uniform(seed, substream(step_stream, w), t)``, so a walker's path
+depends neither on how many other walkers run nor on which have stopped.
 """
 
 from __future__ import annotations
@@ -21,30 +22,35 @@ _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of SplitMix64
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
+# the finalizer's operands as 0-d arrays: a ufunc call on a scalar key costs
+# about half as much with them as with numpy scalars, and it is all overhead
+_FINALIZER = tuple(np.array(v, dtype=np.uint64) for v in (_GAMMA, 30, _MIX1, 27, _MIX2, 31))
 
 
 def _splitmix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer: bijective avalanche on uint64 arrays.
 
     With scratch, a uint64 array of x's shape, x is mixed in place and
-    returned, and scratch is overwritten by the shifted words.
+    returned, and scratch is overwritten by the shifted words; without it,
+    a copy of x is mixed.  The arithmetic runs on arrays (0-d for a
+    scalar), which wrap without overflow warnings.
     """
     if scratch is None:
-        z = x + _U64(_GAMMA)
-        z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-        z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-        return z ^ (z >> _U64(31))
-    x += _U64(_GAMMA)
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        x ^= np.right_shift(x, _U64(shift), out=scratch)
-        x *= _U64(mix)
-    x ^= np.right_shift(x, _U64(31), out=scratch)
+        x = np.array(x, dtype=np.uint64)
+        scratch = np.empty_like(x)
+    gamma, shift1, mix1, shift2, mix2, shift3 = _FINALIZER
+    x += gamma
+    x ^= np.right_shift(x, shift1, out=scratch)
+    x *= mix1
+    x ^= np.right_shift(x, shift2, out=scratch)
+    x *= mix2
+    x ^= np.right_shift(x, shift3, out=scratch)
     return x
 
 
 def _as_u64(value) -> np.ndarray:
     if isinstance(value, int):
-        value &= 0xFFFFFFFFFFFFFFFF  # a key is a 64-bit word, as in stream_generator
+        value &= 0xFFFFFFFFFFFFFFFF  # a key is a 64-bit word
     arr = np.asarray(value)
     if arr.dtype.kind in "iu":
         return arr.astype(np.uint64, copy=False)
@@ -53,9 +59,8 @@ def _as_u64(value) -> np.ndarray:
 
 def stream_key(seed, stream_id) -> np.ndarray:
     """The hash key of each (seed, stream_id) pair (both broadcast)."""
-    with np.errstate(over="ignore"):
-        k = _splitmix64(_as_u64(seed))
-        return _splitmix64(k ^ (_as_u64(stream_id) + _U64(_GAMMA)))
+    k = _splitmix64(_as_u64(seed))
+    return _splitmix64(k ^ (_as_u64(stream_id) + _U64(_GAMMA)))
 
 
 def mix_counters(key, counters_gamma, out=None, scratch=None) -> np.ndarray:
@@ -88,7 +93,13 @@ def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
     Uses the top 53 bits so the result is an exactly representable
     float64 on a 2**-53 lattice.
     """
-    return (keyed_bits(seed, stream_id, counter) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    return _uniform(keyed_bits(seed, stream_id, counter))
+
+
+def _uniform(bits, out=None) -> np.ndarray:
+    """The uniform in [0, 1) of each 64-bit word: its top 53 bits times
+    2**-53, into out (a float64 array of bits' shape) if it is given."""
+    return np.multiply(bits >> _U64(11), 2.0**-53, out=out)
 
 
 def substream(stream_id: int, index):
@@ -99,16 +110,5 @@ def substream(stream_id: int, index):
     sibling streams.  An int index gives an int; an integer array of
     indices gives a uint64 array of the same children.
     """
-    with np.errstate(over="ignore"):
-        out = _splitmix64(_as_u64(stream_id) ^ (_as_u64(index) * _U64(_MIX1)))
+    out = _splitmix64(_as_u64(stream_id) ^ (_as_u64(index) * _U64(_MIX1)))
     return int(out) if out.ndim == 0 else out
-
-
-def stream_generator(*key: int) -> np.random.Generator:
-    """A PCG64 generator keyed by an integer tuple.
-
-    Used for path simulations: each (seed, stream, batch) key owns a
-    private stream, so batch results are independent of scheduling.
-    """
-    entropy = tuple(int(k) & 0xFFFFFFFFFFFFFFFF for k in key)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

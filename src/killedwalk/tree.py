@@ -17,7 +17,8 @@ so every reported h (and rho) is a certified bracket; both bounds travel
 as one stacked axis through the same arithmetic.  Trajectory simulation on the
 same keyed potentials serves as an independent cross-check, not as the
 primary computation: all walkers advance together one step at a time,
-and the step uniforms are drawn step by step over the walkers still live.
+and each step uniform is keyed by (walker, step), so no walker's path
+depends on the others.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -37,7 +38,7 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights
 from .lyapunov import annealed_transfer
-from .rng import _GAMMA, _U64, _as_u64, keyed_uniform, mix_counters, stream_generator, stream_key, substream
+from .rng import _GAMMA, _U64, _as_u64, _uniform, keyed_uniform, mix_counters, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
@@ -515,7 +516,7 @@ def _walk(
     dist: PotentialDistribution,
     seed: int,
     stream_id: int,
-    gen: np.random.Generator,
+    step_stream: int,
     n_walkers: int,
     start: int,
     targets: tuple[int, ...],
@@ -532,7 +533,10 @@ def _walk(
     site, and the horizon (branch level plus distance to the nearer target
     beyond horizon).  The survivors then pay their vertex's potential,
     keyed by substream(stream_id, site) and the level-order counter, and
-    move on one uniform each from gen, handed out in walker order.
+    move on walker w's step-t uniform keyed_uniform(seed,
+    substream(step_stream, w), t).  The site keys are derived once a call,
+    over the sites the horizon lets a walker pay (within horizon of a
+    target), and so are the walker keys.
 
     With arrival_ends_step a walker that lands on a target is scored at
     once, even below the weight cutoff and on its last allowed step (the
@@ -547,9 +551,12 @@ def _walk(
     s_geo = p + s_child
     starts = _level_starts(d, d - 2, _max_walk_level(d))
     targets = np.asarray(targets, dtype=np.int64)
+    lo = int(targets.min()) - horizon  # the horizon stops a walker below lo before it pays
+    site_key = stream_key(seed, substream(stream_id, np.arange(lo, int(targets.max()) + horizon + 1)))
     weight = np.zeros(n_walkers)
     cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
     walker = np.arange(n_walkers)
+    step_key = stream_key(seed, substream(step_stream, walker))
     geo = np.full(n_walkers, start, dtype=np.int64)
     level = np.zeros(n_walkers, dtype=np.int64)
     idx = np.zeros(n_walkers, dtype=np.int64)
@@ -569,11 +576,12 @@ def _walk(
             cause[walker[cut]] = _CUTOFF
             cause[walker[far]] = _HORIZON
             live = ~stop
-            walker, geo, level, idx, log_w = walker[live], geo[live], level[live], idx[live], log_w[live]
+            walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
         if walker.size == 0 or step == max_steps:
             break
-        log_w -= dist.ppf(keyed_uniform(seed, substream(stream_id, geo), starts[level] + idx))
-        u = gen.random(walker.size)
+        counters = _as_u64(starts[level] + idx) * _U64(_GAMMA)
+        log_w -= dist.ppf(_uniform(mix_counters(site_key[geo - lo], counters, out=counters)))
+        u = _uniform(mix_counters(step_key, _as_u64(step) * _U64(_GAMMA)))
         on_geo = level == 0
         geo += (on_geo & (u < p)).astype(np.int64) - (on_geo & (p <= u) & (u < s_geo))
         enter = on_geo & (u >= s_geo)
@@ -623,9 +631,8 @@ def simulate_excursions(
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
-    gen = stream_generator(seed, _EXCURSION_TAG, substream(stream_id, site_index))
     weight, cause = _walk(
-        cfg, dist, seed, stream_id, gen, n_excursions,
+        cfg, dist, seed, stream_id, substream(_EXCURSION_TAG, substream(stream_id, site_index)), n_excursions,
         start=site_index,
         targets=(site_index - 1, site_index + 1),
         horizon=_max_walk_level(cfg.d) + 1,
@@ -664,9 +671,8 @@ def simulate_geodesic_passage(
     horizon = min(escape_horizon, _max_walk_level(cfg.d))
     if horizon < target:
         raise ValueError(f"escape_horizon {horizon} (after the level cap) is below target {target}")
-    gen = stream_generator(seed, _PASSAGE_TAG, stream_id)
     weight, cause = _walk(
-        cfg, dist, seed, stream_id, gen, n_walks,
+        cfg, dist, seed, stream_id, substream(_PASSAGE_TAG, stream_id), n_walks,
         start=0,
         targets=(target,),
         horizon=horizon,

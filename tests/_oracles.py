@@ -8,8 +8,8 @@ sweep over a batch of environments, annealed survival weights by summation over 
 configuration of a finite-support law, window entropies by direct
 summation over product configurations, branch-forest brackets one
 forest at a time, tree walks by stepping one walker at a time with
-lazily cached potentials, and site potentials by a binary-search inverse
-CDF.
+lazily cached potentials and one keyed_uniform call per (walker, step),
+and site potentials by a binary-search inverse CDF.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 
 from killedwalk.env import Environment, PotentialDistribution
 from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from_a, forward_step_weights
-from killedwalk.rng import keyed_uniform, stream_generator, substream
+from killedwalk.rng import keyed_uniform, substream
 from killedwalk.tree import (
     _EXCURSION_TAG,
     _FOREST_VERTEX_BUDGET,
@@ -455,21 +455,22 @@ def simulate_excursions(
     site_stream = substream(stream_id, site_index)
     forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
     omega_site = float(ppf(dist, keyed_uniform(seed, site_stream, 0)))
-    gen = stream_generator(seed, _EXCURSION_TAG, site_stream)
+    step_stream = substream(_EXCURSION_TAG, site_stream)
     total = 0.0
     total_sq = 0.0
     n_lost = 0
-    for _ in range(n_excursions):
+    for walker in range(n_excursions):
+        walker_stream = substream(step_stream, walker)
         level, idx = 0, 0  # level 0 encodes the geodesic site itself
         log_weight = 0.0
         weight = 0.0
-        for _ in range(max_steps):
+        for step in range(max_steps):
             if log_weight < _LOG_WEIGHT_CUTOFF:
                 n_lost += 1
                 break
             if level == 0:
                 log_weight -= omega_site
-                u = gen.random()
+                u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p + s_child:
                     weight = math.exp(log_weight)  # stepped onto the geodesic
                     break
@@ -477,7 +478,7 @@ def simulate_excursions(
                 level, idx = 1, min(branch, d - 3)
             else:
                 log_weight -= forest.value(forest.counter(level, idx))
-                u = gen.random()
+                u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p:
                     level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
                 else:
@@ -538,15 +539,16 @@ def simulate_geodesic_passage(
             site_omega[i] = v
         return v
 
-    gen = stream_generator(seed, _PASSAGE_TAG, stream_id)
+    step_stream = substream(_PASSAGE_TAG, stream_id)
     total = 0.0
     total_sq = 0.0
     n_capped = 0
-    for _ in range(n_walks):
+    for walker in range(n_walks):
+        walker_stream = substream(step_stream, walker)
         geo, level, idx = 0, 0, 0
         log_weight = 0.0
         weight = 0.0
-        for _ in range(max_steps):
+        for step in range(max_steps):
             if log_weight < _LOG_WEIGHT_CUTOFF:
                 break  # contributes below 2e-35 even if it would arrive
             if level == 0:
@@ -556,7 +558,7 @@ def simulate_geodesic_passage(
                 if (target - geo) > escape_horizon:
                     break  # certified negligible hitting probability
                 log_weight -= omega_of(geo)
-                u = gen.random()
+                u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p:
                     geo += 1  # uphill, toward the predecessor
                 elif u < p + s_child:
@@ -569,7 +571,7 @@ def simulate_geodesic_passage(
                     break
                 f = forest_of(geo)
                 log_weight -= f.value(f.counter(level, idx))
-                u = gen.random()
+                u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p:
                     level, idx = (0, 0) if level == 1 else (level - 1, idx // (d - 1))
                 else:

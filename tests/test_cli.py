@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from killedwalk import tree
+from killedwalk import cli, tree
 from killedwalk.cli import CSV_COLUMNS, main
 from killedwalk.env import make_distribution
 from killedwalk.lyapunov import estimate_alpha_ergodic, estimate_alpha_mc
@@ -434,6 +434,20 @@ def test_a_refusal_that_depends_on_the_data_exits_1(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["field"] == "" and record["exit_code"] == 1, record
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_a_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array too large to allocate
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def too_large(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_run_alpha", too_large)
+    assert run_cli(tmp_path, "alpha", "-P", f"distribution={json.dumps(BERN_SPEC)}", "--out", "m") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": message, "field": "", "command": "alpha", "exit_code": 1}
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_bad_green_window_fails_with_field_name(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from killedwalk.rng import keyed_bits, keyed_uniform, mix_counters, stream_generator, stream_key, substream
+from killedwalk.rng import keyed_bits, keyed_uniform, mix_counters, stream_key, substream
 
 
 def _splitmix64_reference(x: int) -> int:
@@ -63,13 +63,6 @@ def test_substream_is_pure_and_distinct():
     indices = np.arange(-500, 500)
     assert isinstance(a, int)
     assert substream(7, indices).tolist() == [substream(7, int(i)) for i in indices]
-
-
-def test_stream_generator_reproducible():
-    g1 = stream_generator(1, 2, 3)
-    g2 = stream_generator(1, 2, 3)
-    assert np.array_equal(g1.random(100), g2.random(100))
-    assert not np.array_equal(stream_generator(1, 2, 4).random(100), stream_generator(1, 2, 3).random(100))
 
 
 def test_python_int_keys_wrap_to_64_bits():
