@@ -24,7 +24,7 @@ from .env import Environment, make_distribution, sample_environment
 from .entropy import OptimizerConfig, minimize_variational
 from .line_solver import F_limit, F_r, green_function_window, two_point_a
 from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
-from .tree import _FOREST_VERTEX_BUDGET, TreeConfig, _deepest_forest, first_passage_gf, reduce_to_line, sigma_finite_prob
+from .tree import TreeConfig, deepest_depth_cap, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
 FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")  # as minimize_variational names them
@@ -259,11 +259,7 @@ def _run_tree_reduce(config: RunConfig) -> dict:
     dist = _dist_from(p)
     drift_p = _param(p, "drift_p", None, float, lambda v: 0 < v < 1, "null or a number in (0, 1)")
     d = _at_least(p, "d", 3, 3)
-    if dist.kind == "point":  # no forest to build: one scalar recursion step a level
-        deepest, why = _FOREST_VERTEX_BUDGET, " for a point law"
-    else:
-        deepest = _deepest_forest(d, d - 2)
-        why = f", the depth of the deepest branch forest within {_FOREST_VERTEX_BUDGET} vertices at d = {d}"
+    deepest, why = deepest_depth_cap(d, d - 2, dist)
     depth_cap = _param(p, "depth_cap", 10, int, lambda v: 1 <= v <= deepest, f"an integer >= 1 and at most {deepest}{why}")
     tree_cfg = TreeConfig(d=d, drift_p=drift_p, depth_cap_D=depth_cap)
     n = _at_least(p, "n", 8, 1)
@@ -373,7 +369,7 @@ def _run_selftest(config: RunConfig) -> dict:
         check(f"annealed-gamblers-ruin-r{r}", annealed_transfer(delta0, 1, r).f_value, -r / (1.0 - r))
     n, r = 16, -64
     b_const = annealed_transfer(const, n, r).b_value
-    const_env = Environment(r, n, np.full(n - r + 1, const.mass_value))
+    const_env = Environment(r, n, np.full(n - r + 1, const.mean))
     check("annealed-constant-vs-solver-n16", b_const, two_point_a(const_env, 0, n, r))
     check("annealed-constant-rate-n16", b_const / n, math.log(2.0), tol=1e-9)
     n_fail = sum(1 for row in checks if row["status"] == "FAIL")

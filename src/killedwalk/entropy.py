@@ -31,23 +31,16 @@ def kl_divergence(q: PotentialDistribution, p: PotentialDistribution) -> float:
     Zero iff the laws coincide; +inf when q charges a value p does not
     (absolute continuity fails).  Finite-support laws only.
     """
-    q_atoms = _finite_atoms(q)
-    p_atoms = _finite_atoms(p)
+    if q.kind != "finite" or p.kind != "finite":
+        raise ValueError("relative entropy here needs a finite-support law")
+    p_atoms = dict(p.atoms)
     total = 0.0
-    for value, qw in q_atoms.items():
+    for value, qw in q.atoms:
         pw = p_atoms.get(value, 0.0)
         if pw == 0.0:
             return math.inf
         total += qw * math.log(qw / pw)
     return max(total, 0.0)
-
-
-def _finite_atoms(dist: PotentialDistribution) -> dict[float, float]:
-    if dist.kind == "finite":
-        return dict(dist.atoms)
-    if dist.kind == "point":
-        return {dist.mass_value: 1.0}
-    raise ValueError("relative entropy here needs a finite-support law")
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,6 @@ class TiltedProductMeasure:
 
 def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProductMeasure:
     """The Gibbs-type reweighting of the base marginal by exp(-theta * value)."""
-    if base.kind == "point":
-        return TiltedProductMeasure(base=base, tilt=base, family="exponential-tilt", theta=theta)
     if base.kind == "exponential":
         new_rate = base.rate + theta
         if new_rate <= 0:
@@ -164,13 +155,15 @@ def minimize_variational(
     """Minimize  E^{Q_theta}[F] + KL(Q_theta | base)  over the tilt family.
 
     The exponential family runs a grid sweep (the reported curve) plus a
-    golden-section refinement; the free simplex (at most 4 atoms) runs
-    Nelder-Mead over logits.  Common random numbers are held fixed across
-    all evaluations.
+    golden-section refinement; the free simplex (a finite law of 2 to 4
+    atoms) runs Nelder-Mead over logits.  Common random numbers are held
+    fixed across all evaluations.
     """
     cfg = optimizer_cfg or OptimizerConfig()
     if cfg.n_grid < 2:
         raise ValueError(f"need n_grid >= 2, got {cfg.n_grid}")
+    if family == "free-simplex" and (base.kind != "finite" or not 2 <= len(base.atoms) <= 4):
+        raise ValueError(f"free-simplex minimization needs 2 to 4 atoms, got {len(base.atoms)}")
     own_alpha = alpha_hat is None
     if own_alpha:
         alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
@@ -214,8 +207,6 @@ def minimize_variational(
             cfg.max_evals - len(evals),
         )
     elif family == "free-simplex":
-        if base.kind != "finite" or len(base.atoms) > 4:
-            raise ValueError("free-simplex minimization supports at most 4 atoms")
         from scipy.optimize import minimize as scipy_minimize
 
         m = len(base.atoms)

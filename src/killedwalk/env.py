@@ -2,10 +2,10 @@
 
 A potential law assigns each site of Z a nonnegative killing weight; the
 walk survives one visit to site x with probability exp(-omega(x)).  The
-module covers finite-support laws, the exponential family, and point
-masses, and samples product environments with per-site counter-based keys
-so that widening a window or re-running in parallel never changes a value
-that was already drawn.
+module covers finite-support laws (a point mass is the law of one atom)
+and the exponential family, and samples product environments with
+per-site counter-based keys so that widening a window or re-running in
+parallel never changes a value that was already drawn.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ _WEIGHT_SUM_TOL = 1e-9
 class PotentialDistribution:
     """A validated single-site law for the killing potential.
 
-    kind is one of "finite" (atoms), "exponential" (rate), "point"
-    (mass_value).  Atoms are stored sorted by value with weights summing
-    to one exactly after normalization.
+    kind is "finite" (atoms) or "exponential" (rate); a point mass is the
+    finite law of one atom.  Atoms are stored sorted by value with weights
+    summing to one exactly after normalization.
     """
 
     kind: str
     atoms: tuple[tuple[float, float], ...] = ()
     rate: float = 0.0
-    mass_value: float = 0.0
-    # atom values (a point law's value), weights, cumulative weights, and
-    # survival_from_bits' cuts and survival factors, built once per law
+    # atom values, weights, cumulative weights, and survival_from_bits'
+    # cuts and survival factors, built once per law
     _values: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
@@ -43,7 +42,7 @@ class PotentialDistribution:
     _survival: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.array([self.mass_value] if self.kind == "point" else [v for v, _ in self.atoms])
+        values = np.array([v for v, _ in self.atoms])
         weights = np.array([w for _, w in self.atoms])
         cum = np.cumsum(weights)
         # u = m 2**-53 reaches cum_j iff m >= ceil(cum_j 2**53), iff its word
@@ -57,28 +56,20 @@ class PotentialDistribution:
     @property
     def is_delta_zero(self) -> bool:
         """True iff the law is the point mass at zero (the no-killing case)."""
-        if self.kind == "point":
-            return self.mass_value == 0.0
-        if self.kind == "finite":
-            return all(v == 0.0 for v, _ in self.atoms)
-        return False
+        return self.kind == "finite" and all(v == 0.0 for v, _ in self.atoms)
 
     @property
     def mean(self) -> float:
         if self.kind == "finite":
             return float(sum(v * w for v, w in self.atoms))
-        if self.kind == "exponential":
-            return 1.0 / self.rate
-        return self.mass_value
+        return 1.0 / self.rate
 
     @property
     def variance(self) -> float:
         if self.kind == "finite":
             m = self.mean
             return float(sum(w * (v - m) ** 2 for v, w in self.atoms))
-        if self.kind == "exponential":
-            return 1.0 / self.rate**2
-        return 0.0
+        return 1.0 / self.rate**2
 
     def ppf(self, u, out=None) -> np.ndarray:
         """Inverse CDF, the common-random-number transform of uniforms.
@@ -102,9 +93,9 @@ class PotentialDistribution:
         """exp(-ppf(u)) bit for bit, for u = (bits >> 11) 2**-53 the
         uniforms keyed_uniform makes of keyed_bits words, into out (a
         contiguous float64 array of bits' shape) if it is given.  A finite
-        or point law counts the cuts each word reaches (ppf's atom index)
-        and looks its survival factor up; an exponential law runs u, ppf and
-        exp in out, allocating only the shifted words.
+        law counts the cuts each word reaches (ppf's atom index) and looks
+        its survival factor up; an exponential law runs u, ppf and exp in
+        out, allocating nothing of bits' size.
         """
         out = np.empty(bits.shape) if out is None else out
         if self.kind == "exponential":
@@ -121,9 +112,7 @@ class PotentialDistribution:
         ell = np.asarray(ell, dtype=np.float64)
         if np.any(ell < 0):
             raise ValueError("laplace transform argument must be >= 0")
-        if self.kind == "point":
-            phi = np.exp(-ell * self.mass_value)
-        elif self.kind == "exponential":
+        if self.kind == "exponential":
             phi = self.rate / (self.rate + ell)
         else:
             phi = np.exp(-np.multiply.outer(ell, self._values)) @ self._weights
@@ -149,15 +138,16 @@ def make_distribution(spec) -> PotentialDistribution:
     """Build and validate a potential law from a structured description.
 
     Accepts a dict such as {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
-    {"kind": "exponential", "rate": 1.0} or {"kind": "point", "value": 0.3},
-    or an already-built PotentialDistribution (returned unchanged).
+    {"kind": "exponential", "rate": 1.0} or {"kind": "point", "value": 0.3}
+    (the one-atom finite law, value required), or an already-built
+    PotentialDistribution (returned unchanged).
     """
     if isinstance(spec, PotentialDistribution):
         return spec
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a dict, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind in ("finite", "finite-support"):
+    if kind == "finite":
         atoms = spec.get("atoms")
         if not (isinstance(atoms, (list, tuple)) and atoms):
             raise ValueError(f"finite-support law needs a nonempty 'atoms' list, got {atoms!r}")
@@ -182,16 +172,18 @@ def make_distribution(spec) -> PotentialDistribution:
             merged[vals[i]] = merged.get(vals[i], 0.0) + weights[i] / total
         pairs = tuple((v, w) for v, w in merged.items())
         return PotentialDistribution(kind="finite", atoms=pairs)
-    if kind in ("exponential", "exponential-rate"):
+    if kind == "exponential":
         rate = _finite(spec.get("rate", 0.0), "rate")
         if rate <= 0:
             raise ValueError(f"exponential rate must be > 0, got {rate}")
         return PotentialDistribution(kind="exponential", rate=rate)
-    if kind in ("point", "point-mass"):
-        value = _finite(spec.get("value", spec.get("mass_value", 0.0)), "value")
+    if kind == "point":
+        if "value" not in spec:
+            raise ValueError("point law needs a 'value'")
+        value = _finite(spec["value"], "value")
         if value < 0:
             raise ValueError(f"point mass value must be >= 0, got {value}")
-        return PotentialDistribution(kind="point", mass_value=value)
+        return PotentialDistribution(kind="finite", atoms=((value, 1.0),))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

@@ -98,8 +98,14 @@ def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
 
 def _uniform(bits, out=None) -> np.ndarray:
     """The uniform in [0, 1) of each 64-bit word: its top 53 bits times
-    2**-53, into out (a float64 array of bits' shape) if it is given."""
-    return np.multiply(bits >> _U64(11), 2.0**-53, out=out)
+    2**-53, into out (a float64 array of bits' shape) if it is given.
+    The shifted words then pass through out's own memory, so a 1-d out
+    needs no temporary of bits' size."""
+    if out is None:
+        return np.multiply(bits >> _U64(11), 2.0**-53)
+    shifted = np.right_shift(bits, _U64(11), out=out.view(np.uint64))
+    np.copyto(out, shifted, casting="unsafe")  # exact: every word is below 2**53
+    return np.multiply(out, 2.0**-53, out=out)
 
 
 def substream(stream_id: int, index):

@@ -38,7 +38,7 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution
 from .line_solver import forward_step_weights
 from .lyapunov import annealed_transfer
-from .rng import _GAMMA, _U64, _as_u64, _uniform, keyed_uniform, mix_counters, stream_key, substream
+from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
@@ -206,25 +206,18 @@ def _sum_children(w: np.ndarray, k: int, out: np.ndarray | None = None) -> np.nd
     return total
 
 
-def _deepest_forest(d: int, n_roots: int) -> int:
-    """Depth of the deepest branch forest of n_roots roots that fits in
-    _FOREST_VERTEX_BUDGET vertices."""
+def deepest_depth_cap(d: int, n_roots: int, dist: PotentialDistribution) -> tuple[int, str]:
+    """The deepest branch depth the recursion takes for forests of n_roots
+    roots at degree d under dist, and why: a one-atom law runs one scalar
+    step a level, up to _FOREST_VERTEX_BUDGET of them; any other law builds
+    forests, which must fit in that many vertices."""
+    if len(dist.atoms) == 1:
+        return _FOREST_VERTEX_BUDGET, " for a one-atom law"
     deepest, n_vertices = 0, n_roots  # n_vertices: the forest one level deeper
     while n_vertices <= _FOREST_VERTEX_BUDGET:
         deepest += 1
         n_vertices += n_roots * (d - 1) ** deepest
-    return deepest
-
-
-def _forest_starts(d: int, n_roots: int, depth: int) -> list[int]:
-    """_level_starts of one branch forest, refused before anything that
-    size exists if depth passes _deepest_forest."""
-    if depth > (deepest := _deepest_forest(d, n_roots)):
-        raise ValueError(
-            f"branch forest of depth {depth} needs more than {_FOREST_VERTEX_BUDGET} vertices (depth {deepest} "
-            f"is the deepest that fits at d = {d}); lower the depth cap (only point-mass laws collapse to scalars)"
-        )
-    return _level_starts(d, n_roots, depth).tolist()
+    return deepest, f", the depth of the deepest branch forest within {_FOREST_VERTEX_BUDGET} vertices at d = {d}"
 
 
 class _Workspace:
@@ -244,26 +237,24 @@ class _Workspace:
 
 
 def _run_levels(
-    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, starts: list[int], levels: range, w, ws
+    cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndarray, starts: list[int], levels: range, w, ws
 ) -> np.ndarray:
     """Run levels (deepest first) of the return-weight recursion on a batch
-    of branch forests, one per uint64 stream id in streams, keyed by the
-    counters of starts, from w, the bracket of the level below the first
-    (ignored below the deepest level: the frontier).  Returns the last
-    level's bracket, a view into ws (w if levels is empty).  Each level
-    mixes the batch's stream keys, derived once, into its counters and
-    reads the survivals straight from the words (survival_from_bits).  A
-    level of the batch lays its forests' levels end to end in stream order
-    and every operation is elementwise, so a forest's numbers do not
-    depend on its batch; ws and out= ufuncs leave no level-sized array to
-    allocate but a finite law's masks of its third and later atoms and an
-    exponential law's shifted words."""
+    of branch forests, one per stream key in keys, keyed by the counters of
+    starts, from w, the bracket of the level below the first (ignored
+    below the deepest level: the frontier).  Returns the last level's
+    bracket, a view into ws (w if levels is empty).  Each level mixes the
+    keys into its counters and reads the survivals straight from the words
+    (survival_from_bits).  A level of the batch lays its forests' levels
+    end to end in key order and every operation is elementwise, so a
+    forest's numbers do not depend on its batch; ws and out= ufuncs leave
+    no level-sized array to allocate but a finite law's masks of its third
+    and later atoms."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    keys = stream_key(seed, streams[:, None])
     for level in levels:
         counters = ws.counters[starts[level] : starts[level + 1]]
-        n, shape = streams.size * counters.size, (streams.size, counters.size)
-        mix_counters(keys, counters, out=ws.bits[:n].reshape(shape), scratch=ws.scratch[:n].reshape(shape))
+        n, shape = keys.size * counters.size, (keys.size, counters.size)
+        mix_counters(keys[:, None], counters, out=ws.bits[:n].reshape(shape), scratch=ws.scratch[:n].reshape(shape))
         s = dist.survival_from_bits(ws.bits[:n], out=ws.s[:n])
         denom = ws.w[level % 2][: 2 * n].reshape(2, n)
         if level == len(starts) - 2:
@@ -289,15 +280,15 @@ def _level_split(cells: list[int], chunk: int) -> tuple[int, int]:
     return split, _FOREST_CELL_BUDGET // 4 // cells[split + 1] // chunk * chunk
 
 
-def _branch_brackets(
-    cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: np.ndarray, n_roots: int
-) -> np.ndarray:
+def _branch_brackets(cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndarray, n_roots: int) -> np.ndarray:
     """Return-weight brackets of every root of a batch of branch forests
-    D = cfg.depth_cap_D deep, one per uint64 stream id in streams: a
-    (2, len(streams), n_roots) array, the lower bracket (frontier killed,
-    w = 0) stacked on the upper one (frontier granted the zero-potential
-    return weight).  A point law runs one scalar recursion on Python floats
-    instead (the same IEEE arithmetic), which stops once both bounds repeat.
+    D = cfg.depth_cap_D deep, one per stream key in keys (rng.stream_key
+    of the seed and the forest's stream id): a (2, len(keys), n_roots)
+    array, the lower bracket (frontier killed, w = 0) stacked on the upper
+    one (frontier granted the zero-potential return weight).  A one-atom
+    law runs one scalar recursion on Python floats instead (the same IEEE
+    arithmetic), which stops once both bounds repeat.  D past
+    deepest_depth_cap is refused before any work.
 
     Forests run in groups of G, split at the level m of _level_split: the
     deep phase runs levels D .. m + 1 in chunks whose deepest level holds
@@ -307,8 +298,11 @@ def _branch_brackets(
     group, m = 0.  All on one workspace; neither changes a digit.
     """
     d, p, s_child, depth = cfg.d, cfg.p, cfg.s_child, cfg.depth_cap_D
-    if dist.kind == "point":
-        s = math.exp(-dist.mass_value)
+    deepest, why = deepest_depth_cap(d, n_roots, dist)
+    if depth > deepest:
+        raise ValueError(f"branch depth {depth} is deeper than {deepest}{why}; lower the depth cap")
+    if len(dist.atoms) == 1:
+        s = math.exp(-dist.atoms[0][0])
         num, child = p * s, s * s_child * (d - 1)
         w = (0.0, zero_potential_return_weight(cfg))
         for _ in range(depth):
@@ -316,27 +310,27 @@ def _branch_brackets(
             if nxt == w:  # a fixed point: every deeper level repeats it
                 break
             w = nxt
-        return np.full((2, streams.size, n_roots), np.array(w)[:, None, None])
-    starts = _forest_starts(d, n_roots, depth)
+        return np.full((2, keys.size, n_roots), np.array(w)[:, None, None])
+    starts = _level_starts(d, n_roots, depth).tolist()
     cells = [b - a for a, b in zip(starts, starts[1:])]
     chunk = max(1, _FOREST_CELL_BUDGET // cells[depth])
     split, group = _level_split(cells, chunk)
     if split >= depth or group <= chunk:  # one chunk holds a whole group
         split, group = 0, chunk
     deep, shallow = range(depth, split, -1), range(split, 0, -1)
-    n_group, width = min(group, streams.size), cells[split + 1]
-    ws = _Workspace(starts, max(min(chunk, streams.size) * cells[depth], n_group * cells[split]))
+    n_group, width = min(group, keys.size), cells[split + 1]
+    ws = _Workspace(starts, max(min(chunk, keys.size) * cells[depth], n_group * cells[split]))
     buf = np.empty((2, n_group * width))
 
     def run(first: int) -> np.ndarray:
-        part = streams[first : first + group]
+        part = keys[first : first + group]
         w = buf[:, : part.size * width]
         for j in range(0, part.size, chunk):
-            w[:, j * width : (j + chunk) * width] = _run_levels(cfg, dist, seed, part[j : j + chunk], starts, deep, None, ws)
+            w[:, j * width : (j + chunk) * width] = _run_levels(cfg, dist, part[j : j + chunk], starts, deep, None, ws)
         # a view into ws or buf, which the next group overwrites
-        return _run_levels(cfg, dist, seed, part, starts, shallow, w, ws).reshape(2, -1, n_roots).copy()
+        return _run_levels(cfg, dist, part, starts, shallow, w, ws).reshape(2, -1, n_roots).copy()
 
-    return np.concatenate(ordered_map(run, range(0, streams.size, group)), axis=1)
+    return np.concatenate(ordered_map(run, range(0, keys.size, group)), axis=1)
 
 
 def _site_brackets(cfg: TreeConfig, dist: PotentialDistribution, seed: int, streams: int | np.ndarray) -> np.ndarray:
@@ -344,9 +338,10 @@ def _site_brackets(cfg: TreeConfig, dist: PotentialDistribution, seed: int, stre
     stream id in streams (an int or an integer array), each folded from
     its site's d - 2 branch forests: a (2, len(streams)) array holding the
     lower and the upper bound of every site, in stream order."""
-    streams = np.atleast_1d(_as_u64(streams))
-    w = _branch_brackets(cfg, dist, seed, streams, cfg.d - 2)
-    omega_site = dist.ppf(keyed_uniform(seed, streams, 0))
+    keys = stream_key(seed, np.atleast_1d(_as_u64(streams)))
+    w = _branch_brackets(cfg, dist, keys, cfg.d - 2)
+    # the site's own potential, keyed_uniform(seed, streams, 0)
+    omega_site = dist.ppf(_uniform(mix_counters(keys, _U64(0))))
     # math.exp: numpy's vectorized exp may round differently, which
     # would move h by an ulp against data files already written
     s = np.array([math.exp(-x) for x in omega_site.tolist()])
@@ -370,8 +365,8 @@ def branch_return_weight(
     grants frontier subtrees the zero-potential return weight, the largest
     value compatible with nonnegative potentials.
     """
-    streams = np.atleast_1d(_as_u64(stream_id))
-    lo, hi = _branch_brackets(cfg, dist, seed, streams, 1)[:, 0, 0]
+    keys = stream_key(seed, np.atleast_1d(_as_u64(stream_id)))
+    lo, hi = _branch_brackets(cfg, dist, keys, 1)[:, 0, 0]
     return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 

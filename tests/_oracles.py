@@ -43,8 +43,6 @@ def ppf(dist: PotentialDistribution, u) -> np.ndarray:
     search of the cumulative weights: the reference for the library's
     in-place, comparison-counting PotentialDistribution.ppf."""
     u = np.asarray(u, dtype=np.float64)
-    if dist.kind == "point":
-        return np.full_like(u, dist.mass_value)
     if dist.kind == "exponential":
         return -np.log1p(-u) / dist.rate
     values = np.array([v for v, _ in dist.atoms])
@@ -242,9 +240,6 @@ def iterate_configs(dist: PotentialDistribution, n_sites: int, batch_size: int =
 
     values has shape (batch, n_sites); probs are the product weights.
     """
-    if dist.kind == "point":
-        yield np.full((1, n_sites), dist.mass_value), np.ones(1)
-        return
     if dist.kind != "finite":
         raise ValueError("exact enumeration needs a finite-support law")
     atom_vals = np.array([v for v, _ in dist.atoms])
@@ -334,8 +329,8 @@ def forest_bracket(
     one-forest-at-a-time reference for the library's batched kernel."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     gamma = zero_potential_return_weight(cfg)
-    if dist.kind == "point":
-        s = math.exp(-dist.mass_value)
+    if len(dist.atoms) == 1:
+        s = math.exp(-dist.atoms[0][0])
         w_lo, w_hi = 0.0, gamma
         for _ in range(depth):
             w_lo = p * s / (1.0 - s * s_child * (d - 1) * w_lo)

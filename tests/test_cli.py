@@ -290,14 +290,24 @@ def test_huge_depth_cap_fails_at_once_naming_the_depth(tmp_path, capsys, monkeyp
         assert record["field"] == "depth_cap" and f"at most {deepest}," in record["error"], record
         assert f"got {depth}" in record["error"] and "vertices" in record["error"], record
     assert not (tmp_path / "x.csv").exists()
-    # a point law collapses to a scalar recursion, one step a level, which
-    # takes any depth up to the vertex budget
+    # a one-atom law collapses to a scalar recursion, one step a level,
+    # which takes any depth up to the vertex budget
     dist = f"distribution={json.dumps(CONST_SPEC)}"
     budget = tree._FOREST_VERTEX_BUDGET
     assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", f"depth_cap={budget + 1}", "--out", "x") == 2
     record = json.loads(capsys.readouterr().err)
-    assert record["field"] == "depth_cap" and f"at most {budget} for a point law" in record["error"], record
+    assert record["field"] == "depth_cap" and f"at most {budget} for a one-atom law" in record["error"], record
     assert run_cli(tmp_path, "tree-reduce", "-P", dist, "-P", "depth_cap=20000", "-P", "n=2", "--out", "x") == 0
+
+
+def test_one_atom_finite_spelling_takes_the_point_depth_bound(tmp_path, capsys):
+    # both spellings of one law run the scalar recursion: the forest bound
+    # (25 at d = 3) once refused the finite one
+    specs = {"point": {"kind": "point", "value": 0.3}, "finite": {"kind": "finite", "atoms": [[0.3, 1.0]]}}
+    for name, spec in specs.items():
+        argv = ["tree-reduce", "-P", f"distribution={json.dumps(spec)}", "-P", "depth_cap=30", "-P", "n=4"]
+        assert run_cli(tmp_path, *argv, "--out", name) == 0, capsys.readouterr().err
+    assert (tmp_path / "finite.csv").read_bytes() == (tmp_path / "point.csv").read_bytes()
 
 
 def test_bad_beta_grids_fail_with_field_name(tmp_path, capsys):
@@ -375,6 +385,7 @@ BAD_VALUES = [
     ("alpha", ['distribution={"kind":"finite","atoms":[5]}'], {}, "distribution"),
     ("alpha", ['distribution={"kind":"exponential","rate":[1]}'], {}, "distribution"),
     ("alpha", ['distribution={"kind":"point","value":null}'], {}, "distribution"),
+    ("alpha", ['distribution={"kind":"point"}'], {}, "distribution"),
     ("variational", ["max_evals=1.5"], {}, "max_evals"),
     ("variational", ["theta_lo=NaN"], {}, "theta_lo"),
     ("variational", ['family="bogus"'], {}, "family"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import constant_potential_one_step_a, window_entropy
-from killedwalk import lyapunov
+from killedwalk import entropy, lyapunov
 from killedwalk.entropy import (
     OptimizerConfig,
     TiltedProductMeasure,
@@ -215,6 +215,14 @@ def test_variational_free_simplex_family():
             {"kind": "finite", "atoms": [[float(v), 0.2] for v in range(5)]}
         )
         minimize_variational(five, family="free-simplex", optimizer_cfg=cfg)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "point", "value": 0.3}, {"kind": "finite", "atoms": [[0.3, 1.0]]}])
+def test_free_simplex_on_one_atom_fails_by_name(monkeypatch, spec):
+    # the one-atom finite spelling once crashed inside numpy's Nelder-Mead set-up
+    monkeypatch.setattr(entropy, "_mean_F_estimate", None)  # no evaluation may run
+    with pytest.raises(ValueError, match="free-simplex minimization needs 2 to 4 atoms, got 1"):
+        minimize_variational(make_distribution(spec), family="free-simplex", optimizer_cfg=OptimizerConfig(n_samples=4))
 
 
 def test_tilted_measure_requires_matching_support():

@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from killedwalk.entropy import exponential_tilt
 from killedwalk.env import (
     Environment,
     EnvironmentSource,
+    PotentialDistribution,
     make_distribution,
     sample_environment,
     shift,
 )
-from killedwalk.rng import keyed_bits
+from killedwalk.line_solver import F_limit_batch
+from killedwalk.lyapunov import annealed_transfer
+from killedwalk.rng import keyed_bits, stream_key
+from killedwalk.tree import TreeConfig, _branch_brackets
 
 BERN = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 
@@ -30,8 +35,9 @@ def test_make_distribution_validates():
         make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.6]]})
     with pytest.raises(ValueError, match="rate"):
         make_distribution({"kind": "exponential", "rate": -2.0})
-    with pytest.raises(ValueError, match="kind"):
-        make_distribution({"kind": "cauchy"})
+    for kind in ("cauchy", "finite-support", "exponential-rate", "point-mass"):
+        with pytest.raises(ValueError, match="kind"):
+            make_distribution({"kind": kind, "atoms": [[0.0, 1.0]], "rate": 1.0, "value": 0.0})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -54,11 +60,46 @@ NAN, INF = float("nan"), float("inf")
         ({"kind": "finite", "atoms": 5}, "atoms"),
         ({"kind": "exponential", "rate": [1]}, "rate"),
         ({"kind": "point", "value": None}, "value"),
+        # a missing value once read as the point mass at zero
+        ({"kind": "point"}, "'value'"),
     ],
 )
 def test_non_finite_parameters_are_rejected(spec, entry):
     with pytest.raises(ValueError, match=re.escape(entry)):
         make_distribution(spec)
+
+
+def _annealed(law):
+    """annealed_transfer(law, 4, -6), or its refusal (at 800 the weight underflows)."""
+    try:
+        return annealed_transfer(law, 4, -6)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("v", [0.0, -math.log(0.8), 0.3, 1.0, 800.0])
+def test_a_point_law_is_the_one_atom_finite_law(v):
+    point = make_distribution({"kind": "point", "value": v})
+    one = make_distribution({"kind": "finite", "atoms": [[v, 1]]})
+    assert point == one == PotentialDistribution("finite", ((v, 1.0),))
+    assert (point.mean, point.variance, point.is_delta_zero) == (v, 0.0, v == 0.0)
+    u = np.concatenate([np.linspace(0.0, 1.0, 9), [np.nan]])
+    bits = keyed_bits(5, 3, np.arange(2049))
+    for law in (point, one):
+        assert np.array_equal(law.ppf(u), np.full(u.shape, v))
+        assert np.array_equal(law.survival_from_bits(bits), np.full(bits.shape, math.exp(-v)))
+        assert law.laplace(3) == math.exp(-3 * v)
+        assert np.array_equal(law.laplace(np.arange(2049.0)), np.exp(-np.arange(2049.0) * v))
+        for theta in (-1.0, 0.0, 2.5):
+            tilt = exponential_tilt(law, theta)
+            assert tilt.tilt == point and tilt.kl_per_site() == 0.0
+    limits = [F_limit_batch(law, 4, 3, tol=1e-9) for law in (point, one)]
+    for name in ("a_value", "trunc_bound", "r_used", "converged"):
+        assert np.array_equal(getattr(limits[0], name), getattr(limits[1], name)), name
+    assert _annealed(point) == _annealed(one)
+    keys = stream_key(1, np.arange(3, dtype=np.uint64))
+    for cfg in (TreeConfig(4, drift_p=0.4, depth_cap_D=8), TreeConfig(3, drift_p=0.45, depth_cap_D=16)):
+        assert _branch_brackets(cfg, point, keys, 2).tobytes() == _branch_brackets(cfg, one, keys, 2).tobytes()
 
 
 def test_environment_rejects_nan_potentials():

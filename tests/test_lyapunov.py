@@ -285,7 +285,7 @@ def test_transfer_closed_forms():
     expo = make_distribution({"kind": "exponential", "rate": 2.0})
     assert annealed_transfer(expo, 1, -1).f_value == pytest.approx(expo.laplace(1) / 2.0, rel=1e-14)
     for n, r in ((4, -6), (16, -64)):
-        env = Environment(r, n, np.full(n - r + 1, CONST.mass_value))
+        env = Environment(r, n, np.full(n - r + 1, CONST.mean))
         assert annealed_transfer(CONST, n, r).f_value == pytest.approx(two_point_e(env, 0, n, r), rel=1e-12)
 
 

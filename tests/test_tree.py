@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +32,7 @@ from killedwalk.tree import (
     turning_point_decompose,
     zero_potential_return_weight,
 )
-from killedwalk.rng import substream
+from killedwalk.rng import stream_key, substream
 from killedwalk.tree import _branch_brackets, _level_starts, _max_walk_level, _quantize_to_atoms, _site_brackets
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
@@ -126,17 +129,18 @@ def test_point_law_recursion_stops_at_its_fixed_point():
     point = make_distribution({"kind": "point", "value": 0.3})
     streams = np.arange(3, dtype=np.uint64)
     t0 = time.perf_counter()
-    deep = _branch_brackets(TreeConfig(3, depth_cap_D=10**7), point, 0, streams, 2)
+    keys = stream_key(0, streams)
+    deep = _branch_brackets(TreeConfig(3, depth_cap_D=10**7), point, keys, 2)
     h_deep = excursion_survival_h(TreeConfig(3, depth_cap_D=10**7), point)
     assert time.perf_counter() - t0 < 1.0
-    shallow = _branch_brackets(TreeConfig(3, depth_cap_D=10**3), point, 0, streams, 2)
+    shallow = _branch_brackets(TreeConfig(3, depth_cap_D=10**3), point, keys, 2)
     assert deep.shape == (2, 3, 2) and deep.tobytes() == shallow.tobytes()
     assert h_deep == replace(excursion_survival_h(TreeConfig(3, depth_cap_D=10**3), point), depth_used=10**7)
     # each level until then runs: the bounds match the oracle's full recursion
     for depth in (1, 5, 21, 40):
         cfg = TreeConfig(3, depth_cap_D=depth)
         want = _oracles.forest_bracket(cfg, point, 0, 0, 2, depth)
-        got = _branch_brackets(cfg, point, 0, streams, 2)
+        got = _branch_brackets(cfg, point, keys, 2)
         assert np.array_equal(got, np.broadcast_to(np.array(want)[:, None, :], got.shape))
 
 
@@ -147,7 +151,7 @@ def test_non_positive_denominator_is_refused(monkeypatch, frontier):
     monkeypatch.setattr(tree, "zero_potential_return_weight", lambda cfg: frontier)
     for dist in (BERN, EXP1, THREE_ATOMS):
         with pytest.raises(AssertionError, match="bracket logic violated"):
-            _branch_brackets(TreeConfig(3, depth_cap_D=4), dist, 0, np.arange(2, dtype=np.uint64), 1)
+            _branch_brackets(TreeConfig(3, depth_cap_D=4), dist, stream_key(0, np.arange(2, dtype=np.uint64)), 1)
 
 
 def test_forest_budget_guard():
@@ -162,17 +166,36 @@ def test_huge_depth_cap_refuses_at_once_by_depth():
     # counting the vertices of a 10^6-level forest level by level takes
     # quadratic time, and the count has more digits than str() may print
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="depth 1000000 needs more than"):
+    with pytest.raises(ValueError, match="branch depth 1000000 is deeper than 25, .* 40000000 vertices at d = 3"):
         excursion_survival_h(TreeConfig(3, depth_cap_D=10**6), BERN)
-    with pytest.raises(ValueError, match="depth 1000000 needs more than"):
+    with pytest.raises(ValueError, match="branch depth 1000000 is deeper than 16, .* vertices at d = 4"):
         branch_return_weight(TreeConfig(4, depth_cap_D=10**6), EXP1)
     with pytest.raises(ValueError, match="depth 1000000 needs more than"):
         _oracles.forest_bracket(TreeConfig(3), BERN, 0, 0, 1, 10**6)
     assert time.perf_counter() - t0 < 1.0
-    # the deepest forest inside the budget passes, one level deeper does not
-    assert len(tree._forest_starts(3, 1, 25)) == 27
-    with pytest.raises(ValueError, match="depth 25 is the deepest"):
-        tree._forest_starts(3, 1, 26)
+    # the deepest forest inside the budget is the bound, one level deeper is refused
+    assert tree.deepest_depth_cap(3, 1, BERN)[0] == 25
+    with pytest.raises(ValueError, match="branch depth 26 is deeper than 25,"):
+        branch_return_weight(TreeConfig(3, depth_cap_D=26), BERN)
+
+
+def test_library_refuses_a_depth_past_its_bound_at_once():
+    # a one-atom law takes at most _FOREST_VERTEX_BUDGET scalar levels; at
+    # zero potential and p = 1/2 the bounds never settle, so 10^9 levels
+    # once ran for minutes.  A subprocess, so that such a run times out
+    code = (
+        "from killedwalk.env import make_distribution\n"
+        "from killedwalk.tree import TreeConfig, branch_return_weight\n"
+        "delta0 = make_distribution({'kind': 'point', 'value': 0.0})\n"
+        "try:\n"
+        "    branch_return_weight(TreeConfig(3, drift_p=0.5, depth_cap_D=10**9), delta0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "branch depth 1000000000 is deeper than 40000000 for a one-atom law" in done.stdout, done.stdout
 
 
 # deepest depth per degree that keeps one forest near 10^3 .. 10^4 vertices
@@ -208,7 +231,7 @@ def test_batched_brackets_match_one_forest_oracle(
         tree, "_level_split", lambda cells, chunk: (split, group)
     ):
         h_lo, h_hi = _site_brackets(deep_cfg, dist, seed, streams)
-        w_lo, w_hi = _branch_brackets(deep_cfg, dist, seed, streams, d - 2)
+        w_lo, w_hi = _branch_brackets(deep_cfg, dist, stream_key(seed, streams), d - 2)
         one = branch_return_weight(deep_cfg, dist, seed, stream_id)
     for k, stream in enumerate(streams.tolist()):
         assert (h_lo[k], h_hi[k]) == _oracles.excursion_h(cfg, dist, seed, stream, depth)
@@ -267,9 +290,9 @@ def _passes(fn, *args):
     calls = []
     run_levels = tree._run_levels
 
-    def spy(cfg, dist, seed, streams, starts, levels, w, ws):
+    def spy(cfg, dist, keys, starts, levels, w, ws):
         calls.append(levels)
-        return run_levels(cfg, dist, seed, streams, starts, levels, w, ws)
+        return run_levels(cfg, dist, keys, starts, levels, w, ws)
 
     with mock.patch.object(tree, "_run_levels", spy):
         fn(*args)
@@ -306,16 +329,21 @@ def test_one_branch_runs_the_level_split(depth, chunk):
 def test_site_brackets_memory_stays_at_one_workspace():
     # d = 3, depth 16, 161 sites: the one-pass kernel peaked at 2.52 MB
     # (its workspace for one site's 2^15-vertex deepest level); the group
-    # buffer may add at most 256 KB, never a buffer for the whole window
+    # buffer may add at most 256 KB, never a buffer for the whole window.
+    # An exponential law's float route once also allocated every level's
+    # shifted words, a 256 KB level more than the Bernoulli peak
     cfg = TreeConfig(3, depth_cap_D=16)
     streams = substream(0, np.arange(-128, 33))
-    tracemalloc.start()
-    try:
-        _site_brackets(cfg, BERN, 1, streams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_521_018 + 256 * 1024
+    peaks = []
+    for dist in (BERN, EXP1):
+        tracemalloc.start()
+        try:
+            _site_brackets(cfg, dist, 1, streams)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2_521_018 + 256 * 1024
+    assert peaks[1] <= peaks[0] + 32 * 1024, peaks
 
 
 @pytest.mark.parametrize("budget", [1, 64])
