@@ -10,7 +10,6 @@ sandwiched between the annealed and quenched estimates.
 
 from killedwalk import (
     OptimizerConfig,
-    estimate_alpha_mc,
     estimate_beta,
     exponential_tilt,
     kl_divergence,
@@ -26,13 +25,11 @@ for theta in (-1.0, 0.0, 1.0, 3.0):
     weights = {v: round(w, 4) for v, w in tpm.tilt.atoms}
     print(f"  theta {theta:+.1f}: marginal {weights}, entropy cost {tpm.kl_per_site():.4f}")
 
-seed, n_samples, tol = 11, 1500, 1e-7
-alpha = estimate_alpha_mc(bern, n_samples=n_samples, tol=tol, seed=seed)
 beta = estimate_beta(bern, n_grid=[2, 4, 8, 12])
-
-cfg = OptimizerConfig(n_samples=n_samples, tol=tol, seed=seed,
+cfg = OptimizerConfig(n_samples=1500, tol=1e-7, seed=11,
                       theta_lo=-1.0, theta_hi=4.0, n_grid=11, max_evals=40)
-report = minimize_variational(bern, optimizer_cfg=cfg, alpha_hat=alpha, beta_hat=beta)
+report = minimize_variational(bern, optimizer_cfg=cfg)
+alpha = report.alpha_hat  # the quenched estimate at the optimizer's samples
 
 print("\n== objective curve (common random numbers across tilts) ==")
 print("  theta    E_Q[cost]  entropy   objective")

@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .env import Environment, make_distribution, sample_environment
-from .entropy import OptimizerConfig, minimize_variational
+from .entropy import OptimizerConfig, check_family, minimize_variational
 from .line_solver import F_limit, F_r, green_function_window, two_point_a
 from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
 from .tree import TreeConfig, deepest_depth_cap, first_passage_gf, reduce_to_line, sigma_finite_prob
 
 COMMANDS = ("alpha", "beta", "variational", "tree-reduce", "green", "selftest")
-FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")  # as minimize_variational names them
 
 CSV_COLUMNS = {
     "alpha": ["method", "value", "ci_halfwidth", "n_samples", "trunc_bias", "n_unconverged"],
@@ -228,13 +227,17 @@ def _run_variational(config: RunConfig) -> dict:
         param_tol=_param(p, "param_tol", 1e-4, float, lambda v: v >= 0, "a finite number >= 0"),
         max_evals=_at_least(p, "max_evals", 200, 0),
     )
-    family = _param(p, "family", "exponential-tilt", str, FAMILIES.__contains__, f"one of {FAMILIES}")
+    family = _param(p, "family", "exponential-tilt", str, None, "a string")
+    try:
+        check_family(family, dist)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "family") from None
     beta_hat = None
     if p.get("beta") is not False:
         beta_cfg = _param(p, "beta", None, dict, None, "an object, null or false") or {}
         r_ratio = _param(beta_cfg, "r_ratio", 4.0, float, _positive, "a number > 0", "beta.")
         beta_hat = estimate_beta(dist, n_grid=_n_grid(beta_cfg, "beta."), r_ratio=r_ratio)
-    report = minimize_variational(dist, family=family, optimizer_cfg=cfg, beta_hat=beta_hat)
+    report = minimize_variational(dist, family=family, optimizer_cfg=cfg)
     rows = [
         {k: row[k] for k in ("theta", "E_Q_F", "kl_per_site", "objective")}
         for row in report.objective_curve
@@ -312,7 +315,10 @@ def _run_green(config: RunConfig) -> dict:
     stream_id = _param(p, "stream_id", 0, int, None, "an integer")
     env_file = _param(p, "environment_file", None, str, None, "null or a file path")
     if env_file:
-        env = Environment.load(env_file)
+        try:
+            env = Environment.load(env_file)
+        except ValueError as exc:  # a missing or unreadable file is an OSError and exits 1
+            raise ConfigError(f"bad environment_file {env_file!r}: {exc}", "environment_file") from None
         window = (env.window_lo, env.window_hi)
     else:
         env = sample_environment(_dist_from(p), window, config.seed, stream_id)

@@ -4,8 +4,10 @@ The annealed decay rate is the infimum over shift-invariant environment
 laws Q of  E^Q[one-step functional] + H(Q | P).  Restricting Q to tilted
 product measures keeps the infimum finitely parameterized: the candidate
 objective is then (Monte Carlo mean of the functional under the tilted
-marginal) + (single-site relative entropy), and minimizing it yields a
-certified upper bound on the infimum.  Together with the quenched and
+marginal) + (single-site relative entropy).  The exact minimum over a
+tilt family bounds the infimum from above; the reported minimum is the
+least of the Monte Carlo values evaluated, so it is biased low, and its
+noise is what stat_halfwidth carries.  Together with the quenched and
 annealed point estimates this sandwiches the identity numerically:
 
     beta_hat - err  <=  min objective  <=  alpha_hat + err.
@@ -21,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import PotentialDistribution, make_distribution
+from .env import PotentialDistribution
 from .lyapunov import LyapunovEstimate, _mean_F_estimate
+
+FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")
 
 
 def kl_divergence(q: PotentialDistribution, p: PotentialDistribution) -> float:
@@ -47,14 +51,12 @@ def kl_divergence(q: PotentialDistribution, p: PotentialDistribution) -> float:
 class TiltedProductMeasure:
     """An i.i.d. environment law whose marginal reweights the base law.
 
-    family "exponential-tilt": tilt weights proportional to
-    base weight * exp(-theta * value); "free-simplex": arbitrary weights
-    on the base support.
+    An exponential tilt weighs each base atom by exp(-theta * value); a
+    free-simplex tilt puts arbitrary weights on the base support (theta 0).
     """
 
     base: PotentialDistribution
     tilt: PotentialDistribution
-    family: str = "exponential-tilt"
     theta: float = 0.0
 
     def kl_per_site(self) -> float:
@@ -71,7 +73,7 @@ def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProduct
         if new_rate <= 0:
             raise ValueError(f"tilt parameter {theta} leaves the exponential family")
         tilt = PotentialDistribution(kind="exponential", rate=new_rate)
-        return TiltedProductMeasure(base=base, tilt=tilt, family="exponential-tilt", theta=theta)
+        return TiltedProductMeasure(base=base, tilt=tilt, theta=theta)
     values = np.array([v for v, _ in base.atoms])
     weights = np.array([w for _, w in base.atoms])
     logits = np.log(weights) - theta * values
@@ -81,7 +83,7 @@ def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProduct
     tilt = PotentialDistribution(
         kind="finite", atoms=tuple((float(v), float(w)) for v, w in zip(values, new_w))
     )
-    return TiltedProductMeasure(base=base, tilt=tilt, family="exponential-tilt", theta=theta)
+    return TiltedProductMeasure(base=base, tilt=tilt, theta=theta)
 
 
 def simplex_tilt(base: PotentialDistribution, weights) -> TiltedProductMeasure:
@@ -97,11 +99,11 @@ def simplex_tilt(base: PotentialDistribution, weights) -> TiltedProductMeasure:
     w = w / total
     keep = [(float(v), float(wi)) for (v, _), wi in zip(base.atoms, w) if wi > 0]
     tilt = PotentialDistribution(kind="finite", atoms=tuple(keep))
-    return TiltedProductMeasure(base=base, tilt=tilt, family="free-simplex")
+    return TiltedProductMeasure(base=base, tilt=tilt)
 
 
 def expected_F_under(
-    q_tilt,
+    q_tilt: TiltedProductMeasure,
     n_samples: int,
     tol: float = 1e-7,
     seed: int = 0,
@@ -113,8 +115,17 @@ def expected_F_under(
     parameters share their randomness; at tilt = base this reproduces the
     quenched estimator bit for bit.
     """
-    marginal = q_tilt.tilt if isinstance(q_tilt, TiltedProductMeasure) else make_distribution(q_tilt)
-    return _mean_F_estimate(marginal, n_samples, tol, seed, method="expected-F-under-tilt")
+    return _mean_F_estimate(q_tilt.tilt, n_samples, tol, seed, method="expected-F-under-tilt")
+
+
+def check_family(family: str, base: PotentialDistribution) -> None:
+    """Refuse a tilt family minimize_variational does not know, or a free
+    simplex on a law it cannot take: it needs a finite law of 2 to 4 atoms."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family == "free-simplex" and (base.kind != "finite" or not 2 <= len(base.atoms) <= 4):
+        got = len(base.atoms) if base.kind == "finite" else "an exponential law"
+        raise ValueError(f"free-simplex minimization needs 2 to 4 atoms, got {got}")
 
 
 @dataclass(frozen=True)
@@ -131,11 +142,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class VariationalReport:
-    """The numerical sandwich: point estimates, the minimized objective and
-    the full objective curve (theta, E_Q_F, kl_per_site, objective)."""
+    """The quenched point estimate, the minimized objective and the full
+    objective curve (theta, E_Q_F, kl_per_site, objective)."""
 
     alpha_hat: LyapunovEstimate
-    beta_hat: LyapunovEstimate | None
     var_min_value: float
     var_min_tilt: TiltedProductMeasure
     objective_curve: list[dict]
@@ -149,28 +159,25 @@ def minimize_variational(
     base: PotentialDistribution,
     family: str = "exponential-tilt",
     optimizer_cfg: OptimizerConfig | None = None,
-    alpha_hat: LyapunovEstimate | None = None,
-    beta_hat: LyapunovEstimate | None = None,
 ) -> VariationalReport:
     """Minimize  E^{Q_theta}[F] + KL(Q_theta | base)  over the tilt family.
 
     The exponential family runs a grid sweep (the reported curve) plus a
     golden-section refinement; the free simplex (a finite law of 2 to 4
     atoms) runs Nelder-Mead over logits.  Common random numbers are held
-    fixed across all evaluations.
+    fixed across all evaluations; the untilted one is alpha_hat.  The
+    family's exact minimum bounds beta from above, but the reported
+    minimum of Monte Carlo values is biased low, with stat_halfwidth noise.
     """
     cfg = optimizer_cfg or OptimizerConfig()
     if cfg.n_grid < 2:
         raise ValueError(f"need n_grid >= 2, got {cfg.n_grid}")
-    if family == "free-simplex" and (base.kind != "finite" or not 2 <= len(base.atoms) <= 4):
-        raise ValueError(f"free-simplex minimization needs 2 to 4 atoms, got {len(base.atoms)}")
-    own_alpha = alpha_hat is None
-    if own_alpha:
-        alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
+    check_family(family, base)
+    alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
     evals: list[dict] = []
 
     def objective(tpm: TiltedProductMeasure) -> dict:
-        if own_alpha and tpm.tilt == base:
+        if tpm.tilt == base:
             est = alpha_hat  # the same samples under the same law, bit for bit
         else:
             est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
@@ -206,7 +213,7 @@ def minimize_variational(
             cfg.param_tol,
             cfg.max_evals - len(evals),
         )
-    elif family == "free-simplex":
+    else:  # check_family admits no other family
         from scipy.optimize import minimize as scipy_minimize
 
         m = len(base.atoms)
@@ -225,8 +232,6 @@ def minimize_variational(
         )
         curve = [row for row in evals]
         converged = bool(res.success)
-    else:
-        raise ValueError(f"unknown tilt family {family!r}")
 
     best_row = min(evals, key=lambda row: row["objective"])
     curve_rows = [
@@ -235,7 +240,6 @@ def minimize_variational(
     ]
     return VariationalReport(
         alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
         var_min_value=best_row["objective"],
         var_min_tilt=best_row["tilt"],
         objective_curve=curve_rows,

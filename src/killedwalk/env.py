@@ -187,6 +187,12 @@ def make_distribution(spec) -> PotentialDistribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+def _integer(raw, name: str) -> int:
+    if isinstance(raw, bool) or not (isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _finite(raw, name: str) -> float:
     try:
         value = float(raw)
@@ -266,12 +272,19 @@ class Environment:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Environment":
+        """The inverse of to_dict; a missing or malformed entry raises ValueError naming it."""
+        if not isinstance(d, dict) or "values" not in d:
+            raise ValueError("an environment must be an object with 'values'")
+        try:
+            values = np.asarray(d["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"values must be a list of numbers, got {d['values']!r}") from None
         return cls(
-            window_lo=int(d["window_lo"]),
-            window_hi=int(d["window_hi"]),
-            values=np.asarray(d["values"], dtype=np.float64),
-            seed=int(d.get("seed", 0)),
-            stream_id=int(d.get("stream_id", 0)),
+            window_lo=_integer(d.get("window_lo"), "window_lo"),
+            window_hi=_integer(d.get("window_hi"), "window_hi"),
+            values=values,
+            seed=_integer(d.get("seed", 0), "seed"),
+            stream_id=_integer(d.get("stream_id", 0), "stream_id"),
         )
 
     def save(self, path) -> None:
@@ -331,9 +344,6 @@ class EnvironmentSource:
     def slice_values(self, lo: int, hi: int) -> np.ndarray:
         sites = np.arange(lo, hi + 1, dtype=np.int64)
         return self.dist.ppf(keyed_uniform(self.seed, self.stream_id, sites))
-
-    def covers(self, lo: int, hi: int) -> bool:
-        return True
 
     def materialize(self, lo: int, hi: int) -> Environment:
         return sample_environment(self.dist, (lo, hi), self.seed, self.stream_id)

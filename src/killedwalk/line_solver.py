@@ -45,14 +45,14 @@ class SurvivalResult:
 
     a_value == -ln(e_value) whenever the weight did not underflow; on
     underflow e_value is clamped to 0 and flagged while a_value stays
-    finite (log-space computation).
+    finite (log-space computation).  r_used is the barrier of the solve,
+    0 for a delta-zero limit, which needs none.
     """
 
     e_value: float
     a_value: float
-    barrier_r: int
+    r_used: int
     converged: bool = True
-    r_used: int | None = None
     trunc_bound: float = 0.0
     underflowed: bool = False
     note: str = ""
@@ -119,12 +119,9 @@ def _reduce(omega, p) -> np.ndarray:
     return run[..., 0]
 
 
-def _result_from_a(a: float, barrier_r: int, **kw) -> SurvivalResult:
+def _result_from_a(a: float, **kw) -> SurvivalResult:
     e = math.exp(-a) if a < 744.0 else 0.0
-    underflowed = e < UNDERFLOW_FLOOR and a > 0.0
-    return SurvivalResult(
-        e_value=e, a_value=a, barrier_r=barrier_r, underflowed=underflowed, **kw
-    )
+    return SurvivalResult(e_value=e, a_value=a, underflowed=e < UNDERFLOW_FLOOR and a > 0.0, **kw)
 
 
 def two_point_a(env: Environment, x: int, y: int, r: int, p=0.5) -> float:
@@ -148,7 +145,7 @@ def F_r(env, r: int, p=0.5) -> SurvivalResult:
     keeps it exactly nonincreasing in the barrier distance."""
     if r >= 0:
         raise ValueError("barrier must be a negative site")
-    return _result_from_a(two_point_a(env, 0, 1, r, p), r, r_used=r)
+    return _result_from_a(two_point_a(env, 0, 1, r, p), r_used=r)
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def F_limit(
         raise ValueError("tol must be > 0")
     if isinstance(source, EnvironmentSource) and source.dist.is_delta_zero:
         return SurvivalResult(
-            e_value=1.0, a_value=0.0, barrier_r=0, converged=True, r_used=None,
+            e_value=1.0, a_value=0.0, r_used=0, converged=True,
             note="delta-zero potential: trivial case, limit is 0 exactly",
         )
     schedule = _barrier_schedule()
@@ -252,7 +249,7 @@ def F_limit(
     r, ok = int(row.r_used[0]), bool(row.converged[0])
     reason = "window exhausted" if exhausted_window else "deepest barrier reached"
     return _result_from_a(
-        float(row.a_value[0]), r, converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
+        float(row.a_value[0]), converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
         note="" if ok else f"not converged to tol={tol:g} ({reason}); "
         "expect O(1/|r|) convergence only for laws concentrated near 0",
     )
@@ -264,7 +261,7 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     Row i draws its potentials from stream i, exactly as the one-row call
     would, so each entry equals that call's result digit for digit and runs
     that share a seed share environments row by row.  For a delta-zero law
-    every row is exactly 0 with r_used 0, where F_limit reports None.
+    every row is exactly 0 with r_used 0, as in F_limit.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")

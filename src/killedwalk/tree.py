@@ -43,6 +43,9 @@ from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, subs
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
+# sites whose rho midpoints summarize turning_point_decompose's line law; a
+# certified rho law is to replace this quantile summary
+_LINE_LAW_SITES = 240
 # vertices on the deepest level of one chunk of forests: one forest at
 # d = 3, depth 16.  Two forests a chunk doubled the forest workspace (to
 # 3.7 MB) and lifted the tree benchmark's peak RSS by 4.4%; the shallow
@@ -110,10 +113,6 @@ class BranchSurvival:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -438,7 +437,6 @@ class EffectiveLineModel:
     step_right_prob: float
     brackets: list[RhoPotential]
     max_halfwidth: float
-    cfg: TreeConfig
 
 
 def rho_environment(
@@ -494,7 +492,6 @@ def reduce_to_line(
         step_right_prob=geodesic_step_prob(cfg),
         brackets=brackets,
         max_halfwidth=max(b.halfwidth for b in brackets),
-        cfg=cfg,
     )
 
 
@@ -684,18 +681,17 @@ def simulate_geodesic_passage(
 
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Geometry of the journey: monotone ray or a geodesic whose height
-    peaks at turning_index_k, where the drift direction flips."""
+    """The journey 0 -> target_index along a geodesic whose height peaks at
+    turning_index_k (a ray downhill when k <= 0); kind is "turning-point"."""
 
     kind: str
     turning_index_k: int = 0
-    start_index: int = 0
     target_index: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("monotone", "turning-point"):
-            raise ValueError("kind must be 'monotone' or 'turning-point'")
-        if self.target_index <= self.start_index:
+        if self.kind != "turning-point":
+            raise ValueError(f"kind must be 'turning-point', got {self.kind!r}")
+        if self.target_index <= 0:
             raise ValueError("target must lie beyond the start")
 
 
@@ -711,8 +707,6 @@ class TurningPointReport:
     above its barrier-free value.  The annealed fields are None when k <= 0.
     """
 
-    spec: GeodesicSpec
-    barrier_r: int
     a_total: float
     a_uphill: float
     a_beyond: float
@@ -746,8 +740,6 @@ def turning_point_decompose(
     seed: int = 0,
     stream_id: int = 0,
     barrier_r: int = -3,
-    line_dist: PotentialDistribution | None = None,
-    surrogate_samples: int = 240,
 ) -> TurningPointReport:
     """Decompose the journey 0 -> target across the geodesic peak at k.
 
@@ -757,16 +749,10 @@ def turning_point_decompose(
     1 - geodesic_step_prob and only the quenched cost is reported.  For
     0 < k < target the quenched cost splits exactly at the peak, and the
     annealed orderings are verified by the exact transfer kernel on a line
-    law (line_dist, by default a quantile summary of sampled rho
-    midpoints).  Both cases run one forward sweep over the rho midpoints
-    of the window [barrier_r, target].
+    law: a quantile summary of the rho midpoints of _LINE_LAW_SITES sites
+    off the window, reported as line_dist.  Both cases run one forward
+    sweep over the rho midpoints of the window [barrier_r, target].
     """
-    if spec.kind != "turning-point":
-        raise ValueError("spec.kind must be 'turning-point'")
-    if surrogate_samples < 1:
-        raise ValueError(f"surrogate_samples must be >= 1, got {surrogate_samples}")
-    if spec.start_index != 0:
-        raise ValueError("decomposition is set up for start_index = 0")
     n = spec.target_index
     k = spec.turning_index_k
     if k >= n:
@@ -788,26 +774,20 @@ def turning_point_decompose(
     a_total = a_of(0, n)
     if k <= 0:
         return TurningPointReport(
-            spec=spec, barrier_r=r, a_total=a_total, a_uphill=0.0,
-            a_beyond=a_total, additivity_residual=0.0, b_total=None, b_beyond=None,
-            ln_mean_uphill_weight=None, annealed_trunc_bounds=None, slack_longer_journey=None,
-            slack_mean_weight=None, line_dist=None,
+            a_total=a_total, a_uphill=0.0, a_beyond=a_total, additivity_residual=0.0, b_total=None,
+            b_beyond=None, ln_mean_uphill_weight=None, annealed_trunc_bounds=None,
+            slack_longer_journey=None, slack_mean_weight=None, line_dist=None,
         )
     a_uphill = a_of(0, k)
     a_beyond = a_of(k, n)
 
-    if line_dist is None:
-        surrogates = _site_rhos(
-            cfg, dist, np.arange(100_000, 100_000 + surrogate_samples), seed, stream_id
-        )
-        line_dist = _quantize_to_atoms(np.array([b.midpoint for b in surrogates]))
+    surrogates = _site_rhos(cfg, dist, np.arange(100_000, 100_000 + _LINE_LAW_SITES), seed, stream_id)
+    line_dist = _quantize_to_atoms(np.array([b.midpoint for b in surrogates]))
     total = annealed_transfer(line_dist, n, r, p_sites)
     beyond = annealed_transfer(line_dist, n, r, p_sites, start=k)
     uphill = annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)])
     b_total, b_beyond, ln_mean_c = total.b_value, beyond.b_value, -uphill.b_value
     return TurningPointReport(
-        spec=spec,
-        barrier_r=r,
         a_total=a_total,
         a_uphill=a_uphill,
         a_beyond=a_beyond,

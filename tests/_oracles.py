@@ -134,7 +134,7 @@ def solve_survival_window(model: WindowModel) -> SurvivalResult:
     boundary-value system (independent of the forward-sweep route)."""
     r, x, y = model.barrier_r, model.start_x, model.target_y
     if x == y:
-        return SurvivalResult(e_value=1.0, a_value=0.0, barrier_r=r, r_used=r)
+        return SurvivalResult(e_value=1.0, a_value=0.0, r_used=r)
     n = y - r + 1
     omega = model.env.slice_values(r, y)
     p = np.broadcast_to(np.asarray(model.step_right_prob, dtype=np.float64), (n,))
@@ -156,8 +156,8 @@ def solve_survival_window(model: WindowModel) -> SurvivalResult:
         # recover the exponent in log space rather than reporting -ln 0
         _, log_w = forward_step_weights(model.env.slice_values(r + 1, y - 1), p[1:-1])
         a = float(-np.sum(log_w[x - (r + 1) :]))
-        return _result_from_a(a, r, r_used=r)
-    return SurvivalResult(e_value=e, a_value=-math.log(e), barrier_r=r, r_used=r)
+        return _result_from_a(a, r_used=r)
+    return SurvivalResult(e_value=e, a_value=-math.log(e), r_used=r)
 
 
 def banded_green_function(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:

@@ -142,13 +142,12 @@ def test_criterion_4_oracle_equivalence_and_fkg():
 def test_criterion_5_jensen_sandwich():
     t0 = time.perf_counter()
     seed = 2024
-    n_samples, tol = 2000, 1e-7
-    alpha = estimate_alpha_mc(BERN, n_samples=n_samples, tol=tol, seed=seed)
     beta = estimate_beta(BERN, n_grid=[2, 4, 8, 12], r_ratio=4.0)
     cfg = OptimizerConfig(
-        n_samples=n_samples, tol=tol, seed=seed, theta_lo=-1.0, theta_hi=4.0, n_grid=13, max_evals=45
+        n_samples=2000, tol=1e-7, seed=seed, theta_lo=-1.0, theta_hi=4.0, n_grid=13, max_evals=45
     )
-    report = minimize_variational(BERN, optimizer_cfg=cfg, alpha_hat=alpha, beta_hat=beta)
+    report = minimize_variational(BERN, optimizer_cfg=cfg)
+    alpha = report.alpha_hat
     m = report.var_min_value
 
     jensen_budget = alpha.ci_halfwidth + beta.ci_halfwidth + alpha.trunc_bias

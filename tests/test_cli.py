@@ -471,6 +471,60 @@ def test_bad_green_window_fails_with_field_name(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+MALFORMED_ENVIRONMENTS = [
+    # (file text, what the error names): each once ended in a traceback, an
+    # exit 1 without a field, or a silently truncated window end
+    ('{"window_lo": -3, "window_hi": 3}', "values"),
+    ('{"window_lo": -3, "values": [0, 0, 0, 0, 0, 0, 0]}', "window_hi"),
+    ("[1, 2]", "object"),
+    ('{"window_lo": -3.5, "window_hi": 3, "values": [0, 0, 0, 0, 0, 0, 0]}', "window_lo"),
+    ('{"window_lo": -3, "window_hi": "3", "values": [0, 0, 0, 0, 0, 0, 0]}', "window_hi"),
+    ('{"window_lo": -3, "window_hi": 3, "values": {"a": 1}}', "values"),
+    ("not json", "Expecting value"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    MALFORMED_ENVIRONMENTS,
+    ids=["no-values", "no-window_hi", "a-list", "float-window_lo", "string-window_hi", "values-object", "not-json"],
+)
+def test_malformed_environment_file_exits_2_naming_it(tmp_path, capsys, text, key):
+    (tmp_path / "env.json").write_text(text)
+    argv = ["green", "-P", f"environment_file={json.dumps(str(tmp_path / 'env.json'))}", "-P", "n_values=[1]"]
+    assert run_cli(tmp_path, *argv, "--out", "g") == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "environment_file" and record["exit_code"] == 2, record
+    assert key in record["error"], record
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_missing_environment_file_exits_1(tmp_path, capsys):
+    argv = ["green", "-P", f"environment_file={json.dumps(str(tmp_path / 'absent.json'))}", "-P", "n_values=[1]"]
+    assert run_cli(tmp_path, *argv, "--out", "g") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "" and record["exit_code"] == 1 and "absent.json" in record["error"], record
+
+
+@pytest.mark.parametrize(
+    "spec, got",
+    [
+        (CONST_SPEC, "got 1"),
+        ({"kind": "exponential", "rate": 1.0}, "got an exponential law"),
+        ({"kind": "finite", "atoms": [[float(v), 0.2] for v in range(5)]}, "got 5"),
+    ],
+    ids=["point", "exponential", "five-atoms"],
+)
+def test_free_simplex_on_a_law_it_cannot_take_exits_2_before_beta(tmp_path, capsys, monkeypatch, spec, got):
+    monkeypatch.setattr(cli, "estimate_beta", None)  # the refusal comes before the beta block
+    argv = ["variational", "-P", f"distribution={json.dumps(spec)}", "-P", 'family="free-simplex"']
+    assert run_cli(tmp_path, *argv, "--out", "v") == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "family" and record["exit_code"] == 2, record
+    assert f"needs 2 to 4 atoms, {got}" in record["error"], record
+    assert not (tmp_path / "v.csv").exists()
+
+
 def test_bad_green_step_prob_fails_with_field_name(tmp_path, capsys):
     dist = f"distribution={json.dumps(CONST_SPEC)}"
     for step in ("1.5", "0", "1", "-0.2", "NaN", "Infinity", '"half"', "[0.5]"):

@@ -171,12 +171,12 @@ def _significant_sign_changes(objective, noise):
 
 
 def test_variational_sandwich_bernoulli():
-    alpha = estimate_alpha_mc(BERN, n_samples=800, tol=1e-6, seed=21)
     beta = estimate_beta(BERN, n_grid=[2, 4, 6], r_ratio=2.0)
     cfg = OptimizerConfig(
         n_samples=800, tol=1e-6, seed=21, theta_lo=-1.0, theta_hi=4.0, n_grid=11, max_evals=40
     )
-    report = minimize_variational(BERN, optimizer_cfg=cfg, alpha_hat=alpha, beta_hat=beta)
+    report = minimize_variational(BERN, optimizer_cfg=cfg)
+    alpha = report.alpha_hat
 
     at_zero = [row for row in report.objective_curve if row["theta"] == 0.0]
     assert len(at_zero) == 1
@@ -209,7 +209,6 @@ def test_variational_free_simplex_family():
     cfg = OptimizerConfig(n_samples=300, tol=1e-6, seed=4, max_evals=60)
     report = minimize_variational(BERN, family="free-simplex", optimizer_cfg=cfg)
     assert report.var_min_value <= report.alpha_hat.value + 1e-12
-    assert report.var_min_tilt.family == "free-simplex"
     with pytest.raises(ValueError, match="4 atoms"):
         five = make_distribution(
             {"kind": "finite", "atoms": [[float(v), 0.2] for v in range(5)]}
@@ -223,6 +222,16 @@ def test_free_simplex_on_one_atom_fails_by_name(monkeypatch, spec):
     monkeypatch.setattr(entropy, "_mean_F_estimate", None)  # no evaluation may run
     with pytest.raises(ValueError, match="free-simplex minimization needs 2 to 4 atoms, got 1"):
         minimize_variational(make_distribution(spec), family="free-simplex", optimizer_cfg=OptimizerConfig(n_samples=4))
+
+
+def test_variational_refuses_an_unknown_family_or_an_exponential_simplex_at_once(monkeypatch):
+    monkeypatch.setattr(entropy, "_mean_F_estimate", None)  # no evaluation may run
+    expo = make_distribution({"kind": "exponential", "rate": 1.0})
+    cfg = OptimizerConfig(n_samples=4)
+    with pytest.raises(ValueError, match="free-simplex minimization needs 2 to 4 atoms, got an exponential law"):
+        minimize_variational(expo, family="free-simplex", optimizer_cfg=cfg)
+    with pytest.raises(ValueError, match="family must be one of"):
+        minimize_variational(BERN, family="bogus", optimizer_cfg=cfg)
 
 
 def test_tilted_measure_requires_matching_support():

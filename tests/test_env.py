@@ -225,6 +225,23 @@ def test_environment_json_roundtrip(tmp_path):
     assert loaded == env
 
 
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ({"window_lo": -1, "window_hi": 1}, "values"),
+        ({"window_hi": 1, "values": [0, 0, 0]}, "window_lo"),
+        ([0, 0, 0], "object"),
+        ({"window_lo": -1.5, "window_hi": 1, "values": [0, 0, 0]}, "window_lo"),
+        ({"window_lo": -1, "window_hi": True, "values": [0, 0, 0]}, "window_hi"),
+        ({"window_lo": -1, "window_hi": 1, "values": [0, 0, 0], "seed": 0.5}, "seed"),
+        ({"window_lo": -1, "window_hi": 1, "values": "abc"}, "values"),
+    ],
+)
+def test_environment_from_dict_refuses_by_key(d, key):
+    with pytest.raises(ValueError, match=key):
+        Environment.from_dict(d)
+
+
 @st.composite
 def finite_laws(draw):
     values = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True))

@@ -181,11 +181,11 @@ def test_delta_zero_limit_flags_slow_mode():
 
     dist_source = EnvironmentSource(make_distribution({"kind": "point", "value": 0.0}), seed=0)
     exact = F_limit(dist_source, tol=1e-9)
-    assert exact.converged and exact.a_value == 0.0 and "trivial" in exact.note
+    assert exact.converged and exact.a_value == 0.0 and exact.r_used == 0 and "trivial" in exact.note
 
     batch = F_limit_batch(dist_source.dist, seed=0, n_samples=3, tol=1e-9)
     assert batch.a_value.tolist() == [0.0] * 3 and batch.converged.all()
-    assert batch.r_used.tolist() == [0] * 3  # F_limit reports None here
+    assert batch.r_used.tolist() == [exact.r_used] * 3
     batch.a_value[0] = 1.0
     assert batch.trunc_bound[0] == 0.0  # separate arrays
 

@@ -545,10 +545,11 @@ def test_reduce_to_line_orientations():
 
 
 def test_geodesic_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        GeodesicSpec(kind="circular")
+    for kind in ("circular", "monotone"):
+        with pytest.raises(ValueError, match="kind must be 'turning-point'"):
+            GeodesicSpec(kind=kind, target_index=3)
     with pytest.raises(ValueError, match="target"):
-        GeodesicSpec(kind="monotone", start_index=2, target_index=2)
+        GeodesicSpec(kind="turning-point", target_index=0)
 
 
 def test_turning_point_behind_start_reduces_to_monotone_ray():
@@ -570,32 +571,25 @@ def test_turning_point_behind_start_reduces_to_monotone_ray():
 def test_turning_point_decomposition_is_exactly_additive():
     spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=5)
     cfg = TreeConfig(3, drift_p=0.5, depth_cap_D=8)
-    report = turning_point_decompose(spec, cfg, BERN, seed=3, barrier_r=-3, surrogate_samples=40)
+    report = turning_point_decompose(spec, cfg, BERN, seed=3, barrier_r=-3)
     assert abs(report.additivity_residual) <= 1e-12
     assert report.a_uphill > 0.0
 
 
 def test_turning_point_annealed_orderings():
-    line_dist = make_distribution(
-        {"kind": "finite", "atoms": [[0.2, 0.5], [0.9, 0.5]]}
-    )
     spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=6)
     cfg = TreeConfig(4, drift_p=0.4, depth_cap_D=6)
-    report = turning_point_decompose(
-        spec, cfg, BERN, seed=1, barrier_r=-2, line_dist=line_dist
-    )
+    report = turning_point_decompose(spec, cfg, BERN, seed=1, barrier_r=-2)
     assert report.slack_longer_journey >= -1e-12   # longer journeys cost more
     assert report.slack_mean_weight >= -1e-12      # positive-correlation bound
     assert report.b_total <= -report.ln_mean_uphill_weight + report.b_beyond + 1e-12
 
 
 def test_turning_point_reports_annealed_barrier_budgets():
-    line_dist = make_distribution({"kind": "finite", "atoms": [[0.2, 0.5], [0.9, 0.5]]})
     spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=5)
     cfg = TreeConfig(3, drift_p=0.45, depth_cap_D=6)
-    near, far = (
-        turning_point_decompose(spec, cfg, BERN, seed=1, barrier_r=r, line_dist=line_dist) for r in (-3, -6)
-    )
+    near, far = (turning_point_decompose(spec, cfg, BERN, seed=1, barrier_r=r) for r in (-3, -6))
+    assert near.line_dist == far.line_dist  # the barrier moves, the line law does not
     terms = lambda rep: (rep.b_total, rep.b_beyond, -rep.ln_mean_uphill_weight)
     for b_r, b_far, trunc in zip(terms(near), terms(far), near.annealed_trunc_bounds):
         assert b_r - trunc - 1e-12 <= b_far <= b_r + 1e-12
@@ -607,30 +601,13 @@ def test_turning_point_reports_annealed_barrier_budgets():
 def test_turning_point_surrogates_match_one_forest_oracle(cfg):
     spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=4)
     report = turning_point_decompose(spec, cfg, BERN, seed=13, stream_id=5, barrier_r=-3)
-    mids = [_oracles.rho_midpoint(cfg, BERN, 100_000 + i, 13, 5, cfg.depth_cap_D) for i in range(240)]
-    want = turning_point_decompose(
-        spec, cfg, BERN, seed=13, stream_id=5, barrier_r=-3, line_dist=_quantize_to_atoms(np.array(mids))
-    )
-    for name in ("line_dist", "b_total", "b_beyond", "ln_mean_uphill_weight", "annealed_trunc_bounds"):
-        assert getattr(report, name) == getattr(want, name), name
-
-
-def test_turning_point_rejects_bad_surrogate_samples(monkeypatch):
-    def no_forests(*args, **kwargs):
-        raise AssertionError("forest work ran before the argument check")
-
-    monkeypatch.setattr(tree, "_site_brackets", no_forests)
-    spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=4)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="surrogate_samples"):
-            turning_point_decompose(spec, TreeConfig(3, drift_p=0.45), BERN, surrogate_samples=bad)
+    mids = [
+        _oracles.rho_midpoint(cfg, BERN, 100_000 + i, 13, 5, cfg.depth_cap_D) for i in range(tree._LINE_LAW_SITES)
+    ]
+    assert report.line_dist == _quantize_to_atoms(np.array(mids))
 
 
 def test_turning_point_invalid_k():
     spec = GeodesicSpec(kind="turning-point", turning_index_k=5, target_index=5)
     with pytest.raises(ValueError, match="invalid turning index"):
         turning_point_decompose(spec, TreeConfig(3), BERN)
-    with pytest.raises(ValueError, match="turning-point"):
-        turning_point_decompose(
-            GeodesicSpec(kind="monotone", target_index=3), TreeConfig(3), BERN
-        )
