@@ -17,12 +17,13 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .env import EnvironmentSource, PotentialDistribution
 from .line_solver import F_limit_batch, forward_step_weights
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_MAX_CROSSING_CAP = 2**11  # a K x K kernel of 32 MB
+_MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
 
 
 @dataclass(frozen=True)
@@ -126,36 +127,62 @@ class AnnealedTransferResult:
     kernel_tail: float
 
 
-def _site_kernels(p: float, phi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """M_s[a, b] = C(L-1, a) p^(b+s) q^a phi(L) with L = a + b + s visits,
-    for s = 0 and s = 1 (s = 1 when the walk starts at or left of the site).
+def _pascal_table(p: float, cap: int) -> np.ndarray:
+    """Row m + 1 holds C(m, a) p^(m-a) q^a for a = 0 .. cap, m < 2 cap + 1.
 
-    a and b count the leftward crossings of the site's left and right edge.
-    Pascal's rule gives C(m, a) p^(m-a) q^a from positive terms only.  The
-    entry is 0 when a > 0 = b + s (the last exit goes right) and phi(0)
-    when L = 0.
+    Pascal's rule builds it from positive terms only.  Column a reads only
+    columns a - 1 and a of the row above, so a table built at a larger cap
+    holds this one as its leading block, entry for entry.
     """
-    g = np.zeros((2 * cap + 2, cap + 1))  # row m + 1 holds C(m, .) p^(m-.) q^.
+    g = np.zeros((2 * cap + 2, cap + 1))
     g[1, 0] = 1.0
     for m in range(2, 2 * cap + 2):
         np.multiply(g[m - 1], p, out=g[m])
         g[m, 1:] += (1.0 - p) * g[m - 1, :-1]
-    a = np.arange(cap + 1)[:, None]
-    visits = a + a.T
-    m0 = p * g[visits, a] * phi[visits]
+    return g
+
+
+def _site_kernels(p: float, table: np.ndarray, phi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_s[a, b] = C(L-1, a) p^(b+s) q^a phi(L) with L = a + b + s visits,
+    for s = 0 and s = 1 (s = 1 when the walk starts at or left of the site).
+
+    a and b count the leftward crossings of the site's left and right edge.
+    table is _pascal_table(p, c) at any c >= cap, and phi holds phi(0) ..
+    phi(2 cap + 1) at least.  table[L, a] is a walk of fixed stride through
+    the table and phi(L) a Hankel view of phi, so no index array is built.
+    The entry is 0 when a > 0 = b + s (the last exit goes right) and phi(0)
+    when L = 0.
+    """
+    if table.ndim != 2 or table.shape[0] < 2 * cap + 2 or table.shape[1] < cap + 1:
+        raise ValueError(f"a Pascal table for cap {cap} needs shape >= {(2 * cap + 2, cap + 1)}, got {table.shape}")
+    if phi.ndim != 1 or phi.size < 2 * cap + 2:
+        raise ValueError(f"phi for cap {cap} needs {2 * cap + 2} values, got shape {phi.shape}")
+    rows, cols = table.strides
+    shape = (cap + 1, cap + 1)
+    m0, m1 = np.empty(shape), np.empty(shape)
+    for s, m in ((0, m0), (1, m1)):
+        np.multiply(p, as_strided(table[s:], shape, (rows + cols, rows)), out=m)
+        m *= as_strided(phi[s:], shape, (phi.strides[0],) * 2)
     m0[0, 0] = phi[0]
-    return m0, p * g[visits + 1, a] * phi[visits + 1]
+    return m0, m1
 
 
-def _log_transfer(p_sites, s_sites, phi: np.ndarray, cap: int) -> float:
-    """ln e_0' M_1 ... M_m e_0 over the given sites, rescaled site by site."""
+def _log_transfer(p_sites, s_sites, phi: np.ndarray, cap: int, tables: dict | None = None) -> float:
+    """ln e_0' M_1 ... M_m e_0 over the given sites, rescaled site by site.
+
+    tables maps p to its Pascal table at cap or above; a missing table is
+    built and added, so callers that pass one dict share the builds.
+    """
+    tables = {} if tables is None else tables
     kernels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     v = np.zeros(cap + 1)
     v[0] = 1.0
     log_scale = 0.0
     for p, s in zip(p_sites, s_sites):
         if p not in kernels:
-            kernels[p] = _site_kernels(p, phi, cap)
+            if p not in tables:
+                tables[p] = _pascal_table(p, cap)
+            kernels[p] = _site_kernels(p, tables[p], phi, cap)
         v = v @ kernels[p][s]
         top = v.max()
         if top == 0.0:
@@ -171,6 +198,7 @@ def _log_kernel_tails(dist: PotentialDistribution, log_ab: np.ndarray, caps: np.
     A path that crosses edge (x, x+1) leftward more than K times visits
     x+1 more than K times, and each crossing is a round trip x+1 -> x ->
     x+1 that the potential-free walk survives with probability A_x B_x.
+    Each cap's value depends on that cap alone.
     """
     if log_ab.size == 0:  # a one-site window has no edge to cross back
         return np.full(caps.shape, -np.inf)
@@ -179,6 +207,21 @@ def _log_kernel_tails(dist: PotentialDistribution, log_ab: np.ndarray, caps: np.
     with np.errstate(divide="ignore"):
         log_phi = np.log(dist.laplace(caps + 1))
     return log_phi + top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+def _first_fitting_cap(dist: PotentialDistribution, log_ab: np.ndarray, log_bound: float) -> tuple[int, float] | None:
+    """The smallest cap K <= _MAX_CROSSING_CAP whose ln kernel tail is at
+    most log_bound, with that tail, or None.  Caps are tried in doubling
+    blocks, so the search stops at the first block that holds one."""
+    lo, hi = 0, 64
+    while lo <= _MAX_CROSSING_CAP:
+        caps = np.arange(lo, min(hi, _MAX_CROSSING_CAP + 1))
+        tails = _log_kernel_tails(dist, log_ab, caps)
+        fits = np.flatnonzero(tails <= log_bound)
+        if fits.size:
+            return int(caps[fits[0]]), float(tails[fits[0]])
+        lo, hi = hi, 2 * hi
+    return None
 
 
 def annealed_transfer(
@@ -190,9 +233,10 @@ def annealed_transfer(
     prod_y C(L_y - 1, d_{y-1}) orderings by its leftward edge crossings
     d_y (discrete Ray-Knight).  Averaging the potential of each site over
     its L_y visits turns E[e] into a product of site kernels on the
-    crossing counts, e_0' M_{r+1} ... M_{n-1} e_0, at cost O((n - r) K^2).
-    p is the step-right probability, a scalar or one value per site
-    r+1 .. n-1.
+    crossing counts, e_0' M_{r+1} ... M_{n-1} e_0, at cost O((n - r) K^2)
+    plus one Pascal table of (2K + 2)(K + 1) floats, built in 2K row
+    updates, for each distinct p and 1 - p.  p is the step-right
+    probability, a scalar or one value per site r+1 .. n-1.
 
     The crossing cap K is the smallest whose kernel tail is at most 2^-52
     times a lower bound on f (the kernel at a small cap).  trunc_bound: every
@@ -219,27 +263,27 @@ def annealed_transfer(
     _, log_b = forward_step_weights(zero, p_arr)
     _, log_a = forward_step_weights(zero, 1.0 - p_arr[::-1])
     log_ab = log_b[:-1] + log_a[::-1][1:]
-    tails = _log_kernel_tails(dist, log_ab, np.arange(_MAX_CROSSING_CAP + 1))
-    fits = np.flatnonzero(tails <= log_f_lower - 52.0 * math.log(2.0))
-    if fits.size == 0:
+    fit = _first_fitting_cap(dist, log_ab, log_f_lower - 52.0 * math.log(2.0))
+    if fit is None:
         raise ValueError(
             f"the transfer kernel needs more than {_MAX_CROSSING_CAP} crossings per edge "
             f"on the window ({r}, {n}); use a smaller barrier distance"
         )
-    cap = int(fits[0])
+    cap, log_tail = fit
     phi = dist.laplace(np.arange(2 * cap + 3))
-    log_f = _log_transfer(p_list, s_fwd, phi[:-1], cap)
+    tables: dict[float, np.ndarray] = {}  # forward and mirrored passes share each p's table
+    log_f = _log_transfer(p_list, s_fwd, phi[:-1], cap, tables)
     # mirrored: from start down to r with n as the barrier, one more visit per site
     q_rev = [1.0 - x for x in reversed(p_list)]
     s_rev = (sites[::-1] <= start).astype(int).tolist()
-    log_gap = _log_transfer(q_rev, s_rev, phi[1:], cap)
+    log_gap = _log_transfer(q_rev, s_rev, phi[1:], cap, tables)
     return AnnealedTransferResult(
         f_value=math.exp(log_f),
         b_value=-log_f,
         barrier_r=r,
         trunc_bound=math.log1p(math.exp(log_gap - log_f)),
         kernel_cap=cap,
-        kernel_tail=math.exp(tails[cap]),
+        kernel_tail=math.exp(log_tail),
     )
 
 
@@ -248,9 +292,11 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
 
     Every grid row is exact (annealed_transfer) with the barrier at
     r = -ceil(r_ratio * n).  Each b/n is an upper bound on the limit (the
-    limit is the infimum over n), so the estimate carries both an affine-fit
-    slope over the top half of the grid (the point value) and the grid
-    minimum (a certified upper bound, reported in params).
+    limit is the infimum over n), so the grid minimum, params
+    "min_over_grid", is the certified upper bound.  The point value is an
+    affine-fit slope over the top half of the grid.  It is biased upward,
+    and no budget shows it: Bernoulli{0,1} at n_grid [2, 4, 8, 12] gives
+    0.6954 against beta = 0.6758.
     """
     ns = list(n_grid) if np.iterable(n_grid) else []
     if not ns or not all(map(_is_positive_integer, ns)) or len(set(ns)) < len(ns):

@@ -24,6 +24,7 @@ from scipy.linalg import solve_banded
 
 from killedwalk.env import Environment, PotentialDistribution
 from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from_a, forward_step_weights
+from killedwalk.lyapunov import _log_kernel_tails, _log_transfer
 from killedwalk.rng import keyed_uniform, substream
 from killedwalk.tree import (
     _EXCURSION_TAG,
@@ -314,6 +315,45 @@ def annealed_exact_enum(
         barrier_r=r,
         trunc_bound=math.log1p(gap_acc / f_acc),
     )
+
+
+def site_kernels_gather(p: float, phi: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The site kernels M_0, M_1 of the crossing-count transfer, gathered
+    from their own Pascal table by index arrays of visit counts.
+
+    M_s[a, b] = C(L-1, a) p^(b+s) q^a phi(L) with L = a + b + s; the entry
+    is phi(0) at L = 0.  The library builds the same floats from strided
+    views of a shared table, in the same order.
+    """
+    g = np.zeros((2 * cap + 2, cap + 1))  # row m + 1 holds C(m, .) p^(m-.) q^.
+    g[1, 0] = 1.0
+    for m in range(2, 2 * cap + 2):
+        np.multiply(g[m - 1], p, out=g[m])
+        g[m, 1:] += (1.0 - p) * g[m - 1, :-1]
+    a = np.arange(cap + 1)[:, None]
+    visits = a + a.T
+    m0 = p * g[visits, a] * phi[visits]
+    m0[0, 0] = phi[0]
+    return m0, p * g[visits + 1, a] * phi[visits + 1]
+
+
+def kernel_cap_full_scan(
+    dist: PotentialDistribution, n: int, r: int, p=0.5, start: int = 0
+) -> tuple[int, float] | None:
+    """annealed_transfer's crossing cap and kernel tail by scanning every cap
+    0 .. 2048 at once and taking the first whose tail fits 2^-52 f_16, or
+    None when no cap fits."""
+    sites = np.arange(r + 1, n)
+    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), sites.shape)
+    s_fwd = (sites >= start).astype(int).tolist()
+    log_f_lower = _log_transfer(p_arr.tolist(), s_fwd, dist.laplace(np.arange(34)), 16)
+    zero = np.zeros(sites.size)
+    _, log_b = forward_step_weights(zero, p_arr)
+    _, log_a = forward_step_weights(zero, 1.0 - p_arr[::-1])
+    log_ab = log_b[:-1] + log_a[::-1][1:]
+    tails = _log_kernel_tails(dist, log_ab, np.arange(2049))
+    fits = np.flatnonzero(tails <= log_f_lower - 52.0 * math.log(2.0))
+    return (int(fits[0]), math.exp(tails[fits[0]])) if fits.size else None
 
 
 def forest_bracket(

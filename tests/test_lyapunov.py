@@ -6,18 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import annealed_exact_enum, batched_step_weights, iterate_configs
-from killedwalk import line_solver
+from _oracles import (
+    annealed_exact_enum,
+    batched_step_weights,
+    iterate_configs,
+    kernel_cap_full_scan,
+    site_kernels_gather,
+)
+from killedwalk import line_solver, lyapunov
 from killedwalk.env import Environment, make_distribution, sample_environment
 from killedwalk.line_solver import two_point_a, two_point_e
 from killedwalk.lyapunov import (
+    _first_fitting_cap,
     _log_kernel_tails,
     _log_transfer,
+    _pascal_table,
+    _site_kernels,
     annealed_transfer,
     estimate_alpha_ergodic,
     estimate_alpha_mc,
     estimate_beta,
 )
+from killedwalk.tree import TreeConfig, geodesic_step_prob
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 CONST = make_distribution({"kind": "point", "value": -math.log(0.8)})
@@ -344,3 +354,99 @@ def test_transfer_rejects_bad_windows_and_drifts():
     for p in (0.0, 1.0, math.nan, [0.5, 1.2, 0.5], [0.5, 0.5]):
         with pytest.raises(ValueError, match="p must"):
             annealed_transfer(BERN, 2, -2, p)
+
+
+def test_transfer_memory_peak_at_cap_429():
+    # one Pascal table and one pair of site kernels live at a time: about
+    # 6 MB at K = 429, where gathered kernels and their index arrays took 10 MB
+    tracemalloc.start()
+    try:
+        res = annealed_transfer(BERN, 8, -32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.kernel_cap == 429
+    assert peak <= 8 * 2**20
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    dist=finite_laws(),
+    p=st.floats(0.05, 0.95),
+    cap=st.integers(0, 96),
+    extra=st.integers(0, 20),
+)
+def test_site_kernel_views_match_the_gathered_kernels_bit_for_bit(dist, p, cap, extra):
+    phi = dist.laplace(np.arange(2 * cap + 2))
+    got = _site_kernels(p, _pascal_table(p, cap + extra), phi, cap)
+    want = site_kernels_gather(p, phi, cap)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_site_kernels_refuse_a_short_phi_or_a_small_table():
+    cap = 5
+    phi = BERN.laplace(np.arange(2 * cap + 2))
+    table = _pascal_table(0.5, cap)
+    with pytest.raises(ValueError, match="phi for cap 5 needs 12 values"):
+        _site_kernels(0.5, table, phi[:-1], cap)
+    for small in (_pascal_table(0.5, cap - 1), table[:-1], table[:, :-1], table[0]):
+        with pytest.raises(ValueError, match="Pascal table for cap 5"):
+            _site_kernels(0.5, small, phi, cap)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+@pytest.mark.parametrize(
+    "dist", [BERN, make_distribution({"kind": "exponential", "rate": 1.0}), CONST], ids=["bernoulli", "exp1", "point"]
+)
+def test_transfer_cap_is_the_first_fitting_cap_of_the_full_scan(dist, n):
+    res = annealed_transfer(dist, n, -4 * n)
+    assert (res.kernel_cap, res.kernel_tail) == kernel_cap_full_scan(dist, n, -4 * n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(dist=finite_laws(), n=st.sampled_from([2, 8, 16]))
+def test_transfer_cap_matches_the_full_scan_on_finite_laws(dist, n):
+    res = annealed_transfer(dist, n, -4 * n)
+    assert (res.kernel_cap, res.kernel_tail) == kernel_cap_full_scan(dist, n, -4 * n)
+
+
+def test_first_fitting_cap_agrees_with_the_full_scan_in_every_block():
+    log_ab = np.log([0.93, 0.97, 0.99, 0.95])
+    tails = _log_kernel_tails(BERN, log_ab, np.arange(2049))
+    assert np.all(np.diff(tails) < 0.0)  # so tails[cap] first fits at cap
+    for cap in (0, 1, 63, 64, 65, 127, 128, 300, 1023, 1024, 1500, 2047, 2048):
+        assert _first_fitting_cap(BERN, log_ab, tails[cap]) == (cap, float(tails[cap]))
+    assert _first_fitting_cap(BERN, log_ab, tails[2048] - 1.0) is None
+
+
+def test_transfer_refuses_a_window_past_the_largest_cap():
+    law = make_distribution({"kind": "finite", "atoms": [[0.0, 0.3], [0.7, 0.3], [2.0, 0.4]]})
+    with pytest.raises(ValueError, match=r"more than 2048 crossings per edge on the window \(-200, 2\)"):
+        annealed_transfer(law, 2, -200)
+
+
+@pytest.mark.parametrize("case", ["half", "drift", "turning-point"])
+def test_transfer_builds_one_pascal_table_per_step_probability(monkeypatch, case):
+    n, r, start = 8, -32, 0
+    if case == "half":
+        p = 0.5
+    elif case == "drift":
+        p = 0.45
+    else:  # the turning point's uphill, peak and downhill steps at k = 2, target 4
+        n, r, start = 4, -3, 2
+        q_up = geodesic_step_prob(TreeConfig(d=3, drift_p=0.45))
+        sites = np.arange(r + 1, n)
+        p = np.where(sites < 2, q_up, np.where(sites == 2, 0.5, 1.0 - q_up))
+    builds = []
+
+    def spy(p_step, cap):
+        builds.append((p_step, cap))
+        return _pascal_table(p_step, cap)
+
+    monkeypatch.setattr(lyapunov, "_pascal_table", spy)
+    res = annealed_transfer(BERN, n, r, p, start=start)
+    # the pilot builds each p at cap 16; the forward and mirrored passes
+    # share one build of each p and each 1 - p at the chosen cap
+    p_list = np.broadcast_to(np.asarray(p, dtype=np.float64), (n - r - 1,)).tolist()
+    want = [(x, 16) for x in set(p_list)] + [(x, res.kernel_cap) for x in set(p_list) | {1.0 - x for x in p_list}]
+    assert sorted(builds) == sorted(want)
