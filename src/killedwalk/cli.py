@@ -198,7 +198,7 @@ def _run_beta(config: RunConfig) -> dict:
             "n": row["n"],
             "b_over_n": row["b_over_n"],
             "method": row["method"],
-            "stat_err": row["se_b_over_n"],
+            "stat_err": 0.0,
             "trunc_err": row["trunc_over_n"],
         }
         for row in est.params["grid"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import PotentialDistribution
-from .lyapunov import LyapunovEstimate, _mean_F_estimate
+from .lyapunov import LyapunovEstimate, estimate_alpha_mc
 
 FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")
 
@@ -33,13 +33,16 @@ def kl_divergence(q: PotentialDistribution, p: PotentialDistribution) -> float:
     """Relative entropy of one site, sum q_i ln(q_i / p_i).
 
     Zero iff the laws coincide; +inf when q charges a value p does not
-    (absolute continuity fails).  Finite-support laws only.
+    (absolute continuity fails).  An atom of q with weight 0 adds 0 (0 ln 0
+    = 0), wherever p puts it.  Finite-support laws only.
     """
     if q.kind != "finite" or p.kind != "finite":
         raise ValueError("relative entropy here needs a finite-support law")
     p_atoms = dict(p.atoms)
     total = 0.0
     for value, qw in q.atoms:
+        if qw == 0.0:
+            continue
         pw = p_atoms.get(value, 0.0)
         if pw == 0.0:
             return math.inf
@@ -67,7 +70,13 @@ class TiltedProductMeasure:
 
 
 def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProductMeasure:
-    """The Gibbs-type reweighting of the base marginal by exp(-theta * value)."""
+    """The Gibbs-type reweighting of the base marginal by exp(-theta * value).
+
+    At theta = 0 the tilt is base itself, not a renormalized copy whose
+    weights may differ from base's in the last bit.
+    """
+    if theta == 0.0:
+        return TiltedProductMeasure(base=base, tilt=base, theta=theta)
     if base.kind == "exponential":
         new_rate = base.rate + theta
         if new_rate <= 0:
@@ -108,14 +117,15 @@ def expected_F_under(
     tol: float = 1e-7,
     seed: int = 0,
 ) -> LyapunovEstimate:
-    """Monte Carlo mean of the one-step functional under the tilted marginal.
+    """Monte Carlo mean of the one-step functional under the tilted marginal:
+    estimate_alpha_mc of the tilt.
 
     Environments are drawn through the inverse CDF of the tilt from the
     keyed uniforms of (seed, sample index, site), so runs at different tilt
-    parameters share their randomness; at tilt = base this reproduces the
-    quenched estimator bit for bit.
+    parameters share their randomness; at tilt = base this is the quenched
+    estimate bit for bit.
     """
-    return _mean_F_estimate(q_tilt.tilt, n_samples, tol, seed, method="expected-F-under-tilt")
+    return estimate_alpha_mc(q_tilt.tilt, n_samples, tol, seed)
 
 
 def check_family(family: str, base: PotentialDistribution) -> None:
@@ -173,11 +183,11 @@ def minimize_variational(
     if cfg.n_grid < 2:
         raise ValueError(f"need n_grid >= 2, got {cfg.n_grid}")
     check_family(family, base)
-    alpha_hat = _mean_F_estimate(base, cfg.n_samples, cfg.tol, cfg.seed, method="quenched-mc")
+    alpha_hat = estimate_alpha_mc(base, cfg.n_samples, cfg.tol, cfg.seed)
     evals: list[dict] = []
 
     def objective(tpm: TiltedProductMeasure) -> dict:
-        if tpm.tilt == base:
+        if tpm.tilt == base:  # theta = 0, the Q = P anchor, Nelder-Mead's start
             est = alpha_hat  # the same samples under the same law, bit for bit
         else:
             est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
@@ -220,10 +230,12 @@ def minimize_variational(
         base_w = np.array([w for _, w in base.atoms])
 
         def f(z: np.ndarray) -> float:
+            if not z.any():  # base itself, which renormalizing may miss by a bit
+                return objective(TiltedProductMeasure(base, base))["objective"]
             w = base_w * np.exp(np.concatenate([[0.0], z]))
             return objective(simplex_tilt(base, w / w.sum()))["objective"]
 
-        objective(simplex_tilt(base, base_w))  # the Q = P anchor
+        f(np.zeros(m - 1))  # the Q = P anchor
         res = scipy_minimize(
             f,
             np.zeros(m - 1),

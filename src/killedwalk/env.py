@@ -55,8 +55,8 @@ class PotentialDistribution:
 
     @property
     def is_delta_zero(self) -> bool:
-        """True iff the law is the point mass at zero (the no-killing case)."""
-        return self.kind == "finite" and all(v == 0.0 for v, _ in self.atoms)
+        """True iff every atom of positive weight is 0 (the no-killing case)."""
+        return self.kind == "finite" and all(v == 0.0 for v, w in self.atoms if w > 0.0)
 
     @property
     def mean(self) -> float:
@@ -305,16 +305,15 @@ def sample_environment(
 ) -> Environment:
     """Draw an i.i.d. environment on window = (lo, hi), inclusive.
 
-    The value at site x is dist.ppf(keyed_uniform(seed, stream_id, x)):
-    a pure function of the key, so extending the window is a superset
-    operation on values.
+    The value at site x is dist.ppf(keyed_uniform(seed, stream_id, x)),
+    read through EnvironmentSource.slice_values: a pure function of the
+    key, so extending the window is a superset operation on values.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"window_lo must be <= window_hi, got ({lo}, {hi})")
-    sites = np.arange(lo, hi + 1, dtype=np.int64)
-    u = keyed_uniform(seed, stream_id, sites)
-    return Environment(lo, hi, dist.ppf(u), seed=seed, stream_id=stream_id)
+    values = EnvironmentSource(dist, seed, stream_id).slice_values(lo, hi)
+    return Environment(lo, hi, values, seed=seed, stream_id=stream_id)
 
 
 def shift(env: Environment, i: int) -> Environment:
@@ -342,6 +341,7 @@ class EnvironmentSource:
         self.stream_id = int(stream_id)
 
     def slice_values(self, lo: int, hi: int) -> np.ndarray:
+        """dist.ppf(keyed_uniform(seed, stream_id, x)) for the sites x = lo .. hi."""
         sites = np.arange(lo, hi + 1, dtype=np.int64)
         return self.dist.ppf(keyed_uniform(self.seed, self.stream_id, sites))
 

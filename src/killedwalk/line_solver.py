@@ -58,19 +58,35 @@ class SurvivalResult:
     note: str = ""
 
 
+def _step_probs(p, n_sites: int | None = None) -> np.ndarray:
+    """The step-right probability p as float64, each value in (0, 1): a
+    scalar, or with n_sites a scalar or one value per site, returned per site."""
+    p_arr = np.asarray(p, dtype=np.float64)
+    if p_arr.shape not in ((), (n_sites,)) or not np.all((p_arr > 0.0) & (p_arr < 1.0)):
+        per_site = "" if n_sites is None else f" or one value for each of {n_sites} sites"
+        raise ValueError(f"p must lie in (0, 1), as a scalar{per_site}")
+    return p_arr if n_sites is None else np.broadcast_to(p_arr, (n_sites,))
+
+
 def forward_step_weights(omega: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     """Per-site step weights right of an absorbing barrier.
 
     omega holds potentials for consecutive sites r+1, r+2, ...; the barrier
     sits at the site just left of omega[0].  Returns (w, log_w) of the same
     length: w[j] is the weight of moving from site r+1+j to site r+2+j
-    before touching the barrier.  p is a scalar or one value per site.  The
-    sweep runs in plain floats, where numpy's per-element overhead would
-    dominate.
+    before touching the barrier.  p is a scalar or one value per site, each
+    in (0, 1).
     """
+    return _forward_sweep(omega, _step_probs(p, len(omega)))
+
+
+def _forward_sweep(omega, p_sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward_step_weights on a checked p, one value per site; the mirrored
+    sweeps pass 1 - p, which is 1.0 for a p below about 1.1e-16.  The sweep
+    runs in plain floats, where numpy's per-element overhead would dominate."""
     om_list = np.asarray(omega, dtype=np.float64).tolist()
     n_sites = len(om_list)
-    p_list = np.broadcast_to(np.asarray(p, dtype=np.float64), (n_sites,)).tolist()
+    p_list = p_sites.tolist()
     w = np.empty(n_sites)
     log_w = np.empty(n_sites)
     w_prev = 0.0
@@ -181,13 +197,17 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
     travels from 0 down to r without touching 1 (weight c), then on to 1
     with weight at most 1.  One row runs the same array operations as a
     batch, so neither chunking nor batch composition changes a digit.
+    A tol that is not positive is refused.  An empty schedule is the
+    delta-zero law's: every row is 0 exactly, converged, with r_used 0.
     """
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be > 0")
     run = np.zeros((4, n_rows))  # the empty run: a = rho = 0, c = t = 1
     run[:2] = -math.inf
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
     r_used = np.zeros(n_rows, dtype=np.int64)
-    converged = np.zeros(n_rows, dtype=bool)
+    converged = np.full(n_rows, not schedule)
     active = np.arange(n_rows)
     r_prev = 0
     for k, r in enumerate(schedule):
@@ -225,17 +245,13 @@ def F_limit(
     generating) sites left of the origin.  Stops once consecutive barrier
     doublings change the value by less than tol; trunc_bound reports the
     last decrement plus the analytic tail certificate, which bounds the
-    remaining overestimate of the true limit.  It runs the loop of
+    remaining overestimate of the true limit.  p is a scalar in (0, 1):
+    the loop reduces windows of changing length.  It runs the loop of
     F_limit_batch on one row, so both give the same digits.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be > 0")
-    if isinstance(source, EnvironmentSource) and source.dist.is_delta_zero:
-        return SurvivalResult(
-            e_value=1.0, a_value=0.0, r_used=0, converged=True,
-            note="delta-zero potential: trivial case, limit is 0 exactly",
-        )
-    schedule = _barrier_schedule()
+    p = _step_probs(p)
+    delta_zero = isinstance(source, EnvironmentSource) and source.dist.is_delta_zero
+    schedule = [] if delta_zero else _barrier_schedule()
     exhausted_window = False
     if isinstance(source, Environment):
         usable = [r for r in schedule if r >= source.window_lo]
@@ -250,7 +266,8 @@ def F_limit(
     reason = "window exhausted" if exhausted_window else "deepest barrier reached"
     return _result_from_a(
         float(row.a_value[0]), converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
-        note="" if ok else f"not converged to tol={tol:g} ({reason}); "
+        note="delta-zero potential: trivial case, limit is 0 exactly" if delta_zero
+        else "" if ok else f"not converged to tol={tol:g} ({reason}); "
         "expect O(1/|r|) convergence only for laws concentrated near 0",
     )
 
@@ -263,19 +280,12 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     that share a seed share environments row by row.  For a delta-zero law
     every row is exactly 0 with r_used 0, as in F_limit.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be > 0")
-    if dist.is_delta_zero:  # the limit is 0 exactly, as in F_limit
-        return LimitBatch(
-            np.zeros(n_samples), np.zeros(n_samples),
-            np.zeros(n_samples, dtype=np.int64), np.ones(n_samples, dtype=bool),
-        )
-
     def potentials(rows, lo, hi):  # a row index is its stream id
         sites = np.arange(lo, hi + 1, dtype=np.int64)
         return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
 
-    return _barrier_doubling(potentials, n_samples, _barrier_schedule(), tol, 0.5)
+    schedule = [] if dist.is_delta_zero else _barrier_schedule()
+    return _barrier_doubling(potentials, n_samples, schedule, tol, 0.5)
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:
@@ -287,16 +297,17 @@ def green_function_window(env: Environment, x: int, y: int, window: tuple[int, i
     the potential of the visited site, including the terminal one.  A path
     first reaches y (the forward sweep under barrier r from the left, the
     mirrored sweep under barrier R from the right), then returns to y a
-    geometric number of times through y-1 or y+1.
+    geometric number of times through y-1 or y+1.  p is a scalar or one
+    value per interior site, each in (0, 1).
     """
     r, cap = int(window[0]), int(window[1])
     if not (r < x < cap and r < y < cap):
         raise ValueError("x and y must lie strictly inside the window")
     omega = env.slice_values(r + 1, cap - 1)
-    p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), omega.shape)
+    p_arr = _step_probs(p, omega.size)
     k = y - (r + 1)  # y's index among the interior sites
-    w, log_w = forward_step_weights(omega[:k], p_arr[:k])  # sites r+1 .. y-1, toward y
-    v, log_v = forward_step_weights(omega[:k:-1], 1.0 - p_arr[:k:-1])  # sites R-1 .. y+1, toward y
+    w, log_w = _forward_sweep(omega[:k], p_arr[:k])  # sites r+1 .. y-1, toward y
+    v, log_v = _forward_sweep(omega[:k:-1], 1.0 - p_arr[:k:-1])  # sites R-1 .. y+1, toward y
     s_y = math.exp(-omega[k])
     ret = s_y * (p_arr[k] * (v[-1] if v.size else 0.0) + (1.0 - p_arr[k]) * (w[-1] if k else 0.0))
     first = ret if x == y else math.exp(np.sum(log_w[x - (r + 1) :] if x < y else log_v[cap - 1 - x :]))

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .env import EnvironmentSource, PotentialDistribution
-from .line_solver import F_limit_batch, forward_step_weights
+from .line_solver import F_limit_batch, _forward_sweep, _step_probs, forward_step_weights
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
@@ -43,22 +43,22 @@ class LyapunovEstimate:
     trunc_bias: float = 0.0
 
 
-def _mean_F_estimate(
+def estimate_alpha_mc(
     dist: PotentialDistribution,
     n_samples: int,
-    tol: float,
-    seed: int,
-    method: str = "quenched-mc",
+    tol: float = 1e-7,
+    seed: int = 0,
 ) -> LyapunovEstimate:
-    """Sample mean of the one-step functional over i.i.d. environments.
+    """Quenched decay rate as the Monte Carlo mean of the one-step
+    functional over independent environments.
 
     Sample i draws its environment from stream_id = i, so two runs with
-    the same seed share environments sample-by-sample (the common random
-    number contract used by the tilted-measure objective).  All samples
-    run through one batched barrier-doubling loop (F_limit_batch).  A row
-    that did not converge by the deepest barrier is kept: its trunc_bound
-    certifies its overestimate all the same, so it enters trunc_bias, and
-    params counts it as n_unconverged.
+    the same seed share environments sample by sample; the variational
+    objective relies on that when it passes each tilted law as dist.  All
+    samples run through one batched barrier-doubling loop (F_limit_batch).
+    A row that did not converge by the deepest barrier is kept: its
+    trunc_bound certifies its overestimate all the same, so it enters
+    trunc_bias, and params counts it as n_unconverged.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -67,21 +67,10 @@ def _mean_F_estimate(
         value=float(rows.a_value.mean()),
         ci_halfwidth=Z95 * float(rows.a_value.std(ddof=1)) / math.sqrt(n_samples),
         n_samples=n_samples,
-        method=method,
+        method="quenched-mc",
         params={"seed": seed, "tol": tol, "n_unconverged": int(n_samples - rows.converged.sum())},
         trunc_bias=float(rows.trunc_bound.mean()),
     )
-
-
-def estimate_alpha_mc(
-    dist: PotentialDistribution,
-    n_samples: int,
-    tol: float = 1e-7,
-    seed: int = 0,
-) -> LyapunovEstimate:
-    """Quenched decay rate as the Monte Carlo mean of the one-step
-    functional over independent environments."""
-    return _mean_F_estimate(dist, n_samples, tol, seed, method="quenched-mc")
 
 
 def estimate_alpha_ergodic(
@@ -101,8 +90,7 @@ def estimate_alpha_ergodic(
     r = -abs(int(r_offset))
     if r == 0:
         raise ValueError("r_offset must be nonzero")
-    env = EnvironmentSource(dist, seed, stream_id).materialize(r, n)
-    omega = env.slice_values(r + 1, n - 1)
+    omega = EnvironmentSource(dist, seed, stream_id).slice_values(r + 1, n - 1)
     _, log_w = forward_step_weights(omega, 0.5)
     a_cum = -np.cumsum(log_w[-n:])
     ks = np.arange(1, n + 1)
@@ -121,7 +109,6 @@ class AnnealedTransferResult:
 
     f_value: float
     b_value: float
-    barrier_r: int
     trunc_bound: float
     kernel_cap: int
     kernel_tail: float
@@ -248,10 +235,7 @@ def annealed_transfer(
     if not (r < start < n):
         raise ValueError(f"need r < start < n, got r={r}, start={start}, n={n}")
     sites = np.arange(r + 1, n)
-    p_arr = np.asarray(p, dtype=np.float64)
-    if p_arr.shape not in ((), sites.shape) or not np.all((p_arr > 0.0) & (p_arr < 1.0)):
-        raise ValueError(f"p must lie in (0, 1), as a scalar or one value per site {r + 1} .. {n - 1}")
-    p_arr = np.broadcast_to(p_arr, sites.shape)
+    p_arr = _step_probs(p, sites.size)
     p_list = p_arr.tolist()
     s_fwd = (sites >= start).astype(int).tolist()
     pilot = 16  # f_16 <= f is the lower bound the cap is chosen against
@@ -260,8 +244,8 @@ def annealed_transfer(
         raise ValueError("the annealed survival weight underflows on this window")
     # B_x = P_x(hit x+1 before r), A_x = P_{x+1}(hit x before n) without potential
     zero = np.zeros(sites.size)
-    _, log_b = forward_step_weights(zero, p_arr)
-    _, log_a = forward_step_weights(zero, 1.0 - p_arr[::-1])
+    _, log_b = _forward_sweep(zero, p_arr)
+    _, log_a = _forward_sweep(zero, 1.0 - p_arr[::-1])
     log_ab = log_b[:-1] + log_a[::-1][1:]
     fit = _first_fitting_cap(dist, log_ab, log_f_lower - 52.0 * math.log(2.0))
     if fit is None:
@@ -280,7 +264,6 @@ def annealed_transfer(
     return AnnealedTransferResult(
         f_value=math.exp(log_f),
         b_value=-log_f,
-        barrier_r=r,
         trunc_bound=math.log1p(math.exp(log_gap - log_f)),
         kernel_cap=cap,
         kernel_tail=math.exp(log_tail),
@@ -309,17 +292,17 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
         res = annealed_transfer(dist, n, r)
         rows.append(
             {
-                "n": n, "r": r, "b": res.b_value, "se_b": 0.0, "trunc": res.trunc_bound,
-                "b_over_n": res.b_value / n, "se_b_over_n": 0.0, "trunc_over_n": res.trunc_bound / n,
+                "n": n, "r": r, "b": res.b_value, "trunc": res.trunc_bound,
+                "b_over_n": res.b_value / n, "trunc_over_n": res.trunc_bound / n,
                 "kernel_cap": res.kernel_cap, "kernel_tail": res.kernel_tail, "method": "annealed-transfer",
             }
         )
     best = min(rows, key=lambda row: row["b_over_n"])
     top = rows[len(rows) // 2 :]
     if len(top) > 1:  # least-squares line b = slope * n + intercept
-        slope, intercept = np.polyfit([row["n"] for row in top], [row["b"] for row in top], 1)
+        slope = np.polyfit([row["n"] for row in top], [row["b"] for row in top], 1)[0]
     else:
-        slope, intercept = top[0]["b_over_n"], 0.0
+        slope = top[0]["b_over_n"]
     return LyapunovEstimate(
         value=float(slope),
         ci_halfwidth=0.0,
@@ -328,7 +311,6 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
         params={
             "r_ratio": r_ratio,
             "grid": rows,
-            "fit_intercept": float(intercept),
             "min_over_grid": best["b_over_n"],
             "min_over_grid_n": best["n"],
         },

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,22 @@ def test_beta_columns_follow_contract(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("spec", [BERN_SPEC, {"kind": "exponential", "rate": 1.0}])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_beta_rows_keep_zero_stat_err_and_the_transfer_method(tmp_path, spec, fmt):
+    # every row is exact; a Jensen check reads stat_err and method from this file
+    argv = ["beta", "-P", f"distribution={json.dumps(spec)}", "-P", "n_grid=[2,3,5]", "--format", fmt, "--out", "b"]
+    assert run_cli(tmp_path, *argv) == 0
+    text = (tmp_path / f"b.{fmt}").read_text()
+    if fmt == "csv":
+        header, *lines = text.splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    else:
+        rows = json.loads(text)["rows"]
+    assert len(rows) == 3
+    assert all(float(row["stat_err"]) == 0.0 and row["method"] == "annealed-transfer" for row in rows)
+
+
 def test_bad_beta_grid_and_barrier_ratio_fail_with_parameter_name(tmp_path, capsys):
     cases = [
         ("beta", "n_grid=[2,4,4]", "n_grid"),
@@ -190,6 +207,20 @@ def test_variational_columns_follow_contract(tmp_path):
     assert s["alpha_hat"] == pytest.approx(math.log(2.0), abs=1e-7)
     assert s["beta_hat"] == pytest.approx(math.log(2.0), abs=1e-4)
     assert s["var_min_value"] == pytest.approx(math.log(2.0), abs=1e-7)
+
+
+def test_variational_survives_a_tilt_that_empties_an_atom(tmp_path):
+    # at theta = 1000 the tilt of Bernoulli{0,1} puts weight 0 on the atom at 1:
+    # the point mass at 0, whose limit is 0 exactly, at the default n_samples
+    argv = ["variational", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "theta_hi=1000", "-P", "n_grid=2"]
+    argv += ["-P", "max_evals=0", "-P", "beta=false", "--format", "json", "--out", "v"]
+    start = time.perf_counter()
+    assert run_cli(tmp_path, *argv) == 0
+    assert time.perf_counter() - start < 60.0  # every row down to r = -2^20 would take minutes
+    rows = json.loads((tmp_path / "v.json").read_text())["rows"]
+    assert [row["theta"] for row in rows] == [-1.0, 0.0, 1000.0]
+    assert rows[-1]["E_Q_F"] == 0.0
+    assert rows[-1]["kl_per_site"] == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_tree_reduce_emits_consumable_environment(tmp_path):

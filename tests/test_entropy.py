@@ -14,7 +14,7 @@ from killedwalk.entropy import (
     minimize_variational,
     simplex_tilt,
 )
-from killedwalk.env import make_distribution
+from killedwalk.env import PotentialDistribution, make_distribution
 from killedwalk.lyapunov import estimate_alpha_mc, estimate_beta
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
@@ -38,6 +38,17 @@ def test_kl_infinite_outside_support():
     wide = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [2.0, 0.5]]})
     assert kl_divergence(wide, BERN) == math.inf
     assert kl_divergence(BERN, wide) == math.inf  # 1.0 not charged by wide
+
+
+@pytest.mark.parametrize("theta", [800.0, -800.0])
+def test_kl_of_a_tilt_that_empties_an_atom(theta):
+    # exp(-800) underflows, so the tilt puts weight 0 on one atom: 0 ln 0 = 0
+    tilt = exponential_tilt(BERN, theta).tilt
+    assert sorted(w for _, w in tilt.atoms) == [0.0, 1.0]
+    assert kl_divergence(tilt, BERN) == pytest.approx(math.log(2.0), rel=1e-14)
+    # an atom of weight 0 needs no support under p
+    uncharged = PotentialDistribution(kind="finite", atoms=((0.0, 1.0), (3.0, 0.0)))
+    assert kl_divergence(uncharged, make_distribution({"kind": "point", "value": 0.0})) == 0.0
 
 
 def test_kl_rejects_continuous_input():
@@ -151,16 +162,36 @@ def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
             minimize_variational(BERN, optimizer_cfg=cfg)
 
 
-@pytest.mark.parametrize("base", [BERN, make_distribution({"kind": "exponential", "rate": 1.0})])
+@pytest.mark.parametrize(
+    "base",
+    [
+        BERN,
+        make_distribution({"kind": "exponential", "rate": 1.0}),
+        # renormalized at theta = 0, atom 1 comes back as 0.29999999999999993
+        make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [1.0, 0.3], [2.0, 0.5]]}),
+        # weights that do not sum to 1.0 in floats
+        make_distribution({"kind": "finite", "atoms": [[0.0, 0.06], [1.0, 0.57], [2.0, 0.37]]}),
+    ],
+)
 def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
     calls = []
     engine = lyapunov.F_limit_batch
     monkeypatch.setattr(lyapunov, "F_limit_batch", lambda *a, **k: calls.append(a) or engine(*a, **k))
     cfg = OptimizerConfig(n_samples=40, seed=3, theta_lo=-0.5, theta_hi=2.0, n_grid=6, max_evals=8)
-    report = minimize_variational(base, optimizer_cfg=cfg)
-    assert len(calls) == report.n_evals == 8
-    at_zero = [row["objective"] for row in report.objective_curve if row["theta"] == 0.0]
-    assert at_zero == [report.alpha_hat.value]
+    for family in ["exponential-tilt"] + ["free-simplex"] * (base.kind == "finite"):
+        calls.clear()
+        report = minimize_variational(base, family=family, optimizer_cfg=cfg)
+        curve = report.objective_curve
+        if family == "free-simplex":  # the Q = P anchor, then Nelder-Mead's starting point
+            at_base = curve[:2]
+            assert len(at_base) == 2 and len(calls) == 1 + report.n_evals - 2
+        else:
+            at_base = [row for row in curve if row["theta"] == 0.0]
+            # alpha_hat is one engine call, which the one theta = 0 row reuses
+            assert len(at_base) == 1 and len(calls) == report.n_evals == 8
+        alpha = report.alpha_hat.value
+        rows = [(row["E_Q_F"], row["kl_per_site"], row["objective"]) for row in at_base]
+        assert rows == [(alpha, 0.0, alpha)] * len(at_base), family
 
 
 def _significant_sign_changes(objective, noise):
@@ -219,13 +250,13 @@ def test_variational_free_simplex_family():
 @pytest.mark.parametrize("spec", [{"kind": "point", "value": 0.3}, {"kind": "finite", "atoms": [[0.3, 1.0]]}])
 def test_free_simplex_on_one_atom_fails_by_name(monkeypatch, spec):
     # the one-atom finite spelling once crashed inside numpy's Nelder-Mead set-up
-    monkeypatch.setattr(entropy, "_mean_F_estimate", None)  # no evaluation may run
+    monkeypatch.setattr(entropy, "estimate_alpha_mc", None)  # no evaluation may run
     with pytest.raises(ValueError, match="free-simplex minimization needs 2 to 4 atoms, got 1"):
         minimize_variational(make_distribution(spec), family="free-simplex", optimizer_cfg=OptimizerConfig(n_samples=4))
 
 
 def test_variational_refuses_an_unknown_family_or_an_exponential_simplex_at_once(monkeypatch):
-    monkeypatch.setattr(entropy, "_mean_F_estimate", None)  # no evaluation may run
+    monkeypatch.setattr(entropy, "estimate_alpha_mc", None)  # no evaluation may run
     expo = make_distribution({"kind": "exponential", "rate": 1.0})
     cfg = OptimizerConfig(n_samples=4)
     with pytest.raises(ValueError, match="free-simplex minimization needs 2 to 4 atoms, got an exponential law"):

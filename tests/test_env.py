@@ -119,6 +119,10 @@ def test_delta_zero_flag():
     assert make_distribution({"kind": "point", "value": 0.0}).is_delta_zero
     assert make_distribution({"kind": "finite", "atoms": [[0.0, 1.0]]}).is_delta_zero
     assert not make_distribution({"kind": "point", "value": 0.3}).is_delta_zero
+    # a far tilt leaves the atom at 1 with weight exactly 0
+    bern = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
+    assert exponential_tilt(bern, 1000.0).tilt.is_delta_zero
+    assert not exponential_tilt(bern, 40.0).tilt.is_delta_zero
 
 
 def test_atoms_are_sorted_and_merged():

@@ -26,6 +26,7 @@ from killedwalk.line_solver import (
     two_point_a,
     two_point_e,
 )
+from killedwalk.lyapunov import annealed_transfer
 
 BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 BERN = make_distribution(BERN_SPEC)
@@ -261,6 +262,35 @@ def test_nan_tolerance_is_refused():
         F_limit(bern_env(2, -64, 1), tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         F_limit_batch(BERN, seed=2, n_samples=2, tol=math.nan)
+
+
+def test_every_line_routine_refuses_a_step_probability_outside_the_unit_interval():
+    env = bern_env(0, -5, 5)
+    routines = {
+        "forward_step_weights": lambda p: forward_step_weights(np.zeros(3), p),
+        "two_point_a": lambda p: two_point_a(env, 0, 2, -5, p),
+        "two_point_e": lambda p: two_point_e(env, 0, 2, -5, p),
+        "F_r": lambda p: F_r(env, -5, p),
+        "F_limit on a window": lambda p: F_limit(env, p=p),
+        "F_limit on a source": lambda p: F_limit(EnvironmentSource(BERN, 0), p=p),
+        "F_limit on delta zero": lambda p: F_limit(EnvironmentSource(make_distribution({"kind": "point", "value": 0.0}), 0), p=p),
+        "green_function_window": lambda p: green_function_window(env, 0, 2, (-5, 5), p),
+        "annealed_transfer": lambda p: annealed_transfer(BERN, 2, -5, p),
+    }
+    for bad in (1.5, 2.0, 1.0, 0.0, -0.2, math.nan, math.inf, [0.5, 1.5]):
+        for name, routine in routines.items():
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                routine(bad)
+                pytest.fail(f"{name} took p = {bad!r}")
+    # a p whose 1 - p rounds to 1.0 is still in (0, 1); the mirrored sweeps take it
+    assert math.isfinite(annealed_transfer(BERN, 2, -2, 1e-17).b_value)
+    assert math.isfinite(green_function_window(env, 0, 2, (-5, 5), 1e-17))
+    # one value per site is fine where the window is fixed, and must fit it
+    assert two_point_a(env, 0, 2, -5, np.full(6, 0.5)) == two_point_a(env, 0, 2, -5)
+    with pytest.raises(ValueError, match="p must"):
+        forward_step_weights(np.zeros(3), [0.5, 0.5])
+    with pytest.raises(ValueError, match="p must"):  # the limit reduces windows of changing length
+        F_limit(env, p=np.full(6, 0.5))
 
 
 def test_window_model_validation():

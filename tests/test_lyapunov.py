@@ -204,7 +204,6 @@ def test_estimate_beta_grid_rows_document_methods():
     rows = est.params["grid"]
     assert [row["n"] for row in rows] == [2, 3]
     assert all(row["method"] == "annealed-transfer" for row in rows)
-    assert all(row["se_b"] == 0.0 for row in rows)
     assert all(row["trunc"] is not None and row["trunc"] >= 0.0 for row in rows)
 
 
