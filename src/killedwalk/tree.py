@@ -17,6 +17,7 @@ so every reported h (and rho) is a certified bracket; both bounds travel
 as one stacked axis through the same arithmetic.  Trajectory simulation on the
 same keyed potentials serves as an independent cross-check, not as the
 primary computation: all walkers advance together one step at a time,
+each step a few masked in-place updates of the live walkers' arrays,
 and each step uniform is keyed by (walker, step), so no walker's path
 depends on the others.
 
@@ -505,7 +506,7 @@ def _walk(
     step_stream: int,
     n_walkers: int,
     start: int,
-    targets: tuple[int, ...],
+    targets: tuple[int, int],
     horizon: int,
     max_steps: int,
     arrival_ends_step: bool,
@@ -513,16 +514,20 @@ def _walk(
     """Advance n_walkers tree walkers from geodesic site start together,
     one step at a time, until each one stops.
 
-    A live walker is (geodesic site, branch level, index within the level,
-    log weight); level 0 is the geodesic itself.  Each step applies the
-    stop rules in order: the weight cutoff, arrival on a target geodesic
-    site, and the horizon (branch level plus distance to the nearer target
-    beyond horizon).  The survivors then pay their vertex's potential,
-    keyed by substream(stream_id, site) and the level-order counter, and
-    move on walker w's step-t uniform keyed_uniform(seed,
-    substream(step_stream, w), t).  The site keys are derived once a call,
-    over the sites the horizon lets a walker pay (within horizon of a
-    target), and so are the walker keys.
+    targets = (near, far), near <= far, holds the nearest and the farthest
+    target site in the geodesic's order (equal for a single target); a
+    walker arrives on either.  A live walker is (geodesic site, branch level, index within
+    the level, log weight), one entry of four arrays; level 0 is the
+    geodesic itself.  Each step applies the stop rules in order: the
+    weight cutoff, arrival on a target site, and the horizon (branch level
+    plus distance to the nearer target beyond horizon).  The stopped
+    walkers are scored and dropped from the arrays; the survivors then pay
+    their vertex's potential, keyed by substream(stream_id, site) and the
+    level-order counter, and move on walker w's step-t uniform
+    keyed_uniform(seed, substream(step_stream, w), t), each move a masked
+    in-place update of the site, level and index arrays.  The site keys
+    are derived once a call, over the sites the horizon lets a walker pay
+    (within horizon of a target), and so are the walker keys.
 
     With arrival_ends_step a walker that lands on a target is scored at
     once, even below the weight cutoff and on its last allowed step (the
@@ -536,9 +541,9 @@ def _walk(
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     s_geo = p + s_child
     starts = _level_starts(d, d - 2, _max_walk_level(d))
-    targets = np.asarray(targets, dtype=np.int64)
-    lo = int(targets.min()) - horizon  # the horizon stops a walker below lo before it pays
-    site_key = stream_key(seed, substream(stream_id, np.arange(lo, int(targets.max()) + horizon + 1)))
+    near, far = targets
+    lo = near - horizon  # the horizon stops a walker below lo before it pays
+    site_key = stream_key(seed, substream(stream_id, np.arange(lo, far + horizon + 1)))
     weight = np.zeros(n_walkers)
     cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
     walker = np.arange(n_walkers)
@@ -548,19 +553,26 @@ def _walk(
     idx = np.zeros(n_walkers, dtype=np.int64)
     log_w = np.zeros(n_walkers)
     for step in range(max_steps + arrival_ends_step):
-        gap = np.abs(geo[:, None] - targets).min(axis=1)
-        on_target = (level == 0) & (gap == 0)
+        gap = np.abs(geo - near)
+        if far != near:
+            np.minimum(gap, np.abs(geo - far), out=gap)
+        gap += level  # 0 exactly on a target site of the geodesic
+        arrived = gap == 0
         cut = log_w < _LOG_WEIGHT_CUTOFF
         if arrival_ends_step:
-            cut &= ~on_target
-        arrived = on_target & ~cut
-        far = ~(cut | arrived) & (level + gap > horizon)
-        stop = cut | arrived | far
+            cut &= ~arrived
+        else:
+            arrived &= ~cut
+        stop = cut | arrived
+        lost = gap > horizon
+        lost &= ~stop
+        stop |= lost
         if stop.any():
-            weight[walker[arrived]] = np.exp(log_w[arrived])
-            cause[walker[arrived]] = _ARRIVED
+            scored = walker[arrived]
+            weight[scored] = np.exp(log_w[arrived])
+            cause[scored] = _ARRIVED
             cause[walker[cut]] = _CUTOFF
-            cause[walker[far]] = _HORIZON
+            cause[walker[lost]] = _HORIZON
             live = ~stop
             walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
         if walker.size == 0 or step == max_steps:
@@ -568,23 +580,31 @@ def _walk(
         counters = _as_u64(starts[level] + idx) * _U64(_GAMMA)
         log_w -= dist.ppf(_uniform(mix_counters(site_key[geo - lo], counters, out=counters)))
         u = _uniform(mix_counters(step_key, _as_u64(step) * _U64(_GAMMA)))
+        # a walker goes down a level on u >= base, onto child (u - base) /
+        # s_child of its d-1 (on the geodesic, d-2); below base a branch
+        # walker climbs and a geodesic walker steps along the geodesic,
+        # keeping index 0 = 0 // (d-1).  A walker stepping past the level
+        # cap stops before its index is read again, so a wrapped int64
+        # index there is never used
         on_geo = level == 0
-        geo += (on_geo & (u < p)).astype(np.int64) - (on_geo & (p <= u) & (u < s_geo))
-        enter = on_geo & (u >= s_geo)
-        climb = ~on_geo & (u < p)
-        descend = ~on_geo & (u >= p)
-        # a walker stepping past the level cap stops before its index is
-        # read again, so a wrapped int64 index there is never used
-        idx = np.select(
-            [enter, climb, descend],
-            [
-                np.minimum(((u - s_geo) / s_child).astype(np.int64), d - 3),
-                idx // (d - 1),
-                idx * (d - 1) + np.minimum(((u - p) / s_child).astype(np.int64), d - 2),
-            ],
-            idx,
-        )
-        level += enter.astype(np.int64) + descend - climb
+        base = np.where(on_geo, s_geo, p)
+        down = u >= base
+        child = np.subtract(u, base, out=base)
+        child /= s_child
+        child = child.astype(np.int64)
+        np.minimum(child, (d - 2) - on_geo, out=child)
+        child += idx * (d - 1)
+        idx = np.where(down, child, idx // (d - 1))
+        up = u < p
+        uphill = up & on_geo
+        climb = up ^ uphill
+        level += down
+        level -= climb
+        geo += uphill
+        along_down = ~down
+        along_down &= on_geo
+        along_down ^= uphill
+        geo -= along_down
     return weight, cause
 
 
@@ -660,7 +680,7 @@ def simulate_geodesic_passage(
     weight, cause = _walk(
         cfg, dist, seed, stream_id, substream(_PASSAGE_TAG, stream_id), n_walks,
         start=0,
-        targets=(target,),
+        targets=(target, target),
         horizon=horizon,
         max_steps=max_steps,
         arrival_ends_step=False,

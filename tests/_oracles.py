@@ -27,10 +27,14 @@ from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from
 from killedwalk.lyapunov import _log_kernel_tails, _log_transfer
 from killedwalk.rng import keyed_uniform, substream
 from killedwalk.tree import (
+    _ARRIVED,
+    _CUTOFF,
     _EXCURSION_TAG,
     _FOREST_VERTEX_BUDGET,
+    _HORIZON,
     _LOG_WEIGHT_CUTOFF,
     _PASSAGE_TAG,
+    _STEP_CAP,
     TreeConfig,
     _level_starts,
     _max_walk_level,
@@ -472,15 +476,16 @@ def simulate_excursions(
     seed: int = 0,
     stream_id: int = 0,
     max_steps: int = 100_000,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the excursion survival weight h of one site.
 
     Walks the actual tree with lazily keyed potentials (identical keys to
     the recursion bracket for the same site) and accumulates the survival
     weight until the walk first steps onto a geodesic neighbour.  Returns
-    (mean, standard error, number of lost excursions); an excursion is
-    lost, and scored zero, if it exceeds max_steps, wanders below the
-    escape level, or carries a dead weight.  Each truncation is one-sided;
+    (mean, standard error, number of lost excursions, each excursion's
+    weight, each excursion's stop cause); an excursion is lost, and scored
+    zero, if it exceeds max_steps, wanders below the escape level, or
+    carries a dead weight.  Each truncation is one-sided;
     depth losses are bounded per level by _depth_truncation_factor, which
     is negligible except at drift 1/2 exactly, where the lost counter is
     the honest measure of what was discarded.
@@ -491,23 +496,31 @@ def simulate_excursions(
     forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
     omega_site = float(ppf(dist, keyed_uniform(seed, site_stream, 0)))
     step_stream = substream(_EXCURSION_TAG, site_stream)
-    total = 0.0
-    total_sq = 0.0
-    n_lost = 0
+    weights = np.zeros(n_excursions)
+    causes = np.empty(n_excursions, dtype=np.int8)
     for walker in range(n_excursions):
         walker_stream = substream(step_stream, walker)
         level, idx = 0, 0  # level 0 encodes the geodesic site itself
         log_weight = 0.0
-        weight = 0.0
-        for step in range(max_steps):
+        # the stop rules run before every step and once more after the last
+        for step in range(max_steps + 1):
             if log_weight < _LOG_WEIGHT_CUTOFF:
-                n_lost += 1
+                causes[walker] = _CUTOFF
+                break
+            if level > level_cap:
+                causes[walker] = _HORIZON
+                break
+            if step == max_steps:
+                causes[walker] = _STEP_CAP
                 break
             if level == 0:
                 log_weight -= omega_site
                 u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p + s_child:
-                    weight = math.exp(log_weight)  # stepped onto the geodesic
+                    # numpy's exp: math.exp differs from it in the last bit
+                    # on about one argument in twenty
+                    weights[walker] = np.exp(log_weight)  # stepped onto the geodesic
+                    causes[walker] = _ARRIVED
                     break
                 branch = int((u - (p + s_child)) / s_child)
                 level, idx = 1, min(branch, d - 3)
@@ -519,17 +532,21 @@ def simulate_excursions(
                 else:
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
-                    if level > level_cap:
-                        n_lost += 1
-                        break
-        else:
-            n_lost += 1
+    return _walker_summary(weights, causes, int(np.count_nonzero(causes != _ARRIVED)))
+
+
+def _walker_summary(weights: np.ndarray, causes: np.ndarray, n_lost: int):
+    """(mean, standard error, n_lost, weights, causes), the sums taken one
+    walker at a time."""
+    total = 0.0
+    total_sq = 0.0
+    for weight in weights.tolist():
         total += weight
         total_sq += weight * weight
-    mean = total / n_excursions
-    var = max(total_sq / n_excursions - mean**2, 0.0)
-    se = math.sqrt(var / n_excursions)
-    return mean, se, n_lost
+    n = weights.size
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0)
+    return mean, math.sqrt(var / n), n_lost, weights, causes
 
 
 def simulate_geodesic_passage(
@@ -541,7 +558,7 @@ def simulate_geodesic_passage(
     stream_id: int = 0,
     escape_horizon: int = 60,
     max_steps: int = 1_000_000,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the survival weight from geodesic site 0 to
     geodesic site target > 0 by walking the full tree.
 
@@ -551,7 +568,7 @@ def simulate_geodesic_passage(
     truncation whose contribution shrinks per level by
     _depth_truncation_factor (for the symmetric walk, (d-1)^(-distance)).
     Returns (mean, standard error, walks lost to the step cap rather than
-    the horizon).
+    the horizon, each walk's weight, each walk's stop cause).
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
@@ -575,23 +592,24 @@ def simulate_geodesic_passage(
         return v
 
     step_stream = substream(_PASSAGE_TAG, stream_id)
-    total = 0.0
-    total_sq = 0.0
-    n_capped = 0
+    weights = np.zeros(n_walks)
+    causes = np.empty(n_walks, dtype=np.int8)
     for walker in range(n_walks):
         walker_stream = substream(step_stream, walker)
         geo, level, idx = 0, 0, 0
         log_weight = 0.0
-        weight = 0.0
         for step in range(max_steps):
             if log_weight < _LOG_WEIGHT_CUTOFF:
-                break  # contributes below 2e-35 even if it would arrive
+                causes[walker] = _CUTOFF  # contributes below 2e-35 even if it would arrive
+                break
             if level == 0:
                 if geo == target:
-                    weight = math.exp(log_weight)
+                    weights[walker] = np.exp(log_weight)  # numpy's exp, as above
+                    causes[walker] = _ARRIVED
                     break
                 if (target - geo) > escape_horizon:
-                    break  # certified negligible hitting probability
+                    causes[walker] = _HORIZON  # certified negligible hitting probability
+                    break
                 log_weight -= omega_of(geo)
                 u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p:
@@ -603,6 +621,7 @@ def simulate_geodesic_passage(
                     level, idx = 1, min(branch, d - 3)
             else:
                 if level + abs(target - geo) > escape_horizon:
+                    causes[walker] = _HORIZON
                     break
                 f = forest_of(geo)
                 log_weight -= f.value(f.counter(level, idx))
@@ -613,10 +632,5 @@ def simulate_geodesic_passage(
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
         else:
-            n_capped += 1
-        total += weight
-        total_sq += weight * weight
-    mean = total / n_walks
-    var = max(total_sq / n_walks - mean**2, 0.0)
-    se = math.sqrt(var / n_walks)
-    return mean, se, n_capped
+            causes[walker] = _STEP_CAP
+    return _walker_summary(weights, causes, int(np.count_nonzero(causes == _STEP_CAP)))

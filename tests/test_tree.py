@@ -442,7 +442,7 @@ def test_walkers_reject_bad_counts_and_horizons():
 
 
 WALKER_CASES = dict(
-    d=st.sampled_from([3, 4, 5]),
+    d=st.sampled_from([3, 4, 5, 17]),
     drift=st.sampled_from([None, 0.45, 0.6]),
     dist=st.sampled_from([BERN, EXP1, DELTA0, HEAVY]),
     seed=st.integers(0, 2**32),
@@ -460,7 +460,7 @@ def test_one_excursion_matches_scalar_walker(d, drift, dist, seed, stream_id, si
     cfg = TreeConfig(d, drift_p=drift)
     args = (cfg, dist, site, 5, seed, stream_id, max_steps)
     mean, _, lost = simulate_excursions(*args)
-    want, _, want_lost = _oracles.simulate_excursions(*args)
+    want, _, want_lost, *_ = _oracles.simulate_excursions(*args)
     assert mean == pytest.approx(want, rel=1e-15, abs=0.0)
     assert lost == want_lost
 
@@ -476,9 +476,64 @@ def test_one_passage_matches_scalar_walker(d, drift, dist, seed, stream_id, targ
     cfg = TreeConfig(d, drift_p=drift)
     args = (cfg, dist, target, 5, seed, stream_id, target + extra_horizon, max_steps)
     mean, _, capped = simulate_geodesic_passage(*args)
-    want, _, want_capped = _oracles.simulate_geodesic_passage(*args)
+    want, _, want_capped, *_ = _oracles.simulate_geodesic_passage(*args)
     assert mean == pytest.approx(want, rel=1e-15, abs=0.0)
     assert capped == want_capped
+
+
+def _walk_arrays(study, args):
+    """The (weight, cause) arrays of the one tree._walk call a walker study makes."""
+    seen = []
+    walk = tree._walk
+
+    def spy(*a, **k):
+        seen.append(walk(*a, **k))
+        return seen[-1]
+
+    with mock.patch.object(tree, "_walk", spy):
+        study(*args)
+    (arrays,) = seen
+    return arrays
+
+
+def _assert_walkers_match_scalar(study, args):
+    weight, cause = _walk_arrays(study, args)
+    *_, want_weight, want_cause = getattr(_oracles, study.__name__)(*args)
+    assert np.array_equal(weight, want_weight)
+    assert np.array_equal(cause, want_cause)
+    return cause
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    excursion=st.booleans(),
+    site=st.integers(-50, 50),
+    target=st.integers(1, 3),
+    extra_horizon=st.integers(0, 40),
+    max_steps=st.one_of(st.integers(1, 12), st.just(100_000)),
+    **WALKER_CASES,
+)
+def test_every_walker_weight_and_cause_match_scalar_walker(
+    excursion, site, target, extra_horizon, max_steps, d, drift, dist, seed, stream_id
+):
+    cfg = TreeConfig(d, drift_p=drift)
+    if excursion:
+        _assert_walkers_match_scalar(simulate_excursions, (cfg, dist, site, 8, seed, stream_id, max_steps))
+    else:
+        args = (cfg, dist, target, 8, seed, stream_id, target + extra_horizon, max_steps)
+        _assert_walkers_match_scalar(simulate_geodesic_passage, args)
+
+
+@pytest.mark.parametrize(
+    "study, args",
+    [
+        (simulate_excursions, (TreeConfig(3), BERN, 0, 40, 1, 2, 150)),
+        (simulate_geodesic_passage, (TreeConfig(3, drift_p=0.45), EXP1, 2, 40, 1, 2, 20, 100)),
+    ],
+)
+def test_walkers_match_scalar_walker_through_every_stop_cause(study, args):
+    cause = _assert_walkers_match_scalar(study, args)
+    assert set(cause.tolist()) == {tree._ARRIVED, tree._CUTOFF, tree._HORIZON, tree._STEP_CAP}
 
 
 @pytest.mark.parametrize("arrival_ends_step", [True, False])
