@@ -103,6 +103,13 @@ class PotentialDistribution:
             return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
         return _atom_lookup(self._survival, bits, self._cuts, out)
 
+    def atom_index_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The atom index of a finite law that ppf reads for each word,
+        u = (bits >> 11) 2**-53 as in survival_from_bits (which looks
+        _survival up at it), into out (a contiguous int64 array of bits'
+        shape) if it is given."""
+        return _atom_index(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else out)
+
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
 
@@ -119,19 +126,27 @@ class PotentialDistribution:
         return float(phi) if phi.ndim == 0 else phi
 
 
+def _atom_index(x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """len(cuts) - #{j : x < cuts[j]} into out, an int64 array of x's
+    shape: the number of the ascending cuts that x reaches (all of them for
+    a NaN)."""
+    if cuts.size == 0:
+        out.fill(0)
+        return out
+    np.less(x, cuts[0], out=out)
+    for c in cuts[1:]:
+        out += x < c
+    return np.subtract(cuts.size, out, out=out)
+
+
 def _atom_lookup(table: np.ndarray, x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """table[idx] into out for idx = len(cuts) - #{j : x < cuts[j]}, the
-    number of the ascending cuts that x reaches (all of them for a NaN)."""
+    """table[_atom_index(x, cuts)] into out."""
     if cuts.size == 0:
         out.fill(table[0])
         return out
-    # the count lives in out's memory: take reads each index before it
+    # the index lives in out's memory: take reads each index before it
     # writes that slot, and mode="clip" skips the "raise" mode's copy
-    idx = np.less(x, cuts[0], out=out.view(np.int64))
-    for c in cuts[1:]:
-        idx += x < c
-    np.subtract(cuts.size, idx, out=idx)
-    return np.take(table, idx, mode="clip", out=out)
+    return np.take(table, _atom_index(x, cuts, out.view(np.int64)), mode="clip", out=out)
 
 
 def make_distribution(spec) -> PotentialDistribution:

@@ -14,12 +14,16 @@ once over the group), truncated at the depth TreeConfig.depth_cap_D with
 two-sided frontier bounds: killing the frontier undercounts returns,
 granting the frontier the zero-potential return weight overcounts them,
 so every reported h (and rho) is a certified bracket; both bounds travel
-as one stacked axis through the same arithmetic.  Trajectory simulation on the
-same keyed potentials serves as an independent cross-check, not as the
-primary computation: all walkers advance together one step at a time,
-each step a few masked in-place updates of the live walkers' arrays,
-and each step uniform is keyed by (walker, step), so no walker's path
-depends on the others.
+as one stacked axis through the same arithmetic.  A truncated level-D
+bracket depends on the vertex's atom alone, a level-(D-1) one on its atom
+and its children's, and so on: a finite law's deepest levels, while their
+table of every such combination is no larger than the level, are looked
+up by an integer code per vertex instead, bit for bit.  Trajectory
+simulation on the same keyed potentials serves as an independent
+cross-check, not as the primary computation: all walkers advance
+together one step at a time, each step a few masked in-place updates of
+the live walkers' arrays, and each step uniform is keyed by (walker,
+step), so no walker's path depends on the others.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -219,15 +223,66 @@ class _Workspace:
     level counters of one forest with the level starts given, times the
     hash increment (mix_counters' words), the hashed words, the hash
     scratch, the visit survivals s and two buffers that take turns holding
-    a level's denominators and then, in place, its bracket of return weights."""
+    a level's denominators and then, in place, its bracket of return
+    weights; and tables, _bracket_tables' tables.  A table level keeps its
+    int64 codes in w[level % 2], the last one in s, so that the lookup
+    writes w[level % 2] without overlap."""
 
-    def __init__(self, starts: list[int], cells: int):
+    def __init__(self, starts: list[int], cells: int, tables: dict[int, np.ndarray]):
         self.counters = np.arange(starts[-1], dtype=np.uint64)
         self.counters *= _U64(_GAMMA)
         self.bits = np.empty(cells, dtype=np.uint64)
         self.scratch = np.empty(cells, dtype=np.uint64)
         self.s = np.empty(cells)
         self.w = (np.empty(2 * cells), np.empty(2 * cells))
+        self.tables = tables
+
+
+def _level_bracket(cfg: TreeConfig, s: np.ndarray, w: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """A level's bracket into out (2, n) from its survivals s (n,), which
+    it overwrites, and w, the bracket of the level below with each
+    vertex's d - 1 children consecutive (None below the deepest level: the
+    frontier).  Refuses a denominator not positive."""
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    if w is None:
+        w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
+        np.multiply(s, s_child * (d - 1) * w, out=out)
+    else:
+        np.multiply(s_child, _sum_children(w, d - 1, out=out), out=out)
+        np.multiply(s, out, out=out)
+    np.subtract(1.0, out, out=out)
+    if not out.min() > 0.0:  # NaN included
+        raise AssertionError("return-weight denominator not positive; bracket logic violated")
+    return np.divide(np.multiply(p, s, out=s), out, out=out)
+
+
+def _bracket_tables(cfg: TreeConfig, dist: PotentialDistribution, cells: list[int], split: int) -> dict[int, np.ndarray]:
+    """The (2, M_l) bracket tables of the table levels l, by level, for
+    cells[l] vertices a forest on level l = 0 .. D and split level m.
+
+    A vertex there carries a code: its atom index on level D, and own
+    M^(d-1) + sum_j child_j M^(d-2-j) above, M = M_{l+1}; so M_D = K and
+    M_l = K M_{l+1}^(d-1) for a finite law of K atoms.  Levels D, D - 1,
+    ... are table levels while M_l <= cells[l] and l > m; an exponential
+    law has none.  Each table runs _level_bracket over its codes, so a
+    looked-up bracket equals the computed one bit for bit."""
+    if dist.kind != "finite":
+        return {}
+    k, atoms, depth = cfg.d - 1, len(dist.atoms), len(cells) - 1
+    tables, size = {}, atoms
+    for level in range(depth, split, -1):
+        if size > cells[level]:
+            break
+        if level == depth:
+            own, w = np.arange(atoms), None
+        else:
+            below = tables[level + 1]
+            digits = np.indices((atoms,) + (below.shape[1],) * k).reshape(k + 1, -1)
+            own, w = digits[0], np.take(below, digits[1:].T.ravel(), axis=1)
+        # survival_from_bits' factor of each atom
+        tables[level] = _level_bracket(cfg, dist._survival[own], w, np.empty((2, size)))
+        size = atoms * size**k
+    return tables
 
 
 def _run_levels(
@@ -238,29 +293,32 @@ def _run_levels(
     starts, from w, the bracket of the level below the first (ignored
     below the deepest level: the frontier).  Returns the last level's
     bracket, a view into ws (w if levels is empty).  Each level mixes the
-    keys into its counters and reads the survivals straight from the words
-    (survival_from_bits).  A level of the batch lays its forests' levels
-    end to end in key order and every operation is elementwise, so a
-    forest's numbers do not depend on its batch; ws and out= ufuncs leave
-    no level-sized array to allocate but a finite law's masks of its third
-    and later atoms."""
-    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    keys into its counters.  A float level reads the survivals straight
+    from the words (survival_from_bits); a level of ws.tables reads the
+    atom indices (atom_index_from_bits) and appends the children's codes
+    as base-M digits, and the last one looks its bracket up.  A level of
+    the batch lays its forests' levels end to end in key order and every
+    operation is elementwise, so a forest's numbers do not depend on its
+    batch; ws and out= ufuncs leave no level-sized array to allocate but a
+    finite law's masks of its third and later atoms."""
+    tables = ws.tables
     for level in levels:
         counters = ws.counters[starts[level] : starts[level + 1]]
         n, shape = keys.size * counters.size, (keys.size, counters.size)
         mix_counters(keys[:, None], counters, out=ws.bits[:n].reshape(shape), scratch=ws.scratch[:n].reshape(shape))
-        s = dist.survival_from_bits(ws.bits[:n], out=ws.s[:n])
-        denom = ws.w[level % 2][: 2 * n].reshape(2, n)
-        if level == len(starts) - 2:
-            w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
-            np.multiply(s, s_child * (d - 1) * w, out=denom)
+        out = ws.w[level % 2][: 2 * n].reshape(2, n)
+        if level in tables:
+            code = (ws.w[level % 2] if level - 1 in tables else ws.s)[:n].view(np.int64)
+            dist.atom_index_from_bits(ws.bits[:n], out=code)
+            if level + 1 in tables:  # w holds the children's codes
+                m = tables[level + 1].shape[1]
+                for j in range(cfg.d - 1):
+                    code *= m
+                    code += w[j :: cfg.d - 1]
+            w = code if level - 1 in tables else np.take(tables[level], code, axis=1, mode="clip", out=out)
         else:
-            np.multiply(s_child, _sum_children(w, d - 1, out=denom), out=denom)
-            np.multiply(s, denom, out=denom)
-        np.subtract(1.0, denom, out=denom)
-        if not denom.min() > 0.0:  # NaN included
-            raise AssertionError("return-weight denominator not positive; bracket logic violated")
-        w = np.divide(np.multiply(p, s, out=s), denom, out=denom)
+            s = dist.survival_from_bits(ws.bits[:n], out=ws.s[:n])
+            w = _level_bracket(cfg, s, None if level == len(starts) - 2 else w, out)
     return w
 
 
@@ -290,6 +348,12 @@ def _branch_brackets(cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndar
     writing its level-(m + 1) bracket into the group buffer; the shallow
     phase runs levels m .. 1 once over the group.  If one chunk holds a
     group, m = 0.  All on one workspace; neither changes a digit.
+
+    A finite law's deepest levels look their brackets up in tables built
+    once a call (_bracket_tables).  The build checks the denominator of
+    every code, also of codes no vertex carries; with a valid frontier
+    every denominator is positive, so it refuses nothing the
+    vertex-by-vertex route accepts.
     """
     d, p, s_child, depth = cfg.d, cfg.p, cfg.s_child, cfg.depth_cap_D
     deepest, why = deepest_depth_cap(d, n_roots, dist)
@@ -313,7 +377,9 @@ def _branch_brackets(cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndar
         split, group = 0, chunk
     deep, shallow = range(depth, split, -1), range(split, 0, -1)
     n_group, width = min(group, keys.size), cells[split + 1]
-    ws = _Workspace(starts, max(min(chunk, keys.size) * cells[depth], n_group * cells[split]))
+    ws = _Workspace(
+        starts, max(min(chunk, keys.size) * cells[depth], n_group * cells[split]), _bracket_tables(cfg, dist, cells, split)
+    )
     buf = np.empty((2, n_group * width))
 
     def run(first: int) -> np.ndarray:

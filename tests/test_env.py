@@ -286,6 +286,10 @@ SURVIVAL_LAWS = [
     {"kind": "exponential", "rate": 1.0},
     {"kind": "exponential", "rate": 2.5},
     {"kind": "point", "value": 0.3},
+    {"kind": "finite", "atoms": [[0.0, 0.2], [0.3, 0.5], [2.0, 0.3]]},
+    {"kind": "finite", "atoms": [[0.25 * i, (i + 1) / 820] for i in range(40)]},
+    # a trailing atom of zero weight, which no word reaches
+    PotentialDistribution(kind="finite", atoms=((0.0, 0.3), (1.0, 0.7), (2.0, 0.0))),
 ]
 
 
@@ -305,4 +309,11 @@ def test_survival_from_bits_matches_the_float_route_bit_for_bit(spec):
     assert dist.survival_from_bits(bits, out=out) is out
     assert np.array_equal(out, want)
     assert np.array_equal(dist.survival_from_bits(bits.reshape(2, -1)), want.reshape(2, -1))
+    if dist.kind == "finite":
+        # the atom index picks the atom ppf reads and the factor survival_from_bits reads
+        idx = np.full(bits.shape, -1, dtype=np.int64)
+        assert dist.atom_index_from_bits(bits, out=idx) is idx
+        assert dist._values[idx].tobytes() == dist.ppf(u).tobytes()
+        assert dist._survival[idx].tobytes() == out.tobytes()
+        assert np.array_equal(dist.atom_index_from_bits(bits.reshape(2, -1)), idx.reshape(2, -1))
     assert np.array_equal(bits, kept)

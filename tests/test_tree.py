@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from killedwalk import tree
-from killedwalk.env import make_distribution
+from killedwalk.env import PotentialDistribution, make_distribution
 from killedwalk.line_solver import F_limit, two_point_a, two_point_e
 from killedwalk.tree import (
     GeodesicSpec,
@@ -40,6 +40,8 @@ DELTA0 = make_distribution({"kind": "point", "value": 0.0})
 EXP1 = make_distribution({"kind": "exponential", "rate": 1.0})
 THREE_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [0.3, 0.5], [2.0, 0.3]]})
 POINT = make_distribution({"kind": "point", "value": 0.4})
+# too many atoms for any table level above the deepest at d = 3, depth 16
+FORTY_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.05 * i, (i + 1) / 820] for i in range(40)]})
 # one visit costs more than the weight cutoff: arrival and cutoff coincide
 HEAVY = make_distribution({"kind": "point", "value": 85.0})
 
@@ -144,14 +146,26 @@ def test_point_law_recursion_stops_at_its_fixed_point():
         assert np.array_equal(got, np.broadcast_to(np.array(want)[:, None, :], got.shape))
 
 
-@pytest.mark.parametrize("frontier", [2.0, math.nan])
-def test_non_positive_denominator_is_refused(monkeypatch, frontier):
+@pytest.mark.parametrize(
+    "frontier, depth, laws",
+    [
+        pytest.param(2.0, 4, (BERN, EXP1, THREE_ATOMS), id="2.0"),
+        pytest.param(math.nan, 4, (BERN, EXP1, THREE_ATOMS), id="nan"),
+        pytest.param(1.4, 6, (BERN, THREE_ATOMS), id="1.4"),
+    ],
+)
+def test_non_positive_denominator_is_refused(monkeypatch, frontier, depth, laws):
     # d = 3: s_child (d - 1) = 2/3, so a frontier weight above 3/2 drives
-    # the denominator of a zero-potential vertex below zero; NaN is refused too
+    # the denominator of a zero-potential vertex below zero; NaN is refused
+    # too.  At 1.4 the deepest level's denominators stay >= 1 - (2/3) 1.4,
+    # but the next level's go negative below a zero-potential vertex with
+    # zero-potential children, which a finite law draws.  At depth 6
+    # Bernoulli looks both levels up in tables, so the guard of the table
+    # build must refuse
     monkeypatch.setattr(tree, "zero_potential_return_weight", lambda cfg: frontier)
-    for dist in (BERN, EXP1, THREE_ATOMS):
+    for dist in laws:
         with pytest.raises(AssertionError, match="bracket logic violated"):
-            _branch_brackets(TreeConfig(3, depth_cap_D=4), dist, stream_key(0, np.arange(2, dtype=np.uint64)), 1)
+            _branch_brackets(TreeConfig(3, depth_cap_D=depth), dist, stream_key(0, np.arange(2, dtype=np.uint64)), 1)
 
 
 def test_forest_budget_guard():
@@ -206,7 +220,7 @@ ORACLE_DEPTH = {3: 10, 4: 8, 5: 6, 10: 4}
 @given(
     d=st.sampled_from(sorted(ORACLE_DEPTH)),
     drift=st.sampled_from([None, 0.45, 0.6]),
-    dist=st.sampled_from([BERN, EXP1, THREE_ATOMS, POINT]),
+    dist=st.sampled_from([BERN, EXP1, THREE_ATOMS, POINT, FORTY_ATOMS]),
     depth=st.integers(1, 10),
     n_sites=st.integers(1, 24),
     chunk_frac=st.floats(0.0, 1.0),
@@ -239,6 +253,66 @@ def test_batched_brackets_match_one_forest_oracle(
         assert np.array_equal(w_lo[k], want_lo) and np.array_equal(w_hi[k], want_hi)
     want_lo, want_hi = _oracles.forest_bracket(cfg, dist, seed, stream_id, 1, depth)
     assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from(sorted(ORACLE_DEPTH)),
+    drift=st.sampled_from([None, 0.45, 0.6]),
+    dist=st.sampled_from([BERN, THREE_ATOMS, FORTY_ATOMS]),
+    depth=st.integers(1, 10),
+    split=st.sampled_from(["0", "D-1", "D"]),
+    seed=st.integers(0, 2**32),
+)
+def test_table_levels_match_the_vertex_route(d, drift, dist, depth, split, seed):
+    # the same bytes with every level computed vertex by vertex; one site
+    # a chunk and d sites a group, so a split at D - 1 stands
+    cfg = TreeConfig(d, drift_p=drift, depth_cap_D=min(depth, ORACLE_DEPTH[d]))
+    depth = cfg.depth_cap_D
+    m = {"0": 0, "D-1": depth - 1, "D": depth}[split]
+    streams = substream(seed % 1000, np.arange(-3, 4))
+
+    def run():
+        with mock.patch.object(tree, "_FOREST_CELL_BUDGET", (d - 2) * (d - 1) ** (depth - 1)), mock.patch.object(
+            tree, "_level_split", lambda cells, chunk: (m, d)
+        ):
+            line = reduce_to_line(cfg, dist, 1, seed, 5, r_ratio=2.0)
+            return [
+                _branch_brackets(cfg, dist, stream_key(seed, streams), 1).tobytes(),
+                _site_brackets(cfg, dist, seed, streams).tobytes(),
+                *(env.values.tobytes() for env in (line.env_mid, line.env_lower, line.env_upper)),
+            ]
+
+    with_tables = run()
+    with mock.patch.object(tree, "_bracket_tables", lambda cfg, dist, cells, split: {}):
+        assert run() == with_tables
+
+
+@pytest.mark.parametrize(
+    "dist, split, levels",
+    [
+        (BERN, None, {16, 15, 14}),
+        (THREE_ATOMS, None, {16, 15, 14}),
+        (FORTY_ATOMS, None, {16}),
+        (EXP1, None, set()),
+        (BERN, 15, {16}),  # only the deep phase takes tables
+    ],
+)
+def test_table_levels_are_derived(monkeypatch, dist, split, levels):
+    # d = 3, depth 16: a chunk is one site's forest, whose level l holds
+    # 2^(l-1) vertices, so each atom-index call names its level
+    sizes = []
+    atom_index = PotentialDistribution.atom_index_from_bits
+
+    def spy(self, bits, out=None):
+        sizes.append(bits.size)
+        return atom_index(self, bits, out)
+
+    monkeypatch.setattr(PotentialDistribution, "atom_index_from_bits", spy)
+    if split is not None:
+        monkeypatch.setattr(tree, "_level_split", lambda cells, chunk: (split, 2))
+    _site_brackets(TreeConfig(3, depth_cap_D=16), dist, 1, substream(0, np.arange(3)))
+    assert {n.bit_length() for n in sizes} == levels
 
 
 @pytest.mark.parametrize("d, depth", [(3, 7), (4, 5), (10, 3)])
