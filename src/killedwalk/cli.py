@@ -321,12 +321,21 @@ def _run_green(config: RunConfig) -> dict:
             raise ConfigError(f"bad environment_file {env_file!r}: {exc}", "environment_file") from None
         window = (env.window_lo, env.window_hi)
     else:
-        env = sample_environment(_dist_from(p), window, config.seed, stream_id)
+        dist = _dist_from(p)
+        env = sample_environment(dist, window, config.seed, stream_id)
     past_end = [n for n in n_values if n >= window[1]]
     if past_end:
         raise ConfigError(f"n_values must lie below the window's right end {window[1]}, got {past_end}", "n_values")
+    alpha_ref_ci = None
     if alpha_ref is None:
-        alpha_ref = F_limit(env, tol=tol, p=step).a_value
+        # alpha's Monte Carlo estimate, not F_limit of env (one draw of F);
+        # it exists only for the symmetric walk on a sampled law
+        if env_file or step != 0.5:
+            raise ConfigError(
+                "alpha_ref is required with an environment_file or a step_right_prob other than 0.5", "alpha_ref"
+            )
+        est = estimate_alpha_mc(dist, 1000, tol, config.seed)
+        alpha_ref, alpha_ref_ci = est.value, est.ci_halfwidth
     rows = []
     for n in n_values:
         g = green_function_window(env, 0, n, window, step)
@@ -334,7 +343,7 @@ def _run_green(config: RunConfig) -> dict:
         rows.append(
             {"n": n, "g_value": g, "neg_log_g": neg_log_g, "ratio": neg_log_g / (n * alpha_ref)}
         )
-    summary = {"alpha_ref": alpha_ref, "window": list(window)}
+    summary = {"alpha_ref": alpha_ref, "alpha_ref_ci": alpha_ref_ci, "window": list(window)}
     return {"rows": rows, "columns": CSV_COLUMNS["green"], "summary": summary}
 
 

@@ -122,7 +122,8 @@ class PotentialDistribution:
         if self.kind == "exponential":
             phi = self.rate / (self.rate + ell)
         else:
-            phi = np.exp(-np.multiply.outer(ell, self._values)) @ self._weights
+            x = np.multiply.outer(ell, self._values)  # one (len(ell), K) buffer
+            phi = np.exp(np.negative(x, out=x), out=x) @ self._weights
         return float(phi) if phi.ndim == 0 else phi
 
 

@@ -23,7 +23,9 @@ simulation on the same keyed potentials serves as an independent
 cross-check, not as the primary computation: all walkers advance
 together one step at a time, each step a few masked in-place updates of
 the live walkers' arrays, and each step uniform is keyed by (walker,
-step), so no walker's path depends on the others.
+step), so no walker's path depends on the others.  Both walker studies
+stop a walker by one rule (arrival first, then the weight cutoff, the
+horizon and the step cap) and count every walker that did not arrive.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .env import Environment, PotentialDistribution
+from .env import Environment, PotentialDistribution, make_distribution
 from .line_solver import forward_step_weights
 from .lyapunov import annealed_transfer
 from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, substream
@@ -48,8 +50,9 @@ from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, subs
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
 _FOREST_VERTEX_BUDGET = 40_000_000
-# sites whose rho midpoints summarize turning_point_decompose's line law; a
-# certified rho law is to replace this quantile summary
+# sites whose rho midpoints, at weight 1/_LINE_LAW_SITES each, make
+# turning_point_decompose's line law, a sampled law with no sampling budget;
+# a certified rho law is to replace it
 _LINE_LAW_SITES = 240
 # vertices on the deepest level of one chunk of forests: one forest at
 # d = 3, depth 16.  Two forests a chunk doubled the forest workspace (to
@@ -575,31 +578,27 @@ def _walk(
     targets: tuple[int, int],
     horizon: int,
     max_steps: int,
-    arrival_ends_step: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance n_walkers tree walkers from geodesic site start together,
     one step at a time, until each one stops.
 
     targets = (near, far), near <= far, holds the nearest and the farthest
     target site in the geodesic's order (equal for a single target); a
-    walker arrives on either.  A live walker is (geodesic site, branch level, index within
-    the level, log weight), one entry of four arrays; level 0 is the
-    geodesic itself.  Each step applies the stop rules in order: the
-    weight cutoff, arrival on a target site, and the horizon (branch level
-    plus distance to the nearer target beyond horizon).  The stopped
-    walkers are scored and dropped from the arrays; the survivors then pay
-    their vertex's potential, keyed by substream(stream_id, site) and the
-    level-order counter, and move on walker w's step-t uniform
-    keyed_uniform(seed, substream(step_stream, w), t), each move a masked
-    in-place update of the site, level and index arrays.  The site keys
-    are derived once a call, over the sites the horizon lets a walker pay
-    (within horizon of a target), and so are the walker keys.
-
-    With arrival_ends_step a walker that lands on a target is scored at
-    once, even below the weight cutoff and on its last allowed step (the
-    excursion rule).  Without it, the walker is scored at the start of its
-    next step, after the cutoff, so landing there on the last allowed step
-    counts as a step-cap loss (the passage rule).
+    walker arrives on either.  A live walker is (geodesic site, branch
+    level, index within the level, log weight), one entry of four arrays;
+    level 0 is the geodesic itself.  Before each of its max_steps steps,
+    and once more after the last, a walker meets the one stop rule, in
+    order: arrival on a target site (scored even below the weight cutoff
+    and after its last allowed step), the weight cutoff, the horizon
+    (branch level plus distance to the nearer target beyond horizon) and
+    the step cap.  The stopped walkers are scored and dropped from the
+    arrays; the survivors then pay their vertex's potential, keyed by
+    substream(stream_id, site) and the level-order counter, and move on
+    walker w's step-t uniform keyed_uniform(seed, substream(step_stream,
+    w), t), each move a masked in-place update of the site, level and
+    index arrays.  The site keys are derived once a call, over the sites
+    the horizon lets a walker pay (within horizon of a target), and so are
+    the walker keys.
 
     Returns each walker's survival weight (zero unless it arrived) and the
     cause that stopped it (_ARRIVED, _CUTOFF, _HORIZON or _STEP_CAP).
@@ -618,17 +617,14 @@ def _walk(
     level = np.zeros(n_walkers, dtype=np.int64)
     idx = np.zeros(n_walkers, dtype=np.int64)
     log_w = np.zeros(n_walkers)
-    for step in range(max_steps + arrival_ends_step):
+    for step in range(max_steps + 1):
         gap = np.abs(geo - near)
         if far != near:
             np.minimum(gap, np.abs(geo - far), out=gap)
         gap += level  # 0 exactly on a target site of the geodesic
         arrived = gap == 0
         cut = log_w < _LOG_WEIGHT_CUTOFF
-        if arrival_ends_step:
-            cut &= ~arrived
-        else:
-            arrived &= ~cut
+        cut &= ~arrived
         stop = cut | arrived
         lost = gap > horizon
         lost &= ~stop
@@ -694,12 +690,12 @@ def simulate_excursions(
 
     Walks the actual tree on the potentials the recursion bracket keys for
     the same site, and accumulates the survival weight until the walk
-    first steps onto a geodesic neighbour.  Returns (mean, standard error,
-    number of lost excursions), where the third value counts every
-    excursion that did not arrive: it exceeded max_steps, wandered past
-    the level cap, or carried a dead weight; each is scored zero.  Each
-    truncation is one-sided; _max_walk_level bounds what the level cap
-    discards.
+    first steps onto a geodesic neighbour, under _walk's stop rule.
+    Returns (mean, standard error, number of lost excursions), where the
+    third value counts every excursion that did not arrive: it carried a
+    dead weight, wandered past the level cap, or exceeded max_steps; each
+    is scored zero.  Each truncation is one-sided; _max_walk_level bounds
+    what the level cap discards.
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
@@ -709,7 +705,6 @@ def simulate_excursions(
         targets=(site_index - 1, site_index + 1),
         horizon=_max_walk_level(cfg.d) + 1,
         max_steps=max_steps,
-        arrival_ends_step=True,
     )
     return (*_mean_and_se(weight), int(np.count_nonzero(cause != _ARRIVED)))
 
@@ -732,9 +727,10 @@ def simulate_geodesic_passage(
     escape_horizon (at most the level cap) from the target are declared
     lost: a one-sided truncation whose contribution shrinks per level as
     _max_walk_level explains (for the symmetric walk, (d-1)^(-distance)).
-    Returns (mean, standard error, number of walks lost to the step cap);
-    the third value leaves out walks lost to the horizon or the weight
-    cutoff.
+    Walks stop under _walk's stop rule.  Returns (mean, standard error,
+    number of lost walks), where the third value counts every walk that
+    did not arrive: it carried a dead weight, passed the horizon, or
+    exceeded max_steps; each is scored zero.
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
@@ -749,9 +745,8 @@ def simulate_geodesic_passage(
         targets=(target, target),
         horizon=horizon,
         max_steps=max_steps,
-        arrival_ends_step=False,
     )
-    return (*_mean_and_se(weight), int(np.count_nonzero(cause == _STEP_CAP)))
+    return (*_mean_and_se(weight), int(np.count_nonzero(cause != _ARRIVED)))
 
 
 # ---------------------------------------------------------------------------
@@ -791,26 +786,13 @@ class TurningPointReport:
     a_uphill: float
     a_beyond: float
     additivity_residual: float
-    b_total: float | None
-    b_beyond: float | None
-    ln_mean_uphill_weight: float | None
-    annealed_trunc_bounds: tuple[float, float, float] | None
-    slack_longer_journey: float | None
-    slack_mean_weight: float | None
-    line_dist: PotentialDistribution | None
-
-
-def _quantize_to_atoms(samples: np.ndarray, n_atoms: int = 3) -> PotentialDistribution:
-    """Finite-support summary of sampled rho values (quantile bins)."""
-    samples = np.sort(np.asarray(samples, dtype=np.float64))
-    bins = np.array_split(samples, n_atoms)
-    atoms: dict[float, float] = {}
-    for part in bins:
-        if part.size == 0:
-            continue
-        v = float(part.mean())
-        atoms[v] = atoms.get(v, 0.0) + part.size / samples.size
-    return PotentialDistribution(kind="finite", atoms=tuple(sorted(atoms.items())))
+    b_total: float | None = None
+    b_beyond: float | None = None
+    ln_mean_uphill_weight: float | None = None
+    annealed_trunc_bounds: tuple[float, float, float] | None = None
+    slack_longer_journey: float | None = None
+    slack_mean_weight: float | None = None
+    line_dist: PotentialDistribution | None = None
 
 
 def turning_point_decompose(
@@ -829,9 +811,11 @@ def turning_point_decompose(
     1 - geodesic_step_prob and only the quenched cost is reported.  For
     0 < k < target the quenched cost splits exactly at the peak, and the
     annealed orderings are verified by the exact transfer kernel on a line
-    law: a quantile summary of the rho midpoints of _LINE_LAW_SITES sites
-    off the window, reported as line_dist.  Both cases run one forward
-    sweep over the rho midpoints of the window [barrier_r, target].
+    law: the sampled law of the rho midpoints of _LINE_LAW_SITES sites off
+    the window, each at weight 1/_LINE_LAW_SITES, reported as line_dist.
+    One forest batch brackets the sites a path from 0 to target can pay,
+    barrier_r + 1 .. target - 1, and then those surrogate sites; both
+    cases run one forward sweep over the window's rho midpoints.
     """
     n = spec.target_index
     k = spec.turning_index_k
@@ -844,25 +828,21 @@ def turning_point_decompose(
     sites = np.arange(r + 1, n)  # the sites a path from 0 to n can pay
     if k > 0:
         p_sites = np.where(sites < k, q_up, np.where(sites == k, 0.5, 1.0 - q_up))
+        surrogates = np.arange(100_000, 100_000 + _LINE_LAW_SITES)
     else:  # the ray behind the peak runs downhill throughout
         p_sites = np.full(sites.size, 1.0 - q_up)
+        surrogates = sites[:0]
 
-    env_mid = rho_environment(cfg, dist, (r, n), seed, stream_id)[1]
-    omega_mid = env_mid.slice_values(r + 1, n - 1)
-    _, log_w = forward_step_weights(omega_mid, p_sites)
+    mids = [b.midpoint for b in _site_rhos(cfg, dist, np.concatenate([sites, surrogates]), seed, stream_id)]
+    _, log_w = forward_step_weights(np.array(mids[: sites.size]), p_sites)
     a_of = lambda x, y: float(-np.sum(log_w[x - (r + 1) : y - (r + 1)]))
     a_total = a_of(0, n)
     if k <= 0:
-        return TurningPointReport(
-            a_total=a_total, a_uphill=0.0, a_beyond=a_total, additivity_residual=0.0, b_total=None,
-            b_beyond=None, ln_mean_uphill_weight=None, annealed_trunc_bounds=None,
-            slack_longer_journey=None, slack_mean_weight=None, line_dist=None,
-        )
+        return TurningPointReport(a_total=a_total, a_uphill=0.0, a_beyond=a_total, additivity_residual=0.0)
     a_uphill = a_of(0, k)
     a_beyond = a_of(k, n)
 
-    surrogates = _site_rhos(cfg, dist, np.arange(100_000, 100_000 + _LINE_LAW_SITES), seed, stream_id)
-    line_dist = _quantize_to_atoms(np.array([b.midpoint for b in surrogates]))
+    line_dist = make_distribution({"kind": "finite", "atoms": [[m, 1 / _LINE_LAW_SITES] for m in mids[sites.size :]]})
     total = annealed_transfer(line_dist, n, r, p_sites)
     beyond = annealed_transfer(line_dist, n, r, p_sites, start=k)
     uphill = annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)])

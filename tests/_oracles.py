@@ -567,8 +567,10 @@ def simulate_geodesic_passage(
     escape_horizon from the target are declared lost: a one-sided
     truncation whose contribution shrinks per level by
     _depth_truncation_factor (for the symmetric walk, (d-1)^(-distance)).
-    Returns (mean, standard error, walks lost to the step cap rather than
-    the horizon, each walk's weight, each walk's stop cause).
+    Before each step and once after the last, the stop rules run in order:
+    arrival, the weight cutoff, the horizon, the step cap.  Returns (mean,
+    standard error, walks that did not arrive, each walk's weight, each
+    walk's stop cause).
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
@@ -598,18 +600,21 @@ def simulate_geodesic_passage(
         walker_stream = substream(step_stream, walker)
         geo, level, idx = 0, 0, 0
         log_weight = 0.0
-        for step in range(max_steps):
+        for step in range(max_steps + 1):
+            if level == 0 and geo == target:
+                weights[walker] = np.exp(log_weight)  # numpy's exp, as above
+                causes[walker] = _ARRIVED
+                break
             if log_weight < _LOG_WEIGHT_CUTOFF:
-                causes[walker] = _CUTOFF  # contributes below 2e-35 even if it would arrive
+                causes[walker] = _CUTOFF  # contributes below 2e-35 even if it would arrive later
+                break
+            if level + abs(target - geo) > escape_horizon:
+                causes[walker] = _HORIZON  # certified negligible hitting probability
+                break
+            if step == max_steps:
+                causes[walker] = _STEP_CAP
                 break
             if level == 0:
-                if geo == target:
-                    weights[walker] = np.exp(log_weight)  # numpy's exp, as above
-                    causes[walker] = _ARRIVED
-                    break
-                if (target - geo) > escape_horizon:
-                    causes[walker] = _HORIZON  # certified negligible hitting probability
-                    break
                 log_weight -= omega_of(geo)
                 u = float(keyed_uniform(seed, walker_stream, step))
                 if u < p:
@@ -620,9 +625,6 @@ def simulate_geodesic_passage(
                     branch = int((u - (p + s_child)) / s_child)
                     level, idx = 1, min(branch, d - 3)
             else:
-                if level + abs(target - geo) > escape_horizon:
-                    causes[walker] = _HORIZON
-                    break
                 f = forest_of(geo)
                 log_weight -= f.value(f.counter(level, idx))
                 u = float(keyed_uniform(seed, walker_stream, step))
@@ -631,6 +633,4 @@ def simulate_geodesic_passage(
                 else:
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
-        else:
-            causes[walker] = _STEP_CAP
-    return _walker_summary(weights, causes, int(np.count_nonzero(causes == _STEP_CAP)))
+    return _walker_summary(weights, causes, int(np.count_nonzero(causes != _ARRIVED)))

@@ -243,7 +243,7 @@ def test_tree_reduce_emits_consumable_environment(tmp_path):
         "green.json",
         {
             "command": "green",
-            "params": {"environment_file": str(tmp_path / "t.rho-env.json"), "n_values": [1, 2]},
+            "params": {"environment_file": str(tmp_path / "t.rho-env.json"), "n_values": [1, 2], "alpha_ref": 1.0},
         },
     )
     assert run_cli(tmp_path, "--config", green_cfg, "--out", "g") == 0
@@ -270,6 +270,32 @@ def test_green_ratio_close_to_one_for_constant_potential(tmp_path):
     ratios = [float(line.split(",")[3]) for line in rows]
     assert abs(ratios[0] - 1.0) <= 0.15
     assert abs(ratios[0] - 1.0) >= abs(ratios[1] - 1.0) >= abs(ratios[2] - 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_green_ratio_on_a_random_law_is_near_one(tmp_path, seed):
+    # the default alpha_ref estimates alpha; one draw of F gave ratios 0.60 to 2.78 here
+    argv = ["green", "-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "n_values=[90]", "--seed", str(seed)]
+    assert run_cli(tmp_path, *argv, "--format", "json", "--out", "g") == 0
+    data = json.loads((tmp_path / "g.json").read_text())
+    alpha = estimate_alpha_mc(make_distribution(BERN_SPEC), 1000, 1e-9, seed)
+    assert (data["summary"]["alpha_ref"], data["summary"]["alpha_ref_ci"]) == (alpha.value, alpha.ci_halfwidth)
+    assert abs(data["rows"][0]["ratio"] - 1.0) <= 0.2
+
+
+def test_green_without_an_alpha_estimate_needs_alpha_ref(tmp_path, capsys):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"window_lo": -3, "window_hi": 3, "values": [0.5] * 7}))
+    dist = f"distribution={json.dumps(CONST_SPEC)}"
+    for extra in ([f"environment_file={json.dumps(str(env))}"], [dist, "step_right_prob=0.6"]):
+        argv = ["green", "-P", "n_values=[1]", "-P", "window=[-20,20]"]
+        for text in extra:
+            argv += ["-P", text]
+        assert run_cli(tmp_path, *argv, "--out", "g") == 2, extra
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "alpha_ref" and "alpha_ref" in record["error"], record
+        assert run_cli(tmp_path, *argv, "-P", "alpha_ref=0.7", "--out", "g") == 0, extra
+        capsys.readouterr()
 
 
 def test_bad_green_n_values_fail_with_field_name(tmp_path, capsys):
@@ -470,12 +496,12 @@ def test_integers_keep_every_bit_and_no_float_overflows(tmp_path, capsys):
 
 
 def test_a_refusal_that_depends_on_the_data_exits_1(tmp_path, capsys):
-    # the window is a valid value; no barrier fits left of the origin in it
-    argv = ["green", "-P", f"distribution={json.dumps(CONST_SPEC)}", "-P", "window=[-1,5]", "-P", "n_values=[2]"]
-    assert run_cli(tmp_path, *argv, "--out", "g") == 1
+    # the law is a valid value; its annealed survival weight underflows
+    argv = ["beta", "-P", 'distribution={"kind": "point", "value": 800}', "-P", "n_grid=[2]"]
+    assert run_cli(tmp_path, *argv, "--out", "b") == 1
     record = json.loads(capsys.readouterr().err)
-    assert record["field"] == "" and record["exit_code"] == 1, record
-    assert not (tmp_path / "g.csv").exists()
+    assert record["field"] == "" and record["exit_code"] == 1 and "underflows" in record["error"], record
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_a_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,28 @@ def test_laplace_accepts_an_array_of_counts():
         table = d.laplace(np.arange(6))
         assert table.shape == (6,)
         assert table.tolist() == [d.laplace(ell) for ell in range(6)]
+    # a finite law's table is the plain expression, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        k = int(rng.integers(1, 301))
+        weights = rng.random(k) + 0.01
+        law = make_distribution({"kind": "finite", "atoms": np.c_[rng.exponential(2.0, k), weights / weights.sum()].tolist()})
+        ell = rng.random(int(rng.integers(1, 901))) * 200.0
+        values, probs = np.array(law.atoms).T
+        assert law.laplace(ell).tobytes() == (np.exp(-np.multiply.outer(ell, values)) @ probs).tobytes()
+
+
+def test_laplace_of_a_finite_law_allocates_one_table():
+    atoms = [[0.01 * i, 1 / 240] for i in range(240)]
+    law, ell = make_distribution({"kind": "finite", "atoms": atoms}), np.arange(153.0)
+    tracemalloc.start()
+    try:
+        law.laplace(ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (153, 240) table once, not its negation and exponential beside it
+    assert peak < 1.75 * 153 * 240 * 8
 
 
 def test_delta_zero_flag():

@@ -33,7 +33,7 @@ from killedwalk.tree import (
     zero_potential_return_weight,
 )
 from killedwalk.rng import stream_key, substream
-from killedwalk.tree import _branch_brackets, _level_starts, _max_walk_level, _quantize_to_atoms, _site_brackets
+from killedwalk.tree import _branch_brackets, _level_starts, _max_walk_level, _site_brackets
 
 BERN = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
 DELTA0 = make_distribution({"kind": "point", "value": 0.0})
@@ -610,13 +610,22 @@ def test_walkers_match_scalar_walker_through_every_stop_cause(study, args):
     assert set(cause.tolist()) == {tree._ARRIVED, tree._CUTOFF, tree._HORIZON, tree._STEP_CAP}
 
 
-@pytest.mark.parametrize("arrival_ends_step", [True, False])
-def test_a_walker_does_not_depend_on_how_many_walk(arrival_ends_step):
+def test_passage_counts_every_walk_that_did_not_arrive():
+    # a loss to the weight cutoff or the horizon counts as much as one to the step cap
+    args = (TreeConfig(3), BERN, 2, 1000, 0)
+    weight, cause = _walk_arrays(simulate_geodesic_passage, args)
+    lost = simulate_geodesic_passage(*args)[2]
+    assert np.bincount(cause, minlength=4).tolist() == [258, 398, 344, 0]  # arrived, cutoff, horizon, step cap
+    assert lost == np.count_nonzero(cause != tree._ARRIVED) == 742
+    assert np.count_nonzero(weight) == 1000 - lost
+
+
+def test_a_walker_does_not_depend_on_how_many_walk():
     # each step uniform is keyed by (walker, step): walkers added later, or
     # walkers stopping early, leave the first ones' paths alone
     def walk(n_walkers):
         cfg = TreeConfig(3, drift_p=0.45)
-        return tree._walk(cfg, BERN, 7, 3, 11, n_walkers, 4, (2, 6), 8, 400, arrival_ends_step)
+        return tree._walk(cfg, BERN, 7, 3, 11, n_walkers, 4, (2, 6), 8, 400)
 
     few, many = walk(6), walk(300)
     assert all(np.array_equal(a, b[:6]) for a, b in zip(few, many))
@@ -733,7 +742,27 @@ def test_turning_point_surrogates_match_one_forest_oracle(cfg):
     mids = [
         _oracles.rho_midpoint(cfg, BERN, 100_000 + i, 13, 5, cfg.depth_cap_D) for i in range(tree._LINE_LAW_SITES)
     ]
-    assert report.line_dist == _quantize_to_atoms(np.array(mids))
+    # the empirical law of the oracle midpoints
+    values, counts = np.unique(mids, return_counts=True)
+    got = np.array(report.line_dist.atoms)
+    assert got[:, 0].tolist() == values.tolist()
+    assert got[:, 1] == pytest.approx(counts / tree._LINE_LAW_SITES, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 0, -1])
+def test_turning_point_brackets_every_site_in_one_forest_batch(k):
+    calls = []
+    brackets = tree._branch_brackets
+
+    def spy(cfg, dist, keys, n_roots):
+        calls.append(keys.size)
+        return brackets(cfg, dist, keys, n_roots)
+
+    spec = GeodesicSpec(kind="turning-point", turning_index_k=k, target_index=4)
+    with mock.patch.object(tree, "_branch_brackets", spy):
+        turning_point_decompose(spec, TreeConfig(3, drift_p=0.45, depth_cap_D=6), BERN, seed=2, barrier_r=-3)
+    # the window's sites -2 .. 3, then the line law's surrogates when k > 0
+    assert calls == [6 + (tree._LINE_LAW_SITES if k > 0 else 0)]
 
 
 def test_turning_point_invalid_k():
