@@ -620,12 +620,16 @@ def test_passage_counts_every_walk_that_did_not_arrive():
     assert np.count_nonzero(weight) == 1000 - lost
 
 
-def test_a_walker_does_not_depend_on_how_many_walk():
+@pytest.mark.parametrize("two_targets", [True, False])
+def test_a_walker_does_not_depend_on_how_many_walk(two_targets):
     # each step uniform is keyed by (walker, step): walkers added later, or
-    # walkers stopping early, leave the first ones' paths alone
+    # walkers stopping early, leave the first ones' paths alone, with a
+    # target on either side of the start or a single one
+    targets = (2, 6) if two_targets else (6, 6)
+
     def walk(n_walkers):
         cfg = TreeConfig(3, drift_p=0.45)
-        return tree._walk(cfg, BERN, 7, 3, 11, n_walkers, 4, (2, 6), 8, 400)
+        return tree._walk(cfg, BERN, 7, 3, 11, n_walkers, 4, targets, 8, 400)
 
     few, many = walk(6), walk(300)
     assert all(np.array_equal(a, b[:6]) for a, b in zip(few, many))
