@@ -48,18 +48,20 @@ bound = bern.mean + math.log(cfg.d / 2.0)
 print(f"  one-step bound on the mean effective potential: E[omega] + ln(d/2) = {bound:.4f}")
 
 site = 2
-mean, se, _ = simulate_excursions(cfg, bern, site_index=site, n_excursions=50_000, seed=5)
+excursions = simulate_excursions(cfg, bern, site_index=site, n_excursions=50_000, seed=5)
+mean, se, _ = excursions
 h = seq[site].h_bracket
 print(f"\n  cross-check at site {site}: simulated excursion survival {mean:.5f} +- {se:.5f} "
-      f"vs bracket [{h.lower:.5f}, {h.upper:.5f}]")
+      f"(stop budget {excursions.trunc_budget:.1e}) vs bracket [{h.lower:.5f}, {h.upper:.5f}]")
 
 print("\n== two models, one number ==")
 model = reduce_to_line(cfg, bern, n=2, seed=23, r_ratio=8.0)
 line = F_limit(model.env_mid, tol=1e-9, p=model.step_right_prob)
-tree_mc, tree_se, _ = simulate_geodesic_passage(cfg, bern, target=1, n_walks=15_000, seed=23)
+passage = simulate_geodesic_passage(cfg, bern, target=1, n_walks=15_000, seed=23)
+tree_mc, tree_se, _ = passage
 print(f"  effective line: survival to the next geodesic site = {line.e_value:.5f} "
       f"(bracket halfwidth {model.max_halfwidth:.1e})")
-print(f"  full tree walk: {tree_mc:.5f} +- {tree_se:.5f}")
+print(f"  full tree walk: {tree_mc:.5f} +- {tree_se:.5f} (stop budget {passage.trunc_budget:.1e})")
 
 print("\n== drift ==")
 for p in (1 / 3, 0.5, 0.8):

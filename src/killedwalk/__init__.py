@@ -58,6 +58,7 @@ from .tree import (
     RhoPotential,
     TreeConfig,
     TurningPointReport,
+    WalkerEstimate,
     branch_return_weight,
     excursion_survival_h,
     first_passage_gf,

@@ -24,8 +24,9 @@ cross-check, not as the primary computation: all walkers advance
 together one step at a time, each step a few masked in-place updates of
 the live walkers' arrays, and each step uniform is keyed by (walker,
 step), so no walker's path depends on the others.  Both walker studies
-stop a walker by one rule (arrival first, then the weight cutoff, the
-horizon and the step cap) and count every walker that did not arrive.
+stop a walker by one rule (arrival first, then the certified bound on what
+it can still score, the horizon and the step cap), count every walker that
+did not arrive and add that bound of each to a reported budget.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -60,21 +61,18 @@ _LINE_LAW_SITES = 240
 # levels get their batching from the groups of _level_split instead,
 # through a group buffer of a quarter of this many cells a bound
 _FOREST_CELL_BUDGET = 2**15
-_LOG_WEIGHT_CUTOFF = -80.0  # a walk this dead contributes < 2e-35 to any mean
+_LOG_BOUND_CUTOFF = -40.0  # a walker stops once it can score < e^-40 ~ 4e-18 (_max_walk_level)
 
 
 def _max_walk_level(d: int) -> int:
     """Deepest branch level trajectory simulation follows.
 
     Level-order counters through level L number (d-1)^L - 1, which must
-    stay inside int64.  For the symmetric walk a trajectory at that depth
-    returns to the geodesic with probability at most (d-1)^(-L) < 3e-19,
-    so declaring it lost is far below Monte Carlo noise.  Under drift p a
-    trajectory dropped at depth L had to get down there (per-level passage
-    min(1, (1-p)/p)) and would have to come back up (per-level return
-    min(1, p/(1-p))), so it carries a factor [min(p, 1-p)/max(p, 1-p)]^L:
-    this vanishes fast except at p = 1/2 exactly, where dropped
-    trajectories are only controlled through the reported lost counters.
+    stay inside int64.  A walker at level L with log weight l must climb
+    L levels to score, each at most r = zero_potential_return_weight
+    (gambler's ruin; potentials are >= 0), so it can still score at most
+    e^l r^L.  _walk stops it once that is below e^_LOG_BOUND_CUTOFF, for
+    the symmetric walk at d <= 20 always above this level.
     """
     return int(62 / math.log2(d - 1))
 
@@ -564,7 +562,7 @@ def reduce_to_line(
 # ---------------------------------------------------------------------------
 
 
-_ARRIVED, _CUTOFF, _HORIZON, _STEP_CAP = range(4)  # why a walker stopped
+_ARRIVED, _BOUND, _HORIZON, _STEP_CAP = range(4)  # why a walker stopped
 
 
 def _walk(
@@ -588,20 +586,22 @@ def _walk(
     level, index within the level, log weight), one entry of four arrays;
     level 0 is the geodesic itself.  Before each of its max_steps steps,
     and once more after the last, a walker meets the one stop rule, in
-    order: arrival on a target site (scored even below the weight cutoff
-    and after its last allowed step), the weight cutoff, the horizon
-    (branch level plus distance to the nearer target beyond horizon) and
-    the step cap.  The stopped walkers are scored and dropped from the
-    arrays; the survivors then pay their vertex's potential, keyed by
-    substream(stream_id, site) and the level-order counter, and move on
-    walker w's step-t uniform keyed_uniform(seed, substream(step_stream,
-    w), t), each move a masked in-place update of the site, level and
+    order: arrival on a target site (scored even after its last allowed
+    step), the bound l + L ln r < _LOG_BOUND_CUTOFF of _max_walk_level,
+    the horizon (branch level plus distance to the nearer target beyond
+    horizon) and the step cap.  The stopped walkers are scored and dropped
+    from the arrays; the survivors then pay their vertex's potential,
+    keyed by substream(stream_id, site) and the level-order counter, and
+    move on walker w's step-t uniform keyed_uniform(seed,
+    substream(step_stream, w), t), each move a masked in-place update of the site, level and
     index arrays.  The site keys are derived once a call, over the sites
     the horizon lets a walker pay (within horizon of a target), and so are
     the walker keys.
 
-    Returns each walker's survival weight (zero unless it arrived) and the
-    cause that stopped it (_ARRIVED, _CUTOFF, _HORIZON or _STEP_CAP).
+    Returns each walker's score e^(l + L ln r) at its stop (its survival
+    weight if it arrived, L = 0 there; else the most it could still score)
+    and the cause that stopped it (_ARRIVED, _BOUND, _HORIZON or
+    _STEP_CAP).
     """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
     s_geo = p + s_child
@@ -609,7 +609,8 @@ def _walk(
     near, far = targets
     lo = near - horizon  # the horizon stops a walker below lo before it pays
     site_key = stream_key(seed, substream(stream_id, np.arange(lo, far + horizon + 1)))
-    weight = np.zeros(n_walkers)
+    ln_r = math.log(zero_potential_return_weight(cfg))
+    score = np.zeros(n_walkers)
     cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
     walker = np.arange(n_walkers)
     step_key = stream_key(seed, substream(step_stream, walker))
@@ -623,21 +624,24 @@ def _walk(
             np.minimum(gap, np.abs(geo - far), out=gap)
         gap += level  # 0 exactly on a target site of the geodesic
         arrived = gap == 0
-        cut = log_w < _LOG_WEIGHT_CUTOFF
+        bound = level * ln_r
+        bound += log_w  # log_w exactly where level is 0
+        cut = bound < _LOG_BOUND_CUTOFF
         cut &= ~arrived
         stop = cut | arrived
         lost = gap > horizon
         lost &= ~stop
         stop |= lost
+        if step == max_steps:
+            stop[:] = True  # the rest keep cause _STEP_CAP
         if stop.any():
-            scored = walker[arrived]
-            weight[scored] = np.exp(log_w[arrived])
-            cause[scored] = _ARRIVED
-            cause[walker[cut]] = _CUTOFF
+            score[walker[stop]] = np.exp(bound[stop])
+            cause[walker[arrived]] = _ARRIVED
+            cause[walker[cut]] = _BOUND
             cause[walker[lost]] = _HORIZON
             live = ~stop
             walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
-        if walker.size == 0 or step == max_steps:
+        if walker.size == 0:
             break
         counters = _as_u64(starts[level] + idx) * _U64(_GAMMA)
         log_w -= dist.ppf(_uniform(mix_counters(site_key[geo - lo], counters, out=counters)))
@@ -667,14 +671,39 @@ def _walk(
         along_down &= on_geo
         along_down ^= uphill
         geo -= along_down
-    return weight, cause
+    return score, cause
 
 
-def _mean_and_se(weight: np.ndarray) -> tuple[float, float]:
+class WalkerEstimate(tuple):
+    """(mean, standard error, walkers lost) of a walker study.  A walker
+    stopped short of arrival (by the bound, the horizon or the step cap)
+    scores zero but could still have scored e^(l + L ln r)
+    (_max_walk_level); with trunc_budget, the mean of those bounds over
+    all walkers, the estimated weight lies in [E[mean], E[mean +
+    trunc_budget]].  lost_by_cause counts the lost walkers by cause:
+    "bound", "horizon", "step_cap"."""
+
+    trunc_budget = property(lambda self: self._budget)
+    lost_by_cause = property(lambda self: dict(self._lost))
+
+
+def _estimate(score: np.ndarray, cause: np.ndarray) -> WalkerEstimate:
+    arrived = cause == _ARRIVED
+    weight = np.where(arrived, score, 0.0)
     n = weight.size
     mean = float(weight.sum()) / n
     var = max(float((weight * weight).sum()) / n - mean**2, 0.0)
-    return mean, math.sqrt(var / n)
+    counts = np.bincount(cause, minlength=4).tolist()
+    out = WalkerEstimate((mean, math.sqrt(var / n), n - counts[_ARRIVED]))
+    out._budget = float(score[~arrived].sum()) / n
+    out._lost = dict(zip(("bound", "horizon", "step_cap"), counts[_BOUND:]))
+    return out
+
+
+def _count(name: str, value, least: int) -> None:
+    """Refuse value unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def simulate_excursions(
@@ -685,28 +714,26 @@ def simulate_excursions(
     seed: int = 0,
     stream_id: int = 0,
     max_steps: int = 100_000,
-) -> tuple[float, float, int]:
+) -> WalkerEstimate:
     """Monte Carlo estimate of the excursion survival weight h of one site.
 
     Walks the actual tree on the potentials the recursion bracket keys for
     the same site, and accumulates the survival weight until the walk
     first steps onto a geodesic neighbour, under _walk's stop rule.
-    Returns (mean, standard error, number of lost excursions), where the
-    third value counts every excursion that did not arrive: it carried a
-    dead weight, wandered past the level cap, or exceeded max_steps; each
-    is scored zero.  Each truncation is one-sided; _max_walk_level bounds
-    what the level cap discards.
+    Returns a WalkerEstimate: (mean, standard error, number of lost
+    excursions), each lost one scored zero, with trunc_budget and
+    lost_by_cause.
     """
-    if n_excursions < 1:
-        raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
-    weight, cause = _walk(
+    _count("n_excursions", n_excursions, 1)
+    _count("max_steps", max_steps, 0)
+    score, cause = _walk(
         cfg, dist, seed, stream_id, substream(_EXCURSION_TAG, substream(stream_id, site_index)), n_excursions,
         start=site_index,
         targets=(site_index - 1, site_index + 1),
         horizon=_max_walk_level(cfg.d) + 1,
         max_steps=max_steps,
     )
-    return (*_mean_and_se(weight), int(np.count_nonzero(cause != _ARRIVED)))
+    return _estimate(score, cause)
 
 
 def simulate_geodesic_passage(
@@ -718,35 +745,32 @@ def simulate_geodesic_passage(
     stream_id: int = 0,
     escape_horizon: int = 60,
     max_steps: int = 1_000_000,
-) -> tuple[float, float, int]:
+) -> WalkerEstimate:
     """Monte Carlo estimate of the survival weight from geodesic site 0 to
     geodesic site target > 0 by walking the full tree.
 
     The same per-site streams as the reduction are used, so this estimates
     the quantity the effective line model computes.  Walks farther than
     escape_horizon (at most the level cap) from the target are declared
-    lost: a one-sided truncation whose contribution shrinks per level as
-    _max_walk_level explains (for the symmetric walk, (d-1)^(-distance)).
-    Walks stop under _walk's stop rule.  Returns (mean, standard error,
-    number of lost walks), where the third value counts every walk that
-    did not arrive: it carried a dead weight, passed the horizon, or
-    exceeded max_steps; each is scored zero.
+    lost.  Walks stop under _walk's stop rule.  Returns a WalkerEstimate:
+    (mean, standard error, number of lost walks), each lost one scored
+    zero, with trunc_budget and lost_by_cause.
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
-    if n_walks < 1:
-        raise ValueError(f"n_walks must be >= 1, got {n_walks}")
+    _count("n_walks", n_walks, 1)
+    _count("max_steps", max_steps, 0)
     horizon = min(escape_horizon, _max_walk_level(cfg.d))
     if horizon < target:
         raise ValueError(f"escape_horizon {horizon} (after the level cap) is below target {target}")
-    weight, cause = _walk(
+    score, cause = _walk(
         cfg, dist, seed, stream_id, substream(_PASSAGE_TAG, stream_id), n_walks,
         start=0,
         targets=(target, target),
         horizon=horizon,
         max_steps=max_steps,
     )
-    return (*_mean_and_se(weight), int(np.count_nonzero(cause != _ARRIVED)))
+    return _estimate(score, cause)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from killedwalk.lyapunov import _log_kernel_tails, _log_transfer
 from killedwalk.rng import keyed_uniform, substream
 from killedwalk.tree import (
     _ARRIVED,
-    _CUTOFF,
+    _BOUND,
     _EXCURSION_TAG,
     _FOREST_VERTEX_BUDGET,
     _HORIZON,
-    _LOG_WEIGHT_CUTOFF,
+    _LOG_BOUND_CUTOFF,
     _PASSAGE_TAG,
     _STEP_CAP,
     TreeConfig,
@@ -476,27 +476,28 @@ def simulate_excursions(
     seed: int = 0,
     stream_id: int = 0,
     max_steps: int = 100_000,
-) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+) -> tuple[float, float, int, float, np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the excursion survival weight h of one site.
 
     Walks the actual tree with lazily keyed potentials (identical keys to
     the recursion bracket for the same site) and accumulates the survival
     weight until the walk first steps onto a geodesic neighbour.  Returns
-    (mean, standard error, number of lost excursions, each excursion's
-    weight, each excursion's stop cause); an excursion is lost, and scored
-    zero, if it exceeds max_steps, wanders below the escape level, or
-    carries a dead weight.  Each truncation is one-sided;
-    depth losses are bounded per level by _depth_truncation_factor, which
-    is negligible except at drift 1/2 exactly, where the lost counter is
-    the honest measure of what was discarded.
+    (mean, standard error, number of lost excursions, truncation budget,
+    each excursion's score, each excursion's stop cause); an excursion is
+    lost, and scored zero in the mean, if it can no longer score
+    e^_LOG_BOUND_CUTOFF, wanders below the escape level, or exceeds
+    max_steps.  Its score is its weight if it arrived and otherwise
+    e^(log weight + level ln r), the most it could still score, and the
+    budget sums the lost ones' scores over n_excursions.
     """
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    ln_r = math.log(zero_potential_return_weight(cfg))
     level_cap = _max_walk_level(d)
     site_stream = substream(stream_id, site_index)
     forest = _LazyForestPotentials(cfg, dist, seed, site_stream)
     omega_site = float(ppf(dist, keyed_uniform(seed, site_stream, 0)))
     step_stream = substream(_EXCURSION_TAG, site_stream)
-    weights = np.zeros(n_excursions)
+    scores = np.zeros(n_excursions)
     causes = np.empty(n_excursions, dtype=np.int8)
     for walker in range(n_excursions):
         walker_stream = substream(step_stream, walker)
@@ -504,8 +505,10 @@ def simulate_excursions(
         log_weight = 0.0
         # the stop rules run before every step and once more after the last
         for step in range(max_steps + 1):
-            if log_weight < _LOG_WEIGHT_CUTOFF:
-                causes[walker] = _CUTOFF
+            bound = level * ln_r + log_weight
+            scores[walker] = np.exp(bound)  # numpy's exp, as below
+            if bound < _LOG_BOUND_CUTOFF:
+                causes[walker] = _BOUND
                 break
             if level > level_cap:
                 causes[walker] = _HORIZON
@@ -519,7 +522,7 @@ def simulate_excursions(
                 if u < p + s_child:
                     # numpy's exp: math.exp differs from it in the last bit
                     # on about one argument in twenty
-                    weights[walker] = np.exp(log_weight)  # stepped onto the geodesic
+                    scores[walker] = np.exp(log_weight)  # stepped onto the geodesic
                     causes[walker] = _ARRIVED
                     break
                 branch = int((u - (p + s_child)) / s_child)
@@ -532,21 +535,26 @@ def simulate_excursions(
                 else:
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
-    return _walker_summary(weights, causes, int(np.count_nonzero(causes != _ARRIVED)))
+    return _walker_summary(scores, causes)
 
 
-def _walker_summary(weights: np.ndarray, causes: np.ndarray, n_lost: int):
-    """(mean, standard error, n_lost, weights, causes), the sums taken one
-    walker at a time."""
-    total = 0.0
-    total_sq = 0.0
-    for weight in weights.tolist():
-        total += weight
-        total_sq += weight * weight
-    n = weights.size
+def _walker_summary(scores: np.ndarray, causes: np.ndarray):
+    """(mean, standard error, n_lost, truncation budget, scores, causes),
+    the sums taken one walker at a time: the mean over the arrived
+    walkers' scores, the budget over the others'."""
+    total = total_sq = budget = 0.0
+    n_lost = 0
+    for score, cause in zip(scores.tolist(), causes.tolist()):
+        if cause == _ARRIVED:
+            total += score
+            total_sq += score * score
+        else:
+            budget += score
+            n_lost += 1
+    n = scores.size
     mean = total / n
     var = max(total_sq / n - mean**2, 0.0)
-    return mean, math.sqrt(var / n), n_lost, weights, causes
+    return mean, math.sqrt(var / n), n_lost, budget / n, scores, causes
 
 
 def simulate_geodesic_passage(
@@ -558,23 +566,23 @@ def simulate_geodesic_passage(
     stream_id: int = 0,
     escape_horizon: int = 60,
     max_steps: int = 1_000_000,
-) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+) -> tuple[float, float, int, float, np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the survival weight from geodesic site 0 to
     geodesic site target > 0 by walking the full tree.
 
     The same per-site streams as the reduction are used, so this estimates
     the quantity the effective line model computes.  Walks farther than
-    escape_horizon from the target are declared lost: a one-sided
-    truncation whose contribution shrinks per level by
-    _depth_truncation_factor (for the symmetric walk, (d-1)^(-distance)).
-    Before each step and once after the last, the stop rules run in order:
-    arrival, the weight cutoff, the horizon, the step cap.  Returns (mean,
-    standard error, walks that did not arrive, each walk's weight, each
-    walk's stop cause).
+    escape_horizon from the target are declared lost.  Before each step
+    and once after the last, the stop rules run in order: arrival, the
+    bound e^(log weight + level ln r) below e^_LOG_BOUND_CUTOFF, the
+    horizon, the step cap.  Returns (mean, standard error, walks that did
+    not arrive, truncation budget, each walk's score, each walk's stop
+    cause), as simulate_excursions does.
     """
     if target <= 0:
         raise ValueError("target must be a positive geodesic index")
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    ln_r = math.log(zero_potential_return_weight(cfg))
     escape_horizon = min(escape_horizon, _max_walk_level(d))
     forests: dict[int, _LazyForestPotentials] = {}
     site_omega: dict[int, float] = {}
@@ -594,19 +602,20 @@ def simulate_geodesic_passage(
         return v
 
     step_stream = substream(_PASSAGE_TAG, stream_id)
-    weights = np.zeros(n_walks)
+    scores = np.zeros(n_walks)
     causes = np.empty(n_walks, dtype=np.int8)
     for walker in range(n_walks):
         walker_stream = substream(step_stream, walker)
         geo, level, idx = 0, 0, 0
         log_weight = 0.0
         for step in range(max_steps + 1):
+            bound = level * ln_r + log_weight
+            scores[walker] = np.exp(bound)  # numpy's exp, as above
             if level == 0 and geo == target:
-                weights[walker] = np.exp(log_weight)  # numpy's exp, as above
                 causes[walker] = _ARRIVED
                 break
-            if log_weight < _LOG_WEIGHT_CUTOFF:
-                causes[walker] = _CUTOFF  # contributes below 2e-35 even if it would arrive later
+            if bound < _LOG_BOUND_CUTOFF:
+                causes[walker] = _BOUND  # could score below 4e-18 even if it would arrive later
                 break
             if level + abs(target - geo) > escape_horizon:
                 causes[walker] = _HORIZON  # certified negligible hitting probability
@@ -633,4 +642,4 @@ def simulate_geodesic_passage(
                 else:
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
-    return _walker_summary(weights, causes, int(np.count_nonzero(causes != _ARRIVED)))
+    return _walker_summary(scores, causes)

@@ -42,8 +42,11 @@ THREE_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [0.3, 0
 POINT = make_distribution({"kind": "point", "value": 0.4})
 # too many atoms for any table level above the deepest at d = 3, depth 16
 FORTY_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.05 * i, (i + 1) / 820] for i in range(40)]})
-# one visit costs more than the weight cutoff: arrival and cutoff coincide
+# one visit costs more than the bound cutoff: arrival and the bound coincide
 HEAVY = make_distribution({"kind": "point", "value": 85.0})
+# one visit to the rare atom costs more than the bound cutoff, so drifted
+# walkers that miss it can reach the level cap or the step cap alive
+RARE = make_distribution({"kind": "finite", "atoms": [[0.0, 0.99], [45.0, 0.01]]})
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +507,17 @@ def test_excursion_simulation_falls_inside_bracket():
 
 def test_walkers_reject_bad_counts_and_horizons():
     cfg = TreeConfig(3)
-    for n in (0, -5):
+    for n in (0, -5, True, 5.0, "5"):
         with pytest.raises(ValueError, match="n_excursions"):
             simulate_excursions(cfg, BERN, n_excursions=n)
-    with pytest.raises(ValueError, match="n_walks"):
-        simulate_geodesic_passage(cfg, BERN, n_walks=-3)
+        with pytest.raises(ValueError, match="n_walks"):
+            simulate_geodesic_passage(cfg, BERN, n_walks=n)
+    for steps in (-1, -7, False, 3.0):
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate_excursions(cfg, BERN, n_excursions=5, max_steps=steps)
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate_geodesic_passage(cfg, BERN, n_walks=5, max_steps=steps)
+    assert simulate_excursions(cfg, BERN, n_excursions=np.int64(5), max_steps=np.int32(0))[2] == 5
     with pytest.raises(ValueError, match="escape_horizon"):
         simulate_geodesic_passage(cfg, BERN, target=5, n_walks=10, escape_horizon=4)
     with pytest.raises(ValueError, match="escape_horizon"):
@@ -571,9 +580,9 @@ def _walk_arrays(study, args):
 
 
 def _assert_walkers_match_scalar(study, args):
-    weight, cause = _walk_arrays(study, args)
-    *_, want_weight, want_cause = getattr(_oracles, study.__name__)(*args)
-    assert np.array_equal(weight, want_weight)
+    score, cause = _walk_arrays(study, args)
+    *_, want_score, want_cause = getattr(_oracles, study.__name__)(*args)
+    assert np.array_equal(score, want_score)
     assert np.array_equal(cause, want_cause)
     return cause
 
@@ -601,23 +610,68 @@ def test_every_walker_weight_and_cause_match_scalar_walker(
 @pytest.mark.parametrize(
     "study, args",
     [
-        (simulate_excursions, (TreeConfig(3), BERN, 0, 40, 1, 2, 150)),
-        (simulate_geodesic_passage, (TreeConfig(3, drift_p=0.45), EXP1, 2, 40, 1, 2, 20, 100)),
+        # on the symmetric tree the bound fires above the level cap, so drift
+        (simulate_excursions, (TreeConfig(4, drift_p=0.4), RARE, 0, 40, 1, 2, 150)),
+        (simulate_geodesic_passage, (TreeConfig(3, drift_p=0.45), RARE, 2, 40, 1, 2, 20, 100)),
     ],
 )
 def test_walkers_match_scalar_walker_through_every_stop_cause(study, args):
     cause = _assert_walkers_match_scalar(study, args)
-    assert set(cause.tolist()) == {tree._ARRIVED, tree._CUTOFF, tree._HORIZON, tree._STEP_CAP}
+    assert set(cause.tolist()) == {tree._ARRIVED, tree._BOUND, tree._HORIZON, tree._STEP_CAP}
+    result = study(*args)
+    counts = np.bincount(cause, minlength=4).tolist()
+    assert result.lost_by_cause == dict(zip(("bound", "horizon", "step_cap"), counts[1:]))
+    assert result[2] == sum(counts[1:])
 
 
 def test_passage_counts_every_walk_that_did_not_arrive():
-    # a loss to the weight cutoff or the horizon counts as much as one to the step cap
+    # a loss to the bound counts as much as one to the horizon or the step cap
     args = (TreeConfig(3), BERN, 2, 1000, 0)
-    weight, cause = _walk_arrays(simulate_geodesic_passage, args)
-    lost = simulate_geodesic_passage(*args)[2]
-    assert np.bincount(cause, minlength=4).tolist() == [258, 398, 344, 0]  # arrived, cutoff, horizon, step cap
-    assert lost == np.count_nonzero(cause != tree._ARRIVED) == 742
-    assert np.count_nonzero(weight) == 1000 - lost
+    score, cause = _walk_arrays(simulate_geodesic_passage, args)
+    result = simulate_geodesic_passage(*args)
+    assert np.bincount(cause, minlength=4).tolist() == [258, 742, 0, 0]  # arrived, bound, horizon, step cap
+    assert result[2] == np.count_nonzero(cause != tree._ARRIVED) == 742
+    assert result.lost_by_cause == {"bound": 742, "horizon": 0, "step_cap": 0}
+    assert result.trunc_budget == pytest.approx(score[cause != tree._ARRIVED].sum() / 1000, rel=1e-12)
+    mean, se, lost = result  # still the 3-tuple callers unpack
+    assert mean == pytest.approx(score[cause == tree._ARRIVED].sum() / 1000, rel=1e-12)
+    assert lost == 742
+
+
+@pytest.mark.parametrize(
+    "study, args",
+    [
+        (simulate_excursions, (TreeConfig(3), BERN, 0, 200, 3, 1)),
+        (simulate_excursions, (TreeConfig(4, drift_p=0.4), RARE, 0, 200, 1, 2, 150)),
+        (simulate_geodesic_passage, (TreeConfig(3), EXP1, 2, 200, 4)),
+        (simulate_geodesic_passage, (TreeConfig(3, drift_p=0.45), RARE, 2, 200, 1, 2, 20, 100)),
+    ],
+)
+def test_the_bound_stop_is_one_sided_and_budgeted(study, args, monkeypatch):
+    # against a run that never stops a walker on the bound, each walker
+    # scores no more, the same walkers or fewer arrive, and the budget is
+    # the oracle's sum of what the dropped walkers could still score
+    score, cause = _walk_arrays(study, args)
+    result = study(*args)
+    *_, budget, _, _ = getattr(_oracles, study.__name__)(*args)
+    assert result.trunc_budget == pytest.approx(budget, rel=1e-12, abs=0.0)
+    assert np.all(score[cause == tree._BOUND] < math.exp(tree._LOG_BOUND_CUTOFF))
+    monkeypatch.setattr(tree, "_LOG_BOUND_CUTOFF", -math.inf)
+    ref_score, ref_cause = _walk_arrays(study, args)
+    assert not np.any(ref_cause == tree._BOUND)
+    arrived, ref_arrived = cause == tree._ARRIVED, ref_cause == tree._ARRIVED
+    assert np.all(ref_arrived[arrived])
+    assert np.array_equal(score[arrived], ref_score[arrived])
+    assert np.all(np.where(arrived, score, 0.0) <= np.where(ref_arrived, ref_score, 0.0))
+
+
+def test_trunc_budget_is_zero_when_every_walker_arrives():
+    # no potential and a strong uphill drift: every walk reaches the target
+    result = simulate_geodesic_passage(TreeConfig(3, drift_p=0.9), DELTA0, 1, 50, 2)
+    assert result[2] == 0 and result.trunc_budget == 0.0
+    assert result.lost_by_cause == {"bound": 0, "horizon": 0, "step_cap": 0}
+    with pytest.raises(AttributeError):
+        result.trunc_budget = 1.0
 
 
 @pytest.mark.parametrize("two_targets", [True, False])
