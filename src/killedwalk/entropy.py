@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import PotentialDistribution
+from .env import PotentialDistribution, _checked_int, _finite
 from .lyapunov import LyapunovEstimate, estimate_alpha_mc
 
 FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")
@@ -73,8 +73,9 @@ def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProduct
     """The Gibbs-type reweighting of the base marginal by exp(-theta * value).
 
     At theta = 0 the tilt is base itself, not a renormalized copy whose
-    weights may differ from base's in the last bit.
+    weights may differ from base's in the last bit.  theta must be finite.
     """
+    theta = _finite(theta, "theta")
     if theta == 0.0:
         return TiltedProductMeasure(base=base, tilt=base, theta=theta)
     if base.kind == "exponential":
@@ -96,10 +97,11 @@ def exponential_tilt(base: PotentialDistribution, theta: float) -> TiltedProduct
 
 
 def simplex_tilt(base: PotentialDistribution, weights) -> TiltedProductMeasure:
-    """A free reweighting of the base support (same atoms, new weights)."""
+    """A free reweighting of the base support (same atoms, new weights),
+    each weight finite."""
     if base.kind != "finite":
         raise ValueError("free-simplex tilts need a finite-support base")
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.array([_finite(wi, f"weights[{i}]") for i, wi in enumerate(np.ravel(weights))])
     if w.size != len(base.atoms) or np.any(w < 0):
         raise ValueError("need one nonnegative weight per base atom")
     total = w.sum()
@@ -180,8 +182,7 @@ def minimize_variational(
     minimum of Monte Carlo values is biased low, with stat_halfwidth noise.
     """
     cfg = optimizer_cfg or OptimizerConfig()
-    if cfg.n_grid < 2:
-        raise ValueError(f"need n_grid >= 2, got {cfg.n_grid}")
+    n_grid = _checked_int(cfg.n_grid, "n_grid", 2)
     check_family(family, base)
     alpha_hat = estimate_alpha_mc(base, cfg.n_samples, cfg.tol, cfg.seed)
     evals: list[dict] = []
@@ -209,7 +210,7 @@ def minimize_variational(
         if base.kind == "exponential":
             # stay inside the family: the tilted rate must remain positive
             theta_lo = max(theta_lo, -0.999 * base.rate)
-        thetas = np.linspace(theta_lo, cfg.theta_hi, cfg.n_grid)
+        thetas = np.linspace(theta_lo, cfg.theta_hi, n_grid)
         if not np.any(thetas == 0.0) and theta_lo < 0.0 < cfg.theta_hi:
             thetas = np.sort(np.append(thetas, 0.0))
         curve = [objective(exponential_tilt(base, float(t))) for t in thetas]

@@ -203,10 +203,30 @@ def make_distribution(spec) -> PotentialDistribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def _integer(raw, name: str) -> int:
-    if isinstance(raw, bool) or not (isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
+def _checked_int(raw, name: str, least=-math.inf, most=math.inf) -> int:
+    """raw as an int: the library's one rule for an integer argument.
+
+    raw must be an int or a numpy integer, never a bool or a float, with
+    least <= raw <= most; anything else is a ValueError naming name.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)) or not least <= raw <= most:
+        need = " and ".join(f"{op} {b}" for op, b in ((">=", least), ("<=", most)) if math.isfinite(b))
+        raise ValueError(f"{name} must be an integer{' ' + need if need else ''}, got {raw!r}")
     return int(raw)
+
+
+def _integer(raw, name: str) -> int:
+    """An integer entry of an environment file, which, like the CLI, may
+    write it as an integral float, by _checked_int."""
+    return _checked_int(int(raw) if isinstance(raw, float) and raw.is_integer() else raw, name)
+
+
+def _window(window) -> tuple[int, int]:
+    """The ends (lo, hi) of a window, lo <= hi, each by _checked_int."""
+    lo, hi = _checked_int(window[0], "window_lo"), _checked_int(window[1], "window_hi")
+    if lo > hi:
+        raise ValueError(f"window_lo must be <= window_hi, got ({lo}, {hi})")
+    return lo, hi
 
 
 def _finite(raw, name: str) -> float:
@@ -246,6 +266,8 @@ class Environment:
         )
 
     def __post_init__(self):
+        for name in ("window_lo", "window_hi", "seed", "stream_id"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.window_hi - self.window_lo + 1,):
             raise ValueError("values length must match the window")
@@ -282,8 +304,8 @@ class Environment:
             "window_lo": self.window_lo,
             "window_hi": self.window_hi,
             "values": [float(v) for v in self.values],
-            "seed": int(self.seed),
-            "stream_id": int(self.stream_id),
+            "seed": self.seed,
+            "stream_id": self.stream_id,
         }
 
     @classmethod
@@ -325,9 +347,7 @@ def sample_environment(
     read through EnvironmentSource.slice_values: a pure function of the
     key, so extending the window is a superset operation on values.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"window_lo must be <= window_hi, got ({lo}, {hi})")
+    lo, hi = _window(window)
     values = EnvironmentSource(dist, seed, stream_id).slice_values(lo, hi)
     return Environment(lo, hi, values, seed=seed, stream_id=stream_id)
 
@@ -353,8 +373,8 @@ class EnvironmentSource:
 
     def __init__(self, dist: PotentialDistribution, seed: int, stream_id: int = 0):
         self.dist = dist
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _checked_int(seed, "seed")
+        self.stream_id = _checked_int(stream_id, "stream_id")
 
     def slice_values(self, lo: int, hi: int) -> np.ndarray:
         """dist.ppf(keyed_uniform(seed, stream_id, x)) for the sites x = lo .. hi."""

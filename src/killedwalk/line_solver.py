@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, EnvironmentSource
+from .env import Environment, EnvironmentSource, _checked_int, _window
 from .rng import keyed_uniform
 
 UNDERFLOW_FLOOR = 1e-300
@@ -140,8 +140,17 @@ def _result_from_a(a: float, **kw) -> SurvivalResult:
     return SurvivalResult(e_value=e, a_value=a, underflowed=e < UNDERFLOW_FLOOR and a > 0.0, **kw)
 
 
+def _barrier(n: int, r_ratio: float) -> int:
+    """The barrier -ceil(r_ratio * n) of a journey 0 -> n; an r_ratio not
+    finite and > 0 is refused."""
+    if not (math.isfinite(r_ratio) and r_ratio > 0):
+        raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
+    return -math.ceil(r_ratio * n)
+
+
 def two_point_a(env: Environment, x: int, y: int, r: int, p=0.5) -> float:
     """a_r(x, y) = -ln e_r(x, y) for r < x <= y, by the forward sweep."""
+    x, y, r = (_checked_int(v, name) for v, name in ((x, "x"), (y, "y"), (r, "r")))
     if x == y:
         return 0.0
     if not (r < x < y):
@@ -159,8 +168,7 @@ def F_r(env, r: int, p=0.5) -> SurvivalResult:
     """Negative log survival weight of reaching site 1 before barrier r,
     started from 0 (the truncated one-step functional).  The forward sweep
     keeps it exactly nonincreasing in the barrier distance."""
-    if r >= 0:
-        raise ValueError("barrier must be a negative site")
+    r = _checked_int(r, "r", most=-1)
     return _result_from_a(two_point_a(env, 0, 1, r, p), r_used=r)
 
 
@@ -300,7 +308,8 @@ def green_function_window(env: Environment, x: int, y: int, window: tuple[int, i
     geometric number of times through y-1 or y+1.  p is a scalar or one
     value per interior site, each in (0, 1).
     """
-    r, cap = int(window[0]), int(window[1])
+    r, cap = _window(window)
+    x, y = _checked_int(x, "x"), _checked_int(y, "y")
     if not (r < x < cap and r < y < cap):
         raise ValueError("x and y must lie strictly inside the window")
     omega = env.slice_values(r + 1, cap - 1)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .env import EnvironmentSource, PotentialDistribution
-from .line_solver import F_limit_batch, _forward_sweep, _step_probs, forward_step_weights
+from .env import EnvironmentSource, PotentialDistribution, _checked_int
+from .line_solver import F_limit_batch, _barrier, _forward_sweep, _step_probs, forward_step_weights
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
@@ -60,8 +60,7 @@ def estimate_alpha_mc(
     trunc_bound certifies its overestimate all the same, so it enters
     trunc_bias, and params counts it as n_unconverged.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
+    n_samples = _checked_int(n_samples, "n_samples", 2)
     rows = F_limit_batch(dist, seed, n_samples, tol=tol)
     return LyapunovEstimate(
         value=float(rows.a_value.mean()),
@@ -85,9 +84,8 @@ def estimate_alpha_ergodic(
     By additivity this is the cumulative mean of per-step increments, so
     it converges to the same limit as the i.i.d. estimator.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    r = -abs(int(r_offset))
+    n = _checked_int(n, "n", 1)
+    r = -abs(_checked_int(r_offset, "r_offset"))
     if r == 0:
         raise ValueError("r_offset must be nonzero")
     omega = EnvironmentSource(dist, seed, stream_id).slice_values(r + 1, n - 1)
@@ -232,6 +230,7 @@ def annealed_transfer(
     passage) and must then pay every window site at least once more on its
     way to n (phi(L + 1) at every site).
     """
+    n, r, start = (_checked_int(v, name) for v, name in ((n, "n"), (r, "r"), (start, "start")))
     if not (r < start < n):
         raise ValueError(f"need r < start < n, got r={r}, start={start}, n={n}")
     sites = np.arange(r + 1, n)
@@ -281,14 +280,13 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
     and no budget shows it: Bernoulli{0,1} at n_grid [2, 4, 8, 12] gives
     0.6954 against beta = 0.6758.
     """
-    ns = list(n_grid) if np.iterable(n_grid) else []
-    if not ns or not all(map(_is_positive_integer, ns)) or len(set(ns)) < len(ns):
+    # b / n is a float: an n no float holds is refused
+    ns = [_checked_int(n, f"n_grid[{i}]", 1, sys.float_info.max) for i, n in enumerate(n_grid)] if np.iterable(n_grid) else []
+    if not ns or len(set(ns)) < len(ns):
         raise ValueError(f"n_grid must hold distinct positive integers, got {n_grid!r}")
-    if not (math.isfinite(r_ratio) and r_ratio > 0):
-        raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
     rows = []
-    for n in sorted(int(n) for n in ns):
-        r = -math.ceil(r_ratio * n)
+    for n in sorted(ns):
+        r = _barrier(n, r_ratio)
         res = annealed_transfer(dist, n, r)
         rows.append(
             {
@@ -315,8 +313,3 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
             "min_over_grid_n": best["n"],
         },
     )
-
-
-def _is_positive_integer(n) -> bool:
-    numeric = isinstance(n, (int, float, np.integer, np.floating)) and not isinstance(n, bool)
-    return numeric and 1 <= n <= sys.float_info.max and float(n).is_integer()

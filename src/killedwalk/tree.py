@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .env import Environment, PotentialDistribution, make_distribution
-from .line_solver import forward_step_weights
+from .env import Environment, PotentialDistribution, _checked_int, _window, make_distribution
+from .line_solver import _barrier, forward_step_weights
 from .lyapunov import annealed_transfer
 from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, substream
 
@@ -91,10 +91,8 @@ class TreeConfig:
     depth_cap_D: int = 10
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("need degree d >= 3")
-        if self.depth_cap_D < 1:
-            raise ValueError("need depth_cap_D >= 1")
+        _checked_int(self.d, "d", 3)
+        _checked_int(self.depth_cap_D, "depth_cap_D", 1)
         p = self.p
         if not 0.0 < p < 1.0:
             raise ValueError("drift must lie in (0, 1)")
@@ -147,8 +145,7 @@ def first_passage_gf(d: int, z: float) -> float:
     """Generating function of the first-passage time to a fixed neighbour
     for the symmetric walk on the d-regular tree (smaller root of
     F = z/d + ((d-1)/d) z F**2)."""
-    if d < 3:
-        raise ValueError("need d >= 3")
+    _checked_int(d, "d", 3)
     if not 0.0 <= z <= 1.0:
         raise ValueError("need z in [0, 1]")
     if z == 0.0:
@@ -164,8 +161,7 @@ def sigma_finite_prob(d: int) -> float:
     The closed form 2(d-1)/((d-1)^2 + 1); the generating-function
     recursion at z = 1 gives the same value (selftest checks it).
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
+    _checked_int(d, "d", 3)
     return 2.0 * (d - 1.0) / ((d - 1.0) ** 2 + 1.0)
 
 
@@ -479,7 +475,7 @@ def rho_for_site(
     are independent across sites and resampling one site never perturbs
     another.
     """
-    return _site_rhos(cfg, dist, [site_index], seed, stream_id)[0]
+    return _site_rhos(cfg, dist, [_checked_int(site_index, "site_index")], seed, stream_id)[0]
 
 
 def geodesic_step_prob(cfg: TreeConfig) -> float:
@@ -514,9 +510,7 @@ def rho_environment(
     Sites own disjoint streams, so their branch forests are computed in
     batched chunks of sites without changing a digit.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window ({lo}, {hi})")
+    lo, hi = _window(window)
     brackets = _site_rhos(cfg, dist, np.arange(lo, hi + 1), seed, stream_id)
     def pack(vals):
         return Environment(lo, hi, np.asarray(vals), seed=seed, stream_id=stream_id)
@@ -541,12 +535,8 @@ def reduce_to_line(
     predecessors, so the line walk steps right with probability
     geodesic_step_prob.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not (math.isfinite(r_ratio) and r_ratio > 0):
-        raise ValueError(f"r_ratio must be finite and > 0, got {r_ratio!r}")
-    r = -math.ceil(r_ratio * n)
-    brackets, mids, lows, highs = rho_environment(cfg, dist, (r, n), seed, stream_id)
+    n = _checked_int(n, "n", 1)
+    brackets, mids, lows, highs = rho_environment(cfg, dist, (_barrier(n, r_ratio), n), seed, stream_id)
     return EffectiveLineModel(
         env_mid=mids,
         env_lower=lows,
@@ -700,12 +690,6 @@ def _estimate(score: np.ndarray, cause: np.ndarray) -> WalkerEstimate:
     return out
 
 
-def _count(name: str, value, least: int) -> None:
-    """Refuse value unless it is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def simulate_excursions(
     cfg: TreeConfig,
     dist: PotentialDistribution,
@@ -724,8 +708,9 @@ def simulate_excursions(
     excursions), each lost one scored zero, with trunc_budget and
     lost_by_cause.
     """
-    _count("n_excursions", n_excursions, 1)
-    _count("max_steps", max_steps, 0)
+    n_excursions, max_steps = _checked_int(n_excursions, "n_excursions", 1), _checked_int(max_steps, "max_steps", 0)
+    site_index, seed = _checked_int(site_index, "site_index"), _checked_int(seed, "seed")
+    stream_id = _checked_int(stream_id, "stream_id")
     score, cause = _walk(
         cfg, dist, seed, stream_id, substream(_EXCURSION_TAG, substream(stream_id, site_index)), n_excursions,
         start=site_index,
@@ -756,11 +741,10 @@ def simulate_geodesic_passage(
     (mean, standard error, number of lost walks), each lost one scored
     zero, with trunc_budget and lost_by_cause.
     """
-    if target <= 0:
-        raise ValueError("target must be a positive geodesic index")
-    _count("n_walks", n_walks, 1)
-    _count("max_steps", max_steps, 0)
-    horizon = min(escape_horizon, _max_walk_level(cfg.d))
+    target, n_walks = _checked_int(target, "target", 1), _checked_int(n_walks, "n_walks", 1)
+    seed, stream_id = _checked_int(seed, "seed"), _checked_int(stream_id, "stream_id")
+    max_steps = _checked_int(max_steps, "max_steps", 0)
+    horizon = min(_checked_int(escape_horizon, "escape_horizon"), _max_walk_level(cfg.d))
     if horizon < target:
         raise ValueError(f"escape_horizon {horizon} (after the level cap) is below target {target}")
     score, cause = _walk(
@@ -790,8 +774,8 @@ class GeodesicSpec:
     def __post_init__(self):
         if self.kind != "turning-point":
             raise ValueError(f"kind must be 'turning-point', got {self.kind!r}")
-        if self.target_index <= 0:
-            raise ValueError("target must lie beyond the start")
+        _checked_int(self.turning_index_k, "turning_index_k")
+        _checked_int(self.target_index, "target_index", 1)
 
 
 @dataclass(frozen=True)
@@ -845,9 +829,7 @@ def turning_point_decompose(
     k = spec.turning_index_k
     if k >= n:
         raise ValueError(f"invalid turning index k={k}: must be < target")
-    r = int(barrier_r)
-    if r >= 0:
-        raise ValueError("barrier must be negative")
+    r = _checked_int(barrier_r, "barrier_r", most=-1)
     q_up = geodesic_step_prob(cfg)
     sites = np.arange(r + 1, n)  # the sites a path from 0 to n can pay
     if k > 0:

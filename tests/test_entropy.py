@@ -121,6 +121,18 @@ def test_simplex_tilt_validation():
     assert tpm.tilt.atoms == ((0.0, 0.75), (1.0, 0.25))
 
 
+def test_tilts_refuse_non_finite_input_by_name():
+    # a NaN or infinite weight normalizes to a law with no atoms, and a NaN
+    # theta to NaN weights or a NaN rate
+    expo = make_distribution({"kind": "exponential", "rate": 1.0})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"weights\[0\] must be finite"):
+            simplex_tilt(BERN, [bad, 1.0])
+        for base in (BERN, expo):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                exponential_tilt(base, bad)
+
+
 def test_expected_F_at_base_reproduces_quenched_estimator_bitwise():
     alpha = estimate_alpha_mc(BERN, n_samples=400, tol=1e-6, seed=77)
     at_base = expected_F_under(exponential_tilt(BERN, 0.0), n_samples=400, tol=1e-6, seed=77)
