@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import PotentialDistribution, _checked_int, _finite
-from .lyapunov import LyapunovEstimate, estimate_alpha_mc
+from .lyapunov import LyapunovEstimate, _alpha_mc_laws, estimate_alpha_mc
 
 FAMILIES = ("exponential-tilt", "exp-tilt", "free-simplex")
 
@@ -177,21 +177,20 @@ def minimize_variational(
     The exponential family runs a grid sweep (the reported curve) plus a
     golden-section refinement; the free simplex (a finite law of 2 to 4
     atoms) runs Nelder-Mead over logits.  Common random numbers are held
-    fixed across all evaluations; the untilted one is alpha_hat.  The
-    family's exact minimum bounds beta from above, but the reported
-    minimum of Monte Carlo values is biased low, with stat_halfwidth noise.
+    fixed across all evaluations; the untilted one is alpha_hat.  alpha_hat
+    and every grid tilt run through one batched barrier-doubling loop
+    (lyapunov._alpha_mc_laws), each law's rows exactly as its own
+    estimate_alpha_mc call would give them; refinement steps run one law a
+    call.  The family's exact minimum bounds beta from above, but the
+    reported minimum of Monte Carlo values is biased low, with
+    stat_halfwidth noise.
     """
     cfg = optimizer_cfg or OptimizerConfig()
     n_grid = _checked_int(cfg.n_grid, "n_grid", 2)
     check_family(family, base)
-    alpha_hat = estimate_alpha_mc(base, cfg.n_samples, cfg.tol, cfg.seed)
     evals: list[dict] = []
 
-    def objective(tpm: TiltedProductMeasure) -> dict:
-        if tpm.tilt == base:  # theta = 0, the Q = P anchor, Nelder-Mead's start
-            est = alpha_hat  # the same samples under the same law, bit for bit
-        else:
-            est = expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed)
+    def record(tpm: TiltedProductMeasure, est: LyapunovEstimate) -> dict:
         kl = tpm.kl_per_site()
         row = {
             "theta": tpm.theta,
@@ -205,6 +204,11 @@ def minimize_variational(
         evals.append(row)
         return row
 
+    def objective(tpm: TiltedProductMeasure) -> dict:
+        if tpm.tilt == base:  # theta = 0, the Q = P anchor, Nelder-Mead's start
+            return record(tpm, alpha_hat)  # the same samples under the same law, bit for bit
+        return record(tpm, expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed))
+
     if family in ("exponential-tilt", "exp-tilt"):
         theta_lo = cfg.theta_lo
         if base.kind == "exponential":
@@ -213,7 +217,14 @@ def minimize_variational(
         thetas = np.linspace(theta_lo, cfg.theta_hi, n_grid)
         if not np.any(thetas == 0.0) and theta_lo < 0.0 < cfg.theta_hi:
             thetas = np.sort(np.append(thetas, 0.0))
-        curve = [objective(exponential_tilt(base, float(t))) for t in thetas]
+        grid = [exponential_tilt(base, float(t)) for t in thetas]
+        # alpha_hat and every grid tilt in one batched loop; a tilt equal to
+        # base reuses alpha_hat, as objective does
+        alpha_hat, *tilted = _alpha_mc_laws(
+            [base] + [tpm.tilt for tpm in grid if tpm.tilt != base], cfg.n_samples, cfg.tol, cfg.seed
+        )
+        tilted = iter(tilted)
+        curve = [record(tpm, alpha_hat if tpm.tilt == base else next(tilted)) for tpm in grid]
         best = min(range(len(curve)), key=lambda i: curve[i]["objective"])
         lo = curve[max(best - 1, 0)]["theta"]
         hi = curve[min(best + 1, len(curve) - 1)]["theta"]
@@ -236,6 +247,7 @@ def minimize_variational(
             w = base_w * np.exp(np.concatenate([[0.0], z]))
             return objective(simplex_tilt(base, w / w.sum()))["objective"]
 
+        alpha_hat = estimate_alpha_mc(base, cfg.n_samples, cfg.tol, cfg.seed)
         f(np.zeros(m - 1))  # the Q = P anchor
         res = scipy_minimize(
             f,

@@ -74,16 +74,16 @@ class PotentialDistribution:
     def ppf(self, u, out=None) -> np.ndarray:
         """Inverse CDF, the common-random-number transform of uniforms.
 
-        With out, a contiguous float64 array of u's shape that shares no
+        With out, a C-contiguous float64 array of u's shape that shares no
         memory with u (or is u, for a law not finite), the values are
-        written there; a law of at most two atoms then allocates nothing of
-        u's size.  A finite law looks atoms up by comparison: u takes atom
+        written there (an out not C-contiguous is refused); a law of at
+        most two atoms then allocates nothing of u's size.  A finite law looks atoms up by comparison: u takes atom
         idx = (K-1) - sum_{j<K-1} [u < cum_j], the first atom whose
         cumulative weight exceeds u, or the last atom when none does (u =
         NaN included).
         """
         u = np.asarray(u, dtype=np.float64)
-        out = np.empty_like(u) if out is None else out
+        out = np.empty_like(u) if out is None else _contiguous(out)
         if self.kind == "exponential":
             np.log1p(np.negative(u, out=out), out=out)
             return np.divide(np.negative(out, out=out), self.rate, out=out)
@@ -92,12 +92,12 @@ class PotentialDistribution:
     def survival_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-ppf(u)) bit for bit, for u = (bits >> 11) 2**-53 the
         uniforms keyed_uniform makes of keyed_bits words, into out (a
-        contiguous float64 array of bits' shape) if it is given.  A finite
+        C-contiguous float64 array of bits' shape) if it is given.  A finite
         law counts the cuts each word reaches (ppf's atom index) and looks
         its survival factor up; an exponential law runs u, ppf and exp in
         out, allocating nothing of bits' size.
         """
-        out = np.empty(bits.shape) if out is None else out
+        out = np.empty(bits.shape) if out is None else _contiguous(out)
         if self.kind == "exponential":
             u = _uniform(bits, out=out)
             return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
@@ -106,9 +106,9 @@ class PotentialDistribution:
     def atom_index_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The atom index of a finite law that ppf reads for each word,
         u = (bits >> 11) 2**-53 as in survival_from_bits (which looks
-        _survival up at it), into out (a contiguous int64 array of bits'
+        _survival up at it), into out (a C-contiguous int64 array of bits'
         shape) if it is given."""
-        return _atom_index(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else out)
+        return _atom_index(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else _contiguous(out))
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
@@ -125,6 +125,14 @@ class PotentialDistribution:
             x = np.multiply.outer(ell, self._values)  # one (len(ell), K) buffer
             phi = np.exp(np.negative(x, out=x), out=x) @ self._weights
         return float(phi) if phi.ndim == 0 else phi
+
+
+def _contiguous(out: np.ndarray) -> np.ndarray:
+    """out, refused unless it is a C-contiguous array: numpy 2.4 computes
+    np.negative(x, out=x) wrongly on a strided float64 or int64 view."""
+    if not (isinstance(out, np.ndarray) and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous array")
+    return out
 
 
 def _atom_index(x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:

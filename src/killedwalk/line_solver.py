@@ -35,8 +35,10 @@ UNDERFLOW_FLOOR = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_R_MAX = -(2**20)
 # rows x window sites per chunk of a doubling, which reduces the window's newer
-# half; 2**18 cells is 2 MB a float64 array
-_CELL_BUDGET = 2**18
+# half.  At 2**15 a chunk's arrays are 128 KB each, and with the state of
+# the 20 laws x 300 rows of the benchmark's variational grid the loop peaks
+# within 10% of one tilt alone at 2**18, as the grid ran before batching
+_CELL_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -109,30 +111,43 @@ def _star(left, right):
     geometric number of times, which d = 1 - a_left rho_right sums."""
     a_l, rho_l, c_l, t_l = left
     a_r, rho_r, c_r, t_r = right
-    log_d = np.log(-np.expm1(a_l + rho_r))
-    return (
-        np.logaddexp(a_r, c_r + t_r + a_l - log_d),
-        np.logaddexp(rho_l, t_l + c_l + rho_r - log_d),
-        c_l + c_r - log_d,
-        t_l + t_r - log_d,
-    )
+    # the in-place steps write only the contiguous buffers made here, never
+    # an input, which may be a strided view into the caller's run
+    log_d = np.add(a_l, rho_r)  # ln d = ln(1 - e^(a_l + rho_r))
+    np.expm1(log_d, out=log_d)
+    np.negative(log_d, out=log_d)
+    np.log(log_d, out=log_d)
+    a = np.add(c_r, t_r)
+    a += a_l
+    a -= log_d
+    rho = np.add(t_l, c_l)
+    rho += rho_r
+    rho -= log_d
+    c = np.add(c_l, c_r)
+    c -= log_d
+    t = np.add(t_l, t_r)
+    t -= log_d
+    return np.logaddexp(a_r, a, out=a), np.logaddexp(rho_l, rho, out=rho), c, t
 
 
-def _reduce(omega, p) -> np.ndarray:
-    """Log weights (a, rho, c, t), stacked on a new leading axis, of the
-    run of all sites along omega's last axis; any leading axes are
-    independent rows.  p is a scalar or one value per site.  All four stay
-    logs: c and t decay along a run, and a and rho stay finite where the
-    linear weight underflows."""
+def _reduce(omega, p) -> tuple[np.ndarray, ...]:
+    """Log weights (a, rho, c, t) of the run of all sites along omega's
+    last axis; any leading axes are independent rows.  p is a scalar or one
+    value per site.  All four stay logs: c and t decay along a run, and a
+    and rho stay finite where the linear weight underflows.  Each level
+    pairs neighbouring runs into new arrays, so no stacked copy of the
+    window is ever built."""
     p = np.asarray(p, dtype=np.float64)
-    run = np.empty((4,) + np.shape(omega))  # one site: (p s, q s, q s, p s)
-    run[0] = run[3] = np.log(p) - omega
-    run[1] = run[2] = np.log(1.0 - p) - omega
-    while run.shape[-1] > 1:
-        even = run.shape[-1] // 2 * 2
-        pairs = np.stack(_star(run[..., 0:even:2], run[..., 1:even:2]))
-        run = np.concatenate([pairs, run[..., even:]], axis=-1) if even < run.shape[-1] else pairs
-    return run[..., 0]
+    right, left = np.log(p) - omega, np.log(1.0 - p) - omega
+    run = (right, left, left, right)  # one site: (p s, q s, q s, p s)
+    del right, left  # so that each level frees the one before it
+    while run[0].shape[-1] > 1:
+        even = run[0].shape[-1] // 2 * 2
+        pairs = _star([x[..., 0:even:2] for x in run], [x[..., 1:even:2] for x in run])
+        run = pairs if even == run[0].shape[-1] else tuple(
+            np.concatenate([y, x[..., even:]], axis=-1) for y, x in zip(pairs, run)
+        )
+    return tuple(x[..., 0] for x in run)
 
 
 def _result_from_a(a: float, **kw) -> SurvivalResult:
@@ -210,34 +225,42 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
-    run = np.zeros((4, n_rows))  # the empty run: a = rho = 0, c = t = 1
-    run[:2] = -math.inf
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
     r_used = np.zeros(n_rows, dtype=np.int64)
     converged = np.full(n_rows, not schedule)
     active = np.arange(n_rows)
+    run = np.zeros((4, n_rows))  # column i is active[i]'s run; empty: a = rho = 0, c = t = 1
+    run[:2] = -math.inf
+
+    def extend(cols, k, r, r_prev) -> np.ndarray:
+        """Join sites r+1 .. r_prev to the runs of active[cols], record the
+        rows that stop at r, and return the mask of those that go on.  Its
+        temporaries die on return, before the next chunk draws."""
+        rows = active[cols]
+        log_a, _, log_c, _ = joined = _star(_reduce(potentials(rows, r + 1, r_prev), p), run[:, cols])
+        decrement = log_a - run[0, cols]  # F_{r_prev} - F_r; +inf at the first barrier
+        for kept, new in zip(run[:, cols], joined):
+            kept[...] = new
+        stop = decrement < tol
+        done = stop | (k == len(schedule) - 1)
+        if done.any():
+            fin = rows[done]
+            slack = decrement[done] if k else 0.0
+            trunc[fin] = slack + np.logaddexp(0.0, log_c[done] - log_a[done])
+            a_value[fin], r_used[fin], converged[fin] = -log_a[done], r, stop[done]
+        return ~done
+
     r_prev = 0
     for k, r in enumerate(schedule):
         if active.size == 0:
             break
-        last = k == len(schedule) - 1
         chunk = max(1, _CELL_BUDGET // -r)
-        running = []
+        running = np.empty(active.size, dtype=bool)
         for start in range(0, active.size, chunk):
-            rows = active[start : start + chunk]
-            log_a, _, log_c, _ = joined = _star(_reduce(potentials(rows, r + 1, r_prev), p), run[:, rows])
-            decrement = log_a - run[0, rows]  # F_{r_prev} - F_r; +inf at the first barrier
-            run[:, rows] = joined
-            stop = decrement < tol
-            done = stop | last
-            if done.any():
-                fin = rows[done]
-                slack = decrement[done] if k else 0.0
-                trunc[fin] = slack + np.logaddexp(0.0, log_c[done] - log_a[done])
-                a_value[fin], r_used[fin], converged[fin] = -log_a[done], r, stop[done]
-            running.append(rows[~done])
-        active = np.concatenate(running)
+            cols = slice(start, start + chunk)
+            running[cols] = extend(cols, k, r, r_prev)
+        active, run = active[running], run[:, running]
         r_prev = r
     return LimitBatch(a_value, trunc, r_used, converged)
 
@@ -286,14 +309,37 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     Row i draws its potentials from stream i, exactly as the one-row call
     would, so each entry equals that call's result digit for digit and runs
     that share a seed share environments row by row.  For a delta-zero law
-    every row is exactly 0 with r_used 0, as in F_limit.
+    every row is exactly 0 with r_used 0, as in F_limit.  This is the
+    one-law case of the law-major rows that lyapunov._limit_rows runs for
+    many laws through one loop.
     """
-    def potentials(rows, lo, hi):  # a row index is its stream id
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        return dist.ppf(keyed_uniform(seed, rows[:, None], sites[None, :]))
-
+    seed = _checked_int(seed, "seed")
+    n_samples = _checked_int(n_samples, "n_samples", 0)
     schedule = [] if dist.is_delta_zero else _barrier_schedule()
-    return _barrier_doubling(potentials, n_samples, schedule, tol, 0.5)
+    return _barrier_doubling(_keyed_potentials([dist], seed, n_samples), n_samples, schedule, tol, 0.5)
+
+
+def _keyed_potentials(dists, seed: int, n_samples: int):
+    """potentials(rows, lo, hi) for _barrier_doubling over law-major rows:
+    row k * n_samples + i draws stream i of seed under dists[k].
+
+    rows ascend (the loop keeps their order), so each law's rows form one
+    contiguous block of the chunk: the keyed uniforms are drawn once, and
+    each law's ppf writes its own block, as a call on that block alone would.
+    """
+    firsts = np.arange(len(dists) + 1) * n_samples
+
+    def potentials(rows, lo, hi):
+        sites = np.arange(lo, hi + 1, dtype=np.int64)
+        u = keyed_uniform(seed, (rows % n_samples)[:, None], sites[None, :])
+        omega = np.empty_like(u)
+        ends = np.searchsorted(rows, firsts).tolist()
+        for dist, i, j in zip(dists, ends, ends[1:]):
+            if i < j:
+                dist.ppf(u[i:j], out=omega[i:j])
+        return omega
+
+    return potentials
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:

@@ -20,7 +20,16 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .env import EnvironmentSource, PotentialDistribution, _checked_int
-from .line_solver import F_limit_batch, _barrier, _forward_sweep, _step_probs, forward_step_weights
+from .line_solver import (
+    LimitBatch,
+    _barrier,
+    _barrier_doubling,
+    _barrier_schedule,
+    _forward_sweep,
+    _keyed_potentials,
+    _step_probs,
+    forward_step_weights,
+)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
@@ -54,22 +63,56 @@ def estimate_alpha_mc(
 
     Sample i draws its environment from stream_id = i, so two runs with
     the same seed share environments sample by sample; the variational
-    objective relies on that when it passes each tilted law as dist.  All
-    samples run through one batched barrier-doubling loop (F_limit_batch).
-    A row that did not converge by the deepest barrier is kept: its
-    trunc_bound certifies its overestimate all the same, so it enters
-    trunc_bias, and params counts it as n_unconverged.
+    objective relies on that when it passes each tilted law as dist.  This
+    is the one-law case of _alpha_mc_laws: all samples run through one
+    batched barrier-doubling loop, with the rows of F_limit_batch.  A row
+    that did not converge by the deepest barrier is kept: its trunc_bound
+    certifies its overestimate all the same, so it enters trunc_bias, and
+    params counts it as n_unconverged.
     """
+    return _alpha_mc_laws([dist], n_samples, tol, seed)[0]
+
+
+def _alpha_mc_laws(dists, n_samples: int, tol: float, seed: int) -> list[LyapunovEstimate]:
+    """estimate_alpha_mc(dist, n_samples, tol, seed) for every dist in
+    dists, from the rows of _limit_rows."""
     n_samples = _checked_int(n_samples, "n_samples", 2)
-    rows = F_limit_batch(dist, seed, n_samples, tol=tol)
-    return LyapunovEstimate(
-        value=float(rows.a_value.mean()),
-        ci_halfwidth=Z95 * float(rows.a_value.std(ddof=1)) / math.sqrt(n_samples),
-        n_samples=n_samples,
-        method="quenched-mc",
-        params={"seed": seed, "tol": tol, "n_unconverged": int(n_samples - rows.converged.sum())},
-        trunc_bias=float(rows.trunc_bound.mean()),
+    seed = _checked_int(seed, "seed")
+    return [
+        LyapunovEstimate(
+            value=float(rows.a_value.mean()),
+            ci_halfwidth=Z95 * float(rows.a_value.std(ddof=1)) / math.sqrt(n_samples),
+            n_samples=n_samples,
+            method="quenched-mc",
+            params={"seed": seed, "tol": tol, "n_unconverged": int(n_samples - rows.converged.sum())},
+            trunc_bias=float(rows.trunc_bound.mean()),
+        )
+        for rows in _limit_rows(dists, seed, n_samples, tol)
+    ]
+
+
+def _limit_rows(dists, seed: int, n_samples: int, tol: float) -> list[LimitBatch]:
+    """F_limit_batch(dist, seed, n_samples, tol) for every dist in dists,
+    digit for digit, through one barrier-doubling loop.
+
+    The rows of the laws that kill are law-major (row k * n_samples + i
+    is stream i under the k-th such law), so each doubling draws its keyed
+    uniforms once for all laws; a delta-zero law's rows are 0, converged,
+    with r_used 0, as in F_limit_batch, and never enter the loop.
+    """
+    live = [dist for dist in dists if not dist.is_delta_zero]
+    batch = _barrier_doubling(
+        _keyed_potentials(live, seed, n_samples), len(live) * n_samples, _barrier_schedule(), tol, 0.5
     )
+    out, k = [], 0
+    for dist in dists:
+        if dist.is_delta_zero:
+            out.append(_barrier_doubling(None, n_samples, [], tol, 0.5))
+            continue
+        block = slice(k, k + n_samples)
+        k += n_samples
+        out.append(LimitBatch(batch.a_value[block], batch.trunc_bound[block], batch.r_used[block], batch.converged[block]))
+    return out
 
 
 def estimate_alpha_ergodic(
@@ -155,8 +198,9 @@ def _site_kernels(p: float, table: np.ndarray, phi: np.ndarray, cap: int) -> tup
 def _log_transfer(p_sites, s_sites, phi: np.ndarray, cap: int, tables: dict | None = None) -> float:
     """ln e_0' M_1 ... M_m e_0 over the given sites, rescaled site by site.
 
-    tables maps p to its Pascal table at cap or above; a missing table is
-    built and added, so callers that pass one dict share the builds.
+    tables maps p to a Pascal table; a missing table, or one built at a
+    cap below this one, is built at cap and stored, so callers that pass one
+    dict share the builds, and a larger table serves every smaller cap.
     """
     tables = {} if tables is None else tables
     kernels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -165,7 +209,7 @@ def _log_transfer(p_sites, s_sites, phi: np.ndarray, cap: int, tables: dict | No
     log_scale = 0.0
     for p, s in zip(p_sites, s_sites):
         if p not in kernels:
-            if p not in tables:
+            if p not in tables or tables[p].shape[1] <= cap:
                 tables[p] = _pascal_table(p, cap)
             kernels[p] = _site_kernels(p, tables[p], phi, cap)
         v = v @ kernels[p][s]
@@ -230,6 +274,13 @@ def annealed_transfer(
     passage) and must then pay every window site at least once more on its
     way to n (phi(L + 1) at every site).
     """
+    return _annealed_transfer(dist, n, r, p, start, {})
+
+
+def _annealed_transfer(dist, n, r, p, start, tables: dict) -> AnnealedTransferResult:
+    """annealed_transfer, whose pilot and main passes take their Pascal
+    tables from tables (see _log_transfer) and store what they build there.
+    Calls that share one dict, largest window first, build each table once."""
     n, r, start = (_checked_int(v, name) for v, name in ((n, "n"), (r, "r"), (start, "start")))
     if not (r < start < n):
         raise ValueError(f"need r < start < n, got r={r}, start={start}, n={n}")
@@ -238,7 +289,7 @@ def annealed_transfer(
     p_list = p_arr.tolist()
     s_fwd = (sites >= start).astype(int).tolist()
     pilot = 16  # f_16 <= f is the lower bound the cap is chosen against
-    log_f_lower = _log_transfer(p_list, s_fwd, dist.laplace(np.arange(2 * pilot + 2)), pilot)
+    log_f_lower = _log_transfer(p_list, s_fwd, dist.laplace(np.arange(2 * pilot + 2)), pilot, tables)
     if log_f_lower == -math.inf:
         raise ValueError("the annealed survival weight underflows on this window")
     # B_x = P_x(hit x+1 before r), A_x = P_{x+1}(hit x before n) without potential
@@ -254,7 +305,6 @@ def annealed_transfer(
         )
     cap, log_tail = fit
     phi = dist.laplace(np.arange(2 * cap + 3))
-    tables: dict[float, np.ndarray] = {}  # forward and mirrored passes share each p's table
     log_f = _log_transfer(p_list, s_fwd, phi[:-1], cap, tables)
     # mirrored: from start down to r with n as the barrier, one more visit per site
     q_rev = [1.0 - x for x in reversed(p_list)]
@@ -285,10 +335,12 @@ def estimate_beta(dist: PotentialDistribution, n_grid, r_ratio: float = 4.0) -> 
     if not ns or len(set(ns)) < len(ns):
         raise ValueError(f"n_grid must hold distinct positive integers, got {n_grid!r}")
     rows = []
-    for n in sorted(ns):
+    tables: dict[float, np.ndarray] = {}  # the largest n runs first: its cap's table serves every row
+    for n in sorted(ns, reverse=True):
         r = _barrier(n, r_ratio)
-        res = annealed_transfer(dist, n, r)
-        rows.append(
+        res = _annealed_transfer(dist, n, r, 0.5, 0, tables)
+        rows.insert(
+            0,
             {
                 "n": n, "r": r, "b": res.b_value, "trunc": res.trunc_bound,
                 "b_over_n": res.b_value / n, "trunc_over_n": res.trunc_bound / n,

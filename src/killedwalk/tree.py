@@ -449,6 +449,7 @@ def _site_rhos(
 ) -> list[RhoPotential]:
     """rho brackets of the geodesic sites with the given indices, each on
     its own stream substream(stream_id, site)."""
+    seed, stream_id = _checked_int(seed, "seed"), _checked_int(stream_id, "stream_id")
     sites = np.asarray(sites, dtype=np.int64)
     h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites))
     return [

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _oracles import constant_potential_one_step_a, window_entropy
-from killedwalk import entropy, lyapunov
+from killedwalk import entropy, line_solver, lyapunov
 from killedwalk.entropy import (
     OptimizerConfig,
     TiltedProductMeasure,
@@ -167,7 +168,7 @@ def test_variational_collapse_for_point_mass():
 def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
     # n_grid = 0 once returned the lone theta = 0 row, or died in min() when
     # theta_lo > 0; the refusal comes before any sample is drawn
-    monkeypatch.setattr(lyapunov, "F_limit_batch", None)
+    monkeypatch.setattr(lyapunov, "_limit_rows", None)
     for theta_lo in (-1.0, 0.5):
         cfg = OptimizerConfig(n_samples=4, seed=0, theta_lo=theta_lo, theta_hi=1.0, n_grid=n_grid)
         with pytest.raises(ValueError, match="n_grid"):
@@ -186,9 +187,9 @@ def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
     ],
 )
 def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
-    calls = []
-    engine = lyapunov.F_limit_batch
-    monkeypatch.setattr(lyapunov, "F_limit_batch", lambda *a, **k: calls.append(a) or engine(*a, **k))
+    calls = []  # one entry per law the engine runs; a call may run several
+    engine = lyapunov._limit_rows
+    monkeypatch.setattr(lyapunov, "_limit_rows", lambda dists, *a: calls.extend(dists) or engine(dists, *a))
     cfg = OptimizerConfig(n_samples=40, seed=3, theta_lo=-0.5, theta_hi=2.0, n_grid=6, max_evals=8)
     for family in ["exponential-tilt"] + ["free-simplex"] * (base.kind == "finite"):
         calls.clear()
@@ -199,11 +200,59 @@ def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
             assert len(at_base) == 2 and len(calls) == 1 + report.n_evals - 2
         else:
             at_base = [row for row in curve if row["theta"] == 0.0]
-            # alpha_hat is one engine call, which the one theta = 0 row reuses
+            # alpha_hat is one law of the engine, which the one theta = 0 row reuses
             assert len(at_base) == 1 and len(calls) == report.n_evals == 8
         alpha = report.alpha_hat.value
         rows = [(row["E_Q_F"], row["kl_per_site"], row["objective"]) for row in at_base]
         assert rows == [(alpha, 0.0, alpha)] * len(at_base), family
+
+
+@pytest.mark.parametrize("base", [BERN, make_distribution({"kind": "exponential", "rate": 1.0})])
+def test_variational_report_equals_one_tilt_at_a_time(base):
+    # the grid runs alpha_hat and every tilt through one batched loop, and
+    # golden-section steps one law at a time; each row is the one-law estimate
+    cfg = OptimizerConfig(n_samples=60, seed=4, theta_lo=-0.5, theta_hi=3.0, n_grid=7, max_evals=12)
+    report = minimize_variational(base, optimizer_cfg=cfg)
+    assert report.alpha_hat == estimate_alpha_mc(base, 60, cfg.tol, 4)
+    assert report.n_evals == 12 and len(report.objective_curve) == 8  # 7 points and theta = 0
+    for row in report.objective_curve:
+        tpm = exponential_tilt(base, row["theta"])
+        est = expected_F_under(tpm, 60, cfg.tol, 4)
+        want = {"E_Q_F": est.value, "kl_per_site": tpm.kl_per_site(), "objective": est.value + tpm.kl_per_site(),
+                "stat_halfwidth": est.ci_halfwidth}
+        assert {k: row[k] for k in want} == want, row["theta"]
+    best = report.var_min_tilt
+    assert report.var_min_value == expected_F_under(best, 60, cfg.tol, 4).value + best.kl_per_site()
+
+
+def test_variational_simplex_report_equals_one_law_at_a_time():
+    law = make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [1.0, 0.3], [2.0, 0.5]]})
+    cfg = OptimizerConfig(n_samples=50, seed=2, max_evals=10)
+    report = minimize_variational(law, family="free-simplex", optimizer_cfg=cfg)
+    assert report.alpha_hat == estimate_alpha_mc(law, 50, cfg.tol, 2)
+    best = report.var_min_tilt
+    assert report.var_min_value == expected_F_under(best, 50, cfg.tol, 2).value + best.kl_per_site()
+
+
+def test_batched_grid_holds_the_peak_of_its_costliest_tilt(monkeypatch):
+    # the benchmark's grid: alpha_hat and 19 tilts of 300 rows each.  Run one
+    # law a call in chunks of 2**18 cells, as before the grid was batched,
+    # its peak was that of its costliest tilt; all 6000 rows in one loop must
+    # stay within 10% of it, the per-row state of every law included
+    laws = [BERN] + [exponential_tilt(BERN, t).tilt for t in np.linspace(-1.0, 4.0, 19)]
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batched = peak(lambda: lyapunov._alpha_mc_laws(laws, 300, 1e-7, 0))
+    monkeypatch.setattr(line_solver, "_CELL_BUDGET", 2**18)
+    alone = max(peak(lambda: estimate_alpha_mc(law, 300, 1e-7, 0)) for law in laws)
+    assert batched <= 1.1 * alone
 
 
 def _significant_sign_changes(objective, noise):

@@ -300,6 +300,27 @@ def test_ppf_matches_binary_search_oracle_bit_for_bit(dist, u):
     assert np.array_equal(out, want, equal_nan=True)
 
 
+def test_a_strided_out_is_refused():
+    # numpy 2.4 computes np.negative(x, out=x) wrongly on a strided view: an
+    # Exp(1) ppf written in place there gave -0.11 for u = 0.53, not 0.755
+    exp1 = make_distribution({"kind": "exponential", "rate": 1.0})
+    bern = make_distribution({"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]})
+    v = np.linspace(0.05, 0.95, 16).reshape(2, 8)[:, 0]  # u = 0.05 and 0.53
+    kept = v.copy()
+    bits = keyed_bits(1, 0, np.arange(16)).reshape(2, 8)[:, 0]
+    for call in (
+        lambda: exp1.ppf(v, out=v),
+        lambda: bern.ppf(v, out=np.empty((2, 8))[:, 0]),
+        lambda: exp1.survival_from_bits(bits, out=np.empty((2, 8))[:, 0]),
+        lambda: bern.atom_index_from_bits(bits, out=np.empty((2, 8), dtype=np.int64)[:, 0]),
+    ):
+        with pytest.raises(ValueError, match="^out must be a C-contiguous array"):
+            call()
+    assert np.array_equal(v, kept)  # refused before anything was written
+    assert exp1.ppf(v)[1] == pytest.approx(0.755, abs=1e-3)
+    assert exp1.ppf(v.copy(), out=np.empty(2))[1] == exp1.ppf(v)[1]
+
+
 SURVIVAL_LAWS = [
     {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]},  # cumulative weight on the 2^-53 lattice
     {"kind": "finite", "atoms": [[0.0, 0.1], [1.0, 0.9]]},  # and off it

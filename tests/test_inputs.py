@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from killedwalk.entropy import OptimizerConfig, minimize_variational
+from killedwalk.entropy import OptimizerConfig, expected_F_under, exponential_tilt, minimize_variational
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
-from killedwalk.line_solver import F_r, green_function_window, two_point_a
+from killedwalk.line_solver import F_limit_batch, F_r, green_function_window, two_point_a
 from killedwalk.lyapunov import annealed_transfer, estimate_alpha_ergodic, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import (
     GeodesicSpec,
@@ -66,6 +66,20 @@ CASES = {
     ("two_point_a", "x"): (lambda v: two_point_a(ENV, v, 2, -3), 0),
     ("two_point_a", "y"): (lambda v: two_point_a(ENV, 0, v, -3), 2),
     ("two_point_a", "r"): (lambda v: two_point_a(ENV, 0, 2, v), -3),
+    # keyed entries: a bool seed once ran as seed 1, a float one failed in the key hash
+    ("estimate_alpha_mc", "seed"): (lambda v: estimate_alpha_mc(BERN, 4, tol=1e-6, seed=v), 3),
+    ("F_limit_batch", "seed"): (lambda v: F_limit_batch(BERN, v, 4, tol=1e-6).a_value.tolist(), 3),
+    ("expected_F_under", "seed"): (lambda v: expected_F_under(exponential_tilt(BERN, 1.0), 4, 1e-6, v), 3),
+    ("minimize_variational", "seed"): (
+        lambda v: minimize_variational(BERN, optimizer_cfg=OptimizerConfig(n_grid=3, seed=v, **SMALL)), 3
+    ),
+    ("rho_for_site", "seed"): (lambda v: rho_for_site(CFG, BERN, 1, seed=v), 2),
+    ("rho_for_site", "stream_id"): (lambda v: rho_for_site(CFG, BERN, 1, stream_id=v), 2),
+    ("rho_environment", "seed"): (lambda v: rho_environment(CFG, BERN, (0, 2), seed=v)[1], 2),
+    ("reduce_to_line", "seed"): (lambda v: reduce_to_line(CFG, BERN, 2, seed=v), 2),
+    ("turning_point_decompose", "seed"): (
+        lambda v: turning_point_decompose(GeodesicSpec("turning-point", 1, 3), DRIFT, BERN, seed=v), 2
+    ),
     **{
         ("simulate_excursions", name): (lambda v, name=name: simulate_excursions(CFG, BERN, n_excursions=20, **{name: v}), 2)
         for name in ("site_index", "seed", "stream_id")

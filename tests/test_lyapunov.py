@@ -15,7 +15,8 @@ from _oracles import (
 )
 from killedwalk import line_solver, lyapunov
 from killedwalk.env import Environment, make_distribution, sample_environment
-from killedwalk.line_solver import two_point_a, two_point_e
+from killedwalk.entropy import exponential_tilt, simplex_tilt
+from killedwalk.line_solver import F_limit_batch, two_point_a, two_point_e
 from killedwalk.lyapunov import (
     _first_fitting_cap,
     _log_kernel_tails,
@@ -50,6 +51,55 @@ def test_alpha_mc_seed_ranges_agree():
     a = estimate_alpha_mc(BERN, n_samples=1500, tol=1e-6, seed=101)
     b = estimate_alpha_mc(BERN, n_samples=1500, tol=1e-6, seed=202)
     assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth + a.trunc_bias + b.trunc_bias
+
+
+EXP1 = make_distribution({"kind": "exponential", "rate": 1.0})
+BATCHES = {
+    "bernoulli-grid": [BERN] + [exponential_tilt(BERN, t).tilt for t in np.linspace(-1.0, 4.0, 6)],
+    "exp1": [EXP1] + [exponential_tilt(EXP1, t).tilt for t in (-0.5, 2.0, 6.0)],
+    # a delta-zero law between two killing laws shifts the row blocks after it
+    "delta0": [BERN, simplex_tilt(BERN, [1.0, 0.0]).tilt, exponential_tilt(BERN, 2.0).tilt, DELTA0],
+}
+
+
+@pytest.mark.parametrize("budget", [None, 64], ids=["default-chunks", "chunks-across-laws"])
+@pytest.mark.parametrize("name", BATCHES)
+def test_batched_laws_keep_every_row(monkeypatch, name, budget):
+    laws = BATCHES[name]
+    alone = [F_limit_batch(law, seed=7, n_samples=40, tol=1e-7) for law in laws]
+    if budget:  # 32 rows a chunk at r = -2, so chunks straddle the 40-row law blocks
+        monkeypatch.setattr(line_solver, "_CELL_BUDGET", budget)
+    batched = lyapunov._limit_rows(laws, 7, 40, 1e-7)
+    assert len(batched) == len(laws)
+    for one, rows in zip(alone, batched):
+        for field in ("a_value", "trunc_bound", "r_used", "converged"):
+            got, want = getattr(rows, field), getattr(one, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, field)
+    assert lyapunov._alpha_mc_laws(laws, 40, 1e-7, 7) == [estimate_alpha_mc(law, 40, 1e-7, 7) for law in laws]
+    if name == "delta0":
+        assert batched[3].a_value.tolist() == [0.0] * 40 and batched[3].converged.all()
+        assert batched[1].r_used.tolist() == [0] * 40
+
+
+@pytest.mark.parametrize("dist, n_grid", [(BERN, [2, 4, 8]), (EXP1, [8, 2, 4]), (CONST, [2, 4, 8, 16])])
+def test_beta_builds_two_pascal_tables_per_call(monkeypatch, dist, n_grid):
+    # the largest n runs first: its pilot table at cap 16, then its own cap,
+    # whose table holds every smaller cap's as its leading block
+    builds = []
+
+    def spy(p_step, cap):
+        builds.append((p_step, cap))
+        return _pascal_table(p_step, cap)
+
+    monkeypatch.setattr(lyapunov, "_pascal_table", spy)
+    est = estimate_beta(dist, n_grid)
+    rows = est.params["grid"]
+    assert builds == [(0.5, 16), (0.5, rows[-1]["kernel_cap"])]
+    assert [row["n"] for row in rows] == sorted(n_grid)
+    monkeypatch.undo()
+    for row in rows:  # each row as its own call, with its own tables
+        alone = annealed_transfer(dist, row["n"], row["r"])
+        assert (row["b"], row["trunc"], row["kernel_cap"]) == (alone.b_value, alone.trunc_bound, alone.kernel_cap)
 
 
 def test_alpha_mc_memory_does_not_grow_with_samples():
