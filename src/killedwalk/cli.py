@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .env import Environment, make_distribution, sample_environment
+from .env import Environment, EnvironmentSource, make_distribution, sample_environment
 from .entropy import OptimizerConfig, check_family, minimize_variational
 from .line_solver import F_limit, F_r, green_function_window, two_point_a
 from .lyapunov import annealed_transfer, estimate_alpha_mc, estimate_alpha_ergodic, estimate_beta
@@ -387,6 +387,9 @@ def _run_selftest(config: RunConfig) -> dict:
     const_env = Environment(r, n, np.full(n - r + 1, const.mean))
     check("annealed-constant-vs-solver-n16", b_const, two_point_a(const_env, 0, n, r))
     check("annealed-constant-rate-n16", b_const / n, math.log(2.0), tol=1e-9)
+    for step in (0.3, 0.7):  # the walk without killing reaches 1 surely iff step >= 1/2
+        zero = F_limit(EnvironmentSource(delta0, seed=0), tol=1e-12, p=step).a_value
+        check(f"zero-potential-one-step-p{step}", zero, max(0.0, math.log((1.0 - step) / step)))
     n_fail = sum(1 for row in checks if row["status"] == "FAIL")
     return {
         "rows": checks,

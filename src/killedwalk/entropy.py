@@ -177,37 +177,47 @@ def minimize_variational(
     The exponential family runs a grid sweep (the reported curve) plus a
     golden-section refinement; the free simplex (a finite law of 2 to 4
     atoms) runs Nelder-Mead over logits.  Common random numbers are held
-    fixed across all evaluations; the untilted one is alpha_hat.  alpha_hat
-    and every grid tilt run through one batched barrier-doubling loop
-    (lyapunov._alpha_mc_laws), each law's rows exactly as its own
-    estimate_alpha_mc call would give them; refinement steps run one law a
-    call.  The family's exact minimum bounds beta from above, but the
-    reported minimum of Monte Carlo values is biased low, with
-    stat_halfwidth noise.
+    fixed across all evaluations.  Every evaluation, grid, golden-section
+    and Nelder-Mead steps alike, runs its laws through one batched
+    barrier-doubling loop (lyapunov._alpha_mc_laws), each law's rows
+    exactly as its own estimate_alpha_mc call would give them: the whole
+    grid is one call, each refinement step one more.  alpha_hat, the
+    untilted estimate, is the first law of the first call, and every tilt
+    equal to base reuses it.  The family's exact minimum bounds beta from
+    above, but the reported minimum of Monte Carlo values is biased low,
+    with stat_halfwidth noise.
     """
     cfg = optimizer_cfg or OptimizerConfig()
     n_grid = _checked_int(cfg.n_grid, "n_grid", 2)
     check_family(family, base)
     evals: list[dict] = []
+    alpha_hat = None
 
-    def record(tpm: TiltedProductMeasure, est: LyapunovEstimate) -> dict:
-        kl = tpm.kl_per_site()
-        row = {
-            "theta": tpm.theta,
-            "E_Q_F": est.value,
-            "kl_per_site": kl,
-            "objective": est.value + kl,
-            "stat_halfwidth": est.ci_halfwidth,
-            "trunc_bias": est.trunc_bias,
-            "tilt": tpm,
-        }
-        evals.append(row)
-        return row
-
-    def objective(tpm: TiltedProductMeasure) -> dict:
-        if tpm.tilt == base:  # theta = 0, the Q = P anchor, Nelder-Mead's start
-            return record(tpm, alpha_hat)  # the same samples under the same law, bit for bit
-        return record(tpm, expected_F_under(tpm, cfg.n_samples, cfg.tol, cfg.seed))
+    def evaluate(tpms: list[TiltedProductMeasure]) -> list[dict]:
+        """Record the rows of tpms, from one engine call.  A tilt equal to
+        base (theta = 0, the Q = P anchor, Nelder-Mead's start) reuses
+        alpha_hat: the same samples under the same law, bit for bit."""
+        nonlocal alpha_hat
+        first = [base] if alpha_hat is None else []
+        laws = first + [tpm.tilt for tpm in tpms if tpm.tilt != base]
+        estimates = iter(_alpha_mc_laws(laws, cfg.n_samples, cfg.tol, cfg.seed))
+        if alpha_hat is None:
+            alpha_hat = next(estimates)
+        rows = []
+        for tpm in tpms:
+            est = alpha_hat if tpm.tilt == base else next(estimates)
+            kl = tpm.kl_per_site()
+            rows.append({
+                "theta": tpm.theta,
+                "E_Q_F": est.value,
+                "kl_per_site": kl,
+                "objective": est.value + kl,
+                "stat_halfwidth": est.ci_halfwidth,
+                "trunc_bias": est.trunc_bias,
+                "tilt": tpm,
+            })
+        evals.extend(rows)
+        return rows
 
     if family in ("exponential-tilt", "exp-tilt"):
         theta_lo = cfg.theta_lo
@@ -217,19 +227,12 @@ def minimize_variational(
         thetas = np.linspace(theta_lo, cfg.theta_hi, n_grid)
         if not np.any(thetas == 0.0) and theta_lo < 0.0 < cfg.theta_hi:
             thetas = np.sort(np.append(thetas, 0.0))
-        grid = [exponential_tilt(base, float(t)) for t in thetas]
-        # alpha_hat and every grid tilt in one batched loop; a tilt equal to
-        # base reuses alpha_hat, as objective does
-        alpha_hat, *tilted = _alpha_mc_laws(
-            [base] + [tpm.tilt for tpm in grid if tpm.tilt != base], cfg.n_samples, cfg.tol, cfg.seed
-        )
-        tilted = iter(tilted)
-        curve = [record(tpm, alpha_hat if tpm.tilt == base else next(tilted)) for tpm in grid]
+        curve = evaluate([exponential_tilt(base, float(t)) for t in thetas])
         best = min(range(len(curve)), key=lambda i: curve[i]["objective"])
         lo = curve[max(best - 1, 0)]["theta"]
         hi = curve[min(best + 1, len(curve) - 1)]["theta"]
         converged = _golden_section(
-            lambda t: objective(exponential_tilt(base, t))["objective"],
+            lambda t: evaluate([exponential_tilt(base, t)])[0]["objective"],
             lo,
             hi,
             cfg.param_tol,
@@ -243,19 +246,18 @@ def minimize_variational(
 
         def f(z: np.ndarray) -> float:
             if not z.any():  # base itself, which renormalizing may miss by a bit
-                return objective(TiltedProductMeasure(base, base))["objective"]
+                return evaluate([TiltedProductMeasure(base, base)])[0]["objective"]
             w = base_w * np.exp(np.concatenate([[0.0], z]))
-            return objective(simplex_tilt(base, w / w.sum()))["objective"]
+            return evaluate([simplex_tilt(base, w / w.sum())])[0]["objective"]
 
-        alpha_hat = estimate_alpha_mc(base, cfg.n_samples, cfg.tol, cfg.seed)
-        f(np.zeros(m - 1))  # the Q = P anchor
+        f(np.zeros(m - 1))  # the Q = P anchor, whose call makes alpha_hat
         res = scipy_minimize(
             f,
             np.zeros(m - 1),
             method="Nelder-Mead",
             options={"maxfev": cfg.max_evals - len(evals), "xatol": cfg.param_tol, "fatol": 0.0},
         )
-        curve = [row for row in evals]
+        curve = evals
         converged = bool(res.success)
 
     best_row = min(evals, key=lambda row: row["objective"])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import Environment, EnvironmentSource, _checked_int, _window
-from .rng import keyed_uniform
+from .rng import _as_u64, keyed_uniform
 
 UNDERFLOW_FLOOR = 1e-300
 DEFAULT_TOL = 1e-9
@@ -48,7 +48,7 @@ class SurvivalResult:
     a_value == -ln(e_value) whenever the weight did not underflow; on
     underflow e_value is clamped to 0 and flagged while a_value stays
     finite (log-space computation).  r_used is the barrier of the solve,
-    0 for a delta-zero limit, which needs none.
+    0 for a delta-zero limit at p >= 1/2, which needs none.
     """
 
     e_value: float
@@ -220,15 +220,14 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
     travels from 0 down to r without touching 1 (weight c), then on to 1
     with weight at most 1.  One row runs the same array operations as a
     batch, so neither chunking nor batch composition changes a digit.
-    A tol that is not positive is refused.  An empty schedule is the
-    delta-zero law's: every row is 0 exactly, converged, with r_used 0.
+    A tol that is not positive is refused.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
     r_used = np.zeros(n_rows, dtype=np.int64)
-    converged = np.full(n_rows, not schedule)
+    converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
     run = np.zeros((4, n_rows))  # column i is active[i]'s run; empty: a = rho = 0, c = t = 1
     run[:2] = -math.inf
@@ -272,32 +271,37 @@ def F_limit(
 ) -> SurvivalResult:
     """Barrier-free limit F = a(0, 1) by doubling the barrier distance.
 
-    source is an Environment or EnvironmentSource covering (or lazily
-    generating) sites left of the origin.  Stops once consecutive barrier
-    doublings change the value by less than tol; trunc_bound reports the
-    last decrement plus the analytic tail certificate, which bounds the
-    remaining overestimate of the true limit.  p is a scalar in (0, 1):
-    the loop reduces windows of changing length.  It runs the loop of
-    F_limit_batch on one row, so both give the same digits.
+    source is an Environment, whose window bounds the barriers tried, or
+    an EnvironmentSource, which generates sites left of the origin lazily
+    and runs as one keyed row of F_limit_batch's loop (its stream id, at
+    this p), so the two give the same digits; anything else is refused.
+    Stops once consecutive barrier doublings change the value by less than
+    tol; trunc_bound reports the last decrement plus the analytic tail
+    certificate, which bounds the remaining overestimate of the true limit.
+    p is a scalar in (0, 1): the loop reduces windows of changing length.
+    A delta-zero source at p >= 1/2 reaches 1 surely: its limit is 0
+    exactly, with r_used 0.
     """
     p = _step_probs(p)
-    delta_zero = isinstance(source, EnvironmentSource) and source.dist.is_delta_zero
-    schedule = [] if delta_zero else _barrier_schedule()
     exhausted_window = False
-    if isinstance(source, Environment):
-        usable = [r for r in schedule if r >= source.window_lo]
-        exhausted_window = len(usable) < len(schedule)
-        schedule = usable
+    if isinstance(source, EnvironmentSource):
+        row = _keyed_rows([source.dist], source.seed, source.stream_id, tol, p)[0]
+    elif isinstance(source, Environment):
+        full = _barrier_schedule()
+        schedule = [r for r in full if r >= source.window_lo]
         if not schedule:
             raise ValueError("window too small for any barrier in the schedule")
-    row = _barrier_doubling(
-        lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, schedule, tol, p
-    )
+        exhausted_window = len(schedule) < len(full)
+        row = _barrier_doubling(
+            lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, schedule, tol, p
+        )
+    else:
+        raise ValueError(f"source must be an Environment or an EnvironmentSource, got {type(source).__name__}")
     r, ok = int(row.r_used[0]), bool(row.converged[0])
     reason = "window exhausted" if exhausted_window else "deepest barrier reached"
     return _result_from_a(
         float(row.a_value[0]), converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
-        note="delta-zero potential: trivial case, limit is 0 exactly" if delta_zero
+        note="delta-zero potential: trivial case, limit is 0 exactly" if r == 0
         else "" if ok else f"not converged to tol={tol:g} ({reason}); "
         "expect O(1/|r|) convergence only for laws concentrated near 0",
     )
@@ -310,36 +314,54 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     would, so each entry equals that call's result digit for digit and runs
     that share a seed share environments row by row.  For a delta-zero law
     every row is exactly 0 with r_used 0, as in F_limit.  This is the
-    one-law case of the law-major rows that lyapunov._limit_rows runs for
-    many laws through one loop.
+    one-law case of _keyed_rows, which runs many laws through one loop.
     """
     seed = _checked_int(seed, "seed")
     n_samples = _checked_int(n_samples, "n_samples", 0)
-    schedule = [] if dist.is_delta_zero else _barrier_schedule()
-    return _barrier_doubling(_keyed_potentials([dist], seed, n_samples), n_samples, schedule, tol, 0.5)
+    return _keyed_rows([dist], seed, np.arange(n_samples), tol, 0.5)[0]
 
 
-def _keyed_potentials(dists, seed: int, n_samples: int):
-    """potentials(rows, lo, hi) for _barrier_doubling over law-major rows:
-    row k * n_samples + i draws stream i of seed under dists[k].
+def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
+    """The limit of EnvironmentSource(dist, seed, s) at step probability p
+    for every dist in dists and every stream id s in streams: one
+    LimitBatch per law, one row per stream, from one barrier-doubling loop.
 
-    rows ascend (the loop keeps their order), so each law's rows form one
-    contiguous block of the chunk: the keyed uniforms are drawn once, and
-    each law's ppf writes its own block, as a call on that block alone would.
+    streams is an integer or a 1-d integer array, each id taken as the
+    64-bit word keyed_uniform takes.  The loop's rows are law-major (row
+    k * n + i is streams[i] under the k-th law that runs it) and ascend in
+    every chunk, so each law's rows form one contiguous block: a chunk
+    draws its keyed uniforms once, and each law's ppf writes its own block,
+    as a call on that block alone would.  At p >= 1/2 the walk on a
+    delta-zero law reaches 1 surely, so its rows are 0 exactly, converged,
+    with r_used 0, and never enter the loop; at p < 1/2 they run it, which
+    converges geometrically there.
     """
-    firsts = np.arange(len(dists) + 1) * n_samples
+    streams = np.atleast_1d(_as_u64(streams))
+    n = streams.size
+    sure = [bool(p >= 0.5) and dist.is_delta_zero for dist in dists]
+    live = [dist for dist, skip in zip(dists, sure) if not skip]
+    firsts = np.arange(len(live) + 1) * n
 
     def potentials(rows, lo, hi):
         sites = np.arange(lo, hi + 1, dtype=np.int64)
-        u = keyed_uniform(seed, (rows % n_samples)[:, None], sites[None, :])
+        u = keyed_uniform(seed, streams[rows % n][:, None], sites[None, :])
         omega = np.empty_like(u)
         ends = np.searchsorted(rows, firsts).tolist()
-        for dist, i, j in zip(dists, ends, ends[1:]):
+        for dist, i, j in zip(live, ends, ends[1:]):
             if i < j:
                 dist.ppf(u[i:j], out=omega[i:j])
         return omega
 
-    return potentials
+    batch = _barrier_doubling(potentials, len(live) * n, _barrier_schedule(), tol, p)
+    out, k = [], 0
+    for skip in sure:
+        if skip:
+            out.append(LimitBatch(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)))
+            continue
+        block = slice(k, k + n)
+        k += n
+        out.append(LimitBatch(batch.a_value[block], batch.trunc_bound[block], batch.r_used[block], batch.converged[block]))
+    return out
 
 
 def green_function_window(env: Environment, x: int, y: int, window: tuple[int, int], p=0.5) -> float:

@@ -20,16 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .env import EnvironmentSource, PotentialDistribution, _checked_int
-from .line_solver import (
-    LimitBatch,
-    _barrier,
-    _barrier_doubling,
-    _barrier_schedule,
-    _forward_sweep,
-    _keyed_potentials,
-    _step_probs,
-    forward_step_weights,
-)
+from .line_solver import _barrier, _forward_sweep, _keyed_rows, _step_probs, forward_step_weights
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
@@ -64,18 +55,19 @@ def estimate_alpha_mc(
     Sample i draws its environment from stream_id = i, so two runs with
     the same seed share environments sample by sample; the variational
     objective relies on that when it passes each tilted law as dist.  This
-    is the one-law case of _alpha_mc_laws: all samples run through one
-    batched barrier-doubling loop, with the rows of F_limit_batch.  A row
-    that did not converge by the deepest barrier is kept: its trunc_bound
-    certifies its overestimate all the same, so it enters trunc_bias, and
-    params counts it as n_unconverged.
+    is the one-law case of _alpha_mc_laws: the samples are the rows of one
+    keyed barrier-doubling loop (line_solver._keyed_rows), those of
+    F_limit_batch digit for digit.  A row that did not converge by the
+    deepest barrier is kept: its trunc_bound certifies its overestimate all
+    the same, so it enters trunc_bias, and params counts it as
+    n_unconverged.
     """
     return _alpha_mc_laws([dist], n_samples, tol, seed)[0]
 
 
 def _alpha_mc_laws(dists, n_samples: int, tol: float, seed: int) -> list[LyapunovEstimate]:
     """estimate_alpha_mc(dist, n_samples, tol, seed) for every dist in
-    dists, from the rows of _limit_rows."""
+    dists, from the rows of one line_solver._keyed_rows call."""
     n_samples = _checked_int(n_samples, "n_samples", 2)
     seed = _checked_int(seed, "seed")
     return [
@@ -87,32 +79,8 @@ def _alpha_mc_laws(dists, n_samples: int, tol: float, seed: int) -> list[Lyapuno
             params={"seed": seed, "tol": tol, "n_unconverged": int(n_samples - rows.converged.sum())},
             trunc_bias=float(rows.trunc_bound.mean()),
         )
-        for rows in _limit_rows(dists, seed, n_samples, tol)
+        for rows in _keyed_rows(dists, seed, np.arange(n_samples), tol, 0.5)
     ]
-
-
-def _limit_rows(dists, seed: int, n_samples: int, tol: float) -> list[LimitBatch]:
-    """F_limit_batch(dist, seed, n_samples, tol) for every dist in dists,
-    digit for digit, through one barrier-doubling loop.
-
-    The rows of the laws that kill are law-major (row k * n_samples + i
-    is stream i under the k-th such law), so each doubling draws its keyed
-    uniforms once for all laws; a delta-zero law's rows are 0, converged,
-    with r_used 0, as in F_limit_batch, and never enter the loop.
-    """
-    live = [dist for dist in dists if not dist.is_delta_zero]
-    batch = _barrier_doubling(
-        _keyed_potentials(live, seed, n_samples), len(live) * n_samples, _barrier_schedule(), tol, 0.5
-    )
-    out, k = [], 0
-    for dist in dists:
-        if dist.is_delta_zero:
-            out.append(_barrier_doubling(None, n_samples, [], tol, 0.5))
-            continue
-        block = slice(k, k + n_samples)
-        k += n_samples
-        out.append(LimitBatch(batch.a_value[block], batch.trunc_bound[block], batch.r_used[block], batch.converged[block]))
-    return out
 
 
 def estimate_alpha_ergodic(

@@ -168,7 +168,7 @@ def test_variational_collapse_for_point_mass():
 def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
     # n_grid = 0 once returned the lone theta = 0 row, or died in min() when
     # theta_lo > 0; the refusal comes before any sample is drawn
-    monkeypatch.setattr(lyapunov, "_limit_rows", None)
+    monkeypatch.setattr(lyapunov, "_keyed_rows", None)
     for theta_lo in (-1.0, 0.5):
         cfg = OptimizerConfig(n_samples=4, seed=0, theta_lo=theta_lo, theta_hi=1.0, n_grid=n_grid)
         with pytest.raises(ValueError, match="n_grid"):
@@ -188,8 +188,8 @@ def test_variational_refuses_a_grid_below_two_points(monkeypatch, n_grid):
 )
 def test_variational_runs_the_engine_once_per_evaluation(monkeypatch, base):
     calls = []  # one entry per law the engine runs; a call may run several
-    engine = lyapunov._limit_rows
-    monkeypatch.setattr(lyapunov, "_limit_rows", lambda dists, *a: calls.extend(dists) or engine(dists, *a))
+    engine = lyapunov._keyed_rows
+    monkeypatch.setattr(lyapunov, "_keyed_rows", lambda dists, *a: calls.extend(dists) or engine(dists, *a))
     cfg = OptimizerConfig(n_samples=40, seed=3, theta_lo=-0.5, theta_hi=2.0, n_grid=6, max_evals=8)
     for family in ["exponential-tilt"] + ["free-simplex"] * (base.kind == "finite"):
         calls.clear()

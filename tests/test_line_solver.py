@@ -30,6 +30,7 @@ from killedwalk.lyapunov import annealed_transfer
 
 BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 BERN = make_distribution(BERN_SPEC)
+DELTA0 = make_distribution({"kind": "point", "value": 0.0})
 
 
 def zero_env(r, hi):
@@ -130,6 +131,19 @@ def test_batch_composition_is_invisible(spec):
         assert batch.converged[i] == one.converged
 
 
+@pytest.mark.parametrize("law, p", [(BERN, 0.3), (BERN, 0.5), (BERN, 0.7), (DELTA0, 0.3)])
+def test_keyed_and_window_routes_give_the_same_digits(law, p):
+    # a delta-zero source once read 0 at any p; below 1/2 its limit is ln(q/p)
+    keyed = F_limit(EnvironmentSource(law, 3, 2), p=p)
+    assert keyed == F_limit(sample_environment(law, (-4096, 1), 3, 2), p=p)
+    assert keyed.converged and keyed.r_used < 0
+
+
+def test_a_stream_id_is_read_as_a_64_bit_word():
+    # keyed_uniform hashes stream 2**64 + 5 as stream 5, and so must the keyed rows
+    assert F_limit(EnvironmentSource(BERN, 0, 2**64 + 5)) == F_limit(EnvironmentSource(BERN, 0, 5))
+
+
 def test_row_chunking_is_invisible(monkeypatch):
     whole = F_limit_batch(BERN, seed=8, n_samples=200, tol=1e-7)
     monkeypatch.setattr(line_solver, "_CELL_BUDGET", 64)  # 2 rows at r = -32, 1 from r = -64
@@ -180,7 +194,7 @@ def test_delta_zero_limit_flags_slow_mode():
     assert "not converged" in res.note
     assert 0.0 <= res.a_value <= 1e-3  # ln((1-r)/-r) at the last barrier
 
-    dist_source = EnvironmentSource(make_distribution({"kind": "point", "value": 0.0}), seed=0)
+    dist_source = EnvironmentSource(DELTA0, seed=0)
     exact = F_limit(dist_source, tol=1e-9)
     assert exact.converged and exact.a_value == 0.0 and exact.r_used == 0 and "trivial" in exact.note
 
@@ -262,6 +276,9 @@ def test_nan_tolerance_is_refused():
         F_limit(bern_env(2, -64, 1), tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         F_limit_batch(BERN, seed=2, n_samples=2, tol=math.nan)
+    # a source that is neither an Environment nor an EnvironmentSource
+    with pytest.raises(ValueError, match="^source must be"):
+        F_limit([0.0] * 5)
 
 
 def test_every_line_routine_refuses_a_step_probability_outside_the_unit_interval():
@@ -273,7 +290,7 @@ def test_every_line_routine_refuses_a_step_probability_outside_the_unit_interval
         "F_r": lambda p: F_r(env, -5, p),
         "F_limit on a window": lambda p: F_limit(env, p=p),
         "F_limit on a source": lambda p: F_limit(EnvironmentSource(BERN, 0), p=p),
-        "F_limit on delta zero": lambda p: F_limit(EnvironmentSource(make_distribution({"kind": "point", "value": 0.0}), 0), p=p),
+        "F_limit on delta zero": lambda p: F_limit(EnvironmentSource(DELTA0, 0), p=p),
         "green_function_window": lambda p: green_function_window(env, 0, 2, (-5, 5), p),
         "annealed_transfer": lambda p: annealed_transfer(BERN, 2, -5, p),
     }

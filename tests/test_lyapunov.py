@@ -69,7 +69,7 @@ def test_batched_laws_keep_every_row(monkeypatch, name, budget):
     alone = [F_limit_batch(law, seed=7, n_samples=40, tol=1e-7) for law in laws]
     if budget:  # 32 rows a chunk at r = -2, so chunks straddle the 40-row law blocks
         monkeypatch.setattr(line_solver, "_CELL_BUDGET", budget)
-    batched = lyapunov._limit_rows(laws, 7, 40, 1e-7)
+    batched = line_solver._keyed_rows(laws, 7, np.arange(40), 1e-7, 0.5)
     assert len(batched) == len(laws)
     for one, rows in zip(alone, batched):
         for field in ("a_value", "trunc_bound", "r_used", "converged"):
