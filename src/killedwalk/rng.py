@@ -7,7 +7,9 @@ were evaluated, in which order, or on how many workers did the evaluating.
 The hash has two stages: ``stream_key`` folds seed and stream into one
 64-bit key, and ``mix_counters`` XORs it into each counter times the
 SplitMix64 increment and runs the SplitMix64 finalizer.  ``keyed_bits`` is
-their composition; a branch forest derives its key and premultiplies its
+their composition, and ``keyed_uniform_from_key`` takes the uniforms of a
+key already derived, as the keyed rows of the line solver and the tree
+walkers do once a call; a branch forest derives its key and premultiplies its
 counters once, then hashes level after level in place.  A tree walker's
 step uniforms follow the same contract: walker w's t-th step draws
 ``keyed_uniform(seed, substream(step_stream, w), t)``, so a walker's path
@@ -76,15 +78,20 @@ def mix_counters(key, counters_gamma, out=None, scratch=None) -> np.ndarray:
     return _splitmix64(out, np.empty_like(out) if scratch is None else scratch)
 
 
+def _counter_words(counter, out=None) -> np.ndarray:
+    """Each integer counter as the uint64 word counter * _GAMMA that
+    mix_counters takes, into out (a uint64 array of counter's shape) if it
+    is given.  Negative counters (site indices) wrap to uint64 two's
+    complement, which keeps them distinct and deterministic."""
+    # an array product: numpy checks overflow only in scalar arithmetic
+    return np.multiply(_as_u64(counter), _U64(_GAMMA), out=out)
+
+
 def keyed_bits(seed, stream_id, counter) -> np.ndarray:
     """64 hashed bits for each (seed, stream_id, counter) triple:
-    mix_counters(stream_key(seed, stream_id), counter * _GAMMA).
-
-    All three arguments broadcast; negative counters (site indices) wrap to
-    uint64 two's complement, which keeps them distinct and deterministic.
-    """
-    # an array product: numpy checks overflow only in scalar arithmetic
-    return mix_counters(stream_key(seed, stream_id), _as_u64(counter) * _U64(_GAMMA))
+    mix_counters(stream_key(seed, stream_id), counter * _GAMMA).  All
+    three arguments broadcast."""
+    return mix_counters(stream_key(seed, stream_id), _counter_words(counter))
 
 
 def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
@@ -93,7 +100,14 @@ def keyed_uniform(seed, stream_id, counter) -> np.ndarray:
     Uses the top 53 bits so the result is an exactly representable
     float64 on a 2**-53 lattice.
     """
-    return _uniform(keyed_bits(seed, stream_id, counter))
+    return keyed_uniform_from_key(stream_key(seed, stream_id), counter)
+
+
+def keyed_uniform_from_key(key, counter) -> np.ndarray:
+    """keyed_uniform(seed, stream_id, counter) for key = stream_key(seed,
+    stream_id) (key and counter broadcast), so a caller that draws many
+    counters of one set of streams derives their keys once."""
+    return _uniform(mix_counters(key, _counter_words(counter)))
 
 
 def _uniform(bits, out=None) -> np.ndarray:

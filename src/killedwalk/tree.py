@@ -46,7 +46,7 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution, _checked_int, _window, make_distribution
 from .line_solver import _barrier, forward_step_weights
 from .lyapunov import annealed_transfer
-from .rng import _GAMMA, _U64, _as_u64, _uniform, mix_counters, stream_key, substream
+from .rng import _as_u64, _counter_words, keyed_uniform_from_key, mix_counters, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
@@ -227,7 +227,7 @@ class _Workspace:
 
     def __init__(self, starts: list[int], cells: int, tables: dict[int, np.ndarray]):
         self.counters = np.arange(starts[-1], dtype=np.uint64)
-        self.counters *= _U64(_GAMMA)
+        _counter_words(self.counters, out=self.counters)
         self.bits = np.empty(cells, dtype=np.uint64)
         self.scratch = np.empty(cells, dtype=np.uint64)
         self.s = np.empty(cells)
@@ -398,7 +398,7 @@ def _site_brackets(cfg: TreeConfig, dist: PotentialDistribution, seed: int, stre
     keys = stream_key(seed, np.atleast_1d(_as_u64(streams)))
     w = _branch_brackets(cfg, dist, keys, cfg.d - 2)
     # the site's own potential, keyed_uniform(seed, streams, 0)
-    omega_site = dist.ppf(_uniform(mix_counters(keys, _U64(0))))
+    omega_site = dist.ppf(keyed_uniform_from_key(keys, 0))
     # math.exp: numpy's vectorized exp may round differently, which
     # would move h by an ulp against data files already written
     s = np.array([math.exp(-x) for x in omega_site.tolist()])
@@ -634,9 +634,8 @@ def _walk(
             walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
         if walker.size == 0:
             break
-        counters = _as_u64(starts[level] + idx) * _U64(_GAMMA)
-        log_w -= dist.ppf(_uniform(mix_counters(site_key[geo - lo], counters, out=counters)))
-        u = _uniform(mix_counters(step_key, _as_u64(step) * _U64(_GAMMA)))
+        log_w -= dist.ppf(keyed_uniform_from_key(site_key[geo - lo], starts[level] + idx))
+        u = keyed_uniform_from_key(step_key, step)
         # a walker goes down a level on u >= base, onto child (u - base) /
         # s_child of its d-1 (on the geodesic, d-2); below base a branch
         # walker climbs and a geodesic walker steps along the geodesic,

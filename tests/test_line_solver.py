@@ -119,6 +119,60 @@ def test_reduction_matches_sweep_and_banded_solve(case):
             assert abs(np.logaddexp(0.0, lc - la) - cert) <= 1e-12 * max(1.0, cert)
 
 
+# log weights up to -1e-16: within 1e-288 of 0, the helper's e^-700 floor
+# may move a sum by up to 1e-304, many ulps of so small a sum
+_log_weight = st.floats(-1000.0, -1e-16)
+
+
+@st.composite
+def _logaddexp_pair(draw):
+    """A random pair, an equal pair, a gap past -745, or -inf on one side or both."""
+    x = draw(_log_weight)
+    y = draw(st.one_of(
+        _log_weight,
+        st.just(x),
+        st.floats(745.0, 5000.0).map(lambda gap: x - gap),
+        st.just(-math.inf),
+    ))
+    return draw(st.sampled_from([(x, y), (y, x), (-math.inf, -math.inf)]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(_logaddexp_pair(), min_size=1, max_size=64))
+def test_logaddexp_helper_matches_numpy_within_2_ulp(pairs):
+    # measured in ulps of the largest of its terms, max and log1p(exp(min
+    # - max)), and the sum: a sum near 0 cancels what numpy's scalar exp
+    # and log1p round differently from the SIMD ones
+    x, y = np.array(pairs).T
+    want = np.logaddexp(x, y)
+    got = line_solver._logaddexp(x, y.copy(), np.empty_like(y))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    hi = np.maximum(x, y)[finite]
+    scale = np.maximum.reduce([np.abs(want[finite]), np.abs(hi), want[finite] - hi])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 2 * np.spacing(scale))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_site_that_kills_surely_leaves_the_limit_finite():
+    # +inf at site -34: no path to 1 that reaches it survives, so F at the
+    # barriers past it is the solve under barrier -34.  The star's sums
+    # meet -inf on both sides there, which must read -inf, not NaN
+    env = Environment(-64, 1, [0.0] * 30 + [math.inf] + [0.0] * 35)
+    res = F_limit(env, tol=1e-9)
+    assert math.isfinite(res.a_value) and math.isfinite(res.trunc_bound)
+    assert abs(res.a_value - two_point_a(env, 0, 1, -34)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites, bound", [(256, 1e-14), (4096, 2e-13)])
+def test_reduction_rounding_on_zero_potential_stays_bounded(n_sites, bound):
+    # gambler's ruin: 0 reaches 1 before -n_sites with weight n/(n+1).  The
+    # pairwise reduction's rounding grows about linearly in the window
+    # (7.9e-15 and 1.26e-13 here), where the sweep's does not
+    log_a = _reduce(np.zeros(n_sites), 0.5)[0]
+    assert abs(-log_a - math.log1p(1.0 / n_sites)) <= bound
+
+
 @pytest.mark.parametrize("spec", [BERN_SPEC, {"kind": "exponential", "rate": 1.0}])
 def test_batch_composition_is_invisible(spec):
     dist = make_distribution(spec)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from killedwalk.rng import keyed_bits, keyed_uniform, mix_counters, stream_key, substream
+from killedwalk.rng import keyed_bits, keyed_uniform, keyed_uniform_from_key, mix_counters, stream_key, substream
 
 
 def _splitmix64_reference(x: int) -> int:
@@ -93,6 +93,21 @@ def test_in_place_draws_match_allocating_draws():
         assert mix_counters(key, counters_gamma, out=out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(keyed_uniform(seed, stream, counters), (want >> np.uint64(11)) * 2.0**-53)
+
+
+def test_uniforms_from_a_derived_key_are_the_keyed_uniforms():
+    # keys derived once for many streams, broadcast against the counters
+    # as the line solver's keyed rows draw a chunk
+    mask = 0xFFFFFFFFFFFFFFFF
+    streams = np.array([0, 5, 2**40, mask], dtype=np.uint64)
+    sites = np.arange(-40, 40)
+    for seed in (0, -1, 2**64 + 5):
+        keys = stream_key(seed, streams)
+        want = np.array([[_keyed_bits_reference(seed, int(s), c & mask) >> 11 for c in sites.tolist()] for s in streams])
+        got = keyed_uniform_from_key(keys[:, None], sites)
+        assert np.array_equal(got, want * 2.0**-53)
+        assert np.array_equal(got, keyed_uniform(seed, streams[:, None], sites))
+        assert keyed_uniform_from_key(keys, 7).tolist() == keyed_uniform(seed, streams, 7).tolist()
 
 
 def test_keyed_bits_is_the_stream_key_mixed_into_the_counters():
