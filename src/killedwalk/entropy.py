@@ -101,7 +101,8 @@ def simplex_tilt(base: PotentialDistribution, weights) -> TiltedProductMeasure:
     each weight finite."""
     if base.kind != "finite":
         raise ValueError("free-simplex tilts need a finite-support base")
-    w = np.array([_finite(wi, f"weights[{i}]") for i, wi in enumerate(np.ravel(weights))])
+    # as objects, so that a bool among floats stays a bool
+    w = np.array([_finite(wi, f"weights[{i}]") for i, wi in enumerate(np.ravel(np.asarray(weights, dtype=object)))])
     if w.size != len(base.atoms) or np.any(w < 0):
         raise ValueError("need one nonnegative weight per base atom")
     total = w.sum()

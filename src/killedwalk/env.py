@@ -237,11 +237,19 @@ def _window(window) -> tuple[int, int]:
     return lo, hi
 
 
+def _number(raw, name: str) -> float:
+    """float(raw), where raw is a number and never a bool (Python or
+    numpy); anything else is a ValueError naming name."""
+    if not isinstance(raw, (bool, np.bool_)):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {raw!r}")
+
+
 def _finite(raw, name: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+    value = _number(raw, name)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -321,14 +329,13 @@ class Environment:
         """The inverse of to_dict; a missing or malformed entry raises ValueError naming it."""
         if not isinstance(d, dict) or "values" not in d:
             raise ValueError("an environment must be an object with 'values'")
-        try:
-            values = np.asarray(d["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"values must be a list of numbers, got {d['values']!r}") from None
+        values = np.asarray(d["values"], dtype=object)  # where a bool stays a bool
+        if values.ndim != 1:
+            raise ValueError(f"values must be a list of numbers, got {d['values']!r}")
         return cls(
             window_lo=_integer(d.get("window_lo"), "window_lo"),
             window_hi=_integer(d.get("window_hi"), "window_hi"),
-            values=values,
+            values=[_number(v, f"values[{i}]") for i, v in enumerate(values)],
             seed=_integer(d.get("seed", 0), "seed"),
             stream_id=_integer(d.get("stream_id", 0), "stream_id"),
         )

@@ -162,19 +162,21 @@ def _reduce(omega, p) -> tuple[np.ndarray, ...]:
     """Log weights (a, rho, c, t) of the run of all sites along omega's
     last axis; any leading axes are independent rows.  p is a scalar or one
     value per site.  All four stay logs: c and t decay along a run, and a
-    and rho stay finite where the linear weight underflows.  Each level
-    pairs neighbouring runs into new arrays, so no stacked copy of the
-    window is ever built."""
+    and rho stay finite where the linear weight underflows.
+
+    The run holds 2**k sites, and each level halves it, pairing sites
+    0::2 with 1::2 into new arrays, so no stacked copy of the window is
+    ever built.  Any other length is refused: its halves would not pair up.
+    """
+    n_sites = omega.shape[-1]
+    if n_sites < 1 or n_sites & (n_sites - 1):
+        raise ValueError(f"_reduce needs a run of 2**k sites, got {n_sites}")
     p = np.asarray(p, dtype=np.float64)
     right, left = np.log(p) - omega, np.log(1.0 - p) - omega
     run = (right, left, left, right)  # one site: (p s, q s, q s, p s)
     del right, left  # so that each level frees the one before it
     while run[0].shape[-1] > 1:
-        even = run[0].shape[-1] // 2 * 2
-        pairs = _star([x[..., 0:even:2] for x in run], [x[..., 1:even:2] for x in run])
-        run = pairs if even == run[0].shape[-1] else tuple(
-            np.concatenate([y, x[..., even:]], axis=-1) for y, x in zip(pairs, run)
-        )
+        run = _star([x[..., 0::2] for x in run], [x[..., 1::2] for x in run])
     return tuple(x[..., 0] for x in run)
 
 
@@ -226,29 +228,23 @@ class LimitBatch:
     converged: np.ndarray
 
 
-def _barrier_schedule() -> list[int]:
-    """Barriers -2, -4, -8, ... down to DEFAULT_R_MAX, read at call time."""
-    schedule, r = [], -2
-    while r >= DEFAULT_R_MAX:
-        schedule.append(r)
-        r *= 2
-    return schedule
-
-
-def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> LimitBatch:
+def _barrier_doubling(potentials, n_rows: int, r_min: int, tol: float, p) -> LimitBatch:
     """The barrier-doubling loop behind F_limit and F_limit_batch.
 
     potentials(rows, lo, hi) returns the potentials of the given rows on
-    sites lo .. hi.  Each row keeps the run of sites r+1 .. 0 reduced so
-    far; at barrier r the rows still running reduce only their new sites
-    (in chunks of at most _CELL_BUDGET cells of the window) and compose
-    them with that run, which gives F_r = -ln a.  A row stops at its first
-    decrement below tol, or unconverged at the last barrier.  Its tail
-    certificate is ln(1 + c/a): a path counted by F but not by F_r first
-    travels from 0 down to r without touching 1 (weight c), then on to 1
-    with weight at most 1.  One row runs the same array operations as a
-    batch, so neither chunking nor batch composition changes a digit.
-    A tol that is not positive is refused.
+    sites lo .. hi.  The loop walks the barriers r = -2, -4, -8, ... while
+    r >= r_min.  Each row keeps the run of sites r+1 .. 0 reduced so far;
+    at barrier r the rows still running reduce only their new sites, a run
+    of 2**k (two at r = -2, then -r/2), in chunks of at most _CELL_BUDGET
+    cells of the window, and compose them with that run, which gives
+    F_r = -ln a.  A row stops at its first decrement below tol, or
+    unconverged at the last barrier.  Its tail certificate is
+    ln(1 + c/a): a path counted by F but not by F_r first travels from 0
+    down to r without touching 1 (weight c), then on to 1 with weight at
+    most 1.  One row runs the same array operations as a batch, so neither
+    chunking nor batch composition changes a digit.  A tol that is not
+    positive is refused; with r_min > -2 no row runs, and every row reads
+    0, unconverged.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
@@ -259,13 +255,13 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
     active = np.arange(n_rows)
     run = np.empty((4, n_rows))  # column i is active[i]'s run of sites r_prev+1 .. 0
 
-    def extend(cols, k, r, r_prev) -> np.ndarray:
+    def extend(cols, r, r_prev) -> np.ndarray:
         """Join sites r+1 .. r_prev to the runs of active[cols], record the
         rows that stop at r, and return the mask of those that go on.  Its
         temporaries die on return, before the next chunk draws."""
         rows = active[cols]
         joined = _reduce(potentials(rows, r + 1, r_prev), p)
-        if k:
+        if r_prev:
             joined = _star(joined, run[:, cols])
             decrement = joined[0] - run[0, cols]  # F_{r_prev} - F_r
         else:  # the first barrier's new sites are the whole run
@@ -274,25 +270,23 @@ def _barrier_doubling(potentials, n_rows: int, schedule, tol: float, p) -> Limit
         for kept, new in zip(run[:, cols], joined):
             kept[...] = new
         stop = decrement < tol
-        done = stop | (k == len(schedule) - 1)
+        done = stop | (2 * r < r_min)
         if done.any():
             fin = rows[done]
-            slack = decrement[done] if k else 0.0
+            slack = decrement[done] if r_prev else 0.0
             trunc[fin] = slack + np.logaddexp(0.0, log_c[done] - log_a[done])
             a_value[fin], r_used[fin], converged[fin] = -log_a[done], r, stop[done]
         return ~done
 
-    r_prev = 0
-    for k, r in enumerate(schedule):
-        if active.size == 0:
-            break
+    r_prev, r = 0, -2
+    while active.size and r >= r_min:
         chunk = max(1, _CELL_BUDGET // -r)
         running = np.empty(active.size, dtype=bool)
         for start in range(0, active.size, chunk):
             cols = slice(start, start + chunk)
-            running[cols] = extend(cols, k, r, r_prev)
+            running[cols] = extend(cols, r, r_prev)
         active, run = active[running], run[:, running]
-        r_prev = r
+        r_prev, r = r, 2 * r
     return LimitBatch(a_value, trunc, r_used, converged)
 
 
@@ -303,10 +297,12 @@ def F_limit(
 ) -> SurvivalResult:
     """Barrier-free limit F = a(0, 1) by doubling the barrier distance.
 
-    source is an Environment, whose window bounds the barriers tried, or
-    an EnvironmentSource, which generates sites left of the origin lazily
-    and runs as one keyed row of F_limit_batch's loop (its stream id, at
-    this p), so the two give the same digits; anything else is refused.
+    source is an Environment, whose window bounds the barriers tried (the
+    loop walks -2, -4, ... down to max(window_lo, DEFAULT_R_MAX), and a
+    window that holds no barrier is refused), or an EnvironmentSource,
+    which generates sites left of the origin lazily and runs as one keyed
+    row of F_limit_batch's loop (its stream id, at this p), so the two
+    give the same digits; anything else is refused.
     Stops once consecutive barrier doublings change the value by less than
     tol; trunc_bound reports the last decrement plus the analytic tail
     certificate, which bounds the remaining overestimate of the true limit.
@@ -315,22 +311,21 @@ def F_limit(
     exactly, with r_used 0.
     """
     p = _step_probs(p)
-    exhausted_window = False
     if isinstance(source, EnvironmentSource):
         row = _keyed_rows([source.dist], source.seed, source.stream_id, tol, p)[0]
     elif isinstance(source, Environment):
-        full = _barrier_schedule()
-        schedule = [r for r in full if r >= source.window_lo]
-        if not schedule:
+        r_min = max(source.window_lo, DEFAULT_R_MAX)
+        if r_min > -2:
             raise ValueError("window too small for any barrier in the schedule")
-        exhausted_window = len(schedule) < len(full)
         row = _barrier_doubling(
-            lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, schedule, tol, p
+            lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, r_min, tol, p
         )
     else:
         raise ValueError(f"source must be an Environment or an EnvironmentSource, got {type(source).__name__}")
     r, ok = int(row.r_used[0]), bool(row.converged[0])
-    reason = "window exhausted" if exhausted_window else "deepest barrier reached"
+    # unconverged, r is the last barrier walked: the window ended first
+    # if the next one, 2r, was still within DEFAULT_R_MAX
+    reason = "window exhausted" if 2 * r >= DEFAULT_R_MAX else "deepest barrier reached"
     return _result_from_a(
         float(row.a_value[0]), converged=ok, r_used=r, trunc_bound=float(row.trunc_bound[0]),
         note="delta-zero potential: trivial case, limit is 0 exactly" if r == 0
@@ -385,7 +380,7 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
                 dist.ppf(u[i:j], out=omega[i:j])
         return omega
 
-    batch = _barrier_doubling(potentials, len(live) * n, _barrier_schedule(), tol, p)
+    batch = _barrier_doubling(potentials, len(live) * n, DEFAULT_R_MAX, tol, p)
     out, k = [], 0
     for skip in sure:
         if skip:

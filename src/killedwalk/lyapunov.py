@@ -248,7 +248,9 @@ def annealed_transfer(
 def _annealed_transfer(dist, n, r, p, start, tables: dict) -> AnnealedTransferResult:
     """annealed_transfer, whose pilot and main passes take their Pascal
     tables from tables (see _log_transfer) and store what they build there.
-    Calls that share one dict, largest window first, build each table once."""
+    Calls that share one dict, largest window first, build each table once:
+    the rows of estimate_beta and the three windows of
+    tree.turning_point_decompose do."""
     n, r, start = (_checked_int(v, name) for v, name in ((n, "n"), (r, "r"), (start, "start")))
     if not (r < start < n):
         raise ValueError(f"need r < start < n, got r={r}, start={start}, n={n}")

@@ -45,7 +45,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution, _checked_int, _window, make_distribution
 from .line_solver import _barrier, forward_step_weights
-from .lyapunov import annealed_transfer
+from .lyapunov import _annealed_transfer
 from .rng import _as_u64, _counter_words, keyed_uniform_from_key, mix_counters, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
@@ -422,7 +422,7 @@ def branch_return_weight(
     grants frontier subtrees the zero-potential return weight, the largest
     value compatible with nonnegative potentials.
     """
-    keys = stream_key(seed, np.atleast_1d(_as_u64(stream_id)))
+    keys = stream_key(_checked_int(seed, "seed"), np.atleast_1d(_as_u64(_checked_int(stream_id, "stream_id"))))
     lo, hi = _branch_brackets(cfg, dist, keys, 1)[:, 0, 0]
     return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
@@ -436,7 +436,7 @@ def excursion_survival_h(
     """Bracketed excursion survival weight h of one geodesic site: survive
     the site and its branch excursions until first stepping onto one of
     the two geodesic neighbours."""
-    lo, hi = _site_brackets(cfg, dist, seed, stream_id)[:, 0]
+    lo, hi = _site_brackets(cfg, dist, _checked_int(seed, "seed"), _checked_int(stream_id, "stream_id"))[:, 0]
     return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 
@@ -849,9 +849,10 @@ def turning_point_decompose(
     a_beyond = a_of(k, n)
 
     line_dist = make_distribution({"kind": "finite", "atoms": [[m, 1 / _LINE_LAW_SITES] for m in mids[sites.size :]]})
-    total = annealed_transfer(line_dist, n, r, p_sites)
-    beyond = annealed_transfer(line_dist, n, r, p_sites, start=k)
-    uphill = annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)])
+    tables: dict[float, np.ndarray] = {}  # the longest window runs first: its caps' tables serve the rest
+    total = _annealed_transfer(line_dist, n, r, p_sites, 0, tables)
+    beyond = _annealed_transfer(line_dist, n, r, p_sites, k, tables)
+    uphill = _annealed_transfer(line_dist, k, r, p_sites[: k - (r + 1)], 0, tables)
     b_total, b_beyond, ln_mean_c = total.b_value, beyond.b_value, -uphill.b_value
     return TurningPointReport(
         a_total=a_total,

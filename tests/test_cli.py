@@ -63,6 +63,15 @@ def test_nan_rate_fails_with_field_name(tmp_path, capsys):
     assert "rate" in record["error"]
 
 
+def test_a_bool_in_a_distribution_spec_exits_2(tmp_path, capsys):
+    # it once ran the point law at 1.0
+    argv = ["alpha", "-P", 'distribution={"kind":"point","value":true}', "-P", "n_samples=10", "--out", "a"]
+    assert run_cli(tmp_path, *argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["field"] == "distribution" and "value must be a number, got True" in record["error"], record
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_wide_seed_matches_library_and_narrow_seed(tmp_path):
     params = ["-P", f"distribution={json.dumps(BERN_SPEC)}", "-P", "n_samples=40", "-P", "tol=1e-6"]
     for seed, out in ((2**64 + 7, "wide"), (7, "narrow")):

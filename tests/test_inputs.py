@@ -7,13 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from killedwalk.entropy import OptimizerConfig, expected_F_under, exponential_tilt, minimize_variational
+from killedwalk.entropy import OptimizerConfig, expected_F_under, exponential_tilt, minimize_variational, simplex_tilt
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
 from killedwalk.line_solver import F_limit_batch, F_r, green_function_window, two_point_a
 from killedwalk.lyapunov import annealed_transfer, estimate_alpha_ergodic, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import (
     GeodesicSpec,
     TreeConfig,
+    branch_return_weight,
+    excursion_survival_h,
     reduce_to_line,
     rho_environment,
     rho_for_site,
@@ -77,6 +79,12 @@ CASES = {
     ("rho_for_site", "stream_id"): (lambda v: rho_for_site(CFG, BERN, 1, stream_id=v), 2),
     ("rho_environment", "seed"): (lambda v: rho_environment(CFG, BERN, (0, 2), seed=v)[1], 2),
     ("reduce_to_line", "seed"): (lambda v: reduce_to_line(CFG, BERN, 2, seed=v), 2),
+    # a bool seed once gave the seed-1 bracket, a float one failed in the key hash
+    **{
+        (entry.__name__, name): (lambda v, entry=entry, name=name: entry(CFG, BERN, **{name: v}), 2)
+        for entry in (excursion_survival_h, branch_return_weight)
+        for name in ("seed", "stream_id")
+    },
     ("turning_point_decompose", "seed"): (
         lambda v: turning_point_decompose(GeodesicSpec("turning-point", 1, 3), DRIFT, BERN, seed=v), 2
     ),
@@ -105,3 +113,40 @@ def test_integer_argument_rule(entry, param):
 def test_environment_files_also_take_integral_floats():
     env = Environment.from_dict({"window_lo": -1.0, "window_hi": 1, "values": [0.0, 1.0, 0.5], "seed": 3.0})
     assert (env.window_lo, env.window_hi, env.seed) == (-1, 1, 3) and type(env.window_lo) is int
+
+
+# a bool is never a number: each of these once ran as 1.0 or 0.0
+BOOL_NUMBERS = {
+    "point value": (lambda: make_distribution({"kind": "point", "value": True}), "value"),
+    "exponential rate": (lambda: make_distribution({"kind": "exponential", "rate": True}), "rate"),
+    "atom weight": (lambda: make_distribution({"kind": "finite", "atoms": [[0.0, True]]}), r"atoms\[0\] weight"),
+    "atom values": (
+        lambda: make_distribution({"kind": "finite", "atoms": [[True, 0.5], [False, 0.5]]}), r"atoms\[0\] value"
+    ),
+    "numpy bool value": (lambda: make_distribution({"kind": "point", "value": np.True_}), "value"),
+    "exponential tilt": (lambda: exponential_tilt(BERN, True), "theta"),
+    "simplex tilt": (lambda: simplex_tilt(BERN, [True, True]), r"weights\[0\]"),
+    "mixed simplex tilt": (lambda: simplex_tilt(BERN, [0.5, True]), r"weights\[1\]"),
+    "numpy simplex tilt": (lambda: simplex_tilt(BERN, np.array([True, False])), r"weights\[0\]"),
+    "environment values": (
+        lambda: Environment.from_dict({"window_lo": -1, "window_hi": 1, "values": [True, False, 0.5]}), r"values\[0\]"
+    ),
+    "environment value": (
+        lambda: Environment.from_dict({"window_lo": -1, "window_hi": 1, "values": [0.0, 0.5, np.False_]}), r"values\[2\]"
+    ),
+    "environment window": (
+        lambda: Environment.from_dict({"window_lo": True, "window_hi": 1, "values": [0.0, 0.5]}), "window_lo"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_NUMBERS)
+def test_a_bool_is_never_a_number(case):
+    call, name = BOOL_NUMBERS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+def test_environment_files_keep_infinite_values_and_numpy_numbers():
+    env = Environment.from_dict({"window_lo": 0, "window_hi": 2, "values": [np.float32(0.5), 1, float("inf")]})
+    assert env.values.tolist() == [0.5, 1.0, float("inf")]

@@ -31,6 +31,8 @@ from killedwalk.lyapunov import annealed_transfer
 BERN_SPEC = {"kind": "finite", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
 BERN = make_distribution(BERN_SPEC)
 DELTA0 = make_distribution({"kind": "point", "value": 0.0})
+# rare killing: its limits reach deep barriers
+SPARSE = make_distribution({"kind": "finite", "atoms": [[0.0, 0.99], [1.0, 0.01]]})
 
 
 def zero_env(r, hi):
@@ -86,8 +88,8 @@ def test_forward_sweep_equals_banded_solve():
 
 @st.composite
 def site_runs(draw):
-    """Potentials of 1 or 3 rows on 1..64 sites, and a scalar or per-site p."""
-    n_sites = draw(st.integers(1, 64))
+    """Potentials of 1 or 3 rows on 2**k sites, k = 0..6, and a scalar or per-site p."""
+    n_sites = 2 ** draw(st.integers(0, 6))
     n_rows = draw(st.sampled_from([1, 3]))
     potential = st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 700.0))
     cells = draw(st.lists(potential, min_size=n_rows * n_sites, max_size=n_rows * n_sites))
@@ -171,6 +173,61 @@ def test_reduction_rounding_on_zero_potential_stays_bounded(n_sites, bound):
     # (7.9e-15 and 1.26e-13 here), where the sweep's does not
     log_a = _reduce(np.zeros(n_sites), 0.5)[0]
     assert abs(-log_a - math.log1p(1.0 / n_sites)) <= bound
+
+
+@pytest.mark.parametrize("n_sites", [0, 3, 6, 12])
+def test_reduction_refuses_a_run_of_other_than_2_to_the_k_sites(n_sites):
+    # halving such a run would broadcast a one-site half and read a wrong F
+    with pytest.raises(ValueError, match=rf"2\*\*k sites, got {n_sites}$"):
+        _reduce(np.zeros((2, n_sites)), 0.5)
+
+
+def _reduced_lengths(monkeypatch):
+    """The site counts of every _reduce call from here on."""
+    lengths = []
+    reduce = line_solver._reduce
+
+    def spy(omega, p):
+        lengths.append(omega.shape[-1])
+        return reduce(omega, p)
+
+    monkeypatch.setattr(line_solver, "_reduce", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("lo", [-2, -3, -5, -64, -100, -4096])
+def test_the_loop_reduces_2_to_the_k_sites_on_a_window(monkeypatch, lo):
+    # the zero potential never converges, so every barrier down to lo runs
+    lengths = _reduced_lengths(monkeypatch)
+    res = F_limit(zero_env(lo, 1), tol=1e-9)
+    deepest = -(2 ** int(math.log2(-lo)))
+    assert res.r_used == deepest and not res.converged and "window exhausted" in res.note
+    assert lengths == [2] + [2**k for k in range(1, int(math.log2(-deepest)))]
+
+
+@pytest.mark.parametrize(
+    "r_max, lo, reason",
+    [(-64, -100, "deepest barrier reached"), (-100, -90, "deepest barrier reached"), (-200, -100, "window exhausted")],
+)
+def test_an_unconverged_window_names_what_stopped_it(monkeypatch, r_max, lo, reason):
+    # the window ends the walk only if a barrier within r_max lies past it
+    monkeypatch.setattr(line_solver, "DEFAULT_R_MAX", r_max)
+    res = F_limit(zero_env(lo, 1), tol=1e-9)
+    assert res.r_used == -64 and f"({reason})" in res.note
+
+
+def test_the_loop_reduces_2_to_the_k_sites_on_a_source(monkeypatch):
+    lengths = _reduced_lengths(monkeypatch)
+    res = F_limit(EnvironmentSource(SPARSE, 4, 7), tol=1e-9)
+    assert lengths == [2] + [2**k for k in range(1, int(math.log2(-res.r_used)))]
+
+
+def test_the_loop_reduces_2_to_the_k_sites_in_chunks(monkeypatch):
+    monkeypatch.setattr(line_solver, "_CELL_BUDGET", 64)  # one row a chunk from r = -64
+    lengths = _reduced_lengths(monkeypatch)
+    batch = F_limit_batch(SPARSE, seed=2, n_samples=40, tol=1e-9)
+    assert batch.r_used.min() <= -256 and len(lengths) > 40
+    assert all(n & (n - 1) == 0 for n in lengths) and max(lengths) == -batch.r_used.min() // 2
 
 
 @pytest.mark.parametrize("spec", [BERN_SPEC, {"kind": "exponential", "rate": 1.0}])

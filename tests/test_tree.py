@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from killedwalk import tree
+from killedwalk import lyapunov, tree
 from killedwalk.env import PotentialDistribution, make_distribution
 from killedwalk.line_solver import F_limit, two_point_a, two_point_e
+from killedwalk.lyapunov import annealed_transfer
 from killedwalk.tree import (
     GeodesicSpec,
     TreeConfig,
@@ -791,6 +792,38 @@ def test_turning_point_reports_annealed_barrier_budgets():
         assert b_r - trunc - 1e-12 <= b_far <= b_r + 1e-12
     behind = GeodesicSpec(kind="turning-point", turning_index_k=0, target_index=3)
     assert turning_point_decompose(behind, cfg, BERN, seed=2).annealed_trunc_bounds is None
+
+
+def test_turning_point_shares_its_pascal_tables(monkeypatch):
+    # total, beyond, uphill: the longest window runs first, so each step
+    # probability builds its cap-16 pilot table and its largest cap's table
+    spec = GeodesicSpec(kind="turning-point", turning_index_k=2, target_index=4)
+    cfg, r = TreeConfig(3, drift_p=0.45), -3
+    builds = []
+    pascal = lyapunov._pascal_table
+
+    def spy(p_step, cap):
+        builds.append((p_step, cap))
+        return pascal(p_step, cap)
+
+    monkeypatch.setattr(lyapunov, "_pascal_table", spy)
+    report = turning_point_decompose(spec, cfg, BERN, seed=4, barrier_r=r)
+    monkeypatch.undo()
+    q_up = geodesic_step_prob(cfg)
+    sites = np.arange(r + 1, 4)
+    p_sites = np.where(sites < 2, q_up, np.where(sites == 2, 0.5, 1.0 - q_up))
+    total = annealed_transfer(report.line_dist, 4, r, p_sites)
+    beyond = annealed_transfer(report.line_dist, 4, r, p_sites, start=2)
+    uphill = annealed_transfer(report.line_dist, 2, r, p_sites[: 2 - (r + 1)])
+    top = max(res.kernel_cap for res in (total, beyond, uphill))
+    steps = {q_up, 0.5, 1.0 - q_up}
+    assert top > 16 and len(steps) == 3
+    assert sorted(builds) == sorted([(p, 16) for p in steps] + [(p, top) for p in steps])
+    # each field as its own call, with its own tables, bit for bit
+    assert (report.b_total, report.b_beyond, report.ln_mean_uphill_weight) == (
+        total.b_value, beyond.b_value, -uphill.b_value
+    )
+    assert report.annealed_trunc_bounds == (total.trunc_bound, beyond.trunc_bound, uphill.trunc_bound)
 
 
 @pytest.mark.parametrize("cfg", [TreeConfig(3, drift_p=0.45), TreeConfig(10, drift_p=0.3, depth_cap_D=3)])
