@@ -179,10 +179,11 @@ def minimize_variational(
     golden-section refinement; the free simplex (a finite law of 2 to 4
     atoms) runs Nelder-Mead over logits.  Common random numbers are held
     fixed across all evaluations.  Every evaluation, grid, golden-section
-    and Nelder-Mead steps alike, runs its laws through one batched
-    barrier-doubling loop (lyapunov._alpha_mc_laws), each law's rows
-    exactly as its own estimate_alpha_mc call would give them: the whole
-    grid is one call, each refinement step one more.  alpha_hat, the
+    and Nelder-Mead steps alike, runs its laws through one batched call
+    (lyapunov._alpha_mc_laws, which runs groups of whole laws through the
+    barrier-doubling loop), each law's rows exactly as its own
+    estimate_alpha_mc call would give them: the whole grid is one call,
+    each refinement step one more.  alpha_hat, the
     untilted estimate, is the first law of the first call, and every tilt
     equal to base reuses it.  The family's exact minimum bounds beta from
     above, but the reported minimum of Monte Carlo values is biased low,

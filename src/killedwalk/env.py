@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,13 +239,11 @@ def _window(window) -> tuple[int, int]:
 
 
 def _number(raw, name: str) -> float:
-    """float(raw), where raw is a number and never a bool (Python or
-    numpy); anything else is a ValueError naming name."""
-    if not isinstance(raw, (bool, np.bool_)):
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            pass
+    """float(raw), where raw is a real number (Python or numpy) and never
+    a bool or a string, which float() would also read; anything else is a
+    ValueError naming name."""
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        return float(raw)
     raise ValueError(f"{name} must be a number, got {raw!r}")
 
 

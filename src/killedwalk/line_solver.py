@@ -28,17 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, EnvironmentSource, _checked_int, _window
-from .rng import keyed_uniform_from_key, stream_key
+from .env import Environment, EnvironmentSource, _checked_int, _finite, _window
+from .rng import _counter_words, _uniform, mix_counters, stream_key
 
 UNDERFLOW_FLOOR = 1e-300
 DEFAULT_TOL = 1e-9
 DEFAULT_R_MAX = -(2**20)
 # rows x window sites per chunk of a doubling, which reduces the window's newer
 # half.  At 2**15 a chunk's arrays are 128 KB each, and with the state of
-# the 20 laws x 300 rows of the benchmark's variational grid the loop peaks
-# within 10% of one tilt alone at 2**18, as the grid ran before batching
+# one law group of the benchmark's variational grid (6 laws x 300 rows, see
+# lyapunov._GROUP_ROWS) the loop peaks within 10% of one tilt alone at 2**18,
+# as the grid ran before batching
 _CELL_BUDGET = 2**15
+# the most codes of a run table level, K**(2**m) for a law of K atoms: 8
+# sites a code for K = 2, 4 for K = 3-4, 2 for K = 5-16, no table above.  On
+# the benchmark's variational grid (one process, 2-core box) a call took
+# 15.0 ms at 256 codes, 16.9 ms at 16, 23.6 ms at 4 and 28-29 ms with no
+# table; at 65536 building the table took it to 43 ms and 8.2 MB
+_TABLE_CODES = 256
 _EXP_FLOOR = -700.0  # _logaddexp's least exponent, where np.exp is still SIMD
 
 
@@ -164,20 +171,65 @@ def _reduce(omega, p) -> tuple[np.ndarray, ...]:
     value per site.  All four stay logs: c and t decay along a run, and a
     and rho stay finite where the linear weight underflows.
 
-    The run holds 2**k sites, and each level halves it, pairing sites
-    0::2 with 1::2 into new arrays, so no stacked copy of the window is
-    ever built.  Any other length is refused: its halves would not pair up.
+    The run holds 2**k sites, which _halve reduces from their one-site
+    runs.  Any other length is refused: its halves would not pair up.
     """
     n_sites = omega.shape[-1]
     if n_sites < 1 or n_sites & (n_sites - 1):
         raise ValueError(f"_reduce needs a run of 2**k sites, got {n_sites}")
-    p = np.asarray(p, dtype=np.float64)
+    return _halve(_site_runs(omega, np.asarray(p, dtype=np.float64)))
+
+
+def _site_runs(omega, p) -> tuple[np.ndarray, ...]:
+    """The one-site runs (a, rho, c, t) = (p s, q s, q s, p s) of each
+    site, as logs, with s = e^-omega the site's survival factor."""
     right, left = np.log(p) - omega, np.log(1.0 - p) - omega
-    run = (right, left, left, right)  # one site: (p s, q s, q s, p s)
-    del right, left  # so that each level frees the one before it
+    return right, left, left, right
+
+
+def _halve(run) -> tuple[np.ndarray, ...]:
+    """Reduce runs of 2**k blocks along the last axis of run's four
+    arrays to one block each: each level pairs blocks 0::2 with 1::2 into
+    new arrays, so no stacked copy of the window is ever built.  run is
+    handed over, so that each level frees the one before it."""
     while run[0].shape[-1] > 1:
         run = _star([x[..., 0::2] for x in run], [x[..., 1::2] for x in run])
     return tuple(x[..., 0] for x in run)
+
+
+class _RunTables:
+    """Run tables of a finite law at step probability p: level m holds, in
+    column code, the (a, rho, c, t) of an aligned run of 2**m sites whose
+    atom indices, read in base K with the first site most significant, are
+    code.  Level 0 is _site_runs of the atom values, and each level pairs
+    the one below by _star, as _halve pairs a run, so a looked-up run has
+    a computed one's digits.  Levels are built as a lookup first needs
+    them, down to depth, the deepest with at most _TABLE_CODES codes; a law
+    of one atom has one code at every level, so any depth."""
+
+    def __init__(self, values: np.ndarray, p):
+        self.n_atoms, self.depth, codes = values.size, 0, values.size
+        while 1 < codes * codes <= _TABLE_CODES:
+            self.depth, codes = self.depth + 1, codes * codes
+        if codes == 1:
+            self.depth = math.inf
+        self.levels = [np.array(_site_runs(values, np.asarray(p, dtype=np.float64)))]
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """The runs of codes, an int64 array of atom indices along its last
+        axis (2**k sites), as (4, ..., 2**(k - m)) blocks of 2**m sites, m =
+        min(k, depth), ready for _halve: each level folds the codes of
+        blocks 0::2 and 1::2, the pairs _halve would make."""
+        m, size = min(self.depth, codes.shape[-1].bit_length() - 1), self.n_atoms
+        for level in range(m):
+            if level + 1 == len(self.levels):
+                left, right = divmod(np.arange(size * size), size)
+                below = self.levels[level]
+                self.levels.append(_star(below[:, left], below[:, right]))
+            pairs = codes[..., 0::2] * size
+            pairs += codes[..., 1::2]
+            codes, size = pairs, size * size
+        return np.take(self.levels[m], codes, axis=1)
 
 
 def _result_from_a(a: float, **kw) -> SurvivalResult:
@@ -228,26 +280,33 @@ class LimitBatch:
     converged: np.ndarray
 
 
-def _barrier_doubling(potentials, n_rows: int, r_min: int, tol: float, p) -> LimitBatch:
+def _tol(tol) -> float:
+    """tol as a float, finite and > 0: the one rule for the tolerance of
+    every limit, applied before any row is skipped or run."""
+    tol = _finite(tol, "tol")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    return tol
+
+
+def _barrier_doubling(reduced, n_rows: int, r_min: int, tol: float) -> LimitBatch:
     """The barrier-doubling loop behind F_limit and F_limit_batch.
 
-    potentials(rows, lo, hi) returns the potentials of the given rows on
-    sites lo .. hi.  The loop walks the barriers r = -2, -4, -8, ... while
-    r >= r_min.  Each row keeps the run of sites r+1 .. 0 reduced so far;
-    at barrier r the rows still running reduce only their new sites, a run
-    of 2**k (two at r = -2, then -r/2), in chunks of at most _CELL_BUDGET
-    cells of the window, and compose them with that run, which gives
-    F_r = -ln a.  A row stops at its first decrement below tol, or
-    unconverged at the last barrier.  Its tail certificate is
-    ln(1 + c/a): a path counted by F but not by F_r first travels from 0
-    down to r without touching 1 (weight c), then on to 1 with weight at
-    most 1.  One row runs the same array operations as a batch, so neither
-    chunking nor batch composition changes a digit.  A tol that is not
-    positive is refused; with r_min > -2 no row runs, and every row reads
-    0, unconverged.
+    reduced(rows, lo, hi) returns the log weights (a, rho, c, t) of the
+    run of sites lo .. hi for each of the given rows, as _reduce does from
+    their potentials.  The loop walks the barriers r = -2, -4, -8, ...
+    while r >= r_min.  Each row keeps the run of sites r+1 .. 0 reduced so
+    far; at barrier r the rows still running reduce only their new sites, a
+    run of 2**k (two at r = -2, then -r/2), in chunks of at most
+    _CELL_BUDGET cells of the window, and compose them with that run,
+    which gives F_r = -ln a.  A row stops at its first decrement below tol
+    (checked by _tol), or unconverged at the last barrier.  Its tail
+    certificate is ln(1 + c/a): a path counted by F but not by F_r first
+    travels from 0 down to r without touching 1 (weight c), then on to 1
+    with weight at most 1.  One row runs the same array operations as a
+    batch, so neither chunking nor batch composition changes a digit.
+    With r_min > -2 no row runs, and every row reads 0, unconverged.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be > 0")
     a_value = np.zeros(n_rows)
     trunc = np.zeros(n_rows)
     r_used = np.zeros(n_rows, dtype=np.int64)
@@ -260,7 +319,7 @@ def _barrier_doubling(potentials, n_rows: int, r_min: int, tol: float, p) -> Lim
         rows that stop at r, and return the mask of those that go on.  Its
         temporaries die on return, before the next chunk draws."""
         rows = active[cols]
-        joined = _reduce(potentials(rows, r + 1, r_prev), p)
+        joined = reduced(rows, r + 1, r_prev)
         if r_prev:
             joined = _star(joined, run[:, cols])
             decrement = joined[0] - run[0, cols]  # F_{r_prev} - F_r
@@ -308,9 +367,9 @@ def F_limit(
     certificate, which bounds the remaining overestimate of the true limit.
     p is a scalar in (0, 1): the loop reduces windows of changing length.
     A delta-zero source at p >= 1/2 reaches 1 surely: its limit is 0
-    exactly, with r_used 0.
+    exactly, with r_used 0.  tol is read by _tol.
     """
-    p = _step_probs(p)
+    p, tol = _step_probs(p), _tol(tol)
     if isinstance(source, EnvironmentSource):
         row = _keyed_rows([source.dist], source.seed, source.stream_id, tol, p)[0]
     elif isinstance(source, Environment):
@@ -318,7 +377,7 @@ def F_limit(
         if r_min > -2:
             raise ValueError("window too small for any barrier in the schedule")
         row = _barrier_doubling(
-            lambda rows, lo, hi: source.slice_values(lo, hi)[None, :], 1, r_min, tol, p
+            lambda rows, lo, hi: _reduce(source.slice_values(lo, hi)[None, :], p), 1, r_min, tol
         )
     else:
         raise ValueError(f"source must be an Environment or an EnvironmentSource, got {type(source).__name__}")
@@ -340,47 +399,73 @@ def F_limit_batch(dist, seed: int, n_samples: int, tol: float = DEFAULT_TOL) -> 
     Row i draws its potentials from stream i, exactly as the one-row call
     would, so each entry equals that call's result digit for digit and runs
     that share a seed share environments row by row.  For a delta-zero law
-    every row is exactly 0 with r_used 0, as in F_limit.  This is the
-    one-law case of _keyed_rows, which runs many laws through one loop.
+    every row is exactly 0 with r_used 0, as in F_limit, and tol is read
+    by _tol all the same.  This is the one-law case of _keyed_rows, which
+    runs many laws through one loop.
     """
     seed = _checked_int(seed, "seed")
     n_samples = _checked_int(n_samples, "n_samples", 0)
-    return _keyed_rows([dist], seed, np.arange(n_samples), tol, 0.5)[0]
+    return _keyed_rows([dist], seed, np.arange(n_samples), _tol(tol), 0.5)[0]
 
 
 def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
     """The limit of EnvironmentSource(dist, seed, s) at step probability p
     for every dist in dists and every stream id s in streams: one
     LimitBatch per law, one row per stream, from one barrier-doubling loop.
+    tol has passed _tol.
 
     streams is an integer or a 1-d integer array, each id taken as the
     64-bit word keyed_uniform takes.  Each stream's key is derived once a
-    call, and a chunk draws its sites' uniforms from its rows' keys
-    (keyed_uniform_from_key).  The loop's rows are law-major (row
-    k * n + i is streams[i] under the k-th law that runs it) and ascend in
-    every chunk, so each law's rows form one contiguous block: a chunk
-    draws its uniforms once, and each law's ppf writes its own block, as a
-    call on that block alone would.  At p >= 1/2 the walk on a
-    delta-zero law reaches 1 surely, so its rows are 0 exactly, converged,
-    with r_used 0, and never enter the loop; at p < 1/2 they run it, which
-    converges geometrically there.
+    call, and a chunk hashes its sites' counters with its rows' keys, as
+    keyed_uniform would.  The loop's rows are law-major (row k * n + i is
+    streams[i] under the k-th law that runs it) and ascend in every chunk,
+    so each law's rows form one contiguous block: a chunk hashes its words
+    once, and each law reads its own block, as a call on that block alone
+    would.  When every law that runs is finite, with one set of at most 16
+    atom values (the tilts of one base law share theirs), a chunk takes
+    each law's atom indices (atom_index_from_bits, the index ppf reads) and
+    looks its runs up in one _RunTables; otherwise each law's ppf writes
+    the potentials of its block, which _reduce reduces.  At p >= 1/2 the
+    walk on a delta-zero law reaches 1 surely, so its rows are 0 exactly,
+    converged, with r_used 0, and never enter the loop; at p < 1/2 they run
+    it, which converges geometrically there.
     """
     keys = np.atleast_1d(stream_key(seed, streams))
     n = keys.size
     sure = [bool(p >= 0.5) and dist.is_delta_zero for dist in dists]
     live = [dist for dist, skip in zip(dists, sure) if not skip]
     firsts = np.arange(len(live) + 1) * n
+    atom_values = {tuple(dist._values.tolist()) if dist.kind == "finite" else None for dist in live}
+    tables = None
+    if len(atom_values) == 1 and None not in atom_values and live[0]._values.size ** 2 <= _TABLE_CODES:
+        tables = _RunTables(live[0]._values, p)
 
-    def potentials(rows, lo, hi):
-        u = keyed_uniform_from_key(keys[rows % n][:, None], np.arange(lo, hi + 1, dtype=np.int64))
-        omega = np.empty_like(u)
+    def reduced(rows, lo, hi):
+        # the counter words overwrite the sites, and the atom indices the
+        # hash's scratch, so that a chunk of one row, the deepest barriers'
+        # chunk, allocates one array of its sites beside its cells
+        sites = np.arange(lo, hi + 1, dtype=np.int64).view(np.uint64)
+        scratch = np.empty((rows.size, sites.size), dtype=np.uint64)
+        bits = mix_counters(keys[rows % n][:, None], _counter_words(sites, out=sites), scratch=scratch)
+        del sites
         ends = np.searchsorted(rows, firsts).tolist()
-        for dist, i, j in zip(live, ends, ends[1:]):
-            if i < j:
-                dist.ppf(u[i:j], out=omega[i:j])
-        return omega
+        blocks = [(dist, slice(i, j)) for dist, i, j in zip(live, ends, ends[1:]) if i < j]
+        if tables is not None:
+            codes = scratch.view(np.int64)
+            for dist, block in blocks:
+                dist.atom_index_from_bits(bits[block], out=codes[block])
+            del bits
+            return _halve(tables.lookup(codes))
+        del scratch
+        u = _uniform(bits)
+        del bits
+        omega = np.empty_like(u)
+        for dist, block in blocks:
+            dist.ppf(u[block], out=omega[block])
+        del u
+        return _reduce(omega, p)
 
-    batch = _barrier_doubling(potentials, len(live) * n, DEFAULT_R_MAX, tol, p)
+    batch = _barrier_doubling(reduced, len(live) * n, DEFAULT_R_MAX, tol)
     out, k = [], 0
     for skip in sure:
         if skip:

@@ -20,9 +20,16 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .env import EnvironmentSource, PotentialDistribution, _checked_int
-from .line_solver import _barrier, _forward_sweep, _keyed_rows, _step_probs, forward_step_weights
+from .line_solver import _barrier, _forward_sweep, _keyed_rows, _step_probs, _tol, forward_step_weights
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# rows of one _keyed_rows call of _alpha_mc_laws, whose laws run in groups of
+# whole laws (one law at least).  The benchmark's variational grid, 20 laws x
+# 300 rows, must peak within 1.1 x its costliest tilt alone, 633 KB: groups
+# of 1800 rows read 593 KB (14.6-15.7 ms a grid), of 2400 644 KB, of 3000
+# 701 KB, and one group 841 KB (13.0-13.3 ms); groups of 600 read 487 KB
+# but took 18.6-18.8 ms
+_GROUP_ROWS = 1800
 _MAX_CROSSING_CAP = 2**11  # a (2K + 2) x (K + 1) Pascal table of 67 MB, K x K kernels of 34 MB
 
 
@@ -67,9 +74,14 @@ def estimate_alpha_mc(
 
 def _alpha_mc_laws(dists, n_samples: int, tol: float, seed: int) -> list[LyapunovEstimate]:
     """estimate_alpha_mc(dist, n_samples, tol, seed) for every dist in
-    dists, from the rows of one line_solver._keyed_rows call."""
+    dists, from line_solver._keyed_rows calls on groups of whole laws of
+    at most _GROUP_ROWS rows (one law at least), so that the loop's per-row
+    state stays bounded however many laws there are.  Each group's rows
+    become estimates before the next group runs; tol is read by _tol."""
     n_samples = _checked_int(n_samples, "n_samples", 2)
     seed = _checked_int(seed, "seed")
+    tol = _tol(tol)
+    per_group = max(1, _GROUP_ROWS // n_samples)
     return [
         LyapunovEstimate(
             value=float(rows.a_value.mean()),
@@ -79,7 +91,8 @@ def _alpha_mc_laws(dists, n_samples: int, tol: float, seed: int) -> list[Lyapuno
             params={"seed": seed, "tol": tol, "n_unconverged": int(n_samples - rows.converged.sum())},
             trunc_bias=float(rows.trunc_bound.mean()),
         )
-        for rows in _keyed_rows(dists, seed, np.arange(n_samples), tol, 0.5)
+        for start in range(0, len(dists), per_group)
+        for rows in _keyed_rows(dists[start : start + per_group], seed, np.arange(n_samples), tol, 0.5)
     ]
 
 

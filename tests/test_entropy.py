@@ -255,6 +255,24 @@ def test_batched_grid_holds_the_peak_of_its_costliest_tilt(monkeypatch):
     assert batched <= 1.1 * alone
 
 
+@pytest.mark.parametrize(
+    "base, theta_lo", [(BERN, -1.0), (make_distribution({"kind": "exponential", "rate": 1.0}), -0.5)]
+)
+def test_grid_memory_does_not_grow_with_its_tilt_count(base, theta_lo):
+    # one loop over every law once kept each law's per-row state at once:
+    # 40 tilts of 300 rows peaked 1.65 times as high as 20
+    def peak(n_laws):
+        laws = [base] + [exponential_tilt(base, t).tilt for t in np.linspace(theta_lo, 4.0, n_laws - 1)]
+        tracemalloc.start()
+        try:
+            lyapunov._alpha_mc_laws(laws, 300, 1e-7, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 1.1 * peak(20)
+
+
 def _significant_sign_changes(objective, noise):
     diffs = np.diff(objective)
     signs = [d for d in diffs if abs(d) > noise]

@@ -2,6 +2,7 @@
 numpy integer, never a bool or a float, within the entry's bounds; any
 other value is a ValueError whose message starts with the parameter's name."""
 
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from killedwalk.entropy import OptimizerConfig, expected_F_under, exponential_tilt, minimize_variational, simplex_tilt
 from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
-from killedwalk.line_solver import F_limit_batch, F_r, green_function_window, two_point_a
+from killedwalk.line_solver import F_limit, F_limit_batch, F_r, green_function_window, two_point_a
 from killedwalk.lyapunov import annealed_transfer, estimate_alpha_ergodic, estimate_alpha_mc, estimate_beta
 from killedwalk.tree import (
     GeodesicSpec,
@@ -150,3 +151,30 @@ def test_a_bool_is_never_a_number(case):
 def test_environment_files_keep_infinite_values_and_numpy_numbers():
     env = Environment.from_dict({"window_lo": 0, "window_hi": 2, "values": [np.float32(0.5), 1, float("inf")]})
     assert env.values.tolist() == [0.5, 1.0, float("inf")]
+
+
+# every limit reads tol as the CLI does: a finite number > 0.  A bool once ran
+# as 1.0 (and was recorded as True), inf marked every row converged at r = -4,
+# and a string raised a TypeError naming no field.  A call whose rows are all
+# delta-zero, which never run the loop, refuses it all the same
+TOL_ENTRIES = {
+    "F_limit source": lambda tol: F_limit(EnvironmentSource(BERN, 0, 1), tol=tol),
+    "F_limit window": lambda tol: F_limit(ENV, tol=tol),
+    "F_limit_batch": lambda tol: F_limit_batch(BERN, 1, 3, tol=tol),
+    "F_limit_batch delta-zero": lambda tol: F_limit_batch(make_distribution({"kind": "point", "value": 0.0}), 0, 3, tol),
+    "estimate_alpha_mc": lambda tol: estimate_alpha_mc(BERN, 4, tol),
+    "variational grid": lambda tol: minimize_variational(
+        BERN, optimizer_cfg=OptimizerConfig(n_samples=4, tol=tol, n_grid=2, max_evals=3)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, "1e-7", math.inf, math.nan, 0.0, -1.0],
+    ids=["True", "np.True_", "string", "inf", "nan", "0", "-1"],
+)
+@pytest.mark.parametrize("entry", TOL_ENTRIES)
+def test_every_limit_reads_tol_by_one_rule(entry, bad):
+    with pytest.raises(ValueError, match=r"^tol must be"):
+        TOL_ENTRIES[entry](bad)
+    TOL_ENTRIES[entry](np.float64(1e-7))

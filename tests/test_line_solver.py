@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -15,7 +15,13 @@ from _oracles import (
     solve_survival_window,
 )
 from killedwalk import line_solver
-from killedwalk.env import Environment, EnvironmentSource, make_distribution, sample_environment
+from killedwalk.env import (
+    Environment,
+    EnvironmentSource,
+    PotentialDistribution,
+    make_distribution,
+    sample_environment,
+)
 from killedwalk.line_solver import (
     F_limit,
     F_limit_batch,
@@ -183,15 +189,19 @@ def test_reduction_refuses_a_run_of_other_than_2_to_the_k_sites(n_sites):
 
 
 def _reduced_lengths(monkeypatch):
-    """The site counts of every _reduce call from here on."""
+    """The site counts of every run the barrier-doubling loop reduces from
+    here on, on the float route and the run-table route alike."""
     lengths = []
-    reduce = line_solver._reduce
+    loop = line_solver._barrier_doubling
 
-    def spy(omega, p):
-        lengths.append(omega.shape[-1])
-        return reduce(omega, p)
+    def spy(reduced, *args):
+        def counted(rows, lo, hi):
+            lengths.append(hi - lo + 1)
+            return reduced(rows, lo, hi)
 
-    monkeypatch.setattr(line_solver, "_reduce", spy)
+        return loop(counted, *args)
+
+    monkeypatch.setattr(line_solver, "_barrier_doubling", spy)
     return lengths
 
 
@@ -242,12 +252,47 @@ def test_batch_composition_is_invisible(spec):
         assert batch.converged[i] == one.converged
 
 
-@pytest.mark.parametrize("law, p", [(BERN, 0.3), (BERN, 0.5), (BERN, 0.7), (DELTA0, 0.3)])
+THREE_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.0, 0.2], [1.0, 0.3], [2.0, 0.5]]})
+POINT = make_distribution({"kind": "point", "value": -math.log(0.8)})
+
+
+@pytest.mark.parametrize(
+    "law, p",
+    [(BERN, 0.3), (BERN, 0.5), (BERN, 0.7), (DELTA0, 0.3), (THREE_ATOMS, 0.5), (THREE_ATOMS, 0.7), (POINT, 0.5)],
+)
 def test_keyed_and_window_routes_give_the_same_digits(law, p):
     # a delta-zero source once read 0 at any p; below 1/2 its limit is ln(q/p)
     keyed = F_limit(EnvironmentSource(law, 3, 2), p=p)
     assert keyed == F_limit(sample_environment(law, (-4096, 1), 3, 2), p=p)
     assert keyed.converged and keyed.r_used < 0
+
+
+@st.composite
+def finite_laws(draw):
+    """A finite law of 1 to 6 atoms, one of them maybe at 0 and one maybe of
+    weight 0, which shifts every later atom's index."""
+    n_atoms = draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(0.05, 4.0), min_size=n_atoms, max_size=n_atoms, unique=True))
+    if draw(st.booleans()):
+        values[0] = 0.0
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_atoms, max_size=n_atoms))
+    if n_atoms > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, n_atoms - 1))] = 0.0
+    total = sum(weights)
+    atoms = sorted((v, w / total) for v, w in zip(values, weights))
+    return PotentialDistribution(kind="finite", atoms=tuple(atoms))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(finite_laws(), st.floats(0.05, 0.95), st.integers(0, 2**32))
+def test_run_tables_give_the_float_routes_digits(law, p, stream):
+    # a keyed finite law looks its runs up in tables; the window runs every
+    # site through _reduce.  Both converge well inside the window, but for
+    # a delta-zero law at p >= 1/2, whose keyed limit is 0 with no barrier
+    assume(not (law.is_delta_zero and p >= 0.5))
+    keyed = F_limit(EnvironmentSource(law, 5, stream), p=p)
+    assert keyed == F_limit(sample_environment(law, (-(2**16), 1), 5, stream), p=p)
+    assert keyed.converged
 
 
 def test_a_stream_id_is_read_as_a_64_bit_word():
