@@ -94,22 +94,24 @@ class PotentialDistribution:
         """exp(-ppf(u)) bit for bit, for u = (bits >> 11) 2**-53 the
         uniforms keyed_uniform makes of keyed_bits words, into out (a
         C-contiguous float64 array of bits' shape) if it is given.  A finite
-        law counts the cuts each word reaches (ppf's atom index) and looks
-        its survival factor up; an exponential law runs u, ppf and exp in
-        out, allocating nothing of bits' size.
+        law looks the survival factor up at its atom index (the index
+        atom_index_from_bits gives, held in out's memory: take reads each
+        index before it writes that slot); an exponential law runs u, ppf
+        and exp in out, allocating nothing of bits' size.
         """
         out = np.empty(bits.shape) if out is None else _contiguous(out)
         if self.kind == "exponential":
             u = _uniform(bits, out=out)
             return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
-        return _atom_lookup(self._survival, bits, self._cuts, out)
+        return np.take(self._survival, _cuts_reached(bits, self._cuts, out.view(np.int64)), mode="clip", out=out)
 
     def atom_index_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The atom index of a finite law that ppf reads for each word,
         u = (bits >> 11) 2**-53 as in survival_from_bits (which looks
-        _survival up at it), into out (a C-contiguous int64 array of bits'
-        shape) if it is given."""
-        return _atom_index(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else _contiguous(out))
+        _survival up at it): the number of cuts the word reaches.  Into out
+        if it is given, a C-contiguous integer array of bits' shape whose
+        type holds the last index, else into a new int64 array."""
+        return _cuts_reached(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else _contiguous(out))
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
@@ -136,27 +138,31 @@ def _contiguous(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _atom_index(x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """len(cuts) - #{j : x < cuts[j]} into out, an int64 array of x's
-    shape: the number of the ascending cuts that x reaches (all of them for
-    a NaN)."""
+def _cuts_reached(bits: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """#{j : bits >= cuts[j]} into out, an integer array of bits' shape:
+    one greater_equal a cut, the first written through the bool view of a
+    uint8 out, uncast."""
     if cuts.size == 0:
         out.fill(0)
         return out
-    np.less(x, cuts[0], out=out)
+    np.greater_equal(bits, cuts[0], out=out.view(np.bool_) if out.dtype == np.uint8 else out)
     for c in cuts[1:]:
-        out += x < c
-    return np.subtract(cuts.size, out, out=out)
+        out += bits >= c
+    return out
 
 
 def _atom_lookup(table: np.ndarray, x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """table[_atom_index(x, cuts)] into out."""
+    """table[idx] into out, idx = len(cuts) - #{j : x < cuts[j]}: the
+    number of the ascending cuts that x reaches (all of them for a NaN)."""
     if cuts.size == 0:
         out.fill(table[0])
         return out
     # the index lives in out's memory: take reads each index before it
     # writes that slot, and mode="clip" skips the "raise" mode's copy
-    return np.take(table, _atom_index(x, cuts, out.view(np.int64)), mode="clip", out=out)
+    idx = np.less(x, cuts[0], out=out.view(np.int64))
+    for c in cuts[1:]:
+        idx += x < c
+    return np.take(table, np.subtract(cuts.size, idx, out=idx), mode="clip", out=out)
 
 
 def make_distribution(spec) -> PotentialDistribution:

@@ -174,10 +174,14 @@ def _reduce(omega, p) -> tuple[np.ndarray, ...]:
     The run holds 2**k sites, which _halve reduces from their one-site
     runs.  Any other length is refused: its halves would not pair up.
     """
-    n_sites = omega.shape[-1]
-    if n_sites < 1 or n_sites & (n_sites - 1):
-        raise ValueError(f"_reduce needs a run of 2**k sites, got {n_sites}")
+    _dyadic(omega.shape[-1], "_reduce", "sites")
     return _halve(_site_runs(omega, np.asarray(p, dtype=np.float64)))
+
+
+def _dyadic(n: int, who: str, unit: str) -> None:
+    """Refuse, naming who, a run of n units that is not 2**k of them."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"{who} needs a run of 2**k {unit}, got {n}")
 
 
 def _site_runs(omega, p) -> tuple[np.ndarray, ...]:
@@ -191,7 +195,9 @@ def _halve(run) -> tuple[np.ndarray, ...]:
     """Reduce runs of 2**k blocks along the last axis of run's four
     arrays to one block each: each level pairs blocks 0::2 with 1::2 into
     new arrays, so no stacked copy of the window is ever built.  run is
-    handed over, so that each level frees the one before it."""
+    handed over, so that each level frees the one before it.  Any other
+    block count is refused: its halves would not pair up."""
+    _dyadic(run[0].shape[-1], "_halve", "blocks")
     while run[0].shape[-1] > 1:
         run = _star([x[..., 0::2] for x in run], [x[..., 1::2] for x in run])
     return tuple(x[..., 0] for x in run)
@@ -219,7 +225,9 @@ class _RunTables:
         """The runs of codes, an int64 array of atom indices along its last
         axis (2**k sites), as (4, ..., 2**(k - m)) blocks of 2**m sites, m =
         min(k, depth), ready for _halve: each level folds the codes of
-        blocks 0::2 and 1::2, the pairs _halve would make."""
+        blocks 0::2 and 1::2, the pairs _halve would make.  Codes of any
+        other run length are refused."""
+        _dyadic(codes.shape[-1], "_RunTables.lookup", "sites")
         m, size = min(self.depth, codes.shape[-1].bit_length() - 1), self.n_atoms
         for level in range(m):
             if level + 1 == len(self.levels):
@@ -417,15 +425,18 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
     streams is an integer or a 1-d integer array, each id taken as the
     64-bit word keyed_uniform takes.  Each stream's key is derived once a
     call, and a chunk hashes its sites' counters with its rows' keys, as
-    keyed_uniform would.  The loop's rows are law-major (row k * n + i is
-    streams[i] under the k-th law that runs it) and ascend in every chunk,
+    keyed_uniform would.  The loop's rows are law-major (row firsts[k] + i
+    is streams[i] under the k-th law that runs it) and ascend in every chunk,
     so each law's rows form one contiguous block: a chunk hashes its words
     once, and each law reads its own block, as a call on that block alone
     would.  When every law that runs is finite, with one set of at most 16
     atom values (the tilts of one base law share theirs), a chunk takes
     each law's atom indices (atom_index_from_bits, the index ppf reads) and
     looks its runs up in one _RunTables; otherwise each law's ppf writes
-    the potentials of its block, which _reduce reduces.  At p >= 1/2 the
+    the potentials of its block, which _reduce reduces.  A finite law
+    whose words all read its first atom (a one-atom law, say) draws the
+    same potentials on every stream, so it runs one row, on the first
+    stream's key, and its LimitBatch repeats that row.  At p >= 1/2 the
     walk on a delta-zero law reaches 1 surely, so its rows are 0 exactly,
     converged, with r_used 0, and never enter the loop; at p < 1/2 they run
     it, which converges geometrically there.
@@ -434,7 +445,8 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
     n = keys.size
     sure = [bool(p >= 0.5) and dist.is_delta_zero for dist in dists]
     live = [dist for dist, skip in zip(dists, sure) if not skip]
-    firsts = np.arange(len(live) + 1) * n
+    one_row = [dist.kind == "finite" and dist._cuts.size == 0 for dist in live]
+    firsts = np.cumsum([0] + [1 if one else n for one in one_row])
     atom_values = {tuple(dist._values.tolist()) if dist.kind == "finite" else None for dist in live}
     tables = None
     if len(atom_values) == 1 and None not in atom_values and live[0]._values.size ** 2 <= _TABLE_CODES:
@@ -446,7 +458,8 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
         # chunk, allocates one array of its sites beside its cells
         sites = np.arange(lo, hi + 1, dtype=np.int64).view(np.uint64)
         scratch = np.empty((rows.size, sites.size), dtype=np.uint64)
-        bits = mix_counters(keys[rows % n][:, None], _counter_words(sites, out=sites), scratch=scratch)
+        streams_of = rows - firsts[np.searchsorted(firsts, rows, side="right") - 1] if any(one_row) else rows % n
+        bits = mix_counters(keys[streams_of][:, None], _counter_words(sites, out=sites), scratch=scratch)
         del sites
         ends = np.searchsorted(rows, firsts).tolist()
         blocks = [(dist, slice(i, j)) for dist, i, j in zip(live, ends, ends[1:]) if i < j]
@@ -465,15 +478,16 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
         del u
         return _reduce(omega, p)
 
-    batch = _barrier_doubling(reduced, len(live) * n, DEFAULT_R_MAX, tol)
+    batch = _barrier_doubling(reduced, int(firsts[-1]), DEFAULT_R_MAX, tol)
     out, k = [], 0
     for skip in sure:
         if skip:
             out.append(LimitBatch(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)))
             continue
-        block = slice(k, k + n)
-        k += n
-        out.append(LimitBatch(batch.a_value[block], batch.trunc_bound[block], batch.r_used[block], batch.converged[block]))
+        block = slice(firsts[k], firsts[k + 1])
+        fields = (batch.a_value[block], batch.trunc_bound[block], batch.r_used[block], batch.converged[block])
+        out.append(LimitBatch(*(np.repeat(x, n) for x in fields) if one_row[k] else fields))
+        k += 1
     return out
 
 

@@ -8,17 +8,19 @@ problem is exactly a line problem for the induced walk on the geodesic.
 
 The excursion weight h folds the return weights of the site's branch
 forests.  One routine, _branch_brackets, computes every forest bracket:
-a bottom-up recursion one level at a time over a forests axis (the deep
-levels chunk by chunk of forests into a group buffer, the shallow ones
-once over the group), truncated at the depth TreeConfig.depth_cap_D with
+a bottom-up recursion one level at a time over a forests axis (a finite
+law's table levels chunk by chunk of forests, the float levels above them
+batch by batch into a group buffer, the shallow ones once over the group),
+truncated at the depth TreeConfig.depth_cap_D with
 two-sided frontier bounds: killing the frontier undercounts returns,
 granting the frontier the zero-potential return weight overcounts them,
 so every reported h (and rho) is a certified bracket; both bounds travel
 as one stacked axis through the same arithmetic.  A truncated level-D
 bracket depends on the vertex's atom alone, a level-(D-1) one on its atom
 and its children's, and so on: a finite law's deepest levels, while their
-table of every such combination is no larger than the level, are looked
-up by an integer code per vertex instead, bit for bit.  Trajectory
+table of every such combination is no larger than the level, carry an
+integer code per vertex in the narrowest unsigned type that holds it, and
+the level above them looks its children up, bit for bit.  Trajectory
 simulation on the same keyed potentials serves as an independent
 cross-check, not as the primary computation: all walkers advance
 together one step at a time, each step a few masked in-place updates of
@@ -57,9 +59,11 @@ _FOREST_VERTEX_BUDGET = 40_000_000
 _LINE_LAW_SITES = 240
 # vertices on the deepest level of one chunk of forests: one forest at
 # d = 3, depth 16.  Two forests a chunk doubled the forest workspace (to
-# 3.7 MB) and lifted the tree benchmark's peak RSS by 4.4%; the shallow
-# levels get their batching from the groups of _level_split instead,
-# through a group buffer of a quarter of this many cells a bound
+# 3.7 MB) and lifted the tree benchmark's peak RSS by 4.4%; the float
+# levels get their batching from batches whose first float level holds
+# this many vertices, and the shallow levels from the groups of
+# _level_split, through a group buffer of a quarter of this many cells a
+# bound
 _FOREST_CELL_BUDGET = 2**15
 _LOG_BOUND_CUTOFF = -40.0  # a walker stops once it can score < e^-40 ~ 4e-18 (_max_walk_level)
 
@@ -219,13 +223,15 @@ class _Workspace:
     """The buffers of _run_levels for levels of up to cells vertices: the
     level counters of one forest with the level starts given, times the
     hash increment (mix_counters' words), the hashed words, the hash
-    scratch, the visit survivals s and two buffers that take turns holding
-    a level's denominators and then, in place, its bracket of return
-    weights; and tables, _bracket_tables' tables.  A table level keeps its
-    int64 codes in w[level % 2], the last one in s, so that the lookup
-    writes w[level % 2] without overlap."""
+    scratch, the visit survivals s and two buffers w that take turns holding
+    a level's children's sum and then, in place, its bracket of return
+    weights; tables, _bracket_tables' tables, with types, each table
+    level's code type (the narrowest unsigned type that holds a code below
+    its table's size); and codes, the last table level's codes of a batch
+    of batch forests.  A table level keeps its codes in w[level % 2], viewed
+    as its code type, so that the level above reads them without overlap."""
 
-    def __init__(self, starts: list[int], cells: int, tables: dict[int, np.ndarray]):
+    def __init__(self, starts: list[int], cells: int, tables: dict[int, np.ndarray], batch: int):
         self.counters = np.arange(starts[-1], dtype=np.uint64)
         _counter_words(self.counters, out=self.counters)
         self.bits = np.empty(cells, dtype=np.uint64)
@@ -233,24 +239,42 @@ class _Workspace:
         self.s = np.empty(cells)
         self.w = (np.empty(2 * cells), np.empty(2 * cells))
         self.tables = tables
+        self.types = {level: np.min_scalar_type(table.shape[1] - 1) for level, table in tables.items()}
+        top = min(tables, default=None)  # the last table level
+        self.codes = None if top is None else np.empty(batch * (starts[top + 1] - starts[top]), dtype=self.types[top])
 
 
-def _level_bracket(cfg: TreeConfig, s: np.ndarray, w: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+def _level_bracket(cfg: TreeConfig, s: np.ndarray, total: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     """A level's bracket into out (2, n) from its survivals s (n,), which
-    it overwrites, and w, the bracket of the level below with each
-    vertex's d - 1 children consecutive (None below the deepest level: the
-    frontier).  Refuses a denominator not positive."""
+    it overwrites, and total, the sum of each vertex's d - 1 children's
+    brackets, held in out (None below the deepest level: the frontier).
+    Refuses a denominator not positive."""
     d, p, s_child = cfg.d, cfg.p, cfg.s_child
-    if w is None:
+    if total is None:
         w = np.array([[0.0], [zero_potential_return_weight(cfg)]])
         np.multiply(s, s_child * (d - 1) * w, out=out)
     else:
-        np.multiply(s_child, _sum_children(w, d - 1, out=out), out=out)
+        np.multiply(s_child, total, out=out)
         np.multiply(s, out, out=out)
     np.subtract(1.0, out, out=out)
     if not out.min() > 0.0:  # NaN included
         raise AssertionError("return-weight denominator not positive; bracket logic violated")
     return np.divide(np.multiply(p, s, out=s), out, out=out)
+
+
+def _table_children(table: np.ndarray, codes: np.ndarray, k: int, out: np.ndarray, idx: np.ndarray, tmp: np.ndarray):
+    """_sum_children of the brackets table (2, M) holds at codes (the k
+    children of a vertex consecutive), into out (2, n): the same adds in
+    the same order, so the same bits.  idx (n,) intp and tmp (n,) float
+    are scratch."""
+    for j in range(k):
+        np.copyto(idx, codes[j::k])
+        for row, total in zip(table, out):
+            if j:
+                total += np.take(row, idx, out=tmp, mode="clip")
+            else:
+                np.take(row, idx, out=total, mode="clip")
+    return out
 
 
 def _bracket_tables(cfg: TreeConfig, dist: PotentialDistribution, cells: list[int], split: int) -> dict[int, np.ndarray]:
@@ -270,14 +294,16 @@ def _bracket_tables(cfg: TreeConfig, dist: PotentialDistribution, cells: list[in
     for level in range(depth, split, -1):
         if size > cells[level]:
             break
+        out = np.empty((2, size))
         if level == depth:
-            own, w = np.arange(atoms), None
+            own, total = np.arange(atoms), None
         else:
             below = tables[level + 1]
             digits = np.indices((atoms,) + (below.shape[1],) * k).reshape(k + 1, -1)
-            own, w = digits[0], np.take(below, digits[1:].T.ravel(), axis=1)
+            own = digits[0]
+            total = _sum_children(np.take(below, digits[1:].T.ravel(), axis=1), k, out=out)
         # survival_from_bits' factor of each atom
-        tables[level] = _level_bracket(cfg, dist._survival[own], w, np.empty((2, size)))
+        tables[level] = _level_bracket(cfg, dist._survival[own], total, out)
         size = atoms * size**k
     return tables
 
@@ -287,35 +313,42 @@ def _run_levels(
 ) -> np.ndarray:
     """Run levels (deepest first) of the return-weight recursion on a batch
     of branch forests, one per stream key in keys, keyed by the counters of
-    starts, from w, the bracket of the level below the first (ignored
-    below the deepest level: the frontier).  Returns the last level's
-    bracket, a view into ws (w if levels is empty).  Each level mixes the
-    keys into its counters.  A float level reads the survivals straight
-    from the words (survival_from_bits); a level of ws.tables reads the
-    atom indices (atom_index_from_bits) and appends the children's codes
-    as base-M digits, and the last one looks its bracket up.  A level of
-    the batch lays its forests' levels end to end in key order and every
-    operation is elementwise, so a forest's numbers do not depend on its
-    batch; ws and out= ufuncs leave no level-sized array to allocate but a
-    finite law's masks of its third and later atoms."""
-    tables = ws.tables
+    starts, from w, what the level below the first left: its bracket (2,
+    n), or its codes (n,) if it is a table level (ignored below the deepest
+    level: the frontier).  Returns the last level's bracket or codes, a
+    view into ws (w if levels is empty).  Each level mixes the keys into its
+    counters.  A table level writes each vertex's atom index
+    (atom_index_from_bits) straight into its code buffer and composes its
+    children's codes there as base-M digits; the float level above the
+    tables sums its children's brackets from the table (_table_children);
+    every float level reads the survivals straight from the words
+    (survival_from_bits).  A level of the batch lays its forests' levels
+    end to end in key order and every operation is elementwise, so a
+    forest's numbers do not depend on its batch; ws and out= ufuncs leave
+    no level-sized array to allocate but a finite law's masks of its second
+    and later cuts."""
+    tables, k = ws.tables, cfg.d - 1
     for level in levels:
         counters = ws.counters[starts[level] : starts[level + 1]]
         n, shape = keys.size * counters.size, (keys.size, counters.size)
         mix_counters(keys[:, None], counters, out=ws.bits[:n].reshape(shape), scratch=ws.scratch[:n].reshape(shape))
-        out = ws.w[level % 2][: 2 * n].reshape(2, n)
         if level in tables:
-            code = (ws.w[level % 2] if level - 1 in tables else ws.s)[:n].view(np.int64)
-            dist.atom_index_from_bits(ws.bits[:n], out=code)
+            code = dist.atom_index_from_bits(ws.bits[:n], out=ws.w[level % 2].view(ws.types[level])[:n])
             if level + 1 in tables:  # w holds the children's codes
                 m = tables[level + 1].shape[1]
-                for j in range(cfg.d - 1):
+                for j in range(k):
                     code *= m
-                    code += w[j :: cfg.d - 1]
-            w = code if level - 1 in tables else np.take(tables[level], code, axis=1, mode="clip", out=out)
+                    code += w[j::k]
+            w = code
+            continue
+        out = ws.w[level % 2][: 2 * n].reshape(2, n)
+        if level == len(starts) - 2:
+            total = None
+        elif w.ndim == 1:  # the children's codes; s is free until the survivals
+            total = _table_children(tables[level + 1], w, k, out, ws.scratch[:n].view(np.intp), ws.s[:n])
         else:
-            s = dist.survival_from_bits(ws.bits[:n], out=ws.s[:n])
-            w = _level_bracket(cfg, s, None if level == len(starts) - 2 else w, out)
+            total = _sum_children(w, k, out=out)
+        w = _level_bracket(cfg, dist.survival_from_bits(ws.bits[:n], out=ws.s[:n]), total, out)
     return w
 
 
@@ -339,18 +372,28 @@ def _branch_brackets(cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndar
     arithmetic), which stops once both bounds repeat.  D past
     deepest_depth_cap is refused before any work.
 
-    Forests run in groups of G, split at the level m of _level_split: the
-    deep phase runs levels D .. m + 1 in chunks whose deepest level holds
-    at most _FOREST_CELL_BUDGET vertices (at least one forest), each
-    writing its level-(m + 1) bracket into the group buffer; the shallow
-    phase runs levels m .. 1 once over the group.  If one chunk holds a
-    group, m = 0.  All on one workspace; neither changes a digit.
+    A finite law's deepest levels D .. t, the table levels, carry integer
+    codes and look their brackets up in tables built once a call
+    (_bracket_tables); every other level is a float level.  The forests run
+    in three nested phases, split at the level m of _level_split:
+    - chunks, whose deepest level holds at most _FOREST_CELL_BUDGET
+      vertices (at least one forest), run the table levels, each writing
+      its level-t codes into the batch's code buffer;
+    - batches, the most whole chunks whose first float level (t - 1, or D
+      without tables) fits that budget, at most a group, run the float
+      levels down to m + 1, the first one summing its children from the
+      level-t table (or, if t = m + 1, looking level t up), each writing
+      its level-(m + 1) bracket into the group buffer;
+    - groups of G forests (_level_split) run their batches in turn, then
+      levels m .. 1 once over the group.
+    If one chunk holds a group, m = 0.  At d = 3, depth 16 and two or three
+    atoms: one forest a chunk on levels 16 .. 14, 8 a batch on levels
+    13 .. 9 and 32 a group on levels 8 .. 1.  All on one workspace; none
+    changes a digit.
 
-    A finite law's deepest levels look their brackets up in tables built
-    once a call (_bracket_tables).  The build checks the denominator of
-    every code, also of codes no vertex carries; with a valid frontier
-    every denominator is positive, so it refuses nothing the
-    vertex-by-vertex route accepts.
+    The table build checks the denominator of every code, also of codes
+    no vertex carries; with a valid frontier every denominator is
+    positive, so it refuses nothing the vertex-by-vertex route accepts.
     """
     d, p, s_child, depth = cfg.d, cfg.p, cfg.s_child, cfg.depth_cap_D
     deepest, why = deepest_depth_cap(d, n_roots, dist)
@@ -372,18 +415,30 @@ def _branch_brackets(cfg: TreeConfig, dist: PotentialDistribution, keys: np.ndar
     split, group = _level_split(cells, chunk)
     if split >= depth or group <= chunk:  # one chunk holds a whole group
         split, group = 0, chunk
-    deep, shallow = range(depth, split, -1), range(split, 0, -1)
-    n_group, width = min(group, keys.size), cells[split + 1]
-    ws = _Workspace(
-        starts, max(min(chunk, keys.size) * cells[depth], n_group * cells[split]), _bracket_tables(cfg, dist, cells, split)
-    )
+    tables = _bracket_tables(cfg, dist, cells, split)
+    top = min(tables, default=depth + 1)  # the last table level
+    batch = min(group, max(chunk, _FOREST_CELL_BUDGET // cells[top - 1] // chunk * chunk))
+    table_levels, floats, shallow = range(depth, top - 1, -1), range(top - 1, split, -1), range(split, 0, -1)
+    n_chunk, n_batch, n_group = (min(size, keys.size) for size in (chunk, batch, group))
+    width, code_width = cells[split + 1], cells[top] if tables else 0
+    cells_ws = max(n_chunk * cells[depth], n_batch * cells[top - 1] if floats else 0, n_group * cells[split])
+    ws = _Workspace(starts, cells_ws, tables, n_batch)
     buf = np.empty((2, n_group * width))
 
     def run(first: int) -> np.ndarray:
         part = keys[first : first + group]
         w = buf[:, : part.size * width]
-        for j in range(0, part.size, chunk):
-            w[:, j * width : (j + chunk) * width] = _run_levels(cfg, dist, part[j : j + chunk], starts, deep, None, ws)
+        for j in range(0, part.size, batch):
+            sub, codes = part[j : j + batch], None
+            if tables:
+                codes = ws.codes[: sub.size * code_width]
+                for i in range(0, sub.size, chunk):
+                    codes[i * code_width : (i + chunk) * code_width] = _run_levels(
+                        cfg, dist, sub[i : i + chunk], starts, table_levels, None, ws
+                    )
+            sub_w = _run_levels(cfg, dist, sub, starts, floats, codes, ws)
+            # no float level above the tables: look level m + 1 up
+            w[:, j * width : (j + batch) * width] = sub_w if floats else np.take(tables[top], sub_w, axis=1)
         # a view into ws or buf, which the next group overwrites
         return _run_levels(cfg, dist, part, starts, shallow, w, ws).reshape(2, -1, n_roots).copy()
 

@@ -188,6 +188,23 @@ def test_reduction_refuses_a_run_of_other_than_2_to_the_k_sites(n_sites):
         _reduce(np.zeros((2, n_sites)), 0.5)
 
 
+@pytest.mark.parametrize("n_sites", [0, 3, 6, 12, 20])
+def test_run_tables_and_halving_refuse_a_run_of_other_than_2_to_the_k_sites(n_sites):
+    # codes of 3, 6 or 12 sites once paired unequal halves by broadcasting
+    # and returned a run without error; 20 sites raised numpy's broadcasting
+    # error, which named neither the routine nor the run
+    tables = line_solver._RunTables(BERN._values, 0.5)
+    with pytest.raises(ValueError, match=rf"^_RunTables.lookup needs a run of 2\*\*k sites, got {n_sites}$"):
+        tables.lookup(np.zeros((2, n_sites), dtype=np.int64))
+    run = line_solver._site_runs(np.zeros((2, n_sites)), np.float64(0.5))
+    with pytest.raises(ValueError, match=rf"^_halve needs a run of 2\*\*k blocks, got {n_sites}$"):
+        line_solver._halve(run)
+    # a looked-up run of 2**k sites halves to the float route's digits
+    codes = np.array([[0, 1, 1, 0, 1, 0, 0, 0] * 4], dtype=np.int64)
+    want = _reduce(BERN._values[codes], 0.5)
+    assert np.array_equal(line_solver._halve(tables.lookup(codes)), want)
+
+
 def _reduced_lengths(monkeypatch):
     """The site counts of every run the barrier-doubling loop reduces from
     here on, on the float route and the run-table route alike."""
@@ -265,6 +282,25 @@ def test_keyed_and_window_routes_give_the_same_digits(law, p):
     keyed = F_limit(EnvironmentSource(law, 3, 2), p=p)
     assert keyed == F_limit(sample_environment(law, (-4096, 1), 3, 2), p=p)
     assert keyed.converged and keyed.r_used < 0
+
+
+def test_a_one_atom_law_hashes_one_row(monkeypatch):
+    # every stream of a one-atom law draws the same potentials, so its 1000
+    # rows are one row repeated: 1000 identical rows were once reduced
+    hashed = []
+    mix = line_solver.mix_counters
+
+    def spy(key, words, **kwargs):
+        hashed.append(np.shape(key)[0])
+        return mix(key, words, **kwargs)
+
+    monkeypatch.setattr(line_solver, "mix_counters", spy)
+    batch = F_limit_batch(POINT, seed=3, n_samples=1000)
+    assert hashed and set(hashed) == {1}
+    window = F_limit(sample_environment(POINT, (-4096, 1), 3, 5))
+    assert np.array_equal(batch.a_value, np.full(1000, window.a_value))
+    assert np.array_equal(batch.trunc_bound, np.full(1000, window.trunc_bound))
+    assert np.array_equal(batch.r_used, np.full(1000, window.r_used)) and batch.converged.all()
 
 
 @st.composite

@@ -353,23 +353,31 @@ def test_level_split_matches_one_forest_oracle(d, depth, split):
         assert np.array_equal(got, want), group
 
 
-def _groups(sizes, chunk, split, depth):
-    """_run_levels passes of groups of the given sizes: each chunk's deep
-    pass over levels depth .. split + 1, then one shallow pass over levels
-    split .. 1 for the group."""
+def _groups(sizes, batch, chunk, depth, top, split):
+    """_run_levels passes (levels, forests) of groups of the given sizes:
+    in each batch of a group, each chunk's pass over the table levels
+    depth .. top (none if top > depth), then the batch's pass over the
+    float levels top - 1 .. split + 1; then one pass over levels split .. 1
+    for the group."""
     passes = []
     for size in sizes:
-        passes += [range(depth, split, -1)] * -(-size // chunk) + [range(split, 0, -1)]
+        for first in range(0, size, batch):
+            n_batch = min(batch, size - first)
+            if top <= depth:
+                passes += [(range(depth, top - 1, -1), min(chunk, n_batch - j)) for j in range(0, n_batch, chunk)]
+            passes.append((range(top - 1, split, -1), n_batch))
+        passes.append((range(split, 0, -1), size))
     return passes
 
 
 def _passes(fn, *args):
-    """The levels of every _run_levels call that fn(*args) makes."""
+    """The levels and the forest count of every _run_levels call that
+    fn(*args) makes."""
     calls = []
     run_levels = tree._run_levels
 
     def spy(cfg, dist, keys, starts, levels, w, ws):
-        calls.append(levels)
+        calls.append((levels, keys.size))
         return run_levels(cfg, dist, keys, starts, levels, w, ws)
 
     with mock.patch.object(tree, "_run_levels", spy):
@@ -380,12 +388,15 @@ def _passes(fn, *args):
 @pytest.mark.parametrize(
     "depth, n_sites, passes",
     [
-        # one site a chunk, 32 a group, the last group 1 site
-        (16, 161, _groups([32] * 5 + [1], 1, 8, 16)),
-        # 16 sites a chunk, 2 chunks a group, the last group 1 short chunk
-        (12, 40, _groups([32, 8], 16, 8, 12)),
-        # 64 sites a chunk hold a whole group: one deep pass a chunk
-        (10, 248, _groups([64] * 3 + [56], 64, 0, 10)),
+        # one site a chunk, 8 a batch, 32 a group, the last group 1 site;
+        # levels 16 .. 14 are looked up
+        (16, 161, _groups([32] * 5 + [1], 8, 1, 16, 14, 8)),
+        # 16 sites a chunk, 2 chunks a batch and a group, the last group 1
+        # short chunk; levels 12 .. 10 looked up, level 9 alone a float pass
+        (12, 40, _groups([32, 8], 32, 16, 12, 10, 8)),
+        # 64 sites a chunk hold a whole group (m = 0): one table pass, one
+        # float pass and an empty shallow pass a group
+        (10, 248, _groups([64] * 3 + [56], 64, 64, 10, 8, 0)),
     ],
 )
 def test_default_level_split(depth, n_sites, passes):
@@ -393,15 +404,78 @@ def test_default_level_split(depth, n_sites, passes):
     assert _passes(_site_brackets, cfg, BERN, 2, substream(1, np.arange(n_sites))) == passes
 
 
+@pytest.mark.parametrize(
+    "dist, passes",
+    [
+        # three atoms look up the same levels as two, in uint16 codes on level 14
+        (THREE_ATOMS, _groups([19], 8, 1, 16, 14, 8)),
+        # 40 atoms look up level 16 alone: a batch is the 2 forests whose
+        # level 15 fits the budget
+        (FORTY_ATOMS, _groups([19], 2, 1, 16, 16, 8)),
+        # no table level: every level is a float level, one site a batch
+        (EXP1, _groups([19], 1, 1, 16, 17, 8)),
+    ],
+)
+def test_default_level_split_by_law(dist, passes):
+    cfg = TreeConfig(3, depth_cap_D=16)
+    assert _passes(_site_brackets, cfg, dist, 2, substream(1, np.arange(19))) == passes
+
+
 @pytest.mark.parametrize("depth, chunk", [(12, 16), (16, 1)])
 def test_one_branch_runs_the_level_split(depth, chunk):
-    # one branch at d = 3 is one site's forest: a deep pass down to m = 8,
-    # then a shallow one, exactly as the one-forest oracle
+    # one branch at d = 3 is one site's forest: a table pass down to level
+    # D - 2, a float pass down to m = 8, then a shallow one, exactly as the
+    # one-forest oracle
     cfg = TreeConfig(3, depth_cap_D=depth)
-    assert _passes(branch_return_weight, cfg, BERN, 4, 9) == _groups([1], chunk, 8, depth)
+    assert _passes(branch_return_weight, cfg, BERN, 4, 9) == _groups([1], chunk, chunk, depth, depth - 2, 8)
     one = branch_return_weight(cfg, BERN, 4, 9)
     want_lo, want_hi = _oracles.forest_bracket(cfg, BERN, 4, 9, 1, depth)
     assert (one.lower, one.upper) == (want_lo[0], want_hi[0])
+
+
+# at d = 4 a vertex has 3 children, so level D - 1 has K^4 codes: 256 for
+# four atoms (uint8 codes up to 255), 625 for five (uint16 codes)
+FOUR_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.3 * i, 0.25] for i in range(4)]})
+FIVE_ATOMS = make_distribution({"kind": "finite", "atoms": [[0.3 * i, 0.2] for i in range(5)]})
+
+
+@pytest.mark.parametrize(
+    "d, depth, budget, dist, n_forests, groups, batch, top, split, code_type",
+    [
+        # d = 3, depth 10 at a 512-cell budget mirrors the default depth 16:
+        # one forest a chunk, 8 a batch, 32 a group, levels 10 .. 8 looked up
+        pytest.param(3, 10, 512, BERN, 37, [32, 5], 8, 8, 2, np.uint8, id="short-last-group"),
+        pytest.param(3, 10, 512, BERN, 33, [32, 1], 8, 8, 2, np.uint8, id="group-of-one-forest"),
+        pytest.param(3, 10, 512, EXP1, 37, [32, 5], 1, 11, 2, None, id="exponential-no-table-level"),
+        pytest.param(3, 10, 512, FORTY_ATOMS, 11, [11], 2, 10, 2, np.uint8, id="forty-atoms-one-table-level"),
+        pytest.param(4, 8, 4374, FOUR_ATOMS, 12, [12], 9, 7, 2, np.uint8, id="256-codes-uint8"),
+        pytest.param(4, 8, 4374, FIVE_ATOMS, 12, [12], 9, 7, 2, np.uint16, id="625-codes-uint16"),
+        # the default budget: three atoms compose level 14's 2187 codes in uint16
+        pytest.param(3, 16, None, THREE_ATOMS, 9, [9], 8, 14, 8, np.uint16, id="default-three-atoms"),
+    ],
+)
+def test_forest_route_edges_match_one_forest_oracle(d, depth, budget, dist, n_forests, groups, batch, top, split, code_type):
+    cfg = TreeConfig(d, drift_p=0.45, depth_cap_D=depth)
+    streams = substream(7, np.arange(-3, n_forests - 3))
+    passes, spaces = [], []
+    run_levels, workspace = tree._run_levels, tree._Workspace
+
+    def spy(cfg, dist, keys, starts, levels, w, ws):
+        passes.append((levels, keys.size))
+        return run_levels(cfg, dist, keys, starts, levels, w, ws)
+
+    def make(*args):
+        spaces.append(workspace(*args))
+        return spaces[-1]
+
+    with mock.patch.object(tree, "_run_levels", spy), mock.patch.object(tree, "_Workspace", make):
+        with mock.patch.object(tree, "_FOREST_CELL_BUDGET", budget or tree._FOREST_CELL_BUDGET):
+            w_lo, w_hi = _branch_brackets(cfg, dist, stream_key(11, streams), d - 2)
+    assert passes == _groups(groups, batch, 1, depth, top, split)
+    assert spaces[0].types.get(top) == code_type
+    for k, stream in enumerate(streams.tolist()):
+        want_lo, want_hi = _oracles.forest_bracket(cfg, dist, 11, stream, d - 2, depth)
+        assert np.array_equal(w_lo[k], want_lo) and np.array_equal(w_hi[k], want_hi), k
 
 
 def test_site_brackets_memory_stays_at_one_workspace():
