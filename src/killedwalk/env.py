@@ -88,7 +88,11 @@ class PotentialDistribution:
         if self.kind == "exponential":
             np.log1p(np.negative(u, out=out), out=out)
             return np.divide(np.negative(out, out=out), self.rate, out=out)
-        return _atom_lookup(self._values, u, self._cum[:-1], out)
+        # the index lives in out's memory: take reads each index before it
+        # writes that slot, and mode="clip" skips the "raise" mode's copy
+        cuts = self._cum[:-1]
+        idx = _count_cuts(u, cuts, np.less, out.view(np.int64))
+        return np.take(self._values, np.subtract(cuts.size, idx, out=idx), mode="clip", out=out)
 
     def survival_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-ppf(u)) bit for bit, for u = (bits >> 11) 2**-53 the
@@ -103,7 +107,8 @@ class PotentialDistribution:
         if self.kind == "exponential":
             u = _uniform(bits, out=out)
             return np.exp(np.negative(self.ppf(u, out=out), out=out), out=out)
-        return np.take(self._survival, _cuts_reached(bits, self._cuts, out.view(np.int64)), mode="clip", out=out)
+        idx = _count_cuts(bits, self._cuts, np.greater_equal, out.view(np.int64))
+        return np.take(self._survival, idx, mode="clip", out=out)
 
     def atom_index_from_bits(self, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The atom index of a finite law that ppf reads for each word,
@@ -111,7 +116,9 @@ class PotentialDistribution:
         _survival up at it): the number of cuts the word reaches.  Into out
         if it is given, a C-contiguous integer array of bits' shape whose
         type holds the last index, else into a new int64 array."""
-        return _cuts_reached(bits, self._cuts, np.empty(bits.shape, dtype=np.int64) if out is None else _contiguous(out))
+        return _count_cuts(
+            bits, self._cuts, np.greater_equal, np.empty(bits.shape, dtype=np.int64) if out is None else _contiguous(out)
+        )
 
     def laplace(self, ell):
         """E[exp(-ell * omega)], in (0, 1], equal to 1 at ell = 0.
@@ -138,31 +145,17 @@ def _contiguous(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cuts_reached(bits: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """#{j : bits >= cuts[j]} into out, an integer array of bits' shape:
-    one greater_equal a cut, the first written through the bool view of a
-    uint8 out, uncast."""
+def _count_cuts(x: np.ndarray, cuts: np.ndarray, op, out: np.ndarray) -> np.ndarray:
+    """#{j : op(x, cuts[j])} into out, an integer array of x's shape: one
+    comparison a cut, the first written through the bool view of a uint8
+    out, uncast."""
     if cuts.size == 0:
         out.fill(0)
         return out
-    np.greater_equal(bits, cuts[0], out=out.view(np.bool_) if out.dtype == np.uint8 else out)
+    op(x, cuts[0], out=out.view(np.bool_) if out.dtype == np.uint8 else out)
     for c in cuts[1:]:
-        out += bits >= c
+        out += op(x, c)
     return out
-
-
-def _atom_lookup(table: np.ndarray, x: np.ndarray, cuts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """table[idx] into out, idx = len(cuts) - #{j : x < cuts[j]}: the
-    number of the ascending cuts that x reaches (all of them for a NaN)."""
-    if cuts.size == 0:
-        out.fill(table[0])
-        return out
-    # the index lives in out's memory: take reads each index before it
-    # writes that slot, and mode="clip" skips the "raise" mode's copy
-    idx = np.less(x, cuts[0], out=out.view(np.int64))
-    for c in cuts[1:]:
-        idx += x < c
-    return np.take(table, np.subtract(cuts.size, idx, out=idx), mode="clip", out=out)
 
 
 def make_distribution(spec) -> PotentialDistribution:

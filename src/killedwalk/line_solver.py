@@ -435,18 +435,21 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
     looks its runs up in one _RunTables; otherwise each law's ppf writes
     the potentials of its block, which _reduce reduces.  A finite law
     whose words all read its first atom (a one-atom law, say) draws the
-    same potentials on every stream, so it runs one row, on the first
-    stream's key, and its LimitBatch repeats that row.  At p >= 1/2 the
-    walk on a delta-zero law reaches 1 surely, so its rows are 0 exactly,
-    converged, with r_used 0, and never enter the loop; at p < 1/2 they run
-    it, which converges geometrically there.
+    same potentials on every stream, so it runs one row (none when there
+    are no streams), on the first stream's key, and its LimitBatch repeats
+    that row.  Each row's key is laid out once a call, in row_keys.  At p
+    >= 1/2 the walk on a delta-zero law reaches 1 surely, so its rows are 0
+    exactly, converged, with r_used 0, and never enter the loop; at p < 1/2
+    they run it, which converges geometrically there.
     """
     keys = np.atleast_1d(stream_key(seed, streams))
     n = keys.size
     sure = [bool(p >= 0.5) and dist.is_delta_zero for dist in dists]
     live = [dist for dist, skip in zip(dists, sure) if not skip]
     one_row = [dist.kind == "finite" and dist._cuts.size == 0 for dist in live]
-    firsts = np.cumsum([0] + [1 if one else n for one in one_row])
+    law_keys = [keys[:1] if one else keys for one in one_row]  # the keys of each law's rows
+    firsts = np.cumsum([0] + [k.size for k in law_keys])
+    row_keys = np.concatenate([keys[:0], *law_keys])
     atom_values = {tuple(dist._values.tolist()) if dist.kind == "finite" else None for dist in live}
     tables = None
     if len(atom_values) == 1 and None not in atom_values and live[0]._values.size ** 2 <= _TABLE_CODES:
@@ -458,8 +461,7 @@ def _keyed_rows(dists, seed: int, streams, tol: float, p) -> list[LimitBatch]:
         # chunk, allocates one array of its sites beside its cells
         sites = np.arange(lo, hi + 1, dtype=np.int64).view(np.uint64)
         scratch = np.empty((rows.size, sites.size), dtype=np.uint64)
-        streams_of = rows - firsts[np.searchsorted(firsts, rows, side="right") - 1] if any(one_row) else rows % n
-        bits = mix_counters(keys[streams_of][:, None], _counter_words(sites, out=sites), scratch=scratch)
+        bits = mix_counters(row_keys[rows][:, None], _counter_words(sites, out=sites), scratch=scratch)
         del sites
         ends = np.searchsorted(rows, firsts).tolist()
         blocks = [(dist, slice(i, j)) for dist, i, j in zip(live, ends, ends[1:]) if i < j]

@@ -37,14 +37,41 @@ def test_compare_masks_paths_and_timings_but_not_data(tmp_path):
     assert ab.compare_outputs(a, d) == ["files", "manifest"]
 
 
-def test_two_matrix_rows_match_the_checkouts_own_head():
-    # the tool checks HEAD out in a temporary worktree and runs both rows in
-    # both trees; it must find the same bytes and leave the checkout as it was
+def test_a_row_that_fails_or_writes_nothing_fails_on_both_sides(tmp_path):
+    # two runs that exit with the same error and write nothing once read as
+    # the same; a byte-identity gate must not pass a row with no output
+    a = _write_run(tmp_path / "a", b'{"value": 1.0}', {})
+    b = _write_run(tmp_path / "b", b'{"value": 1.0}', {})
+    assert ab.verdict(a, b, (0, 0)) is None
+    empty = [tmp_path / "e", tmp_path / "f"]
+    for folder in empty:
+        folder.mkdir()
+    assert ab.verdict(*empty, (1, 1)) == "FAILED: base exited with code 1, head exited with code 1"
+    assert ab.verdict(*empty, (0, 0)) == "FAILED: base wrote no run.json, head wrote no run.json"
+    assert ab.verdict(a, empty[1], (0, 2)) == "FAILED: head exited with code 2"
+    c = _write_run(tmp_path / "c", b'{"value": 2.0}', {})
+    assert ab.verdict(a, c, (0, 0)) == "DIFFERS in data"
+
+
+def test_two_matrix_rows_match_between_two_checkouts_of_head():
+    # both sides run from HEAD, each checked out in a temporary worktree, so
+    # uncommitted edits to the checkout cannot change the verdict; the tool
+    # must find the same bytes and leave the checkout and its worktrees as
+    # they were
     if _git("rev-parse", "--verify", "HEAD").returncode != 0:
         pytest.skip("needs a git checkout with a commit")
     before = (_git("status", "--porcelain").stdout, _git("worktree", "list", "--porcelain").stdout)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab.py"), "--base", "HEAD", "--rows", "alpha-point,tree-reduce"],
+        [
+            sys.executable,
+            str(ROOT / "tools" / "ab.py"),
+            "--base",
+            "HEAD",
+            "--head",
+            "HEAD",
+            "--rows",
+            "alpha-point,tree-reduce",
+        ],
         capture_output=True,
         text=True,
         timeout=300,

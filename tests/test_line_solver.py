@@ -301,6 +301,11 @@ def test_a_one_atom_law_hashes_one_row(monkeypatch):
     assert np.array_equal(batch.a_value, np.full(1000, window.a_value))
     assert np.array_equal(batch.trunc_bound, np.full(1000, window.trunc_bound))
     assert np.array_equal(batch.r_used, np.full(1000, window.r_used)) and batch.converged.all()
+    # no streams run no row, as for any other law
+    empty = F_limit_batch(POINT, seed=3, n_samples=0)
+    fields = (empty.a_value, empty.trunc_bound, empty.r_used, empty.converged)
+    for field, dtype in zip(fields, (np.float64, np.float64, np.int64, np.bool_)):
+        assert field.shape == (0,) and field.dtype == dtype
 
 
 @st.composite

@@ -2,17 +2,20 @@
 
 Checks REF out with `git worktree add --detach` into a temporary directory
 outside the checkout, runs a fixed matrix of CLI configurations (MATRIX)
-with the base tree's src/ and with the checkout's (its working tree,
-uncommitted edits included), and compares each row's outputs:
+with the base tree's src/ and with the head's, and compares each row's
+outputs:
 
 - the data file and tree-reduce's rho-env file, byte for byte;
-- the manifest, as JSON with the output paths and any timing masked;
-- the exit code.
+- the manifest, as JSON with the output paths and any timing masked.
 
-Prints one verdict a row and exits 1 if any row differs.  The worktree
-is removed again, so the checkout is left as it was.
+The head is the checkout's working tree, uncommitted edits included, or
+with --head REF2 a second commit, checked out the same way.  A row whose
+run exits non-zero or writes no data file on either side fails, since
+two runs that produced nothing show nothing.  Prints one verdict a row
+and exits 1 if any row differs or fails.  The worktrees are removed
+again, so the checkout is left as it was.
 
-    python tools/ab.py [--base REF] [--rows NAME,NAME,...]
+    python tools/ab.py [--base REF] [--head REF2] [--rows NAME,NAME,...]
 
 REF defaults to HEAD~1, the parent of the checked-out commit.
 """
@@ -108,34 +111,53 @@ def compare_outputs(base: Path, head: Path) -> list[str]:
     return diffs
 
 
+def verdict(base: Path, head: Path, codes: tuple[int, int]) -> str | None:
+    """None if one matrix row's runs in base and head, which exited with
+    codes, wrote the same outputs, else what failed or differs."""
+    failed = [
+        f"{side} {f'exited with code {code}' if code else 'wrote no run.json'}"
+        for side, folder, code in (("base", base, codes[0]), ("head", head, codes[1]))
+        if code or not (folder / "run.json").exists()
+    ]
+    if failed:
+        return f"FAILED: {', '.join(failed)}"
+    diffs = compare_outputs(base, head)
+    return f"DIFFERS in {', '.join(diffs)}" if diffs else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="byte-identity A/B of the CLI matrix against a base commit")
     parser.add_argument("--base", default="HEAD~1", help="the commit to compare against (default: HEAD~1)")
+    parser.add_argument("--head", help="the commit to compare (default: the working tree)")
     parser.add_argument("--rows", default=",".join(MATRIX), help="comma-separated matrix rows (default: all)")
     args = parser.parse_args(argv)
     rows = args.rows.split(",")
     unknown = [row for row in rows if row not in MATRIX]
     if unknown:
         parser.error(f"unknown rows {unknown}; the matrix has {list(MATRIX)}")
-    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    differing = 0
+    sides = {"base": args.base} if args.head is None else {"base": args.base, "head": args.head}
+    commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in sides.items()}
+    bad = 0
     with tempfile.TemporaryDirectory(prefix="killedwalk-ab-") as tmp:
-        base_tree, runs = Path(tmp) / "tree", Path(tmp) / "runs"
-        _git("worktree", "add", "--detach", str(base_tree), commit)
+        trees, runs, checked_out = {"head": REPO}, Path(tmp) / "runs", []
         try:
-            print(f"base {args.base} = {commit[:12]}, head = the checkout at {REPO}")
+            for side, commit in commits.items():
+                trees[side] = Path(tmp) / side
+                _git("worktree", "add", "--detach", str(trees[side]), commit)
+                checked_out.append(trees[side])
+            head = f"{args.head} = {commits['head'][:12]}" if "head" in commits else f"the working tree at {REPO}"
+            print(f"base {args.base} = {commits['base'][:12]}, head {head}")
             for row in rows:
-                codes = [run_row(tree, row, runs / side / row) for tree, side in ((base_tree, "base"), (REPO, "head"))]
-                diffs = compare_outputs(runs / "base" / row, runs / "head" / row)
-                if codes[0] != codes[1]:
-                    diffs.insert(0, f"exit code {codes[0]} vs {codes[1]}")
-                differing += bool(diffs)
-                verdict = f"DIFFERS in {', '.join(diffs)}" if diffs else "same"
-                print(f"{row}: {verdict}" + (f" (exit code {codes[1]})" if codes[1] else ""))
+                folders = runs / "base" / row, runs / "head" / row
+                codes = run_row(trees["base"], row, folders[0]), run_row(trees["head"], row, folders[1])
+                found = verdict(*folders, codes)
+                bad += found is not None
+                print(f"{row}: {found or 'same'}")
         finally:
-            _git("worktree", "remove", "--force", str(base_tree))
-    print(f"{len(rows) - differing} of {len(rows)} rows the same")
-    return 1 if differing else 0
+            for tree in checked_out:
+                _git("worktree", "remove", "--force", str(tree))
+    print(f"{len(rows) - bad} of {len(rows)} rows the same")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
