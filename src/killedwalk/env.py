@@ -241,6 +241,8 @@ def _number(raw, name: str) -> float:
     """float(raw), where raw is a real number (Python or numpy) and never
     a bool or a string, which float() would also read; anything else is a
     ValueError naming name."""
+    if type(raw) is float:  # the common case, without the ABC check
+        return raw
     if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
         return float(raw)
     raise ValueError(f"{name} must be a number, got {raw!r}")
@@ -248,7 +250,7 @@ def _number(raw, name: str) -> float:
 
 def _finite(raw, name: str) -> float:
     value = _number(raw, name)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 

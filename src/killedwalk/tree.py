@@ -23,12 +23,15 @@ integer code per vertex in the narrowest unsigned type that holds it, and
 the level above them looks its children up, bit for bit.  Trajectory
 simulation on the same keyed potentials serves as an independent
 cross-check, not as the primary computation: all walkers advance
-together one step at a time, each step a few masked in-place updates of
-the live walkers' arrays, and each step uniform is keyed by (walker,
-step), so no walker's path depends on the others.  Both walker studies
-stop a walker by one rule (arrival first, then the certified bound on what
-it can still score, the horizon and the step cap), count every walker that
-did not arrive and add that bound of each to a reported budget.
+together in blocks of up to _WALK_BLOCK_STEPS steps, each block one hash
+for its step uniforms, a short scan of moves, one keyed ppf and one
+accumulate for the log weights and one pass of the stop rule over
+(step, walker) arrays in one workspace a call.  Each step uniform is
+keyed by (walker, step), so no walker's path depends on the others or on
+the blocks.  Both walker studies stop a walker by one rule (arrival
+first, then the certified bound on what it can still score, the horizon
+and the step cap), count every walker that did not arrive and add that
+bound of each to a reported budget.
 
 Orientation convention for drifted walks: the positive geodesic direction
 points toward predecessors (uphill), which is the direction the one-step
@@ -48,7 +51,7 @@ from ._parallel import ordered_map
 from .env import Environment, PotentialDistribution, _checked_int, _window, make_distribution
 from .line_solver import _barrier, forward_step_weights
 from .lyapunov import _annealed_transfer
-from .rng import _as_u64, _counter_words, keyed_uniform_from_key, mix_counters, stream_key, substream
+from .rng import _as_u64, _counter_words, _uniform, keyed_uniform_from_key, mix_counters, stream_key, substream
 
 _EXCURSION_TAG = 0x6578
 _PASSAGE_TAG = 0x7061
@@ -495,6 +498,16 @@ def excursion_survival_h(
     return BranchSurvival(float(lo), float(hi), cfg.depth_cap_D)
 
 
+def _site_h(
+    cfg: TreeConfig, dist: PotentialDistribution, sites: np.ndarray, seed: int, stream_id: int
+) -> tuple[list[float], list[float]]:
+    """The lower and the upper h bounds of the geodesic sites with the
+    given indices, each on its own stream substream(stream_id, site)."""
+    seed, stream_id = _checked_int(seed, "seed"), _checked_int(stream_id, "stream_id")
+    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, np.asarray(sites, dtype=np.int64)))
+    return h_lo.tolist(), h_hi.tolist()
+
+
 def _site_rhos(
     cfg: TreeConfig,
     dist: PotentialDistribution,
@@ -502,11 +515,8 @@ def _site_rhos(
     seed: int,
     stream_id: int,
 ) -> list[RhoPotential]:
-    """rho brackets of the geodesic sites with the given indices, each on
-    its own stream substream(stream_id, site)."""
-    seed, stream_id = _checked_int(seed, "seed"), _checked_int(stream_id, "stream_id")
-    sites = np.asarray(sites, dtype=np.int64)
-    h_lo, h_hi = _site_brackets(cfg, dist, seed, substream(stream_id, sites))
+    """rho brackets of the geodesic sites with the given indices (_site_h)."""
+    h_lo, h_hi = _site_h(cfg, dist, sites, seed, stream_id)
     return [
         RhoPotential(
             site_index=i,
@@ -514,7 +524,7 @@ def _site_rhos(
             rho_upper=-math.log(lower),
             h_bracket=BranchSurvival(lower, upper, cfg.depth_cap_D),
         )
-        for i, lower, upper in zip(sites.tolist(), h_lo.tolist(), h_hi.tolist())
+        for i, lower, upper in zip(np.asarray(sites, dtype=np.int64).tolist(), h_lo, h_hi)
     ]
 
 
@@ -609,6 +619,11 @@ def reduce_to_line(
 
 
 _ARRIVED, _BOUND, _HORIZON, _STEP_CAP = range(4)  # why a walker stopped
+# a block of _walk runs min(_WALK_BLOCK_STEPS, _WALK_BLOCK_CELLS // live
+# walkers) steps (at least one), so its (step, walker) arrays hold at most
+# about this many cells each
+_WALK_BLOCK_CELLS = 2**13
+_WALK_BLOCK_STEPS = 16
 
 
 def _walk(
@@ -624,7 +639,7 @@ def _walk(
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance n_walkers tree walkers from geodesic site start together,
-    one step at a time, until each one stops.
+    a block of steps at a time, until each one stops.
 
     targets = (near, far), near <= far, holds the nearest and the farthest
     target site in the geodesic's order (equal for a single target); a
@@ -635,21 +650,31 @@ def _walk(
     order: arrival on a target site (scored even after its last allowed
     step), the bound l + L ln r < _LOG_BOUND_CUTOFF of _max_walk_level,
     the horizon (branch level plus distance to the nearer target beyond
-    horizon) and the step cap.  The stopped walkers are scored and dropped
-    from the arrays; the survivors then pay their vertex's potential,
-    keyed by substream(stream_id, site) and the level-order counter, and
-    move on walker w's step-t uniform keyed_uniform(seed,
-    substream(step_stream, w), t), each move a masked in-place update of the site, level and
-    index arrays.  The site keys are derived once a call, over the sites
-    the horizon lets a walker pay (within horizon of a target), and so are
-    the walker keys.
+    horizon) and the step cap.  A walker that meets none pays its
+    vertex's potential, keyed by substream(stream_id, site) and the
+    level-order counter, and moves on its step-t uniform
+    keyed_uniform(seed, substream(step_stream, w), t).  The site keys are
+    derived once a call, over the sites the horizon lets a walker pay
+    (within horizon of a target), and so are the walker keys.
+
+    A block of T steps (_WALK_BLOCK_CELLS, _WALK_BLOCK_STEPS) takes the
+    live walkers as (T + 1, n) arrays, one row a step: one hash draws
+    every step uniform, a scan of a few calls a step moves the walkers
+    on moves worked out for the whole block at once, one ppf prices
+    every position and np.subtract.accumulate along the steps gives the
+    log weights, the same subtractions in the same order.  The stop rule
+    then runs once over the T new rows; a walker is scored at its first
+    stop, and the stopped ones leave the arrays once a block.  Positions
+    after a walker's stop are never read, so their keys are taken with
+    mode="clip".  Every block's arrays are views into one workspace a
+    call, which keeps the heap from growing over repeated calls.
 
     Returns each walker's score e^(l + L ln r) at its stop (its survival
     weight if it arrived, L = 0 there; else the most it could still score)
     and the cause that stopped it (_ARRIVED, _BOUND, _HORIZON or
     _STEP_CAP).
     """
-    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    d, k, p, s_child = cfg.d, cfg.d - 1, cfg.p, cfg.s_child
     s_geo = p + s_child
     starts = _level_starts(d, d - 2, _max_walk_level(d))
     near, far = targets
@@ -660,11 +685,12 @@ def _walk(
     cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
     walker = np.arange(n_walkers)
     step_key = stream_key(seed, substream(step_stream, walker))
-    geo = np.full(n_walkers, start, dtype=np.int64)
-    level = np.zeros(n_walkers, dtype=np.int64)
-    idx = np.zeros(n_walkers, dtype=np.int64)
-    log_w = np.zeros(n_walkers)
-    for step in range(max_steps + 1):
+
+    def stop(geo, level, log_w, capped):
+        """Score each walker at the first of the rows of the (R, n)
+        states where it stops (on the last row, if capped, every walker
+        stops: the step cap) and return the mask of those that stop on
+        none."""
         gap = np.abs(geo - near)
         if far != near:
             np.minimum(gap, np.abs(geo - far), out=gap)
@@ -674,48 +700,83 @@ def _walk(
         bound += log_w  # log_w exactly where level is 0
         cut = bound < _LOG_BOUND_CUTOFF
         cut &= ~arrived
-        stop = cut | arrived
+        stops = cut | arrived
         lost = gap > horizon
-        lost &= ~stop
-        stop |= lost
-        if step == max_steps:
-            stop[:] = True  # the rest keep cause _STEP_CAP
-        if stop.any():
-            score[walker[stop]] = np.exp(bound[stop])
-            cause[walker[arrived]] = _ARRIVED
-            cause[walker[cut]] = _BOUND
-            cause[walker[lost]] = _HORIZON
-            live = ~stop
-            walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
-        if walker.size == 0:
+        lost &= ~stops
+        stops |= lost
+        if capped:
+            stops[-1] = True  # the rest keep cause _STEP_CAP
+        hit = stops.any(axis=0)
+        if hit.any():
+            col = np.flatnonzero(hit)
+            at = stops.argmax(axis=0)[col] * hit.size + col  # each first stop, flat
+            w = walker[col]
+            score[w] = np.exp(bound.take(at))
+            cause[w[arrived.take(at)]] = _ARRIVED
+            cause[w[cut.take(at)]] = _BOUND
+            cause[w[lost.take(at)]] = _HORIZON
+        return ~hit
+
+    geo = np.full(n_walkers, start, dtype=np.int64)
+    level = np.zeros(n_walkers, dtype=np.int64)
+    idx = np.zeros(n_walkers, dtype=np.int64)
+    log_w = np.zeros(n_walkers)
+    live = stop(geo[None], level[None], log_w[None], max_steps == 0)
+    # every block's arrays are views into one workspace a call, (T + 1) n
+    # <= cells each: seven int64 rows (the positions, then the moves, whose
+    # rows the pricing hash reuses), two float rows and two mask rows
+    cells = max(_WALK_BLOCK_CELLS, n_walkers) + n_walkers
+    ints, floats, masks = np.empty((7, cells), dtype=np.int64), np.empty((2, cells)), np.empty((2, cells), dtype=bool)
+    step = 0
+    while True:
+        # a copy out of the workspace, which the block overwrites
+        walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
+        n = walker.size
+        if n == 0:
             break
-        log_w -= dist.ppf(keyed_uniform_from_key(site_key[geo - lo], starts[level] + idx))
-        u = keyed_uniform_from_key(step_key, step)
-        # a walker goes down a level on u >= base, onto child (u - base) /
-        # s_child of its d-1 (on the geodesic, d-2); below base a branch
-        # walker climbs and a geodesic walker steps along the geodesic,
-        # keeping index 0 = 0 // (d-1).  A walker stepping past the level
-        # cap stops before its index is read again, so a wrapped int64
-        # index there is never used
-        on_geo = level == 0
-        base = np.where(on_geo, s_geo, p)
-        down = u >= base
-        child = np.subtract(u, base, out=base)
-        child /= s_child
-        child = child.astype(np.int64)
-        np.minimum(child, (d - 2) - on_geo, out=child)
-        child += idx * (d - 1)
-        idx = np.where(down, child, idx // (d - 1))
-        up = u < p
-        uphill = up & on_geo
-        climb = up ^ uphill
-        level += down
-        level -= climb
-        geo += uphill
-        along_down = ~down
-        along_down &= on_geo
-        along_down ^= uphill
-        geo -= along_down
+        t = max(1, min(_WALK_BLOCK_STEPS, _WALK_BLOCK_CELLS // n, max_steps - step))
+        G, L, I = (row[: (t + 1) * n].reshape(t + 1, n) for row in ints[:3])
+        geo_step, child_geo, child, level_step = (row[: t * n].reshape(t, n) for row in ints[3:])
+        u, lw = floats[0, : t * n].reshape(t, n), floats[1, : (t + 1) * n].reshape(t + 1, n)
+        up, down_geo = (row[: t * n].reshape(t, n) for row in masks)
+        words, scratch = (a.view(np.uint64) for a in (child_geo, child))
+        mix_counters(step_key, _counter_words(np.arange(step, step + t)[:, None]), out=words, scratch=scratch)
+        _uniform(words, out=u)
+        # a walker goes down a level on u >= base (s_geo on the geodesic,
+        # p on a branch), onto child (u - base) / s_child of its d-1 (on
+        # the geodesic, d-2); below base a branch walker climbs, to index
+        # idx // (d-1), and a geodesic walker steps along the geodesic,
+        # uphill on u < p, keeping index 0.  A walker past the level cap
+        # has stopped, so a wrapped int64 index there is never used
+        np.less(u, p, out=up)
+        np.greater_equal(u, s_geo, out=down_geo)
+        np.subtract(2 * up, ~down_geo, out=geo_step)  # +1 uphill, -1 along, 0 down
+        np.subtract(1, 2 * up, out=level_step)  # a branch walker's: +1 down, -1 up
+        np.copyto(child_geo, np.divide(np.subtract(u, s_geo), s_child), casting="unsafe")
+        np.minimum(child_geo, d - 3, out=child_geo)
+        child_geo *= down_geo  # a geodesic walker's next index
+        np.copyto(child, np.divide(np.subtract(u, p, out=u), s_child, out=u), casting="unsafe")
+        np.minimum(child, d - 2, out=child)
+        G[0], L[0], I[0] = geo, level, idx
+        for j in range(t):
+            on_geo = L[j] == 0
+            np.add(G[j], np.where(on_geo, geo_step[j], 0), out=G[j + 1])
+            np.add(L[j], np.where(on_geo, down_geo[j], level_step[j]), out=L[j + 1])
+            branch = np.multiply(I[j], k)
+            branch += child[j]
+            I[j + 1] = np.where(on_geo, child_geo[j], np.where(up[j], I[j] // k, branch))
+        # the moves are spent: their rows take the pricing hash
+        counters, keys, sites = (a.view(np.uint64) for a in (geo_step, child_geo, child))
+        np.take(starts, L[:t], out=geo_step, mode="clip")
+        _counter_words(np.add(geo_step, I[:t], out=geo_step).view(np.uint64), out=counters)
+        np.take(site_key, np.subtract(G[:t], lo, out=child), out=keys, mode="clip")
+        mix_counters(keys, counters, out=counters, scratch=sites)
+        lw[0] = log_w
+        dist.ppf(_uniform(counters, out=u), out=lw[1:])
+        np.subtract.accumulate(lw, axis=0, out=lw)
+        step += t
+        live = stop(G[1:], L[1:], lw[1:], step == max_steps)
+        geo, level, idx, log_w = G[t], L[t], I[t], lw[t]
     return score, cause
 
 
@@ -894,7 +955,9 @@ def turning_point_decompose(
         p_sites = np.full(sites.size, 1.0 - q_up)
         surrogates = sites[:0]
 
-    mids = [b.midpoint for b in _site_rhos(cfg, dist, np.concatenate([sites, surrogates]), seed, stream_id)]
+    # RhoPotential.midpoint of each site, without building the objects
+    h_lo, h_hi = _site_h(cfg, dist, np.concatenate([sites, surrogates]), seed, stream_id)
+    mids = [0.5 * (-math.log(upper) + -math.log(lower)) for lower, upper in zip(h_lo, h_hi)]
     _, log_w = forward_step_weights(np.array(mids[: sites.size]), p_sites)
     a_of = lambda x, y: float(-np.sum(log_w[x - (r + 1) : y - (r + 1)]))
     a_total = a_of(0, n)

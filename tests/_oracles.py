@@ -9,7 +9,9 @@ configuration of a finite-support law, window entropies by direct
 summation over product configurations, branch-forest brackets one
 forest at a time, tree walks by stepping one walker at a time with
 lazily cached potentials and one keyed_uniform call per (walker, step),
-and site potentials by a binary-search inverse CDF.
+and by stepping all walkers together one step per pass (against the
+library's blocks of steps), and site potentials by a binary-search
+inverse CDF.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.linalg import solve_banded
 from killedwalk.env import Environment, PotentialDistribution
 from killedwalk.line_solver import UNDERFLOW_FLOOR, SurvivalResult, _result_from_a, forward_step_weights
 from killedwalk.lyapunov import _log_kernel_tails, _log_transfer
-from killedwalk.rng import keyed_uniform, substream
+from killedwalk.rng import keyed_uniform, keyed_uniform_from_key, stream_key, substream
 from killedwalk.tree import (
     _ARRIVED,
     _BOUND,
@@ -643,3 +645,91 @@ def simulate_geodesic_passage(
                     child = min(int((u - p) / s_child), d - 2)
                     level, idx = level + 1, idx * (d - 1) + child
     return _walker_summary(scores, causes)
+
+
+def stepped_walk(
+    cfg: TreeConfig,
+    dist: PotentialDistribution,
+    seed: int,
+    stream_id: int,
+    step_stream: int,
+    n_walkers: int,
+    start: int,
+    targets: tuple[int, int],
+    horizon: int,
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """tree._walk one step at a time: every live walker meets the stop
+    rule, pays its vertex's potential and moves on its step uniform, one
+    step per pass, with one keyed hash for the potentials and one for the
+    uniforms each step.  The arguments and the returned (score, cause)
+    arrays are tree._walk's; the block walk must match them bit for bit.
+    """
+    d, p, s_child = cfg.d, cfg.p, cfg.s_child
+    s_geo = p + s_child
+    starts = _level_starts(d, d - 2, _max_walk_level(d))
+    near, far = targets
+    lo = near - horizon  # the horizon stops a walker below lo before it pays
+    site_key = stream_key(seed, substream(stream_id, np.arange(lo, far + horizon + 1)))
+    ln_r = math.log(zero_potential_return_weight(cfg))
+    score = np.zeros(n_walkers)
+    cause = np.full(n_walkers, _STEP_CAP, dtype=np.int8)
+    walker = np.arange(n_walkers)
+    step_key = stream_key(seed, substream(step_stream, walker))
+    geo = np.full(n_walkers, start, dtype=np.int64)
+    level = np.zeros(n_walkers, dtype=np.int64)
+    idx = np.zeros(n_walkers, dtype=np.int64)
+    log_w = np.zeros(n_walkers)
+    for step in range(max_steps + 1):
+        gap = np.abs(geo - near)
+        if far != near:
+            np.minimum(gap, np.abs(geo - far), out=gap)
+        gap += level  # 0 exactly on a target site of the geodesic
+        arrived = gap == 0
+        bound = level * ln_r
+        bound += log_w  # log_w exactly where level is 0
+        cut = bound < _LOG_BOUND_CUTOFF
+        cut &= ~arrived
+        stop = cut | arrived
+        lost = gap > horizon
+        lost &= ~stop
+        stop |= lost
+        if step == max_steps:
+            stop[:] = True  # the rest keep cause _STEP_CAP
+        if stop.any():
+            score[walker[stop]] = np.exp(bound[stop])
+            cause[walker[arrived]] = _ARRIVED
+            cause[walker[cut]] = _BOUND
+            cause[walker[lost]] = _HORIZON
+            live = ~stop
+            walker, step_key, geo, level, idx, log_w = (a[live] for a in (walker, step_key, geo, level, idx, log_w))
+        if walker.size == 0:
+            break
+        log_w -= dist.ppf(keyed_uniform_from_key(site_key[geo - lo], starts[level] + idx))
+        u = keyed_uniform_from_key(step_key, step)
+        # a walker goes down a level on u >= base, onto child (u - base) /
+        # s_child of its d-1 (on the geodesic, d-2); below base a branch
+        # walker climbs and a geodesic walker steps along the geodesic,
+        # keeping index 0 = 0 // (d-1).  A walker stepping past the level
+        # cap stops before its index is read again, so a wrapped int64
+        # index there is never used
+        on_geo = level == 0
+        base = np.where(on_geo, s_geo, p)
+        down = u >= base
+        child = np.subtract(u, base, out=base)
+        child /= s_child
+        child = child.astype(np.int64)
+        np.minimum(child, (d - 2) - on_geo, out=child)
+        child += idx * (d - 1)
+        idx = np.where(down, child, idx // (d - 1))
+        up = u < p
+        uphill = up & on_geo
+        climb = up ^ uphill
+        level += down
+        level -= climb
+        geo += uphill
+        along_down = ~down
+        along_down &= on_geo
+        along_down ^= uphill
+        geo -= along_down
+    return score, cause

@@ -80,3 +80,18 @@ def test_two_matrix_rows_match_between_two_checkouts_of_head():
     assert "alpha-point: same\n" in done.stdout and "tree-reduce: same\n" in done.stdout
     assert "2 of 2 rows the same" in done.stdout
     assert (_git("status", "--porcelain").stdout, _git("worktree", "list", "--porcelain").stdout) == before
+
+
+def test_a_library_row_writes_the_reprs_of_its_study_at_seeds_0_to_2(tmp_path):
+    # a library row runs a study no subcommand reaches; its data file is
+    # what a byte compare needs: the full result of each seed, budget included
+    import killedwalk as kw
+
+    assert ab.run_row(ROOT, "geodesic-passage", tmp_path / "run") == 0
+    got = json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))
+    bern, cfg = kw.make_distribution(ab.BERN), kw.TreeConfig(d=3, depth_cap_D=10)
+    want = []
+    for seed in range(3):
+        result = kw.simulate_geodesic_passage(cfg, bern, target=2, n_walks=1000, seed=seed)
+        want.append(repr((*result, result.trunc_budget, result.lost_by_cause)))
+    assert got == want

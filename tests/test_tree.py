@@ -765,6 +765,53 @@ def test_a_walker_does_not_depend_on_how_many_walk(two_targets):
     assert len(set(many[1].tolist())) > 1  # the walkers stop for different causes
 
 
+@settings(deadline=None, derandomize=True)
+@given(
+    excursion=st.booleans(),
+    cells=st.sampled_from([1, 7, tree._WALK_BLOCK_CELLS]),
+    n_walkers=st.integers(1, 300),
+    site=st.integers(-50, 50),
+    target=st.integers(1, 3),
+    extra_horizon=st.integers(0, 40),
+    max_steps=st.one_of(st.integers(0, 12), st.just(100_000)),
+    **WALKER_CASES,
+)
+def test_block_walk_matches_the_step_at_a_time_walk(
+    excursion, cells, n_walkers, site, target, extra_horizon, max_steps, d, drift, dist, seed, stream_id
+):
+    # blocks of one step (1 cell), of a few steps that end mid-walk (7
+    # cells) and of the default budget score and stop every walker as the
+    # walk that takes one step a pass
+    cfg = TreeConfig(d, drift_p=drift)
+    if excursion:
+        step_stream = substream(tree._EXCURSION_TAG, substream(stream_id, site))
+        args = (site, (site - 1, site + 1), _max_walk_level(d) + 1, max_steps)
+    else:
+        step_stream = substream(tree._PASSAGE_TAG, stream_id)
+        args = (0, (target, target), min(target + extra_horizon, _max_walk_level(d)), max_steps)
+    args = (cfg, dist, seed, stream_id, step_stream, n_walkers, *args)
+    want_score, want_cause = _oracles.stepped_walk(*args)
+    with mock.patch.object(tree, "_WALK_BLOCK_CELLS", cells):
+        score, cause = tree._walk(*args)
+    assert np.array_equal(score, want_score)
+    assert np.array_equal(cause, want_cause)
+
+
+def test_walker_memory_stays_at_one_workspace():
+    # d = 3, D = 10, 5000 excursions: the walk that took one step a pass
+    # peaked at 629,156 B under tracemalloc.  The block walk may add its
+    # one workspace a call, nine 8-byte and two 1-byte rows of
+    # _WALK_BLOCK_CELLS + 5000 cells, and nothing that grows with the steps
+    cells = tree._WALK_BLOCK_CELLS + 5000
+    tracemalloc.start()
+    try:
+        simulate_excursions(TreeConfig(3, depth_cap_D=10), BERN, 0, 5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 629_156 + (9 * 8 + 2) * cells, peak
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 17, 1000])
 def test_level_counters_fit_int64_at_the_level_cap(d):
     cap = _max_walk_level(d)

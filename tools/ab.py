@@ -2,11 +2,14 @@
 
 Checks REF out with `git worktree add --detach` into a temporary directory
 outside the checkout, runs a fixed matrix of CLI configurations (MATRIX)
-with the base tree's src/ and with the head's, and compares each row's
-outputs:
+and of library studies no subcommand runs (LIBRARY) with the base tree's
+src/ and with the head's, and compares each row's outputs:
 
 - the data file and tree-reduce's rho-env file, byte for byte;
 - the manifest, as JSON with the output paths and any timing masked.
+
+A library row writes only a data file: the repr of its study's result
+at seeds 0-2, WalkerEstimate's trunc_budget and lost_by_cause included.
 
 The head is the checkout's working tree, uncommitted edits included, or
 with --head REF2 a second commit, checked out the same way.  A row whose
@@ -57,6 +60,32 @@ MATRIX = {
     "selftest": ("selftest", {}),
 }
 
+# name: a library study at the tree benchmark's config, an expression in
+# kw (the package), BERN and seed; each row writes the repr of its results
+# at seeds 0-2 to run.json
+_WALKERS = "kw.TreeConfig(d=3, depth_cap_D=10), BERN"
+LIBRARY = {
+    "excursions": f"kw.simulate_excursions({_WALKERS}, site_index=0, n_excursions=5000, seed=seed)",
+    "geodesic-passage": f"kw.simulate_geodesic_passage({_WALKERS}, target=2, n_walks=1000, seed=seed)",
+    "turning-point": (
+        "kw.turning_point_decompose(kw.GeodesicSpec('turning-point', turning_index_k=2, target_index=4),"
+        " kw.TreeConfig(d=3, drift_p=0.45), BERN, seed=seed, barrier_r=-3)"
+    ),
+}
+_LIBRARY_SCRIPT = """\
+import json
+import killedwalk as kw
+BERN = kw.make_distribution({bern!r})
+results = []
+for seed in range(3):
+    result = {call}
+    if isinstance(result, kw.WalkerEstimate):
+        result = (*result, result.trunc_budget, result.lost_by_cause)
+    results.append(repr(result))
+with open("run.json", "w", encoding="utf-8") as out:
+    json.dump(results, out, indent=1)
+"""
+
 # a manifest entry whose key names a time is masked, as is every output path
 _TIMING_KEY = re.compile(r"(^|_)(s|seconds|time|times|wall|elapsed)$")
 
@@ -69,13 +98,16 @@ def _git(*args: str) -> str:
 
 
 def run_row(tree: Path, name: str, out_dir: Path) -> int:
-    """Run matrix row name with tree's src/ on the path, writing its
-    outputs under out_dir; returns the exit code."""
-    command, params = MATRIX[name]
+    """Run matrix or library row name with tree's src/ on the path,
+    writing its outputs under out_dir; returns the exit code."""
     out_dir.mkdir(parents=True)
-    argv = [sys.executable, "-m", "killedwalk.cli", command, "--seed", "11", "--format", "json", "--out", "run"]
-    for key, value in params.items():
-        argv += ["-P", f"{key}={json.dumps(value)}"]
+    if name in LIBRARY:
+        argv = [sys.executable, "-c", _LIBRARY_SCRIPT.format(bern=BERN, call=LIBRARY[name])]
+    else:
+        command, params = MATRIX[name]
+        argv = [sys.executable, "-m", "killedwalk.cli", command, "--seed", "11", "--format", "json", "--out", "run"]
+        for key, value in params.items():
+            argv += ["-P", f"{key}={json.dumps(value)}"]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(argv, cwd=out_dir, env=env, capture_output=True, text=True)
     return done.returncode
@@ -126,15 +158,16 @@ def verdict(base: Path, head: Path, codes: tuple[int, int]) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="byte-identity A/B of the CLI matrix against a base commit")
+    parser = argparse.ArgumentParser(description="byte-identity A/B of the CLI matrix and library rows against a base commit")
     parser.add_argument("--base", default="HEAD~1", help="the commit to compare against (default: HEAD~1)")
     parser.add_argument("--head", help="the commit to compare (default: the working tree)")
-    parser.add_argument("--rows", default=",".join(MATRIX), help="comma-separated matrix rows (default: all)")
+    rows = [*MATRIX, *LIBRARY]
+    parser.add_argument("--rows", default=",".join(rows), help="comma-separated rows (default: all)")
     args = parser.parse_args(argv)
-    rows = args.rows.split(",")
-    unknown = [row for row in rows if row not in MATRIX]
+    unknown = [row for row in args.rows.split(",") if row not in rows]
     if unknown:
-        parser.error(f"unknown rows {unknown}; the matrix has {list(MATRIX)}")
+        parser.error(f"unknown rows {unknown}; the rows are {rows}")
+    rows = args.rows.split(",")
     sides = {"base": args.base} if args.head is None else {"base": args.base, "head": args.head}
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in sides.items()}
     bad = 0
